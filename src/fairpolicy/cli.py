@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -307,12 +308,15 @@ def cmd_fit(args) -> int:
 
 
 def _run_sweep(args) -> LambdaPath:
-    sample = _read_sample(args)
-    grid = LambdaGrid.uniform(args.grid_m)
-    t = TargetFunctional.parse(args.target)
-    s = SimilarityMeasure.parse(args.similarity)
+    try:
+        grid = LambdaGrid.uniform(args.grid_m)
+        t = TargetFunctional.parse(args.target)
+        s = SimilarityMeasure.parse(args.similarity)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.estimator == "ipw":
         raise ConfigError("estimator 'ipw' needs a propensity model; use the library API")
+    sample = _read_sample(args)
     return sweep(sample, grid, t, s, _optimizer_config(args), estimator=args.estimator)
 
 
@@ -369,6 +373,8 @@ def cmd_select(args) -> int:
     out = _ensure_outdir(args)
     if args.beta is None:
         raise ConfigError("--beta is required for select")
+    if not (math.isfinite(args.beta) and args.beta > 0):
+        raise ConfigError(f"--beta must be a positive real, got {args.beta!r}")
     if args.path_csv and args.rules_json:
         path, _ = _read_path_files(args.path_csv, args.rules_json)
     elif args.input:

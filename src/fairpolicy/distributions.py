@@ -121,6 +121,11 @@ class StepCdf:
         object.__setattr__(self, "_cum", cum)
 
     @property
+    def cum(self) -> np.ndarray:
+        """F at each atom point: cumulative masses, ending at exactly 1."""
+        return self._cum
+
+    @property
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.points.tolist(), self.masses.tolist()))
 
@@ -143,12 +148,6 @@ class StepCdf:
         idx = np.searchsorted(self.points, ys, side="left")
         cum0 = np.concatenate(([0.0], self._cum))
         return cum0[idx]
-
-    def quantile(self, tau: float) -> float:
-        """Generalized inverse inf{y : F(y) >= tau} for tau in (0, 1]."""
-        idx = int(np.searchsorted(self._cum, tau, side="left"))
-        idx = min(idx, self.points.size - 1)
-        return float(self.points[idx])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-transform draws of n i.i.d. values."""

@@ -5,7 +5,13 @@ empirical CDF in each cell (point mass at the upper support endpoint b when a
 cell is empty), and records cell frequencies.  The IPW route instead weights
 each observation by 1 / (n * e_d(x, z) * p_Z(z)) with e the treatment
 propensities, accumulates a monotone step function per protected group, and
-projects it onto the CDFs on [a, b].
+projects it onto the CDFs on [a, b].  The IPW objectives evaluate those
+records as the atoms of one `AtomKernel`, built on the first evaluation and
+cached on the sample.
+
+With cell-frequency propensities a record's IPW mass is
+n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass: the estimated
+IPW objective equals the plug-in objective up to rounding.
 
 Propensities are never clipped or trimmed: a zero propensity on a used cell
 raises, because silently clamping would mask violated overlap.
@@ -24,13 +30,13 @@ from .distributions import (
     OutOfSupport,
     StepCdf,
     SupportInterval,
-    mixture,
     point_mass,
     project_mab,
     step_cdf_from_samples,
 )
 from .functionals import SimilarityMeasure, TargetFunctional
 from .objective import (
+    AtomKernel,
     CondCdfArray,
     CovariateSpace,
     DecisionRule,
@@ -73,6 +79,8 @@ class TrainingSample:
     xi: np.ndarray
     zi: np.ndarray
     d: np.ndarray
+    # IPW kernels keyed by propensity model (None: cell-frequency estimates)
+    _kernels: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float).ravel()
@@ -239,6 +247,23 @@ def _require_rule_space(sample: TrainingSample, rule: DecisionRule) -> None:
         raise SpaceMismatch("rule and sample live on different covariate spaces")
 
 
+def _record_propensities(sample: TrainingSample, prop: PropensityModel, rows) -> np.ndarray:
+    """Known propensity e_d(x, z) of each selected record; each must be positive."""
+    space = sample.space
+    d, xi, zi = sample.d[rows], sample.xi[rows], sample.zi[rows]
+    table = np.array([
+        [[prop.e.get((i, x, z), 0.0) for z in space.z_levels] for x in space.x_levels]
+        for i in space.treatments
+    ])
+    e = table[d - 1, xi, zi]
+    bad = np.flatnonzero(e <= 0.0)
+    if bad.size:
+        j = bad[0]
+        key = (int(d[j]), space.x_levels[xi[j]], space.z_levels[zi[j]])
+        raise ZeroPropensity(f"propensity e{key} must be positive")
+    return e
+
+
 def ipw_group_raw(sample: TrainingSample, rule: DecisionRule, z, prop: PropensityModel) -> MonotoneStep:
     """Pre-projection IPW estimate of the group-z outcome CDF.
 
@@ -254,25 +279,22 @@ def ipw_group_raw(sample: TrainingSample, rule: DecisionRule, z, prop: Propensit
     if pz is None or pz <= 0.0:
         raise ZeroPropensity(f"p_Z({z!r}) must be positive")
     mask = sample.zi == space.z_index[z]
-    ys = sample.ys[mask]
-    d = sample.d[mask]
-    xi = sample.xi[mask]
-    table = np.zeros((space.k, len(space.x_levels)))
-    for i in space.treatments:
-        for xj, x in enumerate(space.x_levels):
-            table[i - 1, xj] = prop.e.get((i, x, z), 0.0)
-    e = table[d - 1, xi]
-    if np.any(e <= 0.0):
-        j = int(np.flatnonzero(e <= 0.0)[0])
-        key = (int(d[j]), space.x_levels[xi[j]], z)
-        raise ZeroPropensity(f"propensity e{key} must be positive")
-    increments = rule.probs[xi, d - 1] / (sample.n * e * pz)
-    return MonotoneStep(sample.support, ys, increments)
+    e = _record_propensities(sample, prop, mask)
+    increments = rule.probs[sample.xi[mask], sample.d[mask] - 1] / (sample.n * e * pz)
+    return MonotoneStep(sample.support, sample.ys[mask], increments)
 
 
 def ipw_group_cdf(sample: TrainingSample, rule: DecisionRule, z, prop: PropensityModel) -> StepCdf:
     """IPW estimate of the group-z outcome CDF, projected onto the CDFs on [a, b]."""
     return project_mab(ipw_group_raw(sample, rule, z, prop))
+
+
+def _ipw_kernel(sample: TrainingSample, e_rec: np.ndarray, pz: np.ndarray) -> AtomKernel:
+    """Kernel over the records: mass 1 / (n * e * p_Z) at each outcome."""
+    space = sample.space
+    mass = 1.0 / (sample.n * e_rec * pz[sample.zi])
+    return AtomKernel(sample.support, sample.ys, sample.zi,
+                      sample.xi * space.k + sample.d - 1, mass, pz / pz.sum())
 
 
 def ipw_objective(
@@ -286,22 +308,22 @@ def ipw_objective(
     """Penalized objective with IPW group CDFs and known propensities.
 
     The population estimate is the p_Z-weighted mixture of the projected
-    group estimates.
+    group estimates; it equals the route through `ipw_group_cdf` and
+    `mixture`.
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    groups = {z: ipw_group_cdf(sample, rule, z, prop) for z in sample.space.z_levels}
-    missing = [z for z in sample.space.z_levels if z not in prop.pz]
-    if missing:
-        raise ZeroPropensity(f"p_Z({missing[0]!r}) must be positive")
-    weights = np.array([prop.pz[z] for z in sample.space.z_levels])
-    weights = weights / weights.sum()
-    pop = mixture([(groups[z], w) for z, w in zip(sample.space.z_levels, weights)])
-    target = 0.0 if lam == 1.0 else t.value(pop)
-    penalty = 0.0
-    if lam > 0.0:
-        penalty = max(s.value(groups[z], pop) for z in sample.space.z_levels)
-    return (1.0 - lam) * target - lam * penalty
+    _require_rule_space(sample, rule)
+    kernel = sample._kernels.get(prop)
+    if kernel is None:
+        zs = sample.space.z_levels
+        missing = [z for z in zs if prop.pz.get(z, 0.0) <= 0.0]
+        if missing:
+            raise ZeroPropensity(f"p_Z({missing[0]!r}) must be positive")
+        e_rec = _record_propensities(sample, prop, slice(None))
+        pz = np.array([prop.pz[z] for z in zs])
+        kernel = sample._kernels[prop] = _ipw_kernel(sample, e_rec, pz)
+    return kernel.value(rule.probs, lam, t, s)
 
 
 def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
@@ -334,23 +356,11 @@ def ipw_objective_estimated(
     _require_rule_space(sample, rule)
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    space = sample.space
-    e_hat, pz_hat = estimated_propensities(sample)
-    e_rec = e_hat[sample.d - 1, sample.xi, sample.zi]
-    pz_rec = pz_hat[sample.zi]
-    if np.any(e_rec <= 0.0) or np.any(pz_rec <= 0.0):
-        raise ZeroEstimatedPropensity("a used cell has zero estimated propensity")
-    base = 1.0 / (sample.n * e_rec * pz_rec)
-    groups = {}
-    for j, z in enumerate(space.z_levels):
-        if pz_hat[j] <= 0.0:
-            continue
-        mask = sample.zi == j
-        increments = rule.probs[sample.xi[mask], sample.d[mask] - 1] * base[mask]
-        groups[z] = project_mab(MonotoneStep(sample.support, sample.ys[mask], increments))
-    pop = mixture([(groups[z], pz_hat[space.z_index[z]]) for z in groups])
-    target = 0.0 if lam == 1.0 else t.value(pop)
-    penalty = 0.0
-    if lam > 0.0:
-        penalty = max(s.value(groups[z], pop) for z in groups)
-    return (1.0 - lam) * target - lam * penalty
+    kernel = sample._kernels.get(None)
+    if kernel is None:
+        e_hat, pz_hat = estimated_propensities(sample)
+        e_rec = e_hat[sample.d - 1, sample.xi, sample.zi]
+        if np.any(e_rec <= 0.0):
+            raise ZeroEstimatedPropensity("a used cell has zero estimated propensity")
+        kernel = sample._kernels[None] = _ipw_kernel(sample, e_rec, pz_hat)
+    return kernel.value(rule.probs, lam, t, s)

@@ -10,9 +10,11 @@ Similarity measures map pairs of CDFs to [0, inf) and vanish on identical
 pairs: two-sided and one-sided Kolmogorov-Smirnov distances, and the absolute
 difference of a target functional.
 
-Each functional also evaluates directly on a (grid, cdf-values) pair; the
-objective module's hot loop uses that form.  Both forms compute the same
-sums over the same atoms.
+Each target is implemented once, on a (grid, cdf-values) pair: the objective
+kernel calls that form on its grid, and the StepCdf form calls it on the
+CDF's own atoms and cumulative masses.  On a grid, Gini-welfare uses the
+identity mean - mad_half = a + integral (1 - F)^2, a single dot product;
+`mad_half` and `mad_half_naive` stay as its references.
 """
 
 from __future__ import annotations
@@ -30,30 +32,21 @@ class InvalidTau(ValueError):
 
 def mean(f: StepCdf) -> float:
     """First moment: sum of point * mass."""
-    return float(np.dot(f.points, f.masses))
-
-
-def _grid_masses(values: np.ndarray) -> np.ndarray:
-    return np.diff(values, prepend=0.0)
+    return _mean_on_grid(f.points, f.cum)
 
 
 def _mean_on_grid(grid: np.ndarray, values: np.ndarray) -> float:
-    return float(np.dot(_grid_masses(values), grid))
-
-
-def _mad_half_atoms(points: np.ndarray, masses: np.ndarray) -> float:
-    # 1/2 sum_ij m_i m_j |x_i - x_j| via sorted prefix sums: points are sorted,
-    # so the double sum collapses to sum_j m_j (x_j M_{<j} - S_{<j}).
-    cm = np.cumsum(masses)
-    cmx = np.cumsum(masses * points)
-    m_below = cm - masses
-    s_below = cmx - masses * points
-    return float(np.dot(masses, points * m_below - s_below))
+    return float(np.dot(np.diff(values, prepend=0.0), grid))
 
 
 def mad_half(f: StepCdf) -> float:
     """Half the mean absolute difference: 1/2 integral integral |x-y| dF dF."""
-    return _mad_half_atoms(f.points, f.masses)
+    # 1/2 sum_ij m_i m_j |x_i - x_j| via sorted prefix sums: points are sorted,
+    # so the double sum collapses to sum_j m_j (x_j M_{<j} - S_{<j}).
+    points, masses = f.points, f.masses
+    m_below = np.cumsum(masses) - masses
+    s_below = np.cumsum(masses * points) - masses * points
+    return float(np.dot(masses, points * m_below - s_below))
 
 
 def mad_half_naive(f: StepCdf) -> float:
@@ -62,20 +55,22 @@ def mad_half_naive(f: StepCdf) -> float:
     return 0.5 * float(f.masses @ diff @ f.masses)
 
 
-def _mad_half_on_grid(grid: np.ndarray, values: np.ndarray) -> float:
-    return _mad_half_atoms(grid, _grid_masses(values))
+def _gini_on_grid(grid: np.ndarray, values: np.ndarray) -> float:
+    # F is 0 below grid[0] and 1 from the last grid point on, so
+    # mean - mad_half = a + integral_a^b (1 - F)^2 reduces to the grid span.
+    return (grid[0] + float(np.dot((1.0 - values[:-1]) ** 2, np.diff(grid)))) / 2.0
 
 
 def gini_welfare(f: StepCdf) -> float:
     """(mean - mad_half) / 2; the welfare measure normalized to be 1-Lipschitz on [0,1]."""
-    return (mean(f) - mad_half(f)) / 2.0
+    return _gini_on_grid(f.points, f.cum)
 
 
 def quantile(f: StepCdf, tau: float) -> float:
     """Generalized inverse inf{y : F(y) >= tau}."""
     if not 0.0 < tau < 1.0:
         raise InvalidTau(f"tau must lie in (0, 1), got {tau!r}")
-    return f.quantile(tau)
+    return _quantile_on_grid(f.points, f.cum, tau)
 
 
 def _quantile_on_grid(grid: np.ndarray, values: np.ndarray, tau: float) -> float:
@@ -102,17 +97,14 @@ class TargetFunctional:
             raise ValueError(f"{self.kind!r} takes no tau")
 
     def value(self, f: StepCdf) -> float:
-        if self.kind == "gini-welfare":
-            return gini_welfare(f)
-        if self.kind == "mean":
-            return mean(f)
-        return quantile(f, self.tau)
+        return self.value_on_grid(f.points, f.cum)
 
     __call__ = value
 
     def value_on_grid(self, grid: np.ndarray, values: np.ndarray) -> float:
+        """The functional of the CDF with values F(grid) that jumps only on grid."""
         if self.kind == "gini-welfare":
-            return (_mean_on_grid(grid, values) - _mad_half_on_grid(grid, values)) / 2.0
+            return _gini_on_grid(grid, values)
         if self.kind == "mean":
             return _mean_on_grid(grid, values)
         return _quantile_on_grid(grid, values, self.tau)

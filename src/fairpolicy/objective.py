@@ -8,16 +8,30 @@ population CDF against the worst group-vs-population dissimilarity:
 
     (1 - lam) * T(population cdf) - lam * max_z S(group cdf_z, population cdf)
 
-Groups with zero fitted mass are skipped in the max (fitted arrays can have
-empty groups at small n; the objective must still evaluate).  The penalty max
-is unweighted across groups: weighting by group size would down-weigh small
+Groups with zero mass are skipped in the max (fitted arrays can have empty
+groups at small n; the objective must still evaluate).  The penalty max is
+unweighted across groups: weighting by group size would down-weigh small
 marginalized groups.
 
-The objective is evaluated thousands of times per optimizer run, so each
-array lazily caches a tableau (the union grid of all cell atoms plus each
-cell CDF sampled on it); one evaluation is then a handful of weight-vector
-dot products on that grid.  The straightforward mixture construction is kept
-as `implied_cdf`/`implied_cdf_group` and agrees with the tableau route.
+The objective is evaluated thousands of times per optimizer run, so every
+estimator evaluates it on one atom table (`AtomKernel`), built once per
+fitted array or training sample and cached on it.  Each atom is an outcome
+value y with its group z, its slot x*K + (i-1) in `probs.ravel()`, and a
+mass; the union of atom values plus the support endpoint b is the grid, and
+each atom stores its row-major position z*G + grid_idx in the |Z| x G table.
+One evaluation scatters `probs_flat[slot] * mass` into the table with
+`bincount` and takes a cumulative sum along each row: the group CDFs on the
+grid, in O(atoms + |Z|*G) time and memory.  The population CDF is the
+p_Z-weighted sum of the group rows.
+
+Plug-in atoms are the cell atoms with mass (cell mass) * p(x | z), so every
+group row ends at 1.  IPW atoms are the records, with mass 1 / (n e p_Z);
+their rows can overshoot or fall short of 1, so each row is projected onto
+the CDFs on [a, b] exactly as `project_mab` does: capped at 1, any residual
+above MASS_TOL put at b, and renormalized.  The projection is a no-op up to
+rounding on plug-in rows.  The mixture construction is kept as
+`implied_cdf`/`implied_cdf_group` and serves as the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import StepCdf, SupportMismatch, mixture
+from .distributions import MASS_TOL, StepCdf, SupportInterval, SupportMismatch, mixture
 from .functionals import SimilarityMeasure, TargetFunctional
 
 SIMPLEX_TOL = 1e-9
@@ -198,61 +212,65 @@ class CondCdfArray:
         return self.pxz[(x, z)] / pz
 
     @cached_property
-    def _tableau(self) -> "_Tableau":
-        return _Tableau(self)
+    def _kernel(self) -> "AtomKernel":
+        return AtomKernel.from_array(self)
 
 
-class _Tableau:
-    """Union grid of all cell atoms plus each cell CDF sampled on it.
+class AtomKernel:
+    """Atom table of one estimator's group CDFs; see the module docstring.
 
-    With V[c] the cell CDFs on the grid, the population CDF of a rule is
-    (delta weights * pxz) @ V and each group CDF is the same product with
-    weights conditioned on z.  All downstream functionals run on grid values.
+    ys, z, slot and mass hold one entry per atom; pz holds the population
+    weight of each group (zero for groups skipped in the penalty).
     """
 
-    def __init__(self, arr: CondCdfArray):
+    def __init__(self, support: SupportInterval, ys, z, slot, mass, pz):
+        self.grid = np.unique(np.append(ys, support.b))
+        self.pz = np.asarray(pz, dtype=float)
+        self.shape = (self.pz.size, self.grid.size)
+        self.index = np.asarray(z) * self.grid.size + np.searchsorted(self.grid, ys)
+        self.slot = np.asarray(slot)
+        self.mass = np.asarray(mass, dtype=float)
+        self.active = np.flatnonzero(self.pz > 0.0)
+
+    @classmethod
+    def from_array(cls, arr: CondCdfArray) -> "AtomKernel":
+        """Plug-in atoms: each cell atom with mass (cell mass) * p(x | z)."""
         space = arr.space
-        self.space = space
-        cells = [(i, x, z) for i in space.treatments for x in space.x_levels for z in space.z_levels]
-        self.grid = np.unique(np.concatenate([arr.cdf[c].points for c in cells]))
-        self.values = np.stack([arr.cdf[c].eval_many(self.grid) for c in cells])
-        # probs.ravel() index of each cell, and its pxz weight
-        k = space.k
-        flat = np.array([space.x_index[x] * k + (i - 1) for (i, x, z) in cells])
-        pxz = np.array([arr.pxz[(x, z)] for (i, x, z) in cells])
-        self.pop_flat = flat
-        self.pop_weight = pxz
-        self.group_rows = []  # (z, p_z, cell row indices, flat indices, pxz/p_z)
-        for z in space.z_levels:
-            rows = np.array([j for j, c in enumerate(cells) if c[2] == z])
-            pz = arr.p_z(z)  # sum over x only; each (x, z) appears K times in cells
-            if pz <= 0.0:
-                self.group_rows.append((z, 0.0, rows, flat[rows], None))
-            else:
-                self.group_rows.append((z, pz, rows, flat[rows], pxz[rows] / pz))
+        pz = np.array([arr.p_z(z) for z in space.z_levels])
+        ys, zs, slots, masses = [], [], [], []
+        for xj, x in enumerate(space.x_levels):
+            for zj, z in enumerate(space.z_levels):
+                pxz = arr.pxz[(x, z)]
+                if pxz <= 0.0:
+                    continue
+                for i in space.treatments:
+                    cdf = arr.cdf[(i, x, z)]
+                    ys.append(cdf.points)
+                    zs.append(np.full(cdf.points.size, zj))
+                    slots.append(np.full(cdf.points.size, xj * space.k + i - 1))
+                    masses.append(cdf.masses * (pxz / pz[zj]))
+        return cls(arr.support, np.concatenate(ys), np.concatenate(zs),
+                   np.concatenate(slots), np.concatenate(masses), pz)
 
-    def population_values(self, probs_flat: np.ndarray) -> np.ndarray:
-        return (probs_flat[self.pop_flat] * self.pop_weight) @ self.values
+    def group_cdfs(self, probs_flat: np.ndarray) -> np.ndarray:
+        """Projected group CDFs on the grid, shape (|Z|, G)."""
+        f = np.bincount(self.index, probs_flat[self.slot] * self.mass,
+                        minlength=self.shape[0] * self.shape[1]).reshape(self.shape)
+        np.cumsum(f, axis=1, out=f)
+        np.minimum(f, 1.0, out=f)
+        top = f[:, -1:]
+        top[1.0 - top > MASS_TOL] = 1.0  # the missing mass becomes an atom at b
+        f /= top
+        return f
 
-    def group_values(self, probs_flat: np.ndarray, z) -> np.ndarray:
-        for (zz, pz, rows, flat, w) in self.group_rows:
-            if zz == z:
-                if pz <= 0.0:
-                    raise ZeroGroupMass(f"group {z!r} has zero mass")
-                return (probs_flat[flat] * w) @ self.values[rows]
-        raise UnknownGroup(f"unknown group {z!r}")
-
-    def omega(self, probs: np.ndarray, lam: float, t: TargetFunctional, s: SimilarityMeasure) -> float:
-        probs_flat = probs.ravel()
-        pop = self.population_values(probs_flat)
+    def value(self, probs: np.ndarray, lam: float, t: TargetFunctional,
+              s: SimilarityMeasure) -> float:
+        f = self.group_cdfs(probs.ravel())
+        pop = self.pz @ f
         target = 0.0 if lam == 1.0 else t.value_on_grid(self.grid, pop)
         penalty = 0.0
         if lam > 0.0:
-            for (_z, pz, rows, flat, w) in self.group_rows:
-                if pz <= 0.0:
-                    continue
-                gv = (probs_flat[flat] * w) @ self.values[rows]
-                penalty = max(penalty, s.value_on_grid(self.grid, gv, pop))
+            penalty = max(s.value_on_grid(self.grid, f[j], pop) for j in self.active)
         return (1.0 - lam) * target - lam * penalty
 
 
@@ -304,4 +322,4 @@ def omega(
     _require_same_space(rule, arr)
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    return arr._tableau.omega(rule.probs, lam, t, s)
+    return arr._kernel.value(rule.probs, lam, t, s)

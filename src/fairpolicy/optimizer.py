@@ -32,6 +32,16 @@ _PROB_FLOOR = 1e-12  # for mapping simplex points back to unconstrained coords
 _MASK64 = (1 << 64) - 1
 
 
+def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The SeedSequence of stream `key` under `seed` (taken modulo 2**64)."""
+    return np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=key)
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """A 64-bit seed for stream `key` under `seed`."""
+    return int(seed_sequence(seed, *key).generate_state(1, dtype=np.uint64)[0])
+
+
 class NonFiniteObjective(ValueError):
     """The objective returned NaN or infinity at a feasible rule."""
 
@@ -189,9 +199,7 @@ def maximize(obj, space: CovariateSpace, cfg: OptimizerConfig) -> OptimResult:
     best_value = -np.inf
     best_converged = False
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed & _MASK64, spawn_key=(restart,))
-        )
+        rng = np.random.default_rng(seed_sequence(cfg.seed, restart))
         start_rule = None
         start_value = -np.inf
         for _ in range(cfg.candidate_starts):

@@ -33,9 +33,7 @@ from .estimation import (
 )
 from .functionals import SimilarityMeasure, TargetFunctional
 from .objective import DecisionRule, implied_cdf, implied_cdf_group, omega
-from .optimizer import OptimizerConfig, maximize
-
-_MASK64 = (1 << 64) - 1
+from .optimizer import OptimizerConfig, derive_seed, maximize
 
 ESTIMATORS = ("plugin", "ipw", "ipw-estimated")
 
@@ -143,8 +141,7 @@ class BudgetSelection:
 
 
 def _per_lambda_seed(seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(1, index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return derive_seed(seed, 1, index)
 
 
 def _empirical_objective(sample, arr, lam, t, s, estimator, propensity):

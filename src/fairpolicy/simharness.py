@@ -22,11 +22,9 @@ import numpy as np
 from .estimation import fit_plugin
 from .functionals import SimilarityMeasure, TargetFunctional
 from .objective import omega
-from .optimizer import OptimizerConfig, maximize
+from .optimizer import OptimizerConfig, derive_seed, maximize
 from .selection import LambdaGrid, _per_lambda_seed
 from .toy import MECHANISMS, ToyParams, toy_max_value, toy_objective, toy_sample, toy_space
-
-_MASK64 = (1 << 64) - 1
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
@@ -123,8 +121,7 @@ def regret_toy(delta_hat: float, lam: float, p: float) -> float:
 
 
 def _replication_seed(seed: int, cell: int, rep: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(2, cell, rep))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return derive_seed(seed, 2, cell, rep)
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:

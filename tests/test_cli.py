@@ -158,6 +158,13 @@ class TestSweep:
         assert header[-1] == "max_unfairness"
         assert len(lines) == 3  # grid {0, 1} plus header
 
+    @pytest.mark.parametrize("flags", [["--grid-m", "0"], ["--target", "quantile:2"]])
+    def test_bad_objective_config_exit_5(self, toy_csv, tmp_path, capsys, flags):
+        rc = main(["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "o")] + flags)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_stdout_stays_quiet(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "out")
         main(["sweep", "--input", toy_csv, "--output-dir", out, "--grid-m", "1",
@@ -223,6 +230,13 @@ class TestSelect:
         rc = main(["select", "--input", toy_csv, "--output-dir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_negative_beta_exit_5(self, toy_csv, tmp_path, capsys):
+        rc = main(["select", "--input", toy_csv, "--beta", "-1",
+                   "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_row_counts_and_aggregate(self, tmp_path):
@@ -260,9 +274,11 @@ class TestSimulate:
         lines = open(os.path.join(out, "aggregate.csv")).read().strip().splitlines()
         header = lines[0].split(",")
         rows = [line.split(",") for line in lines[1:]]
-        at_zero = {row[0]: float(row[header.index("mean_regret")])
-                   for row in rows if row[header.index("lambda")] == "0.0"}
-        assert at_zero["100"] > at_zero["1000"]
+        # At lambda = 0 the toy argmax delta = 0 is recovered exactly at every n,
+        # so regret is zero by construction there; lambda = 1 is not degenerate.
+        at_one = {row[0]: float(row[header.index("mean_regret")])
+                  for row in rows if row[header.index("lambda")] == "1.0"}
+        assert at_one["100"] > at_one["1000"]
 
 
 class TestOracleCheck:
