@@ -30,7 +30,6 @@ from .estimation import (
     PropensityModel,
     TrainingRecord,
     TrainingSample,
-    ZeroEstimatedPropensity,
     ZeroPropensity,
     empirical_pz,
     estimated_propensities,

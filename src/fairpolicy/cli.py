@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -32,9 +31,11 @@ from .objective import DecisionRule, omega
 from .optimizer import NonFiniteObjective, OptimizerConfig, maximize
 from .selection import (
     BudgetSelection,
+    InvalidBudget,
     LambdaGrid,
     LambdaPath,
     PathEntry,
+    check_budget,
     select_lambda_budget,
     sweep,
 )
@@ -373,8 +374,7 @@ def cmd_select(args) -> int:
     out = _ensure_outdir(args)
     if args.beta is None:
         raise ConfigError("--beta is required for select")
-    if not (math.isfinite(args.beta) and args.beta > 0):
-        raise ConfigError(f"--beta must be a positive real, got {args.beta!r}")
+    check_budget(args.beta)  # before a sweep from --input
     if args.path_csv and args.rules_json:
         path, _ = _read_path_files(args.path_csv, args.rules_json)
     elif args.input:
@@ -652,7 +652,7 @@ def main(argv=None) -> int:
     except NonFiniteObjective as exc:
         print(f"optimizer error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
-    except ConfigError as exc:
+    except (ConfigError, InvalidBudget) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,13 +5,14 @@ empirical CDF in each cell (point mass at the upper support endpoint b when a
 cell is empty), and records cell frequencies.  The IPW route instead weights
 each observation by 1 / (n * e_d(x, z) * p_Z(z)) with e the treatment
 propensities, accumulates a monotone step function per protected group, and
-projects it onto the CDFs on [a, b].  The IPW objectives evaluate those
-records as the atoms of one `AtomKernel`, built on the first evaluation and
-cached on the sample.
+projects it onto the CDFs on [a, b].  The known-propensity IPW objective
+evaluates those records as the atoms of one `AtomKernel`, built on the first
+evaluation and kept on the sample for the most recent propensity model.
 
 With cell-frequency propensities a record's IPW mass is
-n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass: the estimated
-IPW objective equals the plug-in objective up to rounding.
+n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass, so the
+estimated IPW objective is the plug-in objective of the sample's fitted
+array (fitted once and cached on the sample).
 
 Propensities are never clipped or trimmed: a zero propensity on a used cell
 raises, because silently clamping would mask violated overlap.
@@ -22,6 +23,7 @@ Everything here is a deterministic function of the sample; no hidden RNG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,15 +45,12 @@ from .objective import (
     InvalidLambda,
     SIMPLEX_TOL,
     SpaceMismatch,
+    omega,
 )
 
 
 class ZeroPropensity(ValueError):
     """A known propensity or group probability used by an estimator is not positive."""
-
-
-class ZeroEstimatedPropensity(ValueError):
-    """A cell-frequency propensity estimate used by an estimator is zero."""
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,8 @@ class TrainingSample:
     xi: np.ndarray
     zi: np.ndarray
     d: np.ndarray
-    # IPW kernels keyed by propensity model (None: cell-frequency estimates)
-    _kernels: dict = field(init=False, repr=False, default_factory=dict)
+    # (propensity model, IPW kernel) of the most recent known-propensity evaluation
+    _ipw_cache: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float).ravel()
@@ -162,6 +161,10 @@ class TrainingSample:
             [r.z for r in records], [r.d for r in records],
             support, space=space, k=k,
         )
+
+    @cached_property
+    def _plugin(self) -> CondCdfArray:
+        return fit_plugin(self)
 
     def cell_counts(self) -> np.ndarray:
         """Counts per (treatment, x, z) cell, shape (K, |X|, |Z|)."""
@@ -289,12 +292,17 @@ def ipw_group_cdf(sample: TrainingSample, rule: DecisionRule, z, prop: Propensit
     return project_mab(ipw_group_raw(sample, rule, z, prop))
 
 
-def _ipw_kernel(sample: TrainingSample, e_rec: np.ndarray, pz: np.ndarray) -> AtomKernel:
+def _ipw_kernel(sample: TrainingSample, prop: PropensityModel) -> AtomKernel:
     """Kernel over the records: mass 1 / (n * e * p_Z) at each outcome."""
-    space = sample.space
+    zs = sample.space.z_levels
+    missing = [z for z in zs if prop.pz.get(z, 0.0) <= 0.0]
+    if missing:
+        raise ZeroPropensity(f"p_Z({missing[0]!r}) must be positive")
+    e_rec = _record_propensities(sample, prop, slice(None))
+    pz = np.array([prop.pz[z] for z in zs])
     mass = 1.0 / (sample.n * e_rec * pz[sample.zi])
     return AtomKernel(sample.support, sample.ys, sample.zi,
-                      sample.xi * space.k + sample.d - 1, mass, pz / pz.sum())
+                      sample.xi * sample.space.k + sample.d - 1, mass, pz / pz.sum())
 
 
 def ipw_objective(
@@ -314,15 +322,10 @@ def ipw_objective(
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
     _require_rule_space(sample, rule)
-    kernel = sample._kernels.get(prop)
-    if kernel is None:
-        zs = sample.space.z_levels
-        missing = [z for z in zs if prop.pz.get(z, 0.0) <= 0.0]
-        if missing:
-            raise ZeroPropensity(f"p_Z({missing[0]!r}) must be positive")
-        e_rec = _record_propensities(sample, prop, slice(None))
-        pz = np.array([prop.pz[z] for z in zs])
-        kernel = sample._kernels[prop] = _ipw_kernel(sample, e_rec, pz)
+    cached_prop, kernel = sample._ipw_cache
+    if cached_prop is not prop:
+        kernel = _ipw_kernel(sample, prop)
+        object.__setattr__(sample, "_ipw_cache", (prop, kernel))
     return kernel.value(rule.probs, lam, t, s)
 
 
@@ -349,18 +352,11 @@ def ipw_objective_estimated(
 ) -> float:
     """Penalized objective with IPW group CDFs under cell-frequency propensities.
 
-    Groups with zero observed frequency are skipped in the penalty max and
-    carry zero weight in the population mixture, matching the plug-in
-    convention for empty groups.
+    Each record's IPW mass is its plug-in atom mass, so this is `omega` on
+    the sample's fitted array.  Groups with zero observed frequency are
+    skipped in the penalty max and carry zero weight in the population.
     """
     _require_rule_space(sample, rule)
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    kernel = sample._kernels.get(None)
-    if kernel is None:
-        e_hat, pz_hat = estimated_propensities(sample)
-        e_rec = e_hat[sample.d - 1, sample.xi, sample.zi]
-        if np.any(e_rec <= 0.0):
-            raise ZeroEstimatedPropensity("a used cell has zero estimated propensity")
-        kernel = sample._kernels[None] = _ipw_kernel(sample, e_rec, pz_hat)
-    return kernel.value(rule.probs, lam, t, s)
+    return omega(rule, sample._plugin, lam, t, s)

@@ -202,14 +202,19 @@ def budget_slack(n: int) -> float:
     return math.sqrt(math.log(n) / n)
 
 
+def check_budget(beta) -> None:
+    """Raise InvalidBudget unless beta is a finite positive real."""
+    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
+        raise InvalidBudget(f"beta must be a positive real, got {beta!r}")
+
+
 def select_lambda_budget(path: LambdaPath, beta: float) -> BudgetSelection:
     """Largest grid lambda whose target drop stays within beta * (1 - c_n).
 
     Always well defined: the drop at lambda = 0 is exactly 0.  For c_n >= 1
     the threshold would be non-positive, so lambda = 0 is returned.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise InvalidBudget(f"beta must be a positive real, got {beta!r}")
+    check_budget(beta)
     if path.n < 2:
         raise ValueError("budget selection needs n >= 2")
     c_n = budget_slack(path.n)

@@ -8,6 +8,9 @@ handle: empty cells, zero-mass groups, single-record samples and IPW
 estimates that overshoot or fall short of 1.
 """
 
+import gc
+import weakref
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -177,3 +180,25 @@ def test_ipw_total_within_mass_tol_is_renormalized():
     for lam in (0.0, 1.0):
         want = reference(lam, mean, SIMILARITIES[0], groups, [0.5, 0.5])
         assert abs(ipw_objective(sample, rule, lam, mean, SIMILARITIES[0], prop) - want) < TOL
+
+
+def test_ipw_models_sharing_a_sample_keep_their_own_values():
+    # alternating two propensity models on one sample must rebuild the
+    # kernel for each; only the most recent model stays referenced
+    rng = np.random.default_rng(5)
+    sample = random_training_sample(rng)
+    rule = random_rule(sample.space, rng)
+    t, s = TARGETS[0], SIMILARITIES[0]
+    props = [random_propensities(rng, sample.space) for _ in range(2)]
+    wants = []
+    for prop in props:
+        groups = [ipw_group_cdf(sample, rule, z, prop) for z in sample.space.z_levels]
+        weights = np.array([prop.pz[z] for z in sample.space.z_levels])
+        wants.append(reference(0.37, t, s, groups, weights / weights.sum()))
+    assert abs(wants[0] - wants[1]) > 1e-6
+    for prop, want in [*zip(props, wants)] * 2:
+        assert abs(ipw_objective(sample, rule, 0.37, t, s, prop) - want) < TOL
+    first = weakref.ref(props[0])
+    del props[0]
+    gc.collect()
+    assert first() is None
