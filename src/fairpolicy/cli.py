@@ -27,7 +27,7 @@ import numpy as np
 from .distributions import SupportInterval
 from .estimation import TrainingSample, fit_plugin
 from .functionals import SimilarityMeasure, TargetFunctional
-from .objective import DecisionRule, omega
+from .objective import CovariateSpace, DecisionRule, omega
 from .optimizer import NonFiniteObjective, OptimizerConfig, maximize
 from .selection import (
     BudgetSelection,
@@ -112,7 +112,15 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         ds.append(d)
     if not ys:
         raise SchemaError(f"{path}: no data rows")
+
+    def line(i: int) -> int:
+        """CSV row number of data row i: blank rows are skipped but counted."""
+        return [idx for idx, row in enumerate(rows, start=1) if row][i + 1]
+
     y_arr = np.array(ys)
+    bad = np.flatnonzero(~np.isfinite(y_arr))
+    if bad.size:
+        raise SchemaError(f"{path}: row {line(bad[0])}: y={float(y_arr[bad[0]])!r} is not finite")
     if rescale:
         lo, hi = float(y_arr.min()), float(y_arr.max())
         if hi <= lo:
@@ -121,22 +129,21 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         support = SupportInterval(0.0, 1.0)
     bad = np.flatnonzero((y_arr < support.a) | (y_arr > support.b))
     if bad.size:
-        row = int(bad[0]) + 2
         raise SchemaError(
-            f"{path}: row {row}: y={float(y_arr[bad[0]])!r} outside support "
+            f"{path}: row {line(bad[0])}: y={float(y_arr[bad[0]])!r} outside support "
             f"[{support.a}, {support.b}]"
         )
     k_eff = k if k is not None else max(2, max(ds))
     bad_d = [i for i, d in enumerate(ds) if d > k_eff]
     if bad_d:
         raise SchemaError(
-            f"{path}: row {bad_d[0] + 2}: treatment index {ds[bad_d[0]]} exceeds K={k_eff}"
+            f"{path}: row {line(bad_d[0])}: treatment index {ds[bad_d[0]]} exceeds K={k_eff}"
         )
     if x_levels is not None:
         unknown = [i for i, x in enumerate(xs) if x not in set(x_levels)]
         if unknown:
             raise SchemaError(
-                f"{path}: row {unknown[0] + 2}: unknown x level {xs[unknown[0]]!r}"
+                f"{path}: row {line(unknown[0])}: unknown x level {xs[unknown[0]]!r}"
             )
         if drop_empty_x:
             seen = set(xs)
@@ -145,12 +152,10 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         unknown = [i for i, z in enumerate(zs) if z not in set(z_levels)]
         if unknown:
             raise SchemaError(
-                f"{path}: row {unknown[0] + 2}: unknown z level {zs[unknown[0]]!r}"
+                f"{path}: row {line(unknown[0])}: unknown z level {zs[unknown[0]]!r}"
             )
     space = None
     if x_levels is not None or z_levels is not None:
-        from .objective import CovariateSpace
-
         space = CovariateSpace(
             tuple(x_levels) if x_levels is not None else tuple(dict.fromkeys(xs)),
             tuple(z_levels) if z_levels is not None else tuple(dict.fromkeys(zs)),
@@ -308,7 +313,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args) -> LambdaPath:
+def _run_sweep(args, beta=None) -> LambdaPath:
     try:
         grid = LambdaGrid.uniform(args.grid_m)
         t = TargetFunctional.parse(args.target)
@@ -318,6 +323,8 @@ def _run_sweep(args) -> LambdaPath:
     if args.estimator == "ipw":
         raise ConfigError("estimator 'ipw' needs a propensity model; use the library API")
     sample = _read_sample(args)
+    if beta is not None:
+        check_budget(beta, sample.n)
     return sweep(sample, grid, t, s, _optimizer_config(args), estimator=args.estimator)
 
 
@@ -329,7 +336,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_path_files(path_csv: str, rules_json: str) -> tuple[LambdaPath, list]:
+def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs."""
     try:
         with open(rules_json) as fh:
@@ -349,8 +356,6 @@ def _read_path_files(path_csv: str, rules_json: str) -> tuple[LambdaPath, list]:
     groups = [c[len("unfair_"):] for c in header if c.startswith("unfair_")]
     space_cols = rules_doc["x_levels"]
     z_for_space = groups or ["z0", "z1"]
-    from .objective import CovariateSpace
-
     space = CovariateSpace(tuple(space_cols), tuple(z_for_space), int(rules_doc["k"]))
     entries = []
     lams = []
@@ -366,19 +371,18 @@ def _read_path_files(path_csv: str, rules_json: str) -> tuple[LambdaPath, list]:
         rule = DecisionRule(space, np.array(rules_doc["rules"][idx], dtype=float))
         lams.append(lam)
         entries.append(PathEntry(rule, obj_value, target_value, unf, max_unf))
-    path = LambdaPath(LambdaGrid(tuple(lams)), tuple(entries), int(rules_doc["n"]))
-    return path, entries
+    return LambdaPath(LambdaGrid(tuple(lams)), tuple(entries), int(rules_doc["n"]))
 
 
 def cmd_select(args) -> int:
     out = _ensure_outdir(args)
     if args.beta is None:
         raise ConfigError("--beta is required for select")
-    check_budget(args.beta)  # before a sweep from --input
+    check_budget(args.beta)  # before reading any input
     if args.path_csv and args.rules_json:
-        path, _ = _read_path_files(args.path_csv, args.rules_json)
+        path = _read_path_files(args.path_csv, args.rules_json)
     elif args.input:
-        path = _run_sweep(args)
+        path = _run_sweep(args, beta=args.beta)
     else:
         raise ConfigError("select needs either --path-csv with --rules-json, or --input")
     selection = select_lambda_budget(path, args.beta)
@@ -486,7 +490,7 @@ def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
         ((c + 1.0) / 2.0, 0.5, 0.02, "argmax recovery above c(p)"),
     ):
         res = maximize(
-            lambda rule: toy_objective(float(rule.probs[0, 0]), ToyParams(p, lam)),
+            lambda probs: toy_objective(float(probs[0, 0]), ToyParams(p, lam)),
             space,
             cfg,
         )

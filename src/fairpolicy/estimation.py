@@ -6,13 +6,13 @@ cell is empty), and records cell frequencies.  The IPW route instead weights
 each observation by 1 / (n * e_d(x, z) * p_Z(z)) with e the treatment
 propensities, accumulates a monotone step function per protected group, and
 projects it onto the CDFs on [a, b].  The known-propensity IPW objective
-evaluates those records as the atoms of one `AtomKernel`, built on the first
-evaluation and kept on the sample for the most recent propensity model.
+evaluates those records as the atoms of one `AtomKernel` (`ipw_kernel`).
 
 With cell-frequency propensities a record's IPW mass is
 n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass, so the
 estimated IPW objective is the plug-in objective of the sample's fitted
-array (fitted once and cached on the sample).
+array.  `ipw_objective` and `ipw_objective_estimated` build a kernel per
+call; `selection.sweep` builds it once per run.
 
 Propensities are never clipped or trimmed: a zero propensity on a used cell
 raises, because silently clamping would mask violated overlap.
@@ -22,8 +22,7 @@ Everything here is a deterministic function of the sample; no hidden RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +77,6 @@ class TrainingSample:
     xi: np.ndarray
     zi: np.ndarray
     d: np.ndarray
-    # (propensity model, IPW kernel) of the most recent known-propensity evaluation
-    _ipw_cache: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float).ravel()
@@ -161,10 +158,6 @@ class TrainingSample:
             [r.z for r in records], [r.d for r in records],
             support, space=space, k=k,
         )
-
-    @cached_property
-    def _plugin(self) -> CondCdfArray:
-        return fit_plugin(self)
 
     def cell_counts(self) -> np.ndarray:
         """Counts per (treatment, x, z) cell, shape (K, |X|, |Z|)."""
@@ -292,7 +285,7 @@ def ipw_group_cdf(sample: TrainingSample, rule: DecisionRule, z, prop: Propensit
     return project_mab(ipw_group_raw(sample, rule, z, prop))
 
 
-def _ipw_kernel(sample: TrainingSample, prop: PropensityModel) -> AtomKernel:
+def ipw_kernel(sample: TrainingSample, prop: PropensityModel) -> AtomKernel:
     """Kernel over the records: mass 1 / (n * e * p_Z) at each outcome."""
     zs = sample.space.z_levels
     missing = [z for z in zs if prop.pz.get(z, 0.0) <= 0.0]
@@ -322,11 +315,7 @@ def ipw_objective(
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
     _require_rule_space(sample, rule)
-    cached_prop, kernel = sample._ipw_cache
-    if cached_prop is not prop:
-        kernel = _ipw_kernel(sample, prop)
-        object.__setattr__(sample, "_ipw_cache", (prop, kernel))
-    return kernel.value(rule.probs, lam, t, s)
+    return ipw_kernel(sample, prop).value(rule.probs, lam, t, s)
 
 
 def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
@@ -359,4 +348,4 @@ def ipw_objective_estimated(
     _require_rule_space(sample, rule)
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    return omega(rule, sample._plugin, lam, t, s)
+    return omega(rule, fit_plugin(sample), lam, t, s)

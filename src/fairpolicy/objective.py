@@ -14,8 +14,8 @@ unweighted across groups: weighting by group size would down-weigh small
 marginalized groups.
 
 The objective is evaluated thousands of times per optimizer run, so every
-estimator evaluates it on one atom table (`AtomKernel`), built once per
-fitted array or training sample and cached on it.  Each atom is an outcome
+estimator evaluates it on one atom table (`AtomKernel`); a fitted array
+keeps its plug-in kernel (`CondCdfArray.kernel`).  Each atom is an outcome
 value y with its group z, its slot x*K + (i-1) in `probs.ravel()`, and a
 mass; the union of atom values plus the support endpoint b is the grid, and
 each atom stores its row-major position z*G + grid_idx in the |Z| x G table.
@@ -212,7 +212,7 @@ class CondCdfArray:
         return self.pxz[(x, z)] / pz
 
     @cached_property
-    def _kernel(self) -> "AtomKernel":
+    def kernel(self) -> "AtomKernel":
         return AtomKernel.from_array(self)
 
 
@@ -273,6 +273,14 @@ class AtomKernel:
             penalty = max(s.value_on_grid(self.grid, f[j], pop) for j in self.active)
         return (1.0 - lam) * target - lam * penalty
 
+    def scores(self, probs: np.ndarray, t: TargetFunctional,
+               s: SimilarityMeasure) -> tuple[float, dict]:
+        """The two terms of `value`: T(population), {active group index: S}."""
+        f = self.group_cdfs(probs.ravel())
+        pop = self.pz @ f
+        unfairness = {int(j): s.value_on_grid(self.grid, f[j], pop) for j in self.active}
+        return t.value_on_grid(self.grid, pop), unfairness
+
 
 def _require_same_space(rule: DecisionRule, arr: CondCdfArray) -> None:
     if rule.space != arr.space:
@@ -322,4 +330,4 @@ def omega(
     _require_same_space(rule, arr)
     if not 0.0 <= lam <= 1.0:
         raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    return arr._kernel.value(rule.probs, lam, t, s)
+    return arr.kernel.value(rule.probs, lam, t, s)

@@ -1,16 +1,16 @@
 """Derivative-free maximization of rule-valued objectives over products of simplices.
 
-Each covariate row of a decision rule is reparametrized through a softmax map
-from K-1 unconstrained coordinates (last coordinate pinned at 0), so every
-probe the search makes is a feasible rule; no barrier tuning is needed.
-Nelder-Mead (classical coefficients, initial simplex edge 0.5) runs jointly
+The objective takes a rule's (|X|, K) probability matrix.  Each row is
+reparametrized through a softmax map from K-1 unconstrained coordinates
+(last coordinate pinned at 0), so every probe is a feasible matrix and only
+the returned result is built into a `DecisionRule`.  Nelder-Mead (classical coefficients, initial simplex edge 0.5) runs jointly
 over all rows while the unconstrained dimension is at most 40, and in cyclic
 block-coordinate sweeps over rows above that.
 
-The search starts from the best of `candidate_starts` rules drawn uniformly
-from the product of simplices; independent restarts use RNG streams derived
-from (seed, restart index), so results are deterministic and restart sets are
-prefix-monotone.  The achieved optimization accuracy is best-effort: the true
+The search starts from the best of `candidate_starts` matrices drawn
+uniformly from the product of simplices; independent restarts use RNG
+streams derived from (seed, restart index), so results are deterministic and
+restart sets are prefix-monotone.  The achieved optimization accuracy is best-effort: the true
 supremum is unknown, and `converged` only reports the internal ftol
 criterion.
 """
@@ -69,15 +69,19 @@ class OptimResult:
     converged: bool
 
 
-def random_rule(space: CovariateSpace, rng: np.random.Generator) -> DecisionRule:
-    """Rule with every row drawn uniformly on the simplex.
+def _random_probs(space: CovariateSpace, rng: np.random.Generator) -> np.ndarray:
+    """Probability matrix with every row drawn uniformly on the simplex.
 
     Dirichlet(1, ..., 1) via the exponential-spacings construction: K standard
     exponentials normalized by their sum.
     """
     rows = rng.standard_exponential((len(space.x_levels), space.k))
-    rows /= rows.sum(axis=1, keepdims=True)
-    return DecisionRule(space, rows)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def random_rule(space: CovariateSpace, rng: np.random.Generator) -> DecisionRule:
+    """Rule with every row drawn uniformly on the simplex."""
+    return DecisionRule(space, _random_probs(space, rng))
 
 
 def _softmax_rows(u: np.ndarray) -> np.ndarray:
@@ -95,20 +99,19 @@ def _to_unconstrained(probs: np.ndarray) -> np.ndarray:
 
 
 class _CountingObjective:
-    def __init__(self, obj, space):
+    def __init__(self, obj):
         self.obj = obj
-        self.space = space
         self.evaluations = 0
 
-    def at_rule(self, rule: DecisionRule) -> float:
+    def __call__(self, probs: np.ndarray) -> float:
         self.evaluations += 1
-        value = float(self.obj(rule))
+        value = float(self.obj(probs))
         if not np.isfinite(value):
             raise NonFiniteObjective(f"objective returned {value!r}")
         return value
 
     def at_u(self, u: np.ndarray) -> float:
-        return self.at_rule(DecisionRule(self.space, _softmax_rows(u)))
+        return self(_softmax_rows(u))
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
@@ -190,34 +193,35 @@ def _maximize_from(counting: _CountingObjective, u0: np.ndarray, cfg: OptimizerC
 def maximize(obj, space: CovariateSpace, cfg: OptimizerConfig) -> OptimResult:
     """Best-effort maximizer of obj over all decision rules on the space.
 
-    obj must return a finite float for every feasible rule.  Deterministic
-    given cfg.seed; restarts with a common seed are prefix-monotone in the
-    achieved value.  Ties across restarts go to the lowest restart index.
+    obj maps a probability matrix to a finite float; the result's value is
+    obj at the returned rule's probs.  Deterministic given cfg.seed; restarts
+    with a common seed are prefix-monotone in the achieved value.  Ties
+    across restarts go to the lowest restart index.
     """
-    counting = _CountingObjective(obj, space)
-    best_rule = None
+    counting = _CountingObjective(obj)
+    best_probs = None
     best_value = -np.inf
     best_converged = False
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(seed_sequence(cfg.seed, restart))
-        start_rule = None
+        start_probs = None
         start_value = -np.inf
         for _ in range(cfg.candidate_starts):
-            cand = random_rule(space, rng)
-            value = counting.at_rule(cand)
+            cand = _random_probs(space, rng)
+            value = counting(cand)
             if value > start_value:
-                start_rule, start_value = cand, value
-        u0 = _to_unconstrained(start_rule.probs)
-        u, value, converged = _maximize_from(counting, u0, cfg)
+                start_probs, start_value = cand, value
+        u, value, converged = _maximize_from(counting, _to_unconstrained(start_probs), cfg)
         if value >= start_value:
-            restart_rule, restart_value = DecisionRule(space, _softmax_rows(u)), value
+            restart_probs, restart_value = _softmax_rows(u), value
         else:
             # softmax round-trip of the start lost more than the search gained
-            restart_rule, restart_value = start_rule, start_value
+            restart_probs, restart_value = start_probs, start_value
         if restart_value > best_value:
-            best_rule, best_value = restart_rule, restart_value
+            best_probs, best_value = restart_probs, restart_value
             best_converged = converged
-    value = counting.at_rule(best_rule)
+    rule = DecisionRule(space, best_probs)
     return OptimResult(
-        rule=best_rule, value=value, evaluations=counting.evaluations, converged=best_converged
+        rule=rule, value=counting(rule.probs), evaluations=counting.evaluations,
+        converged=best_converged,
     )

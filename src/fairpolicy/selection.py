@@ -1,10 +1,12 @@
 """Preference-parameter sweeps, diagnostics, budget-based selection, interpolation.
 
-A sweep fits the plug-in array once, then maximizes the chosen empirical
-objective (plug-in, IPW with known propensities, or IPW with cell-frequency
-propensities) for every lambda on the grid.  Per-lambda diagnostics (target
-value, per-group unfairness) are always computed against the same fitted
-array, matching how the empirical illustrations report estimated quantities.
+`sweep`, the only per-lambda loop (the Monte Carlo harness runs through it
+too), fits the plug-in array and picks the estimator's atom kernel once: the
+fitted array's for plug-in and for IPW with cell-frequency propensities (the
+same objective), the record kernel for IPW with known propensities.
+Per-lambda diagnostics (target value, per-group unfairness) are the plug-in
+kernel's two objective terms at the fitted rule, matching how the empirical
+illustrations report estimated quantities.
 
 Budget selection spends at most beta of the target functional on fairness:
 it picks the largest lambda whose target drop relative to lambda = 0 stays
@@ -24,15 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import (
-    PropensityModel,
-    TrainingSample,
-    fit_plugin,
-    ipw_objective,
-    ipw_objective_estimated,
-)
+from .estimation import PropensityModel, TrainingSample, fit_plugin, ipw_kernel
 from .functionals import SimilarityMeasure, TargetFunctional
-from .objective import DecisionRule, implied_cdf, implied_cdf_group, omega
+from .objective import AtomKernel, DecisionRule
 from .optimizer import OptimizerConfig, derive_seed, maximize
 
 ESTIMATORS = ("plugin", "ipw", "ipw-estimated")
@@ -43,7 +39,7 @@ class LambdaNotOnGrid(ValueError):
 
 
 class InvalidBudget(ValueError):
-    """Budget beta must be a positive real."""
+    """Budget selection needs a positive real beta and a sample of n >= 2."""
 
 
 class NonUniformGrid(ValueError):
@@ -140,20 +136,18 @@ class BudgetSelection:
     deltas: dict
 
 
-def _per_lambda_seed(seed: int, index: int) -> int:
-    return derive_seed(seed, 1, index)
-
-
-def _empirical_objective(sample, arr, lam, t, s, estimator, propensity):
-    if estimator == "plugin":
-        return lambda rule: omega(rule, arr, lam, t, s)
+def _estimator_kernel(sample, arr, estimator, propensity) -> AtomKernel:
+    if estimator in ("plugin", "ipw-estimated"):
+        return arr.kernel
     if estimator == "ipw":
         if propensity is None:
             raise ValueError("estimator 'ipw' needs a propensity model")
-        return lambda rule: ipw_objective(sample, rule, lam, t, s, propensity)
-    if estimator == "ipw-estimated":
-        return lambda rule: ipw_objective_estimated(sample, rule, lam, t, s)
+        return ipw_kernel(sample, propensity)
     raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+
+
+def _empirical_objective(kernel: AtomKernel, lam, t, s):
+    return lambda probs: kernel.value(probs, lam, t, s)
 
 
 def sweep(
@@ -171,20 +165,19 @@ def sweep(
     path is reproducible bit-for-bit and per-lambda runs are independent.
     """
     arr = fit_plugin(sample)
-    positive_groups = [z for z in sample.space.z_levels if arr.p_z(z) > 0.0]
+    kernel = _estimator_kernel(sample, arr, estimator, propensity)
+    z_levels = sample.space.z_levels
     entries = []
     for idx, lam in enumerate(grid):
-        obj = _empirical_objective(sample, arr, lam, t, s, estimator, propensity)
-        result = maximize(obj, sample.space, replace(cfg, seed=_per_lambda_seed(cfg.seed, idx)))
-        pop = implied_cdf(result.rule, arr)
-        unfairness = {
-            z: s.value(implied_cdf_group(result.rule, arr, z), pop) for z in positive_groups
-        }
+        obj = _empirical_objective(kernel, lam, t, s)
+        result = maximize(obj, sample.space, replace(cfg, seed=derive_seed(cfg.seed, 1, idx)))
+        target, by_index = arr.kernel.scores(result.rule.probs, t, s)
+        unfairness = {z_levels[j]: u for j, u in by_index.items()}
         entries.append(
             PathEntry(
                 rule=result.rule,
                 obj_value=result.value,
-                target_value=t.value(pop),
+                target_value=target,
                 unfairness=unfairness,
                 max_unfairness=max(unfairness.values()),
             )
@@ -202,10 +195,13 @@ def budget_slack(n: int) -> float:
     return math.sqrt(math.log(n) / n)
 
 
-def check_budget(beta) -> None:
-    """Raise InvalidBudget unless beta is a finite positive real."""
+def check_budget(beta, n: int | None = None) -> None:
+    """Raise InvalidBudget unless beta is a finite positive real and, when the
+    sample size n is given, n >= 2."""
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
         raise InvalidBudget(f"beta must be a positive real, got {beta!r}")
+    if n is not None and n < 2:
+        raise InvalidBudget(f"budget selection needs n >= 2, got n = {n}")
 
 
 def select_lambda_budget(path: LambdaPath, beta: float) -> BudgetSelection:
@@ -214,9 +210,7 @@ def select_lambda_budget(path: LambdaPath, beta: float) -> BudgetSelection:
     Always well defined: the drop at lambda = 0 is exactly 0.  For c_n >= 1
     the threshold would be non-positive, so lambda = 0 is returned.
     """
-    check_budget(beta)
-    if path.n < 2:
-        raise ValueError("budget selection needs n >= 2")
+    check_budget(beta, path.n)
     c_n = budget_slack(path.n)
     threshold = beta * (1.0 - c_n)
     deltas = {lam: delta_n(path, lam) for lam in path.grid}

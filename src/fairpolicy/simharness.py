@@ -1,12 +1,12 @@
 """Monte Carlo replication engine for the closed-form example.
 
 For each (sample size, assignment mechanism) cell and each replication, draw
-a fresh training sample, fit the plug-in array, maximize the empirical
-objective for every grid lambda, and score the fitted rule's regret against
-the analytic oracle: true maximum value minus the true objective at the
-estimated rule.  Regret is computed against the closed forms, not a plug-in
-estimate of the maximum, because the example makes the population objective
-exact.
+a fresh training sample, run it through `selection.sweep` (the plug-in
+estimator with Gini-welfare and KS, the replication's seed as optimizer
+seed), and score each fitted rule's regret against the analytic oracle: true
+maximum value minus the true objective at the estimated rule.  Regret is
+computed against the closed forms, not a plug-in estimate of the maximum,
+because the example makes the population objective exact.
 
 Replication RNG streams derive from (seed, cell index, replication index),
 so runs are deterministic and replications could execute in any order (or in
@@ -19,12 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import fit_plugin
 from .functionals import SimilarityMeasure, TargetFunctional
-from .objective import omega
-from .optimizer import OptimizerConfig, derive_seed, maximize
-from .selection import LambdaGrid, _per_lambda_seed
-from .toy import MECHANISMS, ToyParams, toy_max_value, toy_objective, toy_sample, toy_space
+from .optimizer import OptimizerConfig, derive_seed
+from .selection import LambdaGrid, sweep
+from .toy import MECHANISMS, ToyParams, toy_max_value, toy_objective, toy_sample
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
@@ -125,21 +123,16 @@ def _replication_seed(seed: int, cell: int, rep: int) -> int:
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
-    """Replicate sample -> fit -> per-lambda maximize -> oracle regret."""
-    space = toy_space()
+    """Replicate sample -> sweep -> oracle regret."""
     rows = []
     cells = [(n, mech) for n in cfg.sample_sizes for mech in cfg.mechanisms]
     for cell_idx, (n, mech) in enumerate(cells):
         for rep in range(cfg.replications):
-            sample = toy_sample(n, cfg.p, mech, _replication_seed(cfg.seed, cell_idx, rep))
-            arr = fit_plugin(sample)
-            for lam_idx, lam in enumerate(cfg.grid):
-                opt_cfg = replace(
-                    cfg.optimizer,
-                    seed=_per_lambda_seed(_replication_seed(cfg.seed, cell_idx, rep), lam_idx),
-                )
-                result = maximize(lambda rule: omega(rule, arr, lam, GINI, KS), space, opt_cfg)
-                delta_hat = float(result.rule.probs[0, 0])
+            rep_seed = _replication_seed(cfg.seed, cell_idx, rep)
+            sample = toy_sample(n, cfg.p, mech, rep_seed)
+            path = sweep(sample, cfg.grid, GINI, KS, replace(cfg.optimizer, seed=rep_seed))
+            for lam, entry in zip(cfg.grid, path.entries):
+                delta_hat = float(entry.rule.probs[0, 0])
                 rows.append(
                     SimRow(
                         n=n,
@@ -147,7 +140,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                         lam=lam,
                         replication=rep,
                         delta_hat=delta_hat,
-                        emp_value=result.value,
+                        emp_value=entry.obj_value,
                         regret=regret_toy(delta_hat, lam, cfg.p),
                     )
                 )

@@ -151,14 +151,14 @@ def check_d1_triangle(rng: np.random.Generator, trials: int = 100) -> float:
 
 
 def check_optimizer_feasibility(seed: int = 0) -> int:
-    """Every probe the optimizer makes is a simplex-feasible rule; returns probes."""
+    """Every probe the optimizer makes is a simplex-feasible probability
+    matrix; returns the number of probes."""
     from fairpolicy import OptimizerConfig, maximize
 
     space = CovariateSpace(("a", "b"), ("u",), 3)
     probes = []
 
-    def obj(rule: DecisionRule) -> float:
-        probs = rule.probs
+    def obj(probs: np.ndarray) -> float:
         assert np.all(probs >= 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         probes.append(1)

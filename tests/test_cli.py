@@ -120,6 +120,30 @@ class TestFit:
         assert main(["fit", "--input", str(path), "--output-dir", out]) == EXIT_SCHEMA
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row, flags", [
+        ("1.5,a,u,1", []),
+        ("0.5,a,u,3", ["--k", "2"]),
+        ("0.5,b,u,1", ["--x-levels", "a"]),
+        ("0.5,a,w,1", ["--z-levels", "u,v"]),
+    ])
+    def test_schema_error_row_counts_blank_rows(self, tmp_path, capsys, bad_row, flags):
+        path = tmp_path / "s.csv"
+        path.write_text(f"y,x,z,d\n0.5,a,u,1\n\n0.2,a,v,2\n{bad_row}\n")
+        rc = main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")] + flags)
+        assert rc == EXIT_SCHEMA
+        assert "row 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["fit"], ["sweep"], ["fit", "--rescale"]])
+    @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+    def test_non_finite_outcome_exit_3(self, tmp_path, capsys, command, y):
+        path = tmp_path / "s.csv"
+        path.write_text(f"y,x,z,d\n0.5,a,u,1\n\n0.2,a,v,2\n{y},a,u,2\n")
+        rc = main(command + ["--input", str(path), "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and err.count("\n") == 1
+        assert "row 5" in err and "not finite" in err
+
     def test_unparseable_y_exit_2(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("y,x,z,d\nzzz,a,u,1\n")
@@ -229,6 +253,33 @@ class TestSelect:
     def test_missing_beta_exit_5(self, toy_csv, tmp_path):
         rc = main(["select", "--input", toy_csv, "--output-dir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+    def test_one_row_sample_exit_5_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("select swept a 1-row sample")
+
+        monkeypatch.setattr("fairpolicy.cli.sweep", no_sweep)
+        sample = tmp_path / "s.csv"
+        sample.write_text("y,x,z,d\n0.5,a,u,1\n")
+        rc = main(["select", "--input", str(sample), "--beta", "0.1",
+                   "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "n >= 2" in err
+
+    def test_one_row_path_files_exit_5(self, tmp_path, capsys):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n")
+        rules_json.write_text(json.dumps(
+            {"n": 1, "x_levels": ["x0"], "k": 2, "lambdas": [0.0], "rules": [[[0.5, 0.5]]]}
+        ))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_negative_beta_exit_5(self, toy_csv, tmp_path, capsys):
         rc = main(["select", "--input", toy_csv, "--beta", "-1",

@@ -11,7 +11,6 @@ from fairpolicy import (
     d1,
     fit_plugin,
     maximize,
-    omega,
     random_rule,
     toy_cond_array,
     toy_objective,
@@ -21,7 +20,7 @@ from helpers import check_optimizer_feasibility
 
 
 def toy_analytic_obj(lam, p=0.75):
-    return lambda rule: toy_objective(float(rule.probs[0, 0]), ToyParams(p, lam))
+    return lambda probs: toy_objective(float(probs[0, 0]), ToyParams(p, lam))
 
 
 class TestOptimizerConfig:
@@ -69,7 +68,7 @@ class TestMaximize:
     def test_recovers_interior_target_rule(self):
         space = CovariateSpace(("a", "b", "c"), ("u", "v"), 3)
         target = random_rule(space, np.random.default_rng(11))
-        res = maximize(lambda r: -d1(r, target), space, OptimizerConfig(seed=2))
+        res = maximize(lambda p: -np.abs(p - target.probs).sum(), space, OptimizerConfig(seed=2))
         assert d1(res.rule, target) <= 1e-3
 
     def test_toy_unpenalized_argmax(self):
@@ -86,24 +85,24 @@ class TestMaximize:
         space = CovariateSpace(("a",), ("z",), 2)
         obj = toy_analytic_obj(0.3)
         res = maximize(obj, space, OptimizerConfig(seed=7))
-        assert res.value == obj(res.rule)
+        assert res.value == obj(res.rule.probs)
 
     def test_value_dominates_candidate_starts(self):
         space = CovariateSpace(("a", "b"), ("u",), 3)
         rng = np.random.default_rng(13)
         target = random_rule(space, rng)
-        obj = lambda r: -d1(r, target)
+        obj = lambda p: -np.abs(p - target.probs).sum()
         cfg = OptimizerConfig(seed=17, candidate_starts=25)
         res = maximize(obj, space, cfg)
         rng2 = np.random.default_rng(np.random.SeedSequence(entropy=17, spawn_key=(0,)))
-        starts = [obj(random_rule(space, rng2)) for _ in range(25)]
+        starts = [obj(random_rule(space, rng2).probs) for _ in range(25)]
         assert res.value >= max(starts)
 
     def test_deterministic_given_seed(self):
         sample = toy_sample(1000, 0.75, "A1", seed=3)
         arr = fit_plugin(sample)
         t, s = TargetFunctional("gini-welfare"), SimilarityMeasure("ks")
-        obj = lambda r: omega(r, arr, 0.4, t, s)
+        obj = lambda p: arr.kernel.value(p, 0.4, t, s)
         a = maximize(obj, arr.space, OptimizerConfig(seed=21))
         b = maximize(obj, arr.space, OptimizerConfig(seed=21))
         assert np.array_equal(a.rule.probs, b.rule.probs)
@@ -113,7 +112,7 @@ class TestMaximize:
         sample = toy_sample(500, 0.75, "A2", seed=9)
         arr = fit_plugin(sample)
         t, s = TargetFunctional("gini-welfare"), SimilarityMeasure("ks")
-        obj = lambda r: omega(r, arr, 0.6, t, s)
+        obj = lambda p: arr.kernel.value(p, 0.6, t, s)
         values = [
             maximize(obj, arr.space, OptimizerConfig(seed=31, restarts=r)).value
             for r in (1, 2, 4)
@@ -128,8 +127,8 @@ class TestMaximize:
         space = CovariateSpace(tuple(f"x{i}" for i in range(nx)), ("z",), 2)
         targets = np.linspace(0.2, 0.8, nx)
 
-        def obj(rule):
-            return -float(((rule.probs[:, 0] - targets) ** 2).sum())
+        def obj(probs):
+            return -float(((probs[:, 0] - targets) ** 2).sum())
 
         res = maximize(obj, space, OptimizerConfig(seed=4))
         assert 0.0 - res.value <= 1e-6
@@ -137,7 +136,7 @@ class TestMaximize:
     def test_non_finite_objective_raises(self):
         space = CovariateSpace(("a",), ("z",), 2)
         with pytest.raises(NonFiniteObjective):
-            maximize(lambda r: float("nan"), space, OptimizerConfig(seed=1))
+            maximize(lambda p: float("nan"), space, OptimizerConfig(seed=1))
 
     def test_block_coordinate_mode(self):
         # (K-1)*|X| = 42 > 40 forces cyclic block sweeps
@@ -145,8 +144,8 @@ class TestMaximize:
         space = CovariateSpace(tuple(f"x{i}" for i in range(nx)), ("z",), 2)
         targets = np.linspace(0.1, 0.9, nx)
 
-        def obj(rule):
-            return -float(((rule.probs[:, 0] - targets) ** 2).sum())
+        def obj(probs):
+            return -float(((probs[:, 0] - targets) ** 2).sum())
 
         res = maximize(obj, space, OptimizerConfig(seed=6, max_iters=200, candidate_starts=5))
         assert 0.0 - res.value <= 1e-6

@@ -96,9 +96,11 @@ class TestSweep:
     def test_diagnostics_rederivable_from_rule_and_array(self):
         sample = toy_sample(600, 0.75, "A1", seed=13)
         arr = fit_plugin(sample)
-        path = sweep(sample, LambdaGrid((0.0, 0.4)), GINI, KS, OptimizerConfig(seed=13))
+        path = sweep(sample, LambdaGrid((0.0, 0.4, 1.0)), GINI, KS, OptimizerConfig(seed=13))
         for lam in path.grid:
             e = path.entry(lam)
+            # objective and diagnostics come from one kernel
+            assert e.obj_value == (1.0 - lam) * e.target_value - lam * e.max_unfairness
             pop = implied_cdf(e.rule, arr)
             assert e.target_value == pytest.approx(GINI.value(pop), abs=1e-9)
             for z, u in e.unfairness.items():

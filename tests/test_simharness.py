@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,14 @@ from fairpolicy import (
     ToyParams,
     regret_toy,
     run_simulation,
+    sweep,
     toy_argmax,
     toy_max_value,
     toy_objective,
+    toy_sample,
     toy_threshold,
 )
+from fairpolicy.simharness import GINI, KS, _replication_seed
 
 FAST_OPT = OptimizerConfig(seed=0, candidate_starts=15, max_iters=200)
 
@@ -86,6 +91,24 @@ class TestRunSimulation:
                           replications=10)
         result = run_simulation(cfg)
         assert result.mean_regret(100, "A1", 0.0) > result.mean_regret(2000, "A1", 0.0)
+
+    def test_rows_are_sweep_entries(self):
+        # the harness runs the replication sample through sweep, seeded with
+        # the replication seed
+        cfg = small_config(sample_sizes=(150, 300), mechanisms=("A1", "A2"), replications=2)
+        result = run_simulation(cfg)
+        rows = iter(result.rows)
+        for cell, (n, mech) in enumerate((n, m) for n in cfg.sample_sizes for m in cfg.mechanisms):
+            for rep in range(cfg.replications):
+                seed = _replication_seed(cfg.seed, cell, rep)
+                path = sweep(toy_sample(n, cfg.p, mech, seed), cfg.grid, GINI, KS,
+                             replace(cfg.optimizer, seed=seed))
+                for lam, entry in zip(cfg.grid, path.entries):
+                    row = next(rows)
+                    assert (row.n, row.mechanism, row.lam, row.replication) == (n, mech, lam, rep)
+                    assert row.delta_hat == float(entry.rule.probs[0, 0])
+                    assert row.emp_value == entry.obj_value
+        assert next(rows, None) is None
 
     def test_aggregates_match_rows(self):
         cfg = small_config()
