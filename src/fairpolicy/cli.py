@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .distributions import SupportInterval
+from .distributions import DistributionError, SupportInterval
 from .estimation import TrainingSample, fit_plugin
 from .functionals import SimilarityMeasure, TargetFunctional
 from .objective import CovariateSpace, DecisionRule, omega
@@ -278,8 +278,10 @@ def _ensure_outdir(args) -> str:
 
 
 def _support(args) -> SupportInterval:
-    a, b = args.support
-    return SupportInterval(a, b)
+    try:
+        return SupportInterval(*args.support)
+    except DistributionError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _read_sample(args) -> TrainingSample:
@@ -318,6 +320,7 @@ def _run_sweep(args, beta=None) -> LambdaPath:
         grid = LambdaGrid.uniform(args.grid_m)
         t = TargetFunctional.parse(args.target)
         s = SimilarityMeasure.parse(args.similarity)
+        cfg = _optimizer_config(args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.estimator == "ipw":
@@ -325,7 +328,7 @@ def _run_sweep(args, beta=None) -> LambdaPath:
     sample = _read_sample(args)
     if beta is not None:
         check_budget(beta, sample.n)
-    return sweep(sample, grid, t, s, _optimizer_config(args), estimator=args.estimator)
+    return sweep(sample, grid, t, s, cfg, estimator=args.estimator)
 
 
 def cmd_sweep(args) -> int:
@@ -354,9 +357,16 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
         raise ParseError(f"{path_csv}: row 1: not a path CSV")
     header = rows[0]
     groups = [c[len("unfair_"):] for c in header if c.startswith("unfair_")]
-    space_cols = rules_doc["x_levels"]
-    z_for_space = groups or ["z0", "z1"]
-    space = CovariateSpace(tuple(space_cols), tuple(z_for_space), int(rules_doc["k"]))
+    try:
+        n = int(rules_doc["n"])
+        space = CovariateSpace(
+            tuple(rules_doc["x_levels"]), tuple(groups or ["z0", "z1"]), int(rules_doc["k"])
+        )
+        rules = list(rules_doc["rules"])
+    except KeyError as exc:
+        raise SchemaError(f"{rules_json}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{rules_json}: {exc}") from None
     entries = []
     lams = []
     for idx, row in enumerate(rows[1:]):
@@ -368,10 +378,22 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
             max_unf = float(row[3 + len(groups)])
         except (ValueError, IndexError):
             raise ParseError(f"{path_csv}: row {idx + 2}: malformed row") from None
-        rule = DecisionRule(space, np.array(rules_doc["rules"][idx], dtype=float))
+        if idx >= len(rules):
+            raise SchemaError(
+                f"{rules_json}: rule {idx}: missing ({len(rules)} rules for "
+                f"{len(rows) - 1} {path_csv} rows)"
+            )
+        try:
+            rule = DecisionRule(space, np.array(rules[idx], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{rules_json}: rule {idx}: {exc}") from None
         lams.append(lam)
         entries.append(PathEntry(rule, obj_value, target_value, unf, max_unf))
-    return LambdaPath(LambdaGrid(tuple(lams)), tuple(entries), int(rules_doc["n"]))
+    try:
+        grid = LambdaGrid(tuple(lams))
+    except ValueError as exc:
+        raise SchemaError(f"{path_csv}: lambda column: {exc}") from None
+    return LambdaPath(grid, tuple(entries), n)
 
 
 def cmd_select(args) -> int:

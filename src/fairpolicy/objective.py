@@ -123,8 +123,11 @@ class DecisionRule:
             raise ValueError("probs must be nonnegative")
         probs = np.maximum(probs, 0.0)
         sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
-            raise ValueError(f"rows must sum to 1 within {SIMPLEX_TOL}, got sums {sums}")
+        bad = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_TOL)
+        if bad.size:
+            raise ValueError(
+                f"rows must sum to 1 within {SIMPLEX_TOL}, row {bad[0]} sums to {sums[bad[0]]!r}"
+            )
         probs = probs / sums[:, None]
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)

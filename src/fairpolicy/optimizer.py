@@ -3,9 +3,11 @@
 The objective takes a rule's (|X|, K) probability matrix.  Each row is
 reparametrized through a softmax map from K-1 unconstrained coordinates
 (last coordinate pinned at 0), so every probe is a feasible matrix and only
-the returned result is built into a `DecisionRule`.  Nelder-Mead (classical coefficients, initial simplex edge 0.5) runs jointly
-over all rows while the unconstrained dimension is at most 40, and in cyclic
-block-coordinate sweeps over rows above that.
+the returned result is built into a `DecisionRule`.  Nelder-Mead (classical
+coefficients, initial simplex edge 0.5, implemented here so that importing
+the package needs only numpy) runs jointly over all rows while the
+unconstrained dimension is at most 40, and in cyclic block-coordinate sweeps
+over rows above that.
 
 The search starts from the best of `candidate_starts` matrices drawn
 uniformly from the product of simplices; independent restarts use RNG
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .objective import CovariateSpace, DecisionRule
 
@@ -122,21 +123,80 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     return sim
 
 
+class _BudgetSpent(Exception):
+    """The next objective call would exceed Nelder-Mead's evaluation budget."""
+
+
 def _nelder_mead(fun, x0: np.ndarray, max_iters: int, ftol: float):
-    res = minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iters,
-            "maxfev": 4 * max_iters,  # scipy's default (200 * dim) can bind first
-            "fatol": ftol,
-            "xatol": 1e-6,
-            "initial_simplex": _initial_simplex(x0),
-            "adaptive": False,
-        },
-    )
-    return res.x, bool(res.success)
+    """Minimize fun from _initial_simplex(x0); return (best vertex, success).
+
+    Classical coefficients (reflection 1, expansion 2, contraction and shrink
+    1/2).  Stops when every vertex is within 1e-6 of the best in each
+    coordinate and within ftol in value, after max_iters iterations, or when
+    the next call would exceed 4 * max_iters evaluations (that iteration then
+    ends where it is).  success is false exactly when a budget stopped it.
+    The step order, tie rules and re-sorting follow scipy 1.17's
+    minimize(method="Nelder-Mead", adaptive=False), so results agree with it
+    bitwise.  fun must not modify its argument.
+    """
+    max_evals = 4 * max_iters
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        if evals >= max_evals:
+            raise _BudgetSpent
+        evals += 1
+        return fun(x)
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    sim = _initial_simplex(x0)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = by_value(*by_value(sim, fsim))
+    iterations = 1
+    while evals < max_evals and iterations < max_iters:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= ftol):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], not (evals >= max_evals or iterations >= max_iters)
 
 
 def _maximize_from(counting: _CountingObjective, u0: np.ndarray, cfg: OptimizerConfig):

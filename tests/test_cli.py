@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+import fairpolicy
 from fairpolicy import SupportInterval, TrainingSample, toy_sample
 from fairpolicy.cli import (
     EXIT_CONFIG,
@@ -189,6 +192,26 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", ["--ftol", "0"]),
+        ("sweep", ["--restarts", "0"]),
+        ("sweep", ["--candidate-starts", "0"]),
+        ("sweep", ["--max-iters", "0"]),
+        ("sweep", ["--support", "1", "0"]),
+        ("fit", ["--support", "1", "0"]),
+    ])
+    def test_bad_optimizer_or_support_exit_5_before_reading(
+        self, toy_csv, tmp_path, capsys, monkeypatch, command, flags
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("sample read before the configuration was checked")
+
+        monkeypatch.setattr("fairpolicy.cli.read_sample_csv", no_read)
+        rc = main([command, "--input", toy_csv, "--output-dir", str(tmp_path / "o")] + flags)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_stdout_stays_quiet(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "out")
         main(["sweep", "--input", toy_csv, "--output-dir", out, "--grid-m", "1",
@@ -281,6 +304,41 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("broken, message", [
+        (lambda doc: doc.pop("x_levels"), "missing key 'x_levels'"),
+        (lambda doc: doc["rules"].pop(), "rule 1: missing"),
+        (lambda doc: doc["rules"][1][0].__setitem__(0, 0.9), "rule 1: rows must sum to 1"),
+        (lambda doc: doc["rules"].__setitem__(0, [["a", "b"]]), "rule 0:"),
+    ], ids=["missing-key", "too-few-rules", "non-simplex", "non-numeric"])
+    def test_invalid_rules_json_exit_3(self, tmp_path, capsys, broken, message):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n1.0,0.4,0.4,0.0,0.0\n")
+        doc = {"n": 100, "x_levels": ["x0"], "k": 2, "lambdas": [0.0, 1.0],
+               "rules": [[[0.5, 0.5]], [[0.4, 0.6]]]}
+        broken(doc)
+        rules_json.write_text(json.dumps(doc))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {rules_json}: {message}")
+        assert err.count("\n") == 1
+
+    def test_invalid_lambda_column_exit_3(self, tmp_path, capsys):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.5,0.5,0.5,0.0,0.0\n")
+        rules_json.write_text(json.dumps(
+            {"n": 100, "x_levels": ["x0"], "k": 2, "lambdas": [0.5], "rules": [[[0.5, 0.5]]]}
+        ))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {path_csv}: lambda column:")
+        assert err.count("\n") == 1
+
     def test_negative_beta_exit_5(self, toy_csv, tmp_path, capsys):
         rc = main(["select", "--input", toy_csv, "--beta", "-1",
                    "--output-dir", str(tmp_path / "o")])
@@ -363,3 +421,14 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a pair\n")
         assert main(["fit", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize alone costs about 0.5 s of every command's start-up
+    src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
+    code = ("import fairpolicy.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

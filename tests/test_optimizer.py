@@ -16,6 +16,7 @@ from fairpolicy import (
     toy_objective,
     toy_sample,
 )
+from fairpolicy.optimizer import _initial_simplex, _nelder_mead
 from helpers import check_optimizer_feasibility
 
 
@@ -149,3 +150,79 @@ class TestMaximize:
 
         res = maximize(obj, space, OptimizerConfig(seed=6, max_iters=200, candidate_starts=5))
         assert 0.0 - res.value <= 1e-6
+
+
+def _counted(fun):
+    calls = []
+
+    def wrapped(x):
+        calls.append(None)
+        return fun(x)
+
+    return wrapped, calls
+
+
+def _quadratic(x):
+    weights = np.arange(1, x.size + 1)
+    return float((weights * (x - 0.3) ** 2).sum())
+
+
+def _kinked(x):
+    # L-inf norm: collapses the simplex by shrinks
+    return float(np.abs(x - 0.1).max())
+
+
+def _plateaued(x):
+    # piecewise constant: whole faces of the simplex tie in value
+    return float(np.abs(np.round(4 * x) / 4 - 0.5).sum())
+
+
+class TestNelderMeadOracle:
+    """_nelder_mead against scipy.optimize.minimize(method="Nelder-Mead")."""
+
+    @staticmethod
+    def both(fun, dim, max_iters, ftol, seed):
+        from scipy.optimize import minimize
+
+        x0 = np.random.default_rng(seed).normal(size=dim)
+        ours, our_calls = _counted(fun)
+        x, success = _nelder_mead(ours, x0.copy(), max_iters, ftol)
+        theirs, their_calls = _counted(fun)
+        ref = minimize(theirs, x0.copy(), method="Nelder-Mead", options={
+            "maxiter": max_iters, "maxfev": 4 * max_iters, "fatol": ftol,
+            "xatol": 1e-6, "initial_simplex": _initial_simplex(x0), "adaptive": False,
+        })
+        assert x.tobytes() == ref.x.tobytes()
+        assert success == ref.success
+        assert len(our_calls) == len(their_calls) == ref.nfev
+        return success, len(our_calls), ref.nit
+
+    @pytest.mark.parametrize("dim", [1, 3, 16, 41])
+    @pytest.mark.parametrize("fun", [_quadratic, _kinked, _plateaued])
+    def test_bitwise_agreement(self, dim, fun):
+        for seed in range(3):
+            self.both(fun, dim, 500, 1e-8, seed)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_smooth_quadratic_stops_on_tolerances(self, dim):
+        success, _, _ = self.both(_quadratic, dim, 2000, 1e-10, 0)
+        assert success
+
+    def test_plateau_stops_on_exact_ties(self):
+        # fatol=0 stops only once every vertex value equals the best one
+        success, _, _ = self.both(_plateaued, 3, 2000, 0.0, 0)
+        assert success
+
+    def test_stopped_by_evaluation_budget(self):
+        # the shrinks of a 16-dim plateaued run exhaust 4 * max_iters first
+        success, evals, nit = self.both(_plateaued, 16, 60, 1e-12, 1)
+        assert not success and evals == 240 and nit < 60
+
+    def test_stopped_by_iteration_budget(self):
+        success, evals, nit = self.both(_quadratic, 3, 25, 1e-12, 2)
+        assert not success and evals < 100 and nit == 25
+
+    def test_initial_vertices_exceed_budget(self):
+        # 42 initial vertices against a budget of 4 calls
+        success, evals, _ = self.both(_quadratic, 41, 1, 1e-8, 3)
+        assert not success and evals == 4
