@@ -5,10 +5,13 @@ CSV with header ``y,x,z,d`` (outcome, covariate label, protected group label,
 1-based treatment index).  x and z are strings mapped to ordered levels by
 first appearance; K defaults to the largest observed treatment index.  The
 support [a, b] defaults to [0, 1]; ``--rescale`` min-max rescales outcomes to
-[0, 1] instead.
+[0, 1] instead.  The sample is read in one streaming pass into typed
+columns; the parsed rows are never held.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
-across runs with the same seed.  stdout stays quiet; diagnostics go to
+across runs with the same seed.  JSON is formatted here, not by json's
+pure-Python indent encoder, and is byte-identical to
+``json.dumps(payload, indent=2)``.  stdout stays quiet; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV parse error, 3 schema
 violation, 4 optimizer failure, 5 configuration error.
 """
@@ -19,8 +22,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -58,6 +63,7 @@ EXIT_OPTIMIZER = 4
 EXIT_CONFIG = 5
 
 SAMPLE_HEADER = ["y", "x", "z", "d"]
+INT64_MAX = 2**63 - 1
 
 
 class ParseError(Exception):
@@ -78,46 +84,63 @@ class ConfigError(Exception):
 def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
                     x_levels=None, z_levels=None, drop_empty_x: bool = False,
                     rescale: bool = False) -> TrainingSample:
-    """Load a training sample, mapping labels to levels by first appearance."""
+    """Load a training sample, mapping labels to levels by first appearance.
+
+    One streaming pass keeps typed columns only (outcomes, first-appearance
+    codes of x and z, treatment indices), never the rows.
+    """
+    ys, xs, zs, ds = array("d"), array("q"), array("q"), array("q")
+    x_codes, z_codes = {}, {}
+    blanks = []  # CSV row numbers of skipped blank rows, ascending
+    huge = {}  # data row -> treatment index beyond int64 (stored as INT64_MAX)
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            if [c.strip() for c in header] != SAMPLE_HEADER:
+                raise ParseError(f"{path}: row 1: header must be {','.join(SAMPLE_HEADER)}")
+            for idx, row in enumerate(reader, start=2):
+                if not row:
+                    blanks.append(idx)
+                    continue
+                if len(row) != 4:
+                    raise ParseError(f"{path}: row {idx}: expected 4 fields, got {len(row)}")
+                y_text, x, z, d_text = row
+                try:
+                    y = float(y_text)
+                except ValueError:
+                    raise ParseError(f"{path}: row {idx}: cannot parse y={y_text!r}") from None
+                try:
+                    d = int(d_text)
+                except ValueError:
+                    raise ParseError(f"{path}: row {idx}: cannot parse d={d_text!r}") from None
+                if d < 1:
+                    raise SchemaError(f"{path}: row {idx}: treatment index {d} must be >= 1")
+                try:
+                    ds.append(d)
+                except OverflowError:  # reported after the outcome checks, with d > K
+                    huge[len(ys)] = d
+                    ds.append(INT64_MAX)
+                ys.append(y)
+                xs.append(x_codes.setdefault(x, len(x_codes)))
+                zs.append(z_codes.setdefault(z, len(z_codes)))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != SAMPLE_HEADER:
-        raise ParseError(f"{path}: row 1: header must be {','.join(SAMPLE_HEADER)}")
-    ys, xs, zs, ds = [], [], [], []
-    for idx, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"{path}: row {idx}: expected 4 fields, got {len(row)}")
-        try:
-            y = float(row[0])
-        except ValueError:
-            raise ParseError(f"{path}: row {idx}: cannot parse y={row[0]!r}") from None
-        try:
-            d = int(row[3])
-        except ValueError:
-            raise ParseError(f"{path}: row {idx}: cannot parse d={row[3]!r}") from None
-        if d < 1:
-            raise SchemaError(f"{path}: row {idx}: treatment index {d} must be >= 1")
-        ys.append(y)
-        xs.append(row[1])
-        zs.append(row[2])
-        ds.append(d)
     if not ys:
         raise SchemaError(f"{path}: no data rows")
 
-    def line(i: int) -> int:
+    def line(i) -> int:
         """CSV row number of data row i: blank rows are skipped but counted."""
-        return [idx for idx, row in enumerate(rows, start=1) if row][i + 1]
+        row = int(i) + 2
+        for blank in blanks:
+            if blank > row:
+                break
+            row += 1
+        return row
 
-    y_arr = np.array(ys)
+    y_arr = np.frombuffer(ys)
     bad = np.flatnonzero(~np.isfinite(y_arr))
     if bad.size:
         raise SchemaError(f"{path}: row {line(bad[0])}: y={float(y_arr[bad[0]])!r} is not finite")
@@ -133,35 +156,44 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
             f"{path}: row {line(bad[0])}: y={float(y_arr[bad[0]])!r} outside support "
             f"[{support.a}, {support.b}]"
         )
-    k_eff = k if k is not None else max(2, max(ds))
-    bad_d = [i for i, d in enumerate(ds) if d > k_eff]
-    if bad_d:
+    d_arr = np.frombuffer(ds, dtype=np.int64)
+    k_eff = k if k is not None else max(2, int(d_arr.max()))
+    bad = np.flatnonzero(d_arr > k_eff)
+    if bad.size:
+        i = int(bad[0])
         raise SchemaError(
-            f"{path}: row {line(bad_d[0])}: treatment index {ds[bad_d[0]]} exceeds K={k_eff}"
+            f"{path}: row {line(i)}: treatment index {huge.get(i, d_arr[i])} exceeds K={k_eff}"
         )
+    if huge:
+        i, d = next(iter(huge.items()))
+        raise SchemaError(f"{path}: row {line(i)}: treatment index {d} does not fit in 64 bits")
+
+    def recode(name, codes, labels, levels):
+        """First-appearance codes -> indices into levels; an unlisted label is an error."""
+        index = {level: j for j, level in enumerate(levels)}
+        lookup = np.array([index.get(label, -1) for label in labels], dtype=np.int64)[codes]
+        unknown = np.flatnonzero(lookup < 0)
+        if unknown.size:
+            raise SchemaError(
+                f"{path}: row {line(unknown[0])}: unknown {name} level "
+                f"{labels[codes[unknown[0]]]!r}"
+            )
+        return lookup
+
+    xi, x_seen = np.frombuffer(xs, dtype=np.int64), tuple(x_codes)
+    zi, z_seen = np.frombuffer(zs, dtype=np.int64), tuple(z_codes)
     if x_levels is not None:
-        unknown = [i for i, x in enumerate(xs) if x not in set(x_levels)]
-        if unknown:
-            raise SchemaError(
-                f"{path}: row {line(unknown[0])}: unknown x level {xs[unknown[0]]!r}"
-            )
         if drop_empty_x:
-            seen = set(xs)
-            x_levels = [x for x in x_levels if x in seen]
+            x_levels = [x for x in x_levels if x in x_codes]
+        xi = recode("x", xi, x_seen, x_levels)
     if z_levels is not None:
-        unknown = [i for i, z in enumerate(zs) if z not in set(z_levels)]
-        if unknown:
-            raise SchemaError(
-                f"{path}: row {line(unknown[0])}: unknown z level {zs[unknown[0]]!r}"
-            )
-    space = None
-    if x_levels is not None or z_levels is not None:
-        space = CovariateSpace(
-            tuple(x_levels) if x_levels is not None else tuple(dict.fromkeys(xs)),
-            tuple(z_levels) if z_levels is not None else tuple(dict.fromkeys(zs)),
-            k_eff,
-        )
-    return TrainingSample.from_columns(y_arr, xs, zs, ds, support, space=space, k=None if space else k_eff)
+        zi = recode("z", zi, z_seen, z_levels)
+    space = CovariateSpace(
+        tuple(x_levels) if x_levels is not None else x_seen,
+        tuple(z_levels) if z_levels is not None else z_seen,
+        k_eff,
+    )
+    return TrainingSample(space, support, y_arr, xi, zi, d_arr)
 
 
 def write_sample_csv(path: str, sample: TrainingSample) -> None:
@@ -184,8 +216,30 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2) for a value nested at indentation pad.
+
+    The pure-Python encoder that indent=2 selects yields once per float, so
+    lists of finite floats are joined here with float.__repr__, as json
+    writes them; every other value goes through json itself.
+    """
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        opening, closing = "{", "}"
+        items = (f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in value.items())
+    elif type(value) is list and value:
+        opening, closing = "[", "]"
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+    else:
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+
+
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(path, _json_text(payload) + "\n")
 
 
 def _num(value: float) -> str:
@@ -205,8 +259,8 @@ def fitted_array_payload(arr) -> dict:
                         "d": int(i),
                         "x": str(x),
                         "z": str(z),
-                        "points": [float(p) for p in cdf.points],
-                        "masses": [float(m) for m in cdf.masses],
+                        "points": cdf.points.tolist(),
+                        "masses": cdf.masses.tolist(),
                         "empty_cell": bool(empty),
                     }
                 )
@@ -363,6 +417,7 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
             tuple(rules_doc["x_levels"]), tuple(groups or ["z0", "z1"]), int(rules_doc["k"])
         )
         rules = list(rules_doc["rules"])
+        lambdas = [float(lam) for lam in rules_doc["lambdas"]]
     except KeyError as exc:
         raise SchemaError(f"{rules_json}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -393,6 +448,14 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
         grid = LambdaGrid(tuple(lams))
     except ValueError as exc:
         raise SchemaError(f"{path_csv}: lambda column: {exc}") from None
+    if lambdas != lams:
+        raise SchemaError(
+            f"{rules_json}: lambdas {lambdas} differ from the lambda column of {path_csv} {lams}"
+        )
+    if len(rules) != len(entries):
+        raise SchemaError(
+            f"{rules_json}: {len(rules)} rules for {len(entries)} {path_csv} rows"
+        )
     return LambdaPath(grid, tuple(entries), n)
 
 
@@ -528,6 +591,10 @@ def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
 
 
 def cmd_oracle_check(args) -> int:
+    if not 0.5 < args.p < 1.0:
+        raise ConfigError(f"p must lie in (1/2, 1), got {args.p!r}")
+    if args.grid_points < 2:
+        raise ConfigError(f"--grid-points must be >= 2, got {args.grid_points}")
     return oracle_check(
         p=args.p, grid_points=args.grid_points, perturb=args.self_test_perturb, seed=args.seed
     )

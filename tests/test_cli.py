@@ -1,20 +1,29 @@
+import csv
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairpolicy
-from fairpolicy import SupportInterval, TrainingSample, toy_sample
+from fairpolicy import CovariateSpace, SupportInterval, TrainingSample, fit_plugin, toy_sample
 from fairpolicy.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SCHEMA,
+    ParseError,
+    SchemaError,
+    _write_json,
+    fitted_array_payload,
     main,
     read_sample_csv,
     write_sample_csv,
@@ -85,6 +94,180 @@ class TestSampleCsv:
         assert kept.space.x_levels == ("a", "ghost")
 
 
+def reference_read(path, support, k=None, x_levels=None, z_levels=None,
+                   drop_empty_x=False, rescale=False):
+    """read_sample_csv on valid input as a list of rows: the streaming reader's oracle."""
+    with open(path, newline="") as fh:
+        rows = [row for row in list(csv.reader(fh))[1:] if row]
+    ys = np.array([float(row[0]) for row in rows])
+    xs, zs, ds = [row[1] for row in rows], [row[2] for row in rows], [int(row[3]) for row in rows]
+    if rescale:
+        ys = (ys - ys.min()) / (ys.max() - ys.min())
+        support = UNIT
+    k_eff = k if k is not None else max(2, max(ds))
+    if x_levels is None and z_levels is None:
+        return TrainingSample.from_columns(ys, xs, zs, ds, support, k=k_eff)
+    if x_levels is not None and drop_empty_x:
+        x_levels = [x for x in x_levels if x in set(xs)]
+    space = CovariateSpace(
+        x_levels if x_levels is not None else tuple(dict.fromkeys(xs)),
+        z_levels if z_levels is not None else tuple(dict.fromkeys(zs)),
+        k_eff,
+    )
+    return TrainingSample.from_columns(ys, xs, zs, ds, support, space=space)
+
+
+def random_sample_csv(path, seed):
+    """A valid sample CSV with blank rows, CRLF or LF line ends, quoted labels
+    holding commas and quotes, and y written as ' 0.5', '5e-1' or '-0.0'."""
+    rng = random.Random(seed)
+    ending = rng.choice(["\n", "\r\n"])
+    labels = ["a", "b,c", 'say "hi"', " padded ", "x0"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=ending)
+        writer.writerow(["y", "x", "z", "d"])
+        for _ in range(rng.randint(1, 40)):
+            if rng.random() < 0.15:
+                fh.write(ending)
+            y = round(rng.random(), rng.choice([1, 4, 17]))
+            y_text = rng.choice([repr(y), f" {y}", f"{y:e}", "-0.0", "1"])
+            d_text = rng.choice(["{}", " {}", "+{}"]).format(rng.randint(1, 3))
+            writer.writerow([y_text, rng.choice(labels), rng.choice(labels[:3]), d_text])
+
+
+def assert_same_sample(got, want):
+    assert got.space == want.space and got.support == want.support
+    for name in ("ys", "xi", "zi", "d"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestStreamingIngest:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_list_of_rows_reference(self, tmp_path, seed):
+        path = str(tmp_path / "s.csv")
+        random_sample_csv(path, seed)
+        rng = random.Random(seed)
+        ref = reference_read(path, UNIT)
+        x_seen, z_seen = list(ref.space.x_levels), list(ref.space.z_levels)
+        rng.shuffle(x_seen)
+        options = {}
+        if seed % 2:
+            options["x_levels"] = x_seen[:1] + ["ghost"] + x_seen[1:]
+            options["drop_empty_x"] = seed % 4 == 1
+        if seed % 3:
+            options["z_levels"] = z_seen[::-1] + ["unseen"]
+        if seed % 5 == 0:
+            options["k"] = ref.space.k + 1
+        if seed % 7 == 0 and np.ptp(ref.ys) > 0:
+            options["rescale"] = True
+        assert_same_sample(read_sample_csv(path, UNIT, **options),
+                           reference_read(path, UNIT, **options))
+
+    # A lone row is appended to a header, a valid row and a blank row 3, so
+    # it is row 4; a text starting with the header or a blank line is used
+    # as it is.
+    @pytest.mark.parametrize("text, options, error, message", [
+        ("", {}, ParseError, "empty file"),
+        ("\ny,x,z,d\n0.5,a,u,1\n", {}, ParseError, "row 1: header must be y,x,z,d"),
+        ("0.5,a,u", {}, ParseError, "row 4: expected 4 fields, got 3"),
+        ("zz,a,u,1", {}, ParseError, "row 4: cannot parse y='zz'"),
+        ("0.5,a,u,1.0", {}, ParseError, "row 4: cannot parse d='1.0'"),
+        ("0.5,a,u,0", {}, SchemaError, "row 4: treatment index 0 must be >= 1"),
+        ("y,x,z,d\n\n\n", {}, SchemaError, "no data rows"),
+        ("nan,a,u,1", {}, SchemaError, "row 4: y=nan is not finite"),
+        ("0.5,a,u,2", {"rescale": True}, SchemaError,
+         "cannot rescale a constant outcome column"),
+        ("1.5,a,u,1", {}, SchemaError, "row 4: y=1.5 outside support [0.0, 1.0]"),
+        ("0.5,a,u,3", {"k": 2}, SchemaError, "row 4: treatment index 3 exceeds K=2"),
+        ("0.5,b,u,1", {"x_levels": ["a"]}, SchemaError, "row 4: unknown x level 'b'"),
+        ("0.5,a,v,1", {"z_levels": ["u"]}, SchemaError, "row 4: unknown z level 'v'"),
+        ("y,x,z,d\n\n0.5,a,u,1\n", {"x_levels": ["ghost"], "drop_empty_x": True},
+         SchemaError, "row 3: unknown x level 'a'"),
+        # precedence: the first failing check wins, whatever its row
+        ("y,x,z,d\n1.5,a,u,1\n\n0.5,a,u\n", {}, ParseError,
+         "row 4: expected 4 fields, got 3"),
+        ("y,x,z,d\n1.5,a,u,1\n\nnan,a,u,1\n", {}, SchemaError, "row 4: y=nan is not finite"),
+        ("y,x,z,d\n0.5,a,u,3\n\n1.5,a,u,1\n", {"k": 2}, SchemaError,
+         "row 4: y=1.5 outside support [0.0, 1.0]"),
+        ("y,x,z,d\n0.5,b,u,1\n\n0.5,a,u,3\n", {"k": 2, "x_levels": ["a"]}, SchemaError,
+         "row 4: treatment index 3 exceeds K=2"),
+        ("y,x,z,d\n0.5,a,w,1\n\n0.5,b,u,1\n", {"x_levels": ["a"], "z_levels": ["u"]},
+         SchemaError, "row 4: unknown x level 'b'"),
+        ("y,x,z,d\n\n0.5,a,u,1\n\n\n1.5,a,u,1\n", {}, SchemaError,
+         "row 6: y=1.5 outside support [0.0, 1.0]"),
+    ])
+    def test_error_messages(self, tmp_path, text, options, error, message):
+        path = tmp_path / "s.csv"
+        if text and not text.startswith(("y,", "\n")):
+            text = f"y,x,z,d\n0.5,a,u,1\n\n{text}\n"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            read_sample_csv(str(path), UNIT, **options)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_peak_memory_is_columns_not_rows(self, tmp_path):
+        # About 150 B per row: the typed columns and the sample's arrays fit,
+        # the parsed rows (several hundred bytes each) do not.
+        rng = np.random.default_rng(0)
+        n = 20_000
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n" + "".join(
+            f"{y:.4f},x{x},z{z},{d}\n"
+            for y, x, z, d in zip(rng.random(n), rng.integers(0, 50, n),
+                                  rng.integers(0, 4, n), rng.integers(1, 5, n))
+        ))
+        tracemalloc.start()
+        try:
+            sample = read_sample_csv(str(path), UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n == n
+        assert peak < 3_000_000
+
+
+json_scalars = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "tab\tnew\nline", "\u00e9\u2028\U0001f600"]),
+)
+json_keys = st.one_of(st.text(), st.sampled_from(['"', "\\", "\u00e9", ""]), st.integers())
+json_payloads = st.recursive(
+    json_scalars
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False))
+    | st.lists(st.floats())
+    | st.lists(st.one_of(st.integers(), st.floats())),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_payloads)
+    def test_matches_json_dumps_indent_2(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.json")
+            _write_json(path, payload)
+            with open(path, newline="") as fh:
+                assert fh.read() == json.dumps(payload, indent=2) + "\n"
+
+    def test_fitted_array_matches_json_dumps_indent_2(self, toy_csv, tmp_path):
+        payload = fitted_array_payload(fit_plugin(read_sample_csv(toy_csv, UNIT)))
+        path = str(tmp_path / "fitted_array.json")
+        _write_json(path, payload)
+        with open(path, newline="") as fh:
+            assert fh.read() == json.dumps(payload, indent=2) + "\n"
+
+
 class TestFit:
     def test_writes_valid_json(self, toy_csv, tmp_path):
         out = str(tmp_path / "out")
@@ -146,6 +329,17 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and err.count("\n") == 1
         assert "row 5" in err and "not finite" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "row 4: treatment index 9223372036854775808 does not fit in 64 bits"),
+        (["--k", "2"], "row 4: treatment index 9223372036854775808 exceeds K=2"),
+    ])
+    def test_treatment_index_beyond_int64_exit_3(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n0.5,a,u,1\n\n0.2,a,v,9223372036854775808\n")
+        rc = main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")] + flags)
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"schema error: {path}: {message}\n"
 
     def test_unparseable_y_exit_2(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -339,6 +533,23 @@ class TestSelect:
         assert err.startswith(f"schema error: {path_csv}: lambda column:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("rules_doc, message", [
+        ({"lambdas": [0.0, 0.9], "rules": [[[0.5, 0.5]], [[0.4, 0.6]]]},
+         "lambdas [0.0, 0.9] differ from the lambda column of {path_csv} [0.0, 0.25]"),
+        ({"lambdas": [0.0, 0.25], "rules": [[[0.5, 0.5]], [[0.4, 0.6]], [[0.3, 0.7]]]},
+         "3 rules for 2 {path_csv} rows"),
+    ], ids=["other-lambdas", "extra-rules"])
+    def test_rules_json_of_another_path_exit_3(self, tmp_path, capsys, rules_doc, message):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n0.25,0.4,0.4,0.0,0.0\n")
+        rules_json.write_text(json.dumps({"n": 100, "x_levels": ["x0"], "k": 2, **rules_doc}))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "10", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        message = message.format(path_csv=path_csv)
+        assert capsys.readouterr().err == f"schema error: {rules_json}: {message}\n"
+
     def test_negative_beta_exit_5(self, toy_csv, tmp_path, capsys):
         rc = main(["select", "--input", toy_csv, "--beta", "-1",
                    "--output-dir", str(tmp_path / "o")])
@@ -400,6 +611,13 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--grid-points", "800", "--self-test-perturb", "0.2"])
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags", [["--grid-points", "0"], ["--p", "2"], ["--p", "0"]])
+    def test_bad_config_exit_5(self, capsys, flags):
+        assert main(["oracle-check"] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestConfigFile:
