@@ -94,7 +94,7 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
     blanks = []  # CSV row numbers of skipped blank rows, ascending
     huge = {}  # data row -> treatment index beyond int64 (stored as INT64_MAX)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -128,6 +128,8 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
                 zs.append(z_codes.setdefault(z, len(z_codes)))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not ys:
         raise SchemaError(f"{path}: no data rows")
 
@@ -338,15 +340,30 @@ def _support(args) -> SupportInterval:
         raise ConfigError(str(exc)) from None
 
 
+def _levels(flag: str, text: str | None) -> list[str] | None:
+    """The comma-separated levels of a --x-levels/--z-levels flag, if given."""
+    if not text:
+        return None
+    levels = text.split(",")
+    seen = set()
+    for level in levels:
+        if level in seen:
+            raise ConfigError(f"{flag} lists {level!r} twice")
+        seen.add(level)
+    return levels
+
+
 def _read_sample(args) -> TrainingSample:
     if not args.input:
         raise ConfigError("--input is required")
+    if args.k is not None and args.k < 2:
+        raise ConfigError(f"--k must be >= 2, got {args.k}")
     return read_sample_csv(
         args.input,
         _support(args),
         k=args.k,
-        x_levels=args.x_levels.split(",") if args.x_levels else None,
-        z_levels=args.z_levels.split(",") if args.z_levels else None,
+        x_levels=_levels("--x-levels", args.x_levels),
+        z_levels=_levels("--z-levels", args.z_levels),
         drop_empty_x=args.drop_empty_x,
         rescale=args.rescale,
     )
@@ -396,17 +413,21 @@ def cmd_sweep(args) -> int:
 def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs."""
     try:
-        with open(rules_json) as fh:
+        with open(rules_json, encoding="utf-8") as fh:
             rules_doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {rules_json}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{rules_json}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{rules_json}: {exc}") from None
     try:
-        with open(path_csv, newline="") as fh:
+        with open(path_csv, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read {path_csv}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path_csv}: not UTF-8 text ({exc.reason})") from None
     if not rows or not rows[0] or rows[0][0] != "lambda":
         raise ParseError(f"{path_csv}: row 1: not a path CSV")
     header = rows[0]
@@ -691,10 +712,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> list[str]:
     """Turn key=value lines into synthetic CLI flags (flags given later win)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
     flags = []
     for idx, line in enumerate(lines, start=1):
         line = line.strip()

@@ -13,8 +13,11 @@ difference of a target functional.
 Each target is implemented once, on a (grid, cdf-values) pair: the objective
 kernel calls that form on its grid, and the StepCdf form calls it on the
 CDF's own atoms and cumulative masses.  On a grid, Gini-welfare uses the
-identity mean - mad_half = a + integral (1 - F)^2, a single dot product;
-`mad_half` and `mad_half_naive` stay as its references.
+identity mean - mad_half = a + integral (1 - F)^2, a single dot product with
+the grid steps (a caller evaluating many CDFs on one grid passes them in);
+`mad_half` and `mad_half_naive` stay as its references.  A similarity
+measure on a grid also takes a stack of CDF rows and returns the largest
+dissimilarity of any row, which is what the objective's penalty needs.
 """
 
 from __future__ import annotations
@@ -55,10 +58,12 @@ def mad_half_naive(f: StepCdf) -> float:
     return 0.5 * float(f.masses @ diff @ f.masses)
 
 
-def _gini_on_grid(grid: np.ndarray, values: np.ndarray) -> float:
+def _gini_on_grid(grid: np.ndarray, values: np.ndarray, steps: np.ndarray | None = None) -> float:
     # F is 0 below grid[0] and 1 from the last grid point on, so
     # mean - mad_half = a + integral_a^b (1 - F)^2 reduces to the grid span.
-    return (grid[0] + float(np.dot((1.0 - values[:-1]) ** 2, np.diff(grid)))) / 2.0
+    if steps is None:
+        steps = np.diff(grid)
+    return (grid[0] + float(np.dot((1.0 - values[:-1]) ** 2, steps))) / 2.0
 
 
 def gini_welfare(f: StepCdf) -> float:
@@ -101,10 +106,14 @@ class TargetFunctional:
 
     __call__ = value
 
-    def value_on_grid(self, grid: np.ndarray, values: np.ndarray) -> float:
-        """The functional of the CDF with values F(grid) that jumps only on grid."""
+    def value_on_grid(self, grid: np.ndarray, values: np.ndarray,
+                      steps: np.ndarray | None = None) -> float:
+        """The functional of the CDF with values F(grid) that jumps only on grid.
+
+        steps, if given, must equal np.diff(grid).
+        """
         if self.kind == "gini-welfare":
-            return _gini_on_grid(grid, values)
+            return _gini_on_grid(grid, values, steps)
         if self.kind == "mean":
             return _mean_on_grid(grid, values)
         return _quantile_on_grid(grid, values, self.tau)
@@ -151,15 +160,29 @@ class SimilarityMeasure:
 
     __call__ = value
 
-    def value_on_grid(self, grid: np.ndarray, vf: np.ndarray, vg: np.ndarray) -> float:
+    def value_on_grid(self, grid: np.ndarray, vf: np.ndarray, vg: np.ndarray,
+                      steps: np.ndarray | None = None) -> float:
+        """S(F, G) for CDFs with values vf, vg on grid that jump only on grid.
+
+        vf may also be a stack of rows, one CDF each; the result is then the
+        largest S(row, G).  steps, if given, must equal np.diff(grid).
+        """
         # Both CDFs jump only at grid points, so the sup over the line is the
         # max over grid values (left limits are the previous grid values).
         if self.kind == "ks":
-            return float(np.abs(vf - vg).max())
+            # abs in place: one more (rows, G) temporary per objective
+            # evaluation made glibc hand the heap top back to the OS after
+            # each one, and the page faults of regrowing it doubled the
+            # evaluation time at 3 x 6,000 grid values
+            d = vf - vg
+            np.abs(d, out=d)
+            return float(d.max())
         if self.kind == "one-sided-ks":
             return float(max((vf - vg).max(), 0.0))
-        return abs(
-            self.inner.value_on_grid(grid, vf) - self.inner.value_on_grid(grid, vg)
+        inner_g = self.inner.value_on_grid(grid, vg, steps)
+        return max(
+            abs(self.inner.value_on_grid(grid, row, steps) - inner_g)
+            for row in np.atleast_2d(vf)
         )
 
     @classmethod

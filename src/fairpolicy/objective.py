@@ -228,6 +228,7 @@ class AtomKernel:
 
     def __init__(self, support: SupportInterval, ys, z, slot, mass, pz):
         self.grid = np.unique(np.append(ys, support.b))
+        self.steps = np.diff(self.grid)
         self.pz = np.asarray(pz, dtype=float)
         self.shape = (self.pz.size, self.grid.size)
         self.index = np.asarray(z) * self.grid.size + np.searchsorted(self.grid, ys)
@@ -257,7 +258,9 @@ class AtomKernel:
 
     def group_cdfs(self, probs_flat: np.ndarray) -> np.ndarray:
         """Projected group CDFs on the grid, shape (|Z|, G)."""
-        f = np.bincount(self.index, probs_flat[self.slot] * self.mass,
+        weights = probs_flat[self.slot]
+        weights *= self.mass
+        f = np.bincount(self.index, weights,
                         minlength=self.shape[0] * self.shape[1]).reshape(self.shape)
         np.cumsum(f, axis=1, out=f)
         np.minimum(f, 1.0, out=f)
@@ -270,10 +273,10 @@ class AtomKernel:
               s: SimilarityMeasure) -> float:
         f = self.group_cdfs(probs.ravel())
         pop = self.pz @ f
-        target = 0.0 if lam == 1.0 else t.value_on_grid(self.grid, pop)
+        target = 0.0 if lam == 1.0 else t.value_on_grid(self.grid, pop, self.steps)
         penalty = 0.0
         if lam > 0.0:
-            penalty = max(s.value_on_grid(self.grid, f[j], pop) for j in self.active)
+            penalty = s.value_on_grid(self.grid, f[self.active], pop, self.steps)
         return (1.0 - lam) * target - lam * penalty
 
     def scores(self, probs: np.ndarray, t: TargetFunctional,
@@ -281,8 +284,9 @@ class AtomKernel:
         """The two terms of `value`: T(population), {active group index: S}."""
         f = self.group_cdfs(probs.ravel())
         pop = self.pz @ f
-        unfairness = {int(j): s.value_on_grid(self.grid, f[j], pop) for j in self.active}
-        return t.value_on_grid(self.grid, pop), unfairness
+        unfairness = {int(j): s.value_on_grid(self.grid, f[j], pop, self.steps)
+                      for j in self.active}
+        return t.value_on_grid(self.grid, pop, self.steps), unfairness
 
 
 def _require_same_space(rule: DecisionRule, arr: CondCdfArray) -> None:

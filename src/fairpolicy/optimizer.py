@@ -19,6 +19,7 @@ criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,12 @@ def random_rule(space: CovariateSpace, rng: np.random.Generator) -> DecisionRule
 
 def _softmax_rows(u: np.ndarray) -> np.ndarray:
     """Map (|X|, K-1) unconstrained coords to simplex rows, last logit pinned at 0."""
-    logits = np.concatenate([u, np.zeros((u.shape[0], 1))], axis=1)
+    logits = np.zeros((u.shape[0], u.shape[1] + 1))
+    logits[:, :-1] = u
     logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _to_unconstrained(probs: np.ndarray) -> np.ndarray:
@@ -107,7 +110,7 @@ class _CountingObjective:
     def __call__(self, probs: np.ndarray) -> float:
         self.evaluations += 1
         value = float(self.obj(probs))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NonFiniteObjective(f"objective returned {value!r}")
         return value
 

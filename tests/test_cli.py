@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -18,6 +19,7 @@ from fairpolicy import CovariateSpace, SupportInterval, TrainingSample, fit_plug
 from fairpolicy.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_OPTIMIZER,
     EXIT_PARSE,
     EXIT_SCHEMA,
     ParseError,
@@ -293,7 +295,7 @@ class TestFit:
         path.write_text("y,x,z,d\n0.1,x0,z0,1\n0.2,x0,z1,2\n")
         out = str(tmp_path / "out")
         assert main(["fit", "--input", str(path), "--output-dir", out]) == EXIT_OK
-        doc = json.load(open(os.path.join(out, "fitted_array.json")))
+        doc = json.loads(Path(os.path.join(out, "fitted_array.json")).read_text())
         empties = {(c["d"], c["z"]): c for c in doc["cells"] if c["empty_cell"]}
         assert {(2, "z0"), (1, "z1")} == set(empties)
         for cell in empties.values():
@@ -351,6 +353,18 @@ class TestFit:
     def test_missing_input_exit_5(self, tmp_path):
         assert main(["fit", "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "1"], "--k must be >= 2, got 1"),
+        (["--x-levels", "a,b,a"], "--x-levels lists 'a' twice"),
+        (["--z-levels", "u,u"], "--z-levels lists 'u' twice"),
+    ])
+    def test_bad_k_or_levels_exit_5(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n0.5,a,u,1\n0.2,b,u,2\n")
+        rc = main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")] + flags)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestSweep:
     def test_outputs_and_determinism(self, toy_csv, tmp_path):
@@ -373,7 +387,7 @@ class TestSweep:
         out = str(tmp_path / "out")
         main(["sweep", "--input", toy_csv, "--output-dir", out, "--grid-m", "1",
               "--seed", "1", "--candidate-starts", "10", "--max-iters", "100"])
-        lines = open(os.path.join(out, "path.csv")).read().strip().splitlines()
+        lines = Path(os.path.join(out, "path.csv")).read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header[:3] == ["lambda", "obj_value", "target_value"]
         assert header[-1] == "max_unfairness"
@@ -434,15 +448,14 @@ class TestSelect:
             fh.write("lambda,obj_value,target_value,unfair_g,max_unfairness\n")
             for lam, tv in ((0.0, 0.5), (0.5, 0.2), (1.0, 0.1)):
                 fh.write(f"{lam},{tv},{tv},0.0,0.0\n")
-        json.dump(
+        Path(rules_json).write_text(json.dumps(
             {"n": 1000, "x_levels": ["x0"], "k": 2, "lambdas": [0.0, 0.5, 1.0],
-             "rules": [[[0.5, 0.5]], [[0.4, 0.6]], [[0.3, 0.7]]]},
-            open(rules_json, "w"),
-        )
+             "rules": [[[0.5, 0.5]], [[0.4, 0.6]], [[0.3, 0.7]]]}
+        ))
         rc = main(["select", "--path-csv", path_csv, "--rules-json", rules_json,
                    "--beta", "0.005", "--output-dir", out])
         assert rc == EXIT_OK
-        doc = json.load(open(os.path.join(out, "selection.json")))
+        doc = json.loads(Path(os.path.join(out, "selection.json")).read_text())
         assert doc["chosen_lambda"] == 0.0
 
     def test_mid_grid_crossing(self, tmp_path):
@@ -455,15 +468,14 @@ class TestSelect:
             fh.write("lambda,obj_value,target_value,unfair_g,max_unfairness\n")
             for lam, tv in zip((0.0, 0.25, 0.5, 0.75), targets):
                 fh.write(f"{lam},{tv},{tv},0.0,0.0\n")
-        json.dump(
+        Path(rules_json).write_text(json.dumps(
             {"n": 8000, "x_levels": ["x0"], "k": 2, "lambdas": [0.0, 0.25, 0.5, 0.75],
-             "rules": [[[0.5, 0.5]]] * 4},
-            open(rules_json, "w"),
-        )
+             "rules": [[[0.5, 0.5]]] * 4}
+        ))
         rc = main(["select", "--path-csv", path_csv, "--rules-json", rules_json,
                    "--beta", "0.005", "--output-dir", out])
         assert rc == EXIT_OK
-        doc = json.load(open(os.path.join(out, "selection.json")))
+        doc = json.loads(Path(os.path.join(out, "selection.json")).read_text())
         # threshold ~ 0.00484: the last grid point under it is 0.5
         assert doc["chosen_lambda"] == 0.5
 
@@ -565,9 +577,9 @@ class TestSimulate:
                    "--grid-m", "4", "--replications", "2", "--seed", "3",
                    "--output-dir", out, "--candidate-starts", "10", "--max-iters", "100"])
         assert rc == EXIT_OK
-        lines = open(os.path.join(out, "replications.csv")).read().strip().splitlines()
+        lines = Path(os.path.join(out, "replications.csv")).read_text().strip().splitlines()
         assert len(lines) - 1 == 2 * 2 * 5  # mechanisms x replications x grid points
-        agg = open(os.path.join(out, "aggregate.csv")).read().strip().splitlines()
+        agg = Path(os.path.join(out, "aggregate.csv")).read_text().strip().splitlines()
         assert len(agg) - 1 == 2 * 5
         header = agg[0].split(",")
         mean_idx = header.index("mean_regret")
@@ -591,7 +603,7 @@ class TestSimulate:
                    "--grid-m", "1", "--replications", "8", "--seed", "5",
                    "--output-dir", out, "--candidate-starts", "15", "--max-iters", "150"])
         assert rc == EXIT_OK
-        lines = open(os.path.join(out, "aggregate.csv")).read().strip().splitlines()
+        lines = Path(os.path.join(out, "aggregate.csv")).read_text().strip().splitlines()
         header = lines[0].split(",")
         rows = [line.split(",") for line in lines[1:]]
         # At lambda = 0 the toy argmax delta = 0 is recovered exactly at every n,
@@ -599,6 +611,28 @@ class TestSimulate:
         at_one = {row[0]: float(row[header.index("mean_regret")])
                   for row in rows if row[header.index("lambda")] == "1.0"}
         assert at_one["100"] > at_one["1000"]
+
+
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        outs = {}
+        for workers in (1, 3):
+            monkeypatch.setattr("fairpolicy.simharness.usable_cpus", lambda: workers)
+            outs[workers] = tmp_path / f"w{workers}"
+            rc = main(["simulate", "--sample-sizes", "100,200", "--mechanisms", "A1,A2",
+                       "--grid-m", "2", "--replications", "2", "--seed", "4",
+                       "--output-dir", str(outs[workers]),
+                       "--candidate-starts", "10", "--max-iters", "80"])
+            assert rc == EXIT_OK
+        for name in ("replications.csv", "aggregate.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes()
+
+    def test_optimizer_failure_in_a_worker_exit_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("fairpolicy.objective.AtomKernel.value", lambda *args: float("nan"))
+        monkeypatch.setattr("fairpolicy.simharness.usable_cpus", lambda: 3)
+        rc = main(["simulate", "--sample-sizes", "100", "--mechanisms", "A1,A2",
+                   "--grid-m", "1", "--replications", "2", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_OPTIMIZER
+        assert capsys.readouterr().err == "optimizer error: objective returned nan\n"
 
 
 class TestOracleCheck:
@@ -642,11 +676,33 @@ class TestConfigFile:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize alone costs about 0.5 s of every command's start-up
+    # scipy.optimize alone costs about 0.5 s of every command's start-up, and
+    # multiprocessing is imported only when simulate starts its workers
+    packages = ("scipy", "multiprocessing")
     src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
     code = ("import fairpolicy.cli, sys; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, bad_file, error", [
+    (["fit", "--input", "{bad}"], "s.csv", "parse error: {bad}: "),
+    (["select", "--beta", "1", "--path-csv", "{bad}", "--rules-json", "{good}"], "path.csv",
+     "parse error: {bad}: "),
+    (["select", "--beta", "1", "--path-csv", "{good}", "--rules-json", "{bad}"], "rules.json",
+     "parse error: {bad}: "),
+    (["fit", "--input", "{good}", "--config", "{bad}"], "f.cfg", "config error: config {bad}: "),
+], ids=["sample", "path-csv", "rules-json", "config"])
+def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command, bad_file, error):
+    bad, good = tmp_path / bad_file, tmp_path / "good.txt"
+    bad.write_bytes("y,x,z,d\n0.5,\xe9,u,1\n".encode("latin-1"))
+    good.write_text("{}")  # read only as the rules.json of the path-csv case
+    argv = [arg.format(bad=bad, good=good) for arg in command]
+    rc = main(argv + ["--output-dir", str(tmp_path / "o")])
+    assert rc == (EXIT_CONFIG if bad_file == "f.cfg" else EXIT_PARSE)
+    assert capsys.readouterr().err == (
+        error.format(bad=bad) + "not UTF-8 text (invalid continuation byte)\n"
+    )

@@ -1,8 +1,12 @@
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fairpolicy.objective
+import fairpolicy.simharness
 from fairpolicy import (
     LambdaGrid,
     OptimizerConfig,
@@ -17,6 +21,7 @@ from fairpolicy import (
     toy_sample,
     toy_threshold,
 )
+from fairpolicy.optimizer import NonFiniteObjective
 from fairpolicy.simharness import GINI, KS, _replication_seed
 
 FAST_OPT = OptimizerConfig(seed=0, candidate_starts=15, max_iters=200)
@@ -140,3 +145,38 @@ class TestRunSimulation:
             small_config(replications=0)
         with pytest.raises(ValueError):
             small_config(sample_sizes=())
+
+
+class TestWorkers:
+    """Replications run on a pool of forked workers sized by usable_cpus."""
+
+    def test_rows_do_not_depend_on_worker_count(self, monkeypatch):
+        # The first cell's replications sleep, so a pool of 3 finishes the
+        # second cell first: only results gathered in task order match.
+        def slow_first_cell(n, p, mech, seed):
+            if n == 150:
+                time.sleep(0.3)
+            return toy_sample(n, p, mech, seed)
+
+        monkeypatch.setattr(fairpolicy.simharness, "toy_sample", slow_first_cell)
+        cfg = small_config(sample_sizes=(150, 300), replications=2)
+        rows = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(fairpolicy.simharness, "usable_cpus", lambda: workers)
+            rows[workers] = run_simulation(cfg).rows
+        assert rows[3] == rows[1]
+        assert [(r.n, r.replication) for r in rows[3][::2]] == [
+            (150, 0), (150, 1), (300, 0), (300, 1)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_exception_keeps_its_type(self, monkeypatch, workers):
+        monkeypatch.setattr(fairpolicy.objective.AtomKernel, "value",
+                            lambda *args: float("nan"))
+        monkeypatch.setattr(fairpolicy.simharness, "usable_cpus", lambda: workers)
+        with pytest.raises(NonFiniteObjective, match="objective returned nan"):
+            run_simulation(small_config())
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_usable_cpus_is_the_affinity_mask(self):
+        assert fairpolicy.simharness.usable_cpus() == len(os.sched_getaffinity(0))
