@@ -19,6 +19,7 @@ violation, 4 optimizer failure, 5 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -213,9 +214,14 @@ def write_sample_csv(path: str, sample: TrainingSample) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _json_text(value, pad: str = "") -> str:
@@ -329,7 +335,10 @@ def _ensure_outdir(args) -> str:
     out = args.output_dir
     if not out:
         raise ConfigError("--output-dir is required")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
@@ -650,14 +659,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop overridden x levels with no observations")
 
     def add_optimizer_flags(p):
-        p.add_argument("--restarts", type=int, default=1)
-        p.add_argument("--candidate-starts", type=int, default=50)
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--ftol", type=float, default=1e-8)
+        ignored = "; ignored, as is --seed, by sweeps solved as linear programs"
+        p.add_argument("--restarts", type=int, default=1,
+                       help="Nelder-Mead restarts" + ignored)
+        p.add_argument("--candidate-starts", type=int, default=50,
+                       help="random rules scored to pick each start" + ignored)
+        p.add_argument("--max-iters", type=int, default=500,
+                       help="Nelder-Mead iterations per run" + ignored)
+        p.add_argument("--ftol", type=float, default=1e-8,
+                       help="Nelder-Mead value tolerance" + ignored)
 
     def add_objective_flags(p):
         p.add_argument("--target", default="gini-welfare",
-                       help="gini-welfare | mean | quantile:TAU")
+                       help="gini-welfare | mean | quantile:TAU; mean with ks, one-sided-ks "
+                            "or abs-target-diff:mean is solved exactly as a linear program")
         p.add_argument("--similarity", default="ks",
                        help="ks | one-sided-ks | abs-target-diff:TARGET")
         p.add_argument("--grid-m", type=int, default=49,

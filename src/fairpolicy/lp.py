@@ -1,0 +1,222 @@
+"""Exact maximization of the plug-in objectives that are linear programs.
+
+With the mean target and the KS, one-sided KS or |mean difference|
+similarity, the plug-in group CDFs, the population CDF and the mean are all
+linear in the rule p, and the penalty max becomes linear once it is bounded
+by an epigraph variable t.  The objective's maximum over the product of
+simplices is then the linear program
+
+    max  (1 - lam) m.p - lam t
+    s.t. sign (F_z(g) - F(g)).p <= t   (active group z, grid point g, sign)
+         sum_i p(x, i) = 1,  p >= 0,  t >= 0
+
+with sign +1 and -1 for KS and +1 only for one-sided KS.  For |mean
+difference| the rows are sign (mean F_z - mean F).p <= t, one pair per
+active group.  m is the population mean per rule entry.  The coefficients
+of every row come from the kernel's atoms with one `bincount` over slots,
+so no dense grid x rule matrix is built.
+
+The grid has thousands of points, so KS rows are generated (Kelley's
+cutting-plane method, 1960): solve with the rows found so far, evaluate the
+group CDFs at the solution with one kernel call, and add, for each active
+group and sign, the most violated row if it exceeds t by more than
+`CUT_TOL`; stop when nothing is added.  Every relaxed optimum is an upper
+bound on the objective, so `bound - value` at the returned rule is a
+certified optimality gap.
+
+Each relaxation is solved from scratch by a dense primal simplex started at
+a feasible basis: for each x the treatment of largest (1 - lam) m (lowest
+index on ties), t basic in the row of the largest row value if that is
+positive, and the slacks of the other rows.  These programs are highly
+degenerate, so pivots follow Bland's rule (1977), which cannot cycle.  The
+tableau is recomputed from the original data every `REFACTOR_EVERY` pivots
+and before optimality is declared, so round-off does not accumulate.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .functionals import SimilarityMeasure, TargetFunctional
+from .objective import AtomKernel, CovariateSpace, DecisionRule
+from .optimizer import OptimResult
+
+REFACTOR_EVERY = 20
+CUT_TOL = 1e-12
+GAP_TOL = 1e-9
+_COST_TOL = 1e-12  # reduced costs up to this (times the largest cost) count as zero
+_PIVOT_TOL = 1e-9  # smaller tableau entries are not pivoted on
+_TIE_TOL = 1e-12  # ratios this close to the least one tie
+
+
+class Unbounded(ArithmeticError):
+    """The linear program's objective grows without bound."""
+
+
+def is_linear(t: TargetFunctional, s: SimilarityMeasure) -> bool:
+    """Whether the plug-in objective of (t, s) is a linear program."""
+    if t.kind != "mean":
+        return False
+    return s.kind != "abs-target-diff" or s.inner.kind == "mean"
+
+
+def leaving_row(column: np.ndarray, rhs: np.ndarray, basis) -> int | None:
+    """Bland's ratio test: among the rows of least ratio rhs / column over the
+    positive column entries, the one whose basic variable has the lowest
+    index; None when no entry is positive (the program is unbounded)."""
+    rows = np.flatnonzero(column > _PIVOT_TOL)
+    if rows.size == 0:
+        return None
+    ratios = np.maximum(rhs[rows], 0.0) / column[rows]
+    ties = rows[ratios <= ratios.min() + _TIE_TOL]
+    return int(ties[np.argmin(np.asarray(basis)[ties])])
+
+
+def simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis):
+    """Maximize c.x subject to a x = b, x >= 0, from a feasible basis.
+
+    basis lists the basic column of each row.  Returns (x, y, basis), y
+    being the duals c_B B^-1 of the final basis, so b.y is the optimal
+    value.  The entering column is the lowest-index one with
+    positive reduced cost (Bland's rule), the leaving row comes from
+    `leaving_row`.  Raises Unbounded when a column can enter but no row
+    limits it.
+    """
+    rows, cols = a.shape
+    data = np.column_stack([a, b])
+    basis = list(basis)
+    tol = _COST_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+    tab = np.empty((rows + 1, cols + 1))  # last row: reduced costs, -objective
+    since = REFACTOR_EVERY
+    while True:
+        if since >= REFACTOR_EVERY:
+            tab[:-1] = np.linalg.solve(data[:, basis], data)
+            tab[-1, :-1] = c - c[basis] @ tab[:-1, :-1]
+            tab[-1, basis] = 0.0
+            tab[-1, -1] = -(c[basis] @ tab[:-1, -1])
+            since = 0
+        entering = np.flatnonzero(tab[-1, :-1] > tol)
+        if entering.size == 0:
+            if since == 0:
+                break
+            since = REFACTOR_EVERY  # confirm optimality on a fresh tableau
+            continue
+        j = int(entering[0])
+        r = leaving_row(tab[:-1, j], tab[:-1, -1], basis)
+        if r is None:
+            raise Unbounded(f"column {j} can grow without bound")
+        tab[r] /= tab[r, j]
+        column = tab[:, j].copy()
+        column[r] = 0.0
+        tab -= np.outer(column, tab[r])
+        basis[r] = j
+        since += 1
+    x = np.zeros(cols)
+    x[basis] = tab[:-1, -1]
+    y = np.linalg.solve(data[:, basis].T, c[basis])
+    return x, y, basis
+
+
+class LinearProgram:
+    """The linear program of one plug-in kernel and a linear (t, s) pair.
+
+    Build once per kernel; `maximize(lam)` solves each lambda on its own,
+    with no rows carried over, so results do not depend on the grid.
+    """
+
+    def __init__(self, kernel: AtomKernel, space: CovariateSpace,
+                 t: TargetFunctional, s: SimilarityMeasure):
+        if not is_linear(t, s):
+            raise ValueError(f"({t.kind}, {s.kind}) is not a linear program")
+        self.kernel, self.space, self.t, self.s = kernel, space, t, s
+        self.shape = (len(space.x_levels), space.k)
+        self.size = self.shape[0] * self.shape[1]
+        z, g = np.divmod(kernel.index, kernel.grid.size)
+        order = np.argsort(g, kind="stable")  # a row at grid point g is a prefix
+        self.slot, z, g = kernel.slot[order], z[order], g[order]
+        mass, pz = kernel.mass[order], kernel.pz
+        y = kernel.grid[g]
+        self.mean = np.bincount(self.slot, mass * y * pz[z], minlength=self.size)
+        # atom weights of the row F_z(g) - F(g) (times y for the mean rows)
+        self.weights = {int(zj): mass * ((z == zj) - pz[z]) for zj in kernel.active}
+        if s.kind == "abs-target-diff":
+            self.weights = {zj: w * y for zj, w in self.weights.items()}
+            self.ends = None
+        else:
+            self.ends = np.searchsorted(g, np.arange(kernel.grid.size), side="right")
+        self.signs = (1.0,) if s.kind == "one-sided-ks" else (1.0, -1.0)
+
+    def _row(self, zj: int, point: int | None, sign: float) -> np.ndarray:
+        end = self.slot.size if point is None else self.ends[point]
+        w = self.weights[zj][:end]
+        return sign * np.bincount(self.slot[:end], w, minlength=self.size)
+
+    def _violations(self, probs: np.ndarray):
+        """Per (group, sign): the most violated row's grid point and value.
+
+        One kernel evaluation; the point is None for the mean rows.
+        """
+        kernel = self.kernel
+        f = kernel.group_cdfs(probs.ravel())
+        diff = f[kernel.active] - kernel.pz @ f
+        if self.ends is None:  # one mean difference per group
+            diff = (np.diff(diff, axis=1, prepend=0.0) @ kernel.grid)[:, None]
+        for zj, d in zip(kernel.active, diff):
+            for sign in self.signs:
+                point = int(np.argmax(sign * d))
+                yield int(zj), None if self.ends is None else point, sign, sign * d[point]
+
+    def _solve_relaxation(self, lam: float, rows: list):
+        """(probs, t, bound) of the program with these rows only."""
+        nx, k = self.shape
+        size, ncut = self.size, len(rows)
+        a = np.zeros((nx + ncut, size + 1 + ncut))
+        a[:nx, :size] = np.kron(np.eye(nx), np.ones(k))
+        b = np.zeros(nx + ncut)
+        b[:nx] = 1.0
+        c = np.zeros(size + 1 + ncut)
+        c[:size] = (1.0 - lam) * self.mean
+        c[size] = -lam
+        for r, row in enumerate(rows):
+            a[nx + r, :size] = row
+            a[nx + r, size] = -1.0
+            a[nx + r, size + 1 + r] = 1.0
+        best = np.argmax(c[:size].reshape(nx, k), axis=1) + k * np.arange(nx)
+        basis = list(best) + [size + 1 + r for r in range(ncut)]
+        if ncut:
+            values = a[nx:, best].sum(axis=1)
+            top = int(np.argmax(values))
+            if values[top] > 0.0:
+                basis[nx + top] = size
+        x, y, _ = simplex(a, b, c, basis)
+        probs = np.maximum(x[:size].reshape(nx, k), 0.0)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs, x[size], float(b @ y)
+
+    def maximize(self, lam: float) -> OptimResult:
+        """The exact maximizer at lam, with its certified gap.
+
+        evaluations counts kernel calls: one per relaxation when lam > 0
+        (to find violated rows) and one for the returned value.
+        """
+        rows, seen = [], set()
+        evaluations = 0
+        while True:
+            probs, t_value, bound = self._solve_relaxation(lam, rows)
+            if lam == 0.0:  # the penalty has no weight
+                break
+            evaluations += 1
+            added = False
+            for zj, point, sign, value in self._violations(probs):
+                key = (zj, point, sign)
+                if value - t_value > CUT_TOL and key not in seen:
+                    seen.add(key)
+                    rows.append(self._row(zj, point, sign))
+                    added = True
+            if not added:
+                break
+        rule = DecisionRule(self.space, probs)
+        value = self.kernel.value(rule.probs, lam, self.t, self.s)
+        gap = bound - value
+        return OptimResult(rule=rule, value=value, evaluations=evaluations + 1,
+                           converged=gap <= GAP_TOL, gap=gap)

@@ -14,7 +14,8 @@ uniformly from the product of simplices; independent restarts use RNG
 streams derived from (seed, restart index), so results are deterministic and
 restart sets are prefix-monotone.  The achieved optimization accuracy is best-effort: the true
 supremum is unknown, and `converged` only reports the internal ftol
-criterion.
+criterion.  The objectives that are linear programs are solved exactly by
+`lp.LinearProgram` instead (see `selection.sweep`).
 """
 
 from __future__ import annotations
@@ -65,10 +66,20 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimResult:
+    """A maximizer's rule, the objective at it, and how far to trust it.
+
+    evaluations counts objective calls.  From `maximize`, converged only says
+    that no evaluation or iteration budget stopped the final Nelder-Mead
+    run (it can hold well short of the maximum), and gap is None.  From
+    `lp.LinearProgram.maximize`, gap is the certified distance from value up
+    to an upper bound on the maximum, and converged means gap <= 1e-9.
+    """
+
     rule: DecisionRule
     value: float
     evaluations: int
     converged: bool
+    gap: float | None = None
 
 
 def _random_probs(space: CovariateSpace, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,11 @@
 `sweep`, the only per-lambda loop (the Monte Carlo harness runs through it
 too), fits the plug-in array and picks the estimator's atom kernel once: the
 fitted array's for plug-in and for IPW with cell-frequency propensities (the
-same objective), the record kernel for IPW with known propensities.
+same objective), the record kernel for IPW with known propensities.  On the
+fitted array's kernel, the mean target with the KS, one-sided KS or
+|mean difference| similarity is a linear program, solved exactly with a
+certified gap by `lp.LinearProgram`; the optimizer settings and seed play no
+part there.  Every other objective is maximized by Nelder-Mead (`maximize`).
 Per-lambda diagnostics (target value, per-group unfairness) are the plug-in
 kernel's two objective terms at the fitted rule, matching how the empirical
 illustrations report estimated quantities.
@@ -159,18 +163,30 @@ def sweep(
     estimator: str = "plugin",
     propensity: PropensityModel | None = None,
 ) -> LambdaPath:
-    """One maximize call per grid lambda against the chosen empirical objective.
+    """One maximization per grid lambda of the chosen empirical objective.
 
-    Per-lambda optimizer seeds derive from (cfg.seed, lambda index), so the
-    path is reproducible bit-for-bit and per-lambda runs are independent.
+    The plug-in objective of a linear (t, s) pair is solved exactly by
+    `lp.LinearProgram`, which ignores cfg; every other objective goes to
+    `maximize`, with per-lambda seeds derived from (cfg.seed, lambda index).
+    Either way the path is reproducible bit-for-bit and per-lambda runs are
+    independent.
     """
     arr = fit_plugin(sample)
     kernel = _estimator_kernel(sample, arr, estimator, propensity)
+    program = None
+    if kernel is arr.kernel and t.kind == "mean":
+        from . import lp  # here, so that only mean-target sweeps compile it
+
+        if lp.is_linear(t, s):
+            program = lp.LinearProgram(kernel, sample.space, t, s)
     z_levels = sample.space.z_levels
     entries = []
     for idx, lam in enumerate(grid):
-        obj = _empirical_objective(kernel, lam, t, s)
-        result = maximize(obj, sample.space, replace(cfg, seed=derive_seed(cfg.seed, 1, idx)))
+        if program is not None:
+            result = program.maximize(lam)
+        else:
+            obj = _empirical_objective(kernel, lam, t, s)
+            result = maximize(obj, sample.space, replace(cfg, seed=derive_seed(cfg.seed, 1, idx)))
         target, by_index = arr.kernel.scores(result.rule.probs, t, s)
         unfairness = {z_levels[j]: u for j, u in by_index.items()}
         entries.append(

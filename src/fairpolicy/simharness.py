@@ -56,6 +56,10 @@ class SimConfig:
             raise ValueError("sample_sizes must be positive")
         if not self.mechanisms or any(m not in MECHANISMS for m in self.mechanisms):
             raise ValueError(f"mechanisms must be among {MECHANISMS}")
+        for name, values in (("sample_sizes", self.sample_sizes), ("mechanisms", self.mechanisms)):
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} lists {repeated!r} twice")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 0.5 < self.p < 1.0:

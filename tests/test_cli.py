@@ -634,6 +634,48 @@ class TestSimulate:
         assert rc == EXIT_OPTIMIZER
         assert capsys.readouterr().err == "optimizer error: objective returned nan\n"
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--sample-sizes", "100,100"], "sample_sizes lists 100 twice"),
+        (["--mechanisms", "A1,A2,A1"], "mechanisms lists 'A1' twice"),
+    ])
+    def test_repeated_cell_exit_5(self, tmp_path, capsys, flags, error):
+        rc = main(["simulate", "--output-dir", str(tmp_path / "o"), "--grid-m", "1",
+                   "--replications", "1", "--candidate-starts", "5", "--max-iters", "20"] + flags)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 5 with one line."""
+
+    @pytest.mark.parametrize("command, below", [("fit", ""), ("sweep", "sub")],
+                             ids=["dir-is-a-file", "dir-through-a-file"])
+    def test_output_dir_blocked_by_a_file(self, toy_csv, tmp_path, capsys, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        rc = main([command, "--input", toy_csv, "--output-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, name", [
+        (["fit", "--input", "{csv}"], "fitted_array.json"),
+        (["simulate", "--sample-sizes", "50", "--mechanisms", "A1", "--grid-m", "1",
+          "--replications", "1", "--candidate-starts", "5", "--max-iters", "20"],
+         "replications.csv"),
+    ], ids=["fit", "simulate"])
+    def test_output_name_that_is_a_directory(self, toy_csv, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        rc = main([arg.format(csv=toy_csv) for arg in command] + ["--output-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert err.count("\n") == 1
+        assert os.listdir(out) == [name]  # the temp file is removed
+
 
 class TestOracleCheck:
     def test_passes(self, capsys):
@@ -675,12 +717,19 @@ class TestConfigFile:
         assert main(["fit", "--config", str(cfg)]) == EXIT_CONFIG
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(toy_csv, tmp_path):
     # scipy.optimize alone costs about 0.5 s of every command's start-up, and
-    # multiprocessing is imported only when simulate starts its workers
+    # multiprocessing is imported only when simulate starts its workers; a
+    # sweep solved as a linear program needs neither, and only such a sweep
+    # imports fairpolicy.lp
     packages = ("scipy", "multiprocessing")
     src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
+    argv = ["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "o"), "--grid-m", "2",
+            "--target", "mean", "--similarity", "ks"]
     code = ("import fairpolicy.cli, sys; "
+            "assert 'fairpolicy.lp' not in sys.modules; "
+            f"assert fairpolicy.cli.main({argv!r}) == 0; "
+            "assert 'fairpolicy.lp' in sys.modules; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -145,6 +145,10 @@ class TestRunSimulation:
             small_config(replications=0)
         with pytest.raises(ValueError):
             small_config(sample_sizes=())
+        with pytest.raises(ValueError, match="sample_sizes lists 200 twice"):
+            small_config(sample_sizes=(200, 100, 200))
+        with pytest.raises(ValueError, match="mechanisms lists 'A1' twice"):
+            small_config(mechanisms=("A1", "A1"))
 
 
 class TestWorkers:
