@@ -11,7 +11,12 @@ columns; the parsed rows are never held.
 Outputs are written atomically (temp file + rename) and are byte-identical
 across runs with the same seed.  JSON is formatted here, not by json's
 pure-Python indent encoder, and is byte-identical to
-``json.dumps(payload, indent=2)``.  stdout stays quiet; diagnostics go to
+``json.dumps(payload, indent=2)`` with 1-D float64 ndarrays written as
+lists.  The floats of all float lists and arrays in a document are
+formatted together: each distinct bit pattern once, finite ones by
+``float.__repr__`` as json does, and the document is joined from its pieces
+once.  ``fitted_array.json`` hands each cell's atoms to the writer as slices
+of the fitted array's columns.  stdout stays quiet; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV parse error, 3 schema
 violation, 4 optimizer failure, 5 configuration error.
 """
@@ -224,30 +229,71 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _json_text(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2) for a value nested at indentation pad.
+def _json_pieces(value, pad: str, out: list, floats: list) -> None:
+    """Append json.dumps(value, indent=2), nested at indentation pad, to out.
 
-    The pure-Python encoder that indent=2 selects yields once per float, so
-    lists of finite floats are joined here with float.__repr__, as json
-    writes them; every other value goes through json itself.
+    A float leaf's items are not formatted here: out gets an empty
+    placeholder, and floats gets (its position, the item separator, the
+    values).
     """
     inner = pad + "  "
     if type(value) is dict and value and all(type(key) is str for key in value):
-        opening, closing = "{", "}"
-        items = (f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in value.items())
+        out.append("{\n" + inner)
+        for j, (key, v) in enumerate(value.items()):
+            out.append((",\n" + inner if j else "") + json.dumps(key) + ": ")
+            _json_pieces(v, inner, out, floats)
+        out.append("\n" + pad + "}")
+    elif _is_float_leaf(value):
+        floats.append((len(out) + 1, ",\n" + inner, np.asarray(value)))
+        out += ["[\n" + inner, "", "\n" + pad + "]"]
     elif type(value) is list and value:
-        opening, closing = "[", "]"
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            items = map(float.__repr__, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
+        out.append("[\n" + inner)
+        for j, v in enumerate(value):
+            if j:
+                out.append(",\n" + inner)
+            _json_pieces(v, inner, out, floats)
+        out.append("\n" + pad + "]")
+    elif type(value) in (list, tuple, dict, np.ndarray):
+        text = json.dumps(value, indent=2, default=np.ndarray.tolist)
+        out.append(text.replace("\n", "\n" + pad))
     else:
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+        out.append(json.dumps(value))
+
+
+def _is_float_leaf(value) -> bool:
+    """A nonempty 1-D float64 ndarray, or a nonempty list of floats."""
+    if type(value) is np.ndarray:
+        return value.ndim == 1 and value.dtype == np.float64 and value.size > 0
+    return type(value) is list and bool(value) and set(map(type, value)) == {float}
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, default=np.ndarray.tolist) + "\n".
+
+    The pure-Python encoder that indent=2 selects yields once per float.
+    Here every float leaf of the document is formatted in one pass: each
+    distinct bit pattern (so -0.0 apart from 0.0) once, by float.__repr__ as
+    json writes finite floats and by json itself otherwise.  Every other
+    value goes through json, and the pieces are joined once.
+    """
+    out, floats = [], []
+    _json_pieces(value, "", out, floats)
+    if floats:
+        bits = np.concatenate([values.view(np.int64) for _, _, values in floats])
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array([float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+                          for v in distinct.view(np.float64).tolist()], dtype=object)
+        texts = texts[inverse].tolist()
+        start = 0
+        for at, sep, values in floats:
+            out[at] = sep.join(texts[start:start + values.size])
+            start += values.size
+    out.append("\n")
+    return "".join(out)
 
 
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, _json_text(payload) + "\n")
+    _atomic_write(path, _json_text(payload))
 
 
 def _num(value: float) -> str:
@@ -255,34 +301,29 @@ def _num(value: float) -> str:
 
 
 def fitted_array_payload(arr) -> dict:
+    """The fitted array as a JSON document; cell atoms stay ndarray slices."""
     space = arr.space
-    cells = []
-    for i in space.treatments:
-        for x in space.x_levels:
-            for z in space.z_levels:
-                cdf = arr.cdf[(i, x, z)]
-                empty = cdf.points.size == 1 and cdf.points[0] == arr.support.b
-                cells.append(
-                    {
-                        "d": int(i),
-                        "x": str(x),
-                        "z": str(z),
-                        "points": cdf.points.tolist(),
-                        "masses": cdf.masses.tolist(),
-                        "empty_cell": bool(empty),
-                    }
-                )
+    if arr.cell_records is None:
+        raise ValueError("fitted_array_payload needs an array fitted from a sample")
+    bounds = arr.offsets.tolist()
     return {
         "support": [arr.support.a, arr.support.b],
         "x_levels": [str(x) for x in space.x_levels],
         "z_levels": [str(z) for z in space.z_levels],
         "k": space.k,
-        "cells": cells,
-        "pxz": [
-            {"x": str(x), "z": str(z), "p": float(arr.pxz[(x, z)])}
-            for x in space.x_levels
-            for z in space.z_levels
+        "cells": [
+            {
+                "d": i,
+                "x": str(x),
+                "z": str(z),
+                "points": arr.points[lo:hi],
+                "masses": arr.masses[lo:hi],
+                "empty_cell": empty,
+            }
+            for (i, x, z), lo, hi, empty in zip(arr.cdf, bounds, bounds[1:],
+                                                (arr.cell_records == 0).tolist())
         ],
+        "pxz": [{"x": str(x), "z": str(z), "p": p} for (x, z), p in arr.pxz.items()],
     }
 
 

@@ -112,13 +112,29 @@ class StepCdf:
     _cum: np.ndarray = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
-        points, masses = _canonical_atoms(self.points, self.masses, self.support)
+        self._set_atoms(*_canonical_atoms(self.points, self.masses, self.support))
+
+    def _set_atoms(self, points: np.ndarray, masses: np.ndarray) -> None:
         cum = np.cumsum(masses)
         cum[-1] = 1.0
         cum.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "_cum", cum)
+
+    @classmethod
+    def from_canonical(cls, support: SupportInterval, points: np.ndarray,
+                       masses: np.ndarray) -> "StepCdf":
+        """A StepCdf over read-only atoms that are already canonical.
+
+        The points must be strictly increasing and inside the support, the
+        masses positive and summing to one.  They are taken as given, not
+        renormalized, so the masses stay bitwise as stored.
+        """
+        cdf = object.__new__(cls)
+        object.__setattr__(cdf, "support", support)
+        cdf._set_atoms(points, masses)
+        return cdf
 
     @property
     def cum(self) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 The plug-in fit groups observations into treatment cells (d, x, z), takes the
 empirical CDF in each cell (point mass at the upper support endpoint b when a
-cell is empty), and records cell frequencies.  The IPW route instead weights
-each observation by 1 / (n * e_d(x, z) * p_Z(z)) with e the treatment
-propensities, accumulates a monotone step function per protected group, and
-projects it onto the CDFs on [a, b].  The known-propensity IPW objective
-evaluates those records as the atoms of one `AtomKernel` (`ipw_kernel`).
+cell is empty), and records cell frequencies.  It does so in one pass: the
+records are sorted by (cell, outcome) and each run of equal outcomes becomes
+one atom of the array's columns (`CondCdfArray.from_columns`), with no
+per-cell objects.
+
+The IPW route instead weights each observation by
+1 / (n * e_d(x, z) * p_Z(z)) with e the treatment propensities, accumulates
+a monotone step function per protected group, and projects it onto the CDFs
+on [a, b].  The known-propensity IPW objective evaluates those records as
+the atoms of one `AtomKernel` (`ipw_kernel`).
 
 With cell-frequency propensities a record's IPW mass is
 n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass, so the
@@ -31,9 +36,7 @@ from .distributions import (
     OutOfSupport,
     StepCdf,
     SupportInterval,
-    point_mass,
     project_mab,
-    step_cdf_from_samples,
 )
 from .functionals import SimilarityMeasure, TargetFunctional
 from .objective import (
@@ -159,11 +162,15 @@ class TrainingSample:
             support, space=space, k=k,
         )
 
+    def cell_index(self) -> np.ndarray:
+        """Flat cell (d-1)*|X|*|Z| + x*|Z| + z of each record."""
+        nx, nz = len(self.space.x_levels), len(self.space.z_levels)
+        return (self.d - 1) * (nx * nz) + self.xi * nz + self.zi
+
     def cell_counts(self) -> np.ndarray:
         """Counts per (treatment, x, z) cell, shape (K, |X|, |Z|)."""
         nx, nz = len(self.space.x_levels), len(self.space.z_levels)
-        flat = (self.d - 1) * nx * nz + self.xi * nz + self.zi
-        return np.bincount(flat, minlength=self.space.k * nx * nz).reshape(
+        return np.bincount(self.cell_index(), minlength=self.space.k * nx * nz).reshape(
             self.space.k, nx, nz
         )
 
@@ -171,32 +178,34 @@ class TrainingSample:
 def fit_plugin(sample: TrainingSample) -> CondCdfArray:
     """Plug-in array: per-cell empirical CDFs and cell frequencies.
 
-    Empty cells get a point mass at the upper support endpoint b.
+    Empty cells get a point mass at the upper support endpoint b.  Records
+    with equal outcomes in a cell share one atom; when they mix 0.0 and
+    -0.0, the atom keeps the sign of the first such record in the sample.
     """
-    space = sample.space
-    nx, nz = len(space.x_levels), len(space.z_levels)
-    flat = (sample.d - 1) * nx * nz + sample.xi * nz + sample.zi
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    sorted_y = sample.ys[order]
-    boundaries = np.searchsorted(sorted_flat, np.arange(space.k * nx * nz + 1))
-    cdf = {}
-    for i in space.treatments:
-        for xj, x in enumerate(space.x_levels):
-            for zj, z in enumerate(space.z_levels):
-                c = (i - 1) * nx * nz + xj * nz + zj
-                lo, hi = boundaries[c], boundaries[c + 1]
-                if hi > lo:
-                    cdf[(i, x, z)] = step_cdf_from_samples(sorted_y[lo:hi], sample.support)
-                else:
-                    cdf[(i, x, z)] = point_mass(sample.support.b, sample.support)
-    pair_counts = np.bincount(sample.xi * nz + sample.zi, minlength=nx * nz)
-    pxz = {
-        (x, z): pair_counts[xj * nz + zj] / sample.n
-        for xj, x in enumerate(space.x_levels)
-        for zj, z in enumerate(space.z_levels)
-    }
-    return CondCdfArray(space, cdf, pxz)
+    counts = sample.cell_counts()
+    records = counts.ravel()
+    cell = sample.cell_index()
+    order = np.lexsort((sample.ys, cell))
+    cell, ys = cell[order], sample.ys[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (cell[1:] != cell[:-1]) | (ys[1:] != ys[:-1]))))
+    cell = cell[starts]
+    # one atom per (cell, distinct outcome); an empty cell gets one atom at b,
+    # so each atom moves up by the number of empty cells before its own
+    empty = records == 0
+    offsets = np.zeros(records.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=records.size) + empty, out=offsets[1:])
+    at = np.arange(starts.size) + (np.cumsum(empty) - empty)[cell]
+    points = np.full(offsets[-1], sample.support.b)
+    points[at] = ys[starts]
+    masses = np.ones(offsets[-1])
+    masses[at] = np.diff(starts, append=ys.size) / records[cell]
+    # as StepCdf does, divide each cell's masses by their own sum
+    bounds = offsets.tolist()
+    totals = [masses[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
+    masses /= np.repeat(totals, np.diff(offsets))
+    return CondCdfArray.from_columns(sample.space, sample.support, points, masses, offsets,
+                                     counts.sum(axis=0) / sample.n, records)
 
 
 def empirical_pz(sample: TrainingSample) -> dict:

@@ -13,12 +13,19 @@ groups at small n; the objective must still evaluate).  The penalty max is
 unweighted across groups: weighting by group size would down-weigh small
 marginalized groups.
 
+A conditional-CDF array (`CondCdfArray`) is held as columns: the atoms of
+all K*|X|*|Z| cells in cell order with their masses and cell offsets, and
+the p(x, z) matrix.  `cdf[(i, x, z)]` is a read-only view that builds the
+cell's StepCdf on access, for the reference routes and for callers that
+want one cell.
+
 The objective is evaluated thousands of times per optimizer run, so every
 estimator evaluates it on one atom table (`AtomKernel`); a fitted array
-keeps its plug-in kernel (`CondCdfArray.kernel`).  Each atom is an outcome
-value y with its group z, its slot x*K + (i-1) in `probs.ravel()`, and a
-mass; the union of atom values plus the support endpoint b is the grid, and
-each atom stores its row-major position z*G + grid_idx in the |Z| x G table.
+keeps its plug-in kernel (`CondCdfArray.kernel`), gathered from its
+columns.  Each atom is an outcome value y with its group z, its slot
+x*K + (i-1) in `probs.ravel()`, and a mass; the union of atom values plus
+the support endpoint b is the grid, and each atom stores its row-major
+position z*G + grid_idx in the |Z| x G table.
 One evaluation scatters `probs_flat[slot] * mass` into the table with
 `bincount` and takes a cumulative sum along each row: the group CDFs on the
 grid, in O(atoms + |Z|*G) time and memory.  The population CDF is the
@@ -36,8 +43,11 @@ tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -162,51 +172,109 @@ def d1_to_set(rule: DecisionRule, rules) -> float:
     return min(d1(rule, other) for other in rules)
 
 
-@dataclass(frozen=True, eq=False)
-class CondCdfArray:
-    """The fitted or ground-truth array [(F^i(.|x,z), p(x,z))].
+class _CellView(Mapping):
+    """Read-only mapping from keys, in storage order, to values built on access
+    from the key's position."""
 
-    cdf maps (i, x, z) -> StepCdf for every treatment i = 1..K and every
-    (x, z) pair; pxz maps (x, z) -> mass, summing to one.  All cell CDFs
-    share one support.  Immutable after construction.
+    def __init__(self, keys, build):
+        self._index = {key: j for j, key in enumerate(keys)}
+        self._build = build
+
+    def __getitem__(self, key):
+        return self._build(self._index[key])
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+class CondCdfArray:
+    """The fitted or ground-truth array [(F^i(.|x,z), p(x,z))], held as columns.
+
+    Cell c = (i-1)*|X|*|Z| + x*|Z| + z (level indices, treatments i = 1..K)
+    holds the atoms points[offsets[c]:offsets[c+1]] with the masses at the
+    same positions: points strictly increasing inside the shared support,
+    masses positive and summing to one.  pair_mass[x, z] is p(x, z), summing
+    to one, and group_mass[z] is p_Z(z).  cell_records holds the records per
+    cell of an array fitted from a sample, and is None otherwise.  Every
+    array is read-only.
+
+    `cdf` maps (i, x, z) to a StepCdf over the cell's atoms, built on
+    access, and `pxz` maps (x, z) to p(x, z); both are read-only views.
     """
 
-    space: CovariateSpace
-    cdf: dict
-    pxz: dict
-    support: object = field(init=False, default=None)
+    def __init__(self, space: CovariateSpace, cdf, pxz):
+        """The array of the given cell CDFs and pair masses.
 
-    def __post_init__(self):
-        space = self.space
-        cdf = dict(self.cdf)
-        pxz = {k: float(v) for k, v in self.pxz.items()}
-        cells = [(i, x, z) for i in space.treatments for x in space.x_levels for z in space.z_levels]
+        cdf maps every (i, x, z) to a StepCdf, all on one support; pxz maps
+        every (x, z) to a nonnegative mass, the masses summing to one within
+        SIMPLEX_TOL (they are renormalized exactly).
+        """
+        cells = list(_cell_keys(space))
         missing = [c for c in cells if c not in cdf]
         if missing:
             raise ValueError(f"missing cdf cells, e.g. {missing[0]}")
-        pairs = [(x, z) for x in space.x_levels for z in space.z_levels]
+        pairs = list(_pair_keys(space))
         missing_p = [p for p in pairs if p not in pxz]
         if missing_p:
             raise ValueError(f"missing pxz entries, e.g. {missing_p[0]}")
-        if any(v < 0 for v in pxz.values()):
+        cdfs = [cdf[c] for c in cells]
+        support = cdfs[0].support
+        for c, f in zip(cells, cdfs):
+            if f.support != support:
+                raise SupportMismatch(f"cell {c} has support {f.support}, expected {support}")
+        offsets = np.cumsum([0] + [f.points.size for f in cdfs])
+        pair_mass = np.array([float(pxz[p]) for p in pairs]).reshape(
+            len(space.x_levels), len(space.z_levels))
+        self._set(space, support, np.concatenate([f.points for f in cdfs]),
+                  np.concatenate([f.masses for f in cdfs]), offsets, pair_mass, None)
+
+    @classmethod
+    def from_columns(cls, space: CovariateSpace, support: SupportInterval, points, masses,
+                     offsets, pair_mass, cell_records=None) -> "CondCdfArray":
+        """The array of canonical cell atoms given as columns (see the class
+        docstring); pair_mass is checked and renormalized as by the
+        constructor."""
+        arr = cls.__new__(cls)
+        arr._set(space, support, points, masses, offsets, pair_mass, cell_records)
+        return arr
+
+    def _set(self, space, support, points, masses, offsets, pair_mass, cell_records):
+        pair_mass = np.asarray(pair_mass, dtype=float)
+        if np.any(pair_mass < 0):
             raise ValueError("pxz masses must be nonnegative")
-        total = sum(pxz.values())
+        total = sum(pair_mass.ravel().tolist())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"pxz must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
-        pxz = {k: v / total for k, v in pxz.items()}
-        support = cdf[cells[0]].support
-        for c in cells:
-            if cdf[c].support != support:
-                raise SupportMismatch(f"cell {c} has support {cdf[c].support}, expected {support}")
-        object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "pxz", pxz)
-        object.__setattr__(self, "support", support)
+        pair_mass = pair_mass / total
+        group_mass = np.array([sum(col) for col in pair_mass.T.tolist()])
+        self.space, self.support = space, support
+        self.points, self.masses = _read_only(points), _read_only(masses)
+        self.offsets = _read_only(offsets)
+        self.pair_mass, self.group_mass = _read_only(pair_mass), _read_only(group_mass)
+        self.cell_records = None if cell_records is None else _read_only(cell_records)
+
+    @cached_property
+    def cdf(self) -> Mapping:
+        support, points, masses, offsets = self.support, self.points, self.masses, self.offsets
+
+        def build(c):
+            lo, hi = offsets[c], offsets[c + 1]
+            return StepCdf.from_canonical(support, points[lo:hi], masses[lo:hi])
+
+        return _CellView(_cell_keys(self.space), build)
+
+    @cached_property
+    def pxz(self) -> Mapping:
+        return MappingProxyType(dict(zip(_pair_keys(self.space), self.pair_mass.ravel().tolist())))
 
     def p_x(self, x) -> float:
-        return sum(self.pxz[(x, z)] for z in self.space.z_levels)
+        return sum(self.pair_mass[self.space.x_index[x]].tolist())
 
     def p_z(self, z) -> float:
-        return sum(self.pxz[(x, z)] for x in self.space.x_levels)
+        return float(self.group_mass[self.space.z_index[z]])
 
     def p_x_given_z(self, x, z) -> float:
         pz = self.p_z(z)
@@ -217,6 +285,22 @@ class CondCdfArray:
     @cached_property
     def kernel(self) -> "AtomKernel":
         return AtomKernel.from_array(self)
+
+
+def _read_only(values) -> np.ndarray:
+    values = np.asarray(values)
+    values.flags.writeable = False
+    return values
+
+
+def _cell_keys(space: CovariateSpace):
+    """(i, x, z) in cell order."""
+    return itertools.product(space.treatments, space.x_levels, space.z_levels)
+
+
+def _pair_keys(space: CovariateSpace):
+    """(x, z) in pair order."""
+    return itertools.product(space.x_levels, space.z_levels)
 
 
 class AtomKernel:
@@ -238,23 +322,21 @@ class AtomKernel:
 
     @classmethod
     def from_array(cls, arr: CondCdfArray) -> "AtomKernel":
-        """Plug-in atoms: each cell atom with mass (cell mass) * p(x | z)."""
-        space = arr.space
-        pz = np.array([arr.p_z(z) for z in space.z_levels])
-        ys, zs, slots, masses = [], [], [], []
-        for xj, x in enumerate(space.x_levels):
-            for zj, z in enumerate(space.z_levels):
-                pxz = arr.pxz[(x, z)]
-                if pxz <= 0.0:
-                    continue
-                for i in space.treatments:
-                    cdf = arr.cdf[(i, x, z)]
-                    ys.append(cdf.points)
-                    zs.append(np.full(cdf.points.size, zj))
-                    slots.append(np.full(cdf.points.size, xj * space.k + i - 1))
-                    masses.append(cdf.masses * (pxz / pz[zj]))
-        return cls(arr.support, np.concatenate(ys), np.concatenate(zs),
-                   np.concatenate(slots), np.concatenate(masses), pz)
+        """Plug-in atoms: each cell atom with mass (cell mass) * p(x | z).
+
+        Cells come in (x, z, i) order, skipping pairs with p(x, z) = 0.
+        """
+        k = arr.space.k
+        nx, nz = arr.pair_mass.shape
+        xs, zs = np.nonzero(arr.pair_mass > 0.0)
+        cells = ((xs * nz + zs)[:, None] + np.arange(k) * (nx * nz)).ravel()
+        lo = arr.offsets[cells]
+        sizes = arr.offsets[cells + 1] - lo
+        atoms = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        scale = np.repeat(arr.pair_mass[xs, zs] / arr.group_mass[zs], k)
+        return cls(arr.support, arr.points[atoms], np.repeat(np.repeat(zs, k), sizes),
+                   np.repeat((xs[:, None] * k + np.arange(k)).ravel(), sizes),
+                   arr.masses[atoms] * np.repeat(scale, sizes), arr.group_mass)
 
     def group_cdfs(self, probs_flat: np.ndarray) -> np.ndarray:
         """Projected group CDFs on the grid, shape (|Z|, G)."""

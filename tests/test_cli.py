@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairpolicy
-from fairpolicy import CovariateSpace, SupportInterval, TrainingSample, fit_plugin, toy_sample
+from fairpolicy import (
+    CovariateSpace,
+    SupportInterval,
+    TrainingSample,
+    fit_plugin,
+    toy_cond_array,
+    toy_sample,
+)
 from fairpolicy.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -252,6 +259,30 @@ json_payloads = st.recursive(
 )
 
 
+# float64 leaves as fitted_array_payload hands them over; the special values
+# come often, so signed zeros and repeats meet in one document
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 0.1, 1.0, float("nan"), float("inf"),
+                  float("-inf")]
+float_arrays = st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), max_size=8).map(
+    lambda values: np.array(values, dtype=np.float64))
+int_arrays = st.lists(st.integers(-5, 5), max_size=4).map(lambda v: np.array(v, dtype=np.int64))
+array_payloads = st.recursive(
+    float_arrays | int_arrays | json_scalars
+    | st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=25,
+)
+
+
+def written_json(payload) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        _write_json(path, payload)
+        with open(path, newline="") as fh:
+            return fh.read()
+
+
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(json_payloads)
@@ -262,12 +293,28 @@ class TestJsonWriter:
             with open(path, newline="") as fh:
                 assert fh.read() == json.dumps(payload, indent=2) + "\n"
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(array_payloads)
+    def test_array_leaves_match_json_dumps_of_their_lists(self, payload):
+        want = json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+        assert written_json(payload) == want
+
+    def test_signed_zeros_and_repeats_in_one_document(self):
+        payload = {
+            "a": np.array([0.0, -0.0, 5e-324, 0.0, -0.0, 5e-324]),
+            "b": [-0.0, 0.0, 0.1, 0.1],
+            "c": np.array([float("nan"), 0.1, float("inf"), float("-inf"), -0.0]),
+            "d": np.array([], dtype=np.float64),
+        }
+        assert written_json(payload) == (
+            json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n")
+
     def test_fitted_array_matches_json_dumps_indent_2(self, toy_csv, tmp_path):
         payload = fitted_array_payload(fit_plugin(read_sample_csv(toy_csv, UNIT)))
         path = str(tmp_path / "fitted_array.json")
         _write_json(path, payload)
         with open(path, newline="") as fh:
-            assert fh.read() == json.dumps(payload, indent=2) + "\n"
+            assert fh.read() == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 class TestFit:
@@ -300,6 +347,22 @@ class TestFit:
         assert {(2, "z0"), (1, "z1")} == set(empties)
         for cell in empties.values():
             assert cell["points"] == [1.0] and cell["masses"] == [1.0]
+
+    def test_empty_cell_means_no_records(self, tmp_path):
+        # cell (1, a, u) holds one record at b = 1: a point mass at b, but not empty
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n1.0,a,u,1\n0.2,a,u,2\n0.3,a,v,1\n")
+        out = str(tmp_path / "out")
+        assert main(["fit", "--input", str(path), "--output-dir", out]) == EXIT_OK
+        doc = json.loads(Path(os.path.join(out, "fitted_array.json")).read_text())
+        cells = {(c["d"], c["x"], c["z"]): c for c in doc["cells"]}
+        assert cells[(1, "a", "u")]["points"] == [1.0]
+        assert [key for key, c in cells.items() if c["empty_cell"]] == [(2, "a", "v")]
+
+    def test_payload_needs_a_fitted_array(self):
+        # an array given as cell CDFs has no record counts to mark empty cells by
+        with pytest.raises(ValueError, match="fitted from a sample"):
+            fitted_array_payload(toy_cond_array(0.75, 8))
 
     def test_out_of_support_exit_3(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
