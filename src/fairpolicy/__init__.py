@@ -13,17 +13,12 @@ oracle, and a Monte Carlo harness.
 from .distributions import (
     DistributionError,
     EmptySample,
-    MonotoneStep,
     OutOfSupport,
     StepCdf,
     SupportInterval,
     SupportMismatch,
     WeightMismatch,
-    ks_distance,
-    mixture,
-    one_sided_ks,
     point_mass,
-    project_mab,
     step_cdf_from_samples,
 )
 from .estimation import (
@@ -32,12 +27,7 @@ from .estimation import (
     TrainingSample,
     ZeroPropensity,
     empirical_pz,
-    estimated_propensities,
     fit_plugin,
-    ipw_group_cdf,
-    ipw_group_raw,
-    ipw_objective,
-    ipw_objective_estimated,
 )
 from .functionals import (
     InvalidTau,
@@ -47,7 +37,6 @@ from .functionals import (
     mad_half,
     mean,
     quantile,
-    similarity,
 )
 from .objective import (
     CondCdfArray,
@@ -56,12 +45,8 @@ from .objective import (
     EmptySet,
     InvalidLambda,
     SpaceMismatch,
-    UnknownGroup,
-    ZeroGroupMass,
     d1,
     d1_to_set,
-    implied_cdf,
-    implied_cdf_group,
     omega,
 )
 from .optimizer import (

@@ -666,9 +666,7 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(f"p must lie in (1/2, 1), got {args.p!r}")
     if args.grid_points < 2:
         raise ConfigError(f"--grid-points must be >= 2, got {args.grid_points}")
-    return oracle_check(
-        p=args.p, grid_points=args.grid_points, perturb=args.self_test_perturb, seed=args.seed
-    )
+    return oracle_check(p=args.p, grid_points=args.grid_points, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_oracle)
     p_oracle.add_argument("--p", type=float, default=0.75)
     p_oracle.add_argument("--grid-points", type=int, default=2000)
-    p_oracle.add_argument("--self-test-perturb", type=float, default=0.0,
-                          help=argparse.SUPPRESS)
     p_oracle.set_defaults(func=cmd_oracle_check)
 
     return parser

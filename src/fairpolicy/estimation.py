@@ -7,17 +7,16 @@ records are sorted by (cell, outcome) and each run of equal outcomes becomes
 one atom of the array's columns (`CondCdfArray.from_columns`), with no
 per-cell objects.
 
-The IPW route instead weights each observation by
-1 / (n * e_d(x, z) * p_Z(z)) with e the treatment propensities, accumulates
-a monotone step function per protected group, and projects it onto the CDFs
-on [a, b].  The known-propensity IPW objective evaluates those records as
-the atoms of one `AtomKernel` (`ipw_kernel`).
+The IPW estimator instead weights each observation by
+1 / (n * e_d(x, z) * p_Z(z)) with e the known treatment propensities: the
+records are the atoms of one `AtomKernel` (`ipw_kernel`), whose group rows
+are projected onto the CDFs on [a, b] at each evaluation.
 
 With cell-frequency propensities a record's IPW mass is
 n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass, so the
 estimated IPW objective is the plug-in objective of the sample's fitted
-array.  `ipw_objective` and `ipw_objective_estimated` build a kernel per
-call; `selection.sweep` builds it once per run.
+array (`CondCdfArray.kernel`).  `selection.sweep` builds the kernel once
+per run.
 
 Propensities are never clipped or trimmed: a zero propensity on a used cell
 raises, because silently clamping would mask violated overlap.
@@ -31,24 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    MonotoneStep,
-    OutOfSupport,
-    StepCdf,
-    SupportInterval,
-    project_mab,
-)
-from .functionals import SimilarityMeasure, TargetFunctional
-from .objective import (
-    AtomKernel,
-    CondCdfArray,
-    CovariateSpace,
-    DecisionRule,
-    InvalidLambda,
-    SIMPLEX_TOL,
-    SpaceMismatch,
-    omega,
-)
+from .distributions import OutOfSupport, SupportInterval
+from .objective import SIMPLEX_TOL, AtomKernel, CondCdfArray, CovariateSpace
 
 
 class ZeroPropensity(ValueError):
@@ -247,15 +230,10 @@ class PropensityModel:
         object.__setattr__(self, "pz", pz)
 
 
-def _require_rule_space(sample: TrainingSample, rule: DecisionRule) -> None:
-    if rule.space != sample.space:
-        raise SpaceMismatch("rule and sample live on different covariate spaces")
-
-
-def _record_propensities(sample: TrainingSample, prop: PropensityModel, rows) -> np.ndarray:
-    """Known propensity e_d(x, z) of each selected record; each must be positive."""
+def _record_propensities(sample: TrainingSample, prop: PropensityModel) -> np.ndarray:
+    """Known propensity e_d(x, z) of each record; each must be positive."""
     space = sample.space
-    d, xi, zi = sample.d[rows], sample.xi[rows], sample.zi[rows]
+    d, xi, zi = sample.d, sample.xi, sample.zi
     table = np.array([
         [[prop.e.get((i, x, z), 0.0) for z in space.z_levels] for x in space.x_levels]
         for i in space.treatments
@@ -269,92 +247,14 @@ def _record_propensities(sample: TrainingSample, prop: PropensityModel, rows) ->
     return e
 
 
-def ipw_group_raw(sample: TrainingSample, rule: DecisionRule, z, prop: PropensityModel) -> MonotoneStep:
-    """Pre-projection IPW estimate of the group-z outcome CDF.
-
-    A jump delta_{d_j}(x_j) / (n * e_{d_j}(x_j, z) * p_Z(z)) at each outcome
-    y_j of a group-z record; unbiased pointwise for the group CDF but not
-    itself a CDF.
-    """
-    _require_rule_space(sample, rule)
-    space = sample.space
-    if z not in space.z_index:
-        raise ValueError(f"unknown group {z!r}")
-    pz = prop.pz.get(z)
-    if pz is None or pz <= 0.0:
-        raise ZeroPropensity(f"p_Z({z!r}) must be positive")
-    mask = sample.zi == space.z_index[z]
-    e = _record_propensities(sample, prop, mask)
-    increments = rule.probs[sample.xi[mask], sample.d[mask] - 1] / (sample.n * e * pz)
-    return MonotoneStep(sample.support, sample.ys[mask], increments)
-
-
-def ipw_group_cdf(sample: TrainingSample, rule: DecisionRule, z, prop: PropensityModel) -> StepCdf:
-    """IPW estimate of the group-z outcome CDF, projected onto the CDFs on [a, b]."""
-    return project_mab(ipw_group_raw(sample, rule, z, prop))
-
-
 def ipw_kernel(sample: TrainingSample, prop: PropensityModel) -> AtomKernel:
     """Kernel over the records: mass 1 / (n * e * p_Z) at each outcome."""
     zs = sample.space.z_levels
     missing = [z for z in zs if prop.pz.get(z, 0.0) <= 0.0]
     if missing:
         raise ZeroPropensity(f"p_Z({missing[0]!r}) must be positive")
-    e_rec = _record_propensities(sample, prop, slice(None))
+    e_rec = _record_propensities(sample, prop)
     pz = np.array([prop.pz[z] for z in zs])
     mass = 1.0 / (sample.n * e_rec * pz[sample.zi])
     return AtomKernel(sample.support, sample.ys, sample.zi,
                       sample.xi * sample.space.k + sample.d - 1, mass, pz / pz.sum())
-
-
-def ipw_objective(
-    sample: TrainingSample,
-    rule: DecisionRule,
-    lam: float,
-    t: TargetFunctional,
-    s: SimilarityMeasure,
-    prop: PropensityModel,
-) -> float:
-    """Penalized objective with IPW group CDFs and known propensities.
-
-    The population estimate is the p_Z-weighted mixture of the projected
-    group estimates; it equals the route through `ipw_group_cdf` and
-    `mixture`.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    _require_rule_space(sample, rule)
-    return ipw_kernel(sample, prop).value(rule.probs, lam, t, s)
-
-
-def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-frequency propensity estimates and group frequencies.
-
-    Returns (e_hat, pz_hat): e_hat[i-1, x, z] = |cell(i,x,z)| / |(x,z)| with
-    zero where the (x, z) pair is unobserved, and pz_hat per group level.
-    """
-    counts = sample.cell_counts()
-    pair = counts.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e_hat = np.where(pair > 0, counts / np.maximum(pair, 1), 0.0)
-    pz_hat = np.bincount(sample.zi, minlength=len(sample.space.z_levels)) / sample.n
-    return e_hat, pz_hat
-
-
-def ipw_objective_estimated(
-    sample: TrainingSample,
-    rule: DecisionRule,
-    lam: float,
-    t: TargetFunctional,
-    s: SimilarityMeasure,
-) -> float:
-    """Penalized objective with IPW group CDFs under cell-frequency propensities.
-
-    Each record's IPW mass is its plug-in atom mass, so this is `omega` on
-    the sample's fitted array.  Groups with zero observed frequency are
-    skipped in the penalty max and carry zero weight in the population.
-    """
-    _require_rule_space(sample, rule)
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidLambda(f"lambda must lie in [0, 1], got {lam!r}")
-    return omega(rule, fit_plugin(sample), lam, t, s)

@@ -10,14 +10,15 @@ Similarity measures map pairs of CDFs to [0, inf) and vanish on identical
 pairs: two-sided and one-sided Kolmogorov-Smirnov distances, and the absolute
 difference of a target functional.
 
-Each target is implemented once, on a (grid, cdf-values) pair: the objective
-kernel calls that form on its grid, and the StepCdf form calls it on the
-CDF's own atoms and cumulative masses.  On a grid, Gini-welfare uses the
-identity mean - mad_half = a + integral (1 - F)^2, a single dot product with
-the grid steps (a caller evaluating many CDFs on one grid passes them in);
-`mad_half` and `mad_half_naive` stay as its references.  A similarity
-measure on a grid also takes a stack of CDF rows and returns the largest
-dissimilarity of any row, which is what the objective's penalty needs.
+Each functional is implemented once, on a (grid, cdf-values) pair: the
+objective kernel calls that form on its grid, and the StepCdf form calls it
+on the CDF's own atoms and cumulative masses (a target) or on the union of
+both CDFs' atoms (KS).  On a grid, Gini-welfare uses the identity
+mean - mad_half = a + integral (1 - F)^2, a single dot product with the grid
+steps (a caller evaluating many CDFs on one grid passes them in); `mad_half`
+stays as its reference.  A similarity measure on a grid also takes a stack
+of CDF rows and returns the largest dissimilarity of any row, which is what
+the objective's penalty needs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import StepCdf, ks_distance, one_sided_ks, _require_same_support
+from .distributions import StepCdf, _require_same_support
 
 
 class InvalidTau(ValueError):
@@ -50,12 +51,6 @@ def mad_half(f: StepCdf) -> float:
     m_below = np.cumsum(masses) - masses
     s_below = np.cumsum(masses * points) - masses * points
     return float(np.dot(masses, points * m_below - s_below))
-
-
-def mad_half_naive(f: StepCdf) -> float:
-    """O(n^2) double sum; reference oracle for mad_half."""
-    diff = np.abs(f.points[:, None] - f.points[None, :])
-    return 0.5 * float(f.masses @ diff @ f.masses)
 
 
 def _gini_on_grid(grid: np.ndarray, values: np.ndarray, steps: np.ndarray | None = None) -> float:
@@ -151,12 +146,11 @@ class SimilarityMeasure:
             raise ValueError(f"{self.kind!r} takes no inner functional")
 
     def value(self, f: StepCdf, g: StepCdf) -> float:
-        if self.kind == "ks":
-            return ks_distance(f, g)
-        if self.kind == "one-sided-ks":
-            return one_sided_ks(f, g)
         _require_same_support(f, g)
-        return abs(self.inner.value(f) - self.inner.value(g))
+        if self.kind == "abs-target-diff":
+            return abs(self.inner.value(f) - self.inner.value(g))
+        grid = np.union1d(f.points, g.points)
+        return self.value_on_grid(grid, f.eval_many(grid), g.eval_many(grid))
 
     __call__ = value
 
@@ -191,8 +185,3 @@ class SimilarityMeasure:
         if text.startswith("abs-target-diff:"):
             return cls("abs-target-diff", inner=TargetFunctional.parse(text.split(":", 1)[1]))
         return cls(text)
-
-
-def similarity(s: SimilarityMeasure, f: StepCdf, g: StepCdf) -> float:
-    """Dispatch s on a pair of CDFs with a shared support."""
-    return s.value(f, g)

@@ -15,9 +15,8 @@ marginalized groups.
 
 A conditional-CDF array (`CondCdfArray`) is held as columns: the atoms of
 all K*|X|*|Z| cells in cell order with their masses and cell offsets, and
-the p(x, z) matrix.  `cdf[(i, x, z)]` is a read-only view that builds the
-cell's StepCdf on access, for the reference routes and for callers that
-want one cell.
+the p(x, z) matrix.  `cdf[(i, x, z)]` is a read-only view that builds one
+cell's StepCdf on access.
 
 The objective is evaluated thousands of times per optimizer run, so every
 estimator evaluates it on one atom table (`AtomKernel`); a fitted array
@@ -34,11 +33,8 @@ p_Z-weighted sum of the group rows.
 Plug-in atoms are the cell atoms with mass (cell mass) * p(x | z), so every
 group row ends at 1.  IPW atoms are the records, with mass 1 / (n e p_Z);
 their rows can overshoot or fall short of 1, so each row is projected onto
-the CDFs on [a, b] exactly as `project_mab` does: capped at 1, any residual
-above MASS_TOL put at b, and renormalized.  The projection is a no-op up to
-rounding on plug-in rows.  The mixture construction is kept as
-`implied_cdf`/`implied_cdf_group` and serves as the reference the kernel is
-tested against.
+the CDFs on [a, b]: capped at 1, any residual above MASS_TOL put at b, and
+renormalized.  The projection is a no-op up to rounding on plug-in rows.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import MASS_TOL, StepCdf, SupportInterval, SupportMismatch, mixture
+from .distributions import MASS_TOL, StepCdf, SupportInterval, SupportMismatch
 from .functionals import SimilarityMeasure, TargetFunctional
 
 SIMPLEX_TOL = 1e-9
@@ -63,14 +59,6 @@ class SpaceMismatch(ValueError):
 
 class InvalidLambda(ValueError):
     """Preference parameter outside [0, 1]."""
-
-
-class UnknownGroup(ValueError):
-    """Protected-group label not present in the covariate space."""
-
-
-class ZeroGroupMass(ValueError):
-    """Requested a group CDF for a group with zero probability mass."""
 
 
 class EmptySet(ValueError):
@@ -270,17 +258,8 @@ class CondCdfArray:
     def pxz(self) -> Mapping:
         return MappingProxyType(dict(zip(_pair_keys(self.space), self.pair_mass.ravel().tolist())))
 
-    def p_x(self, x) -> float:
-        return sum(self.pair_mass[self.space.x_index[x]].tolist())
-
     def p_z(self, z) -> float:
         return float(self.group_mass[self.space.z_index[z]])
-
-    def p_x_given_z(self, x, z) -> float:
-        pz = self.p_z(z)
-        if pz == 0.0:
-            return 0.0
-        return self.pxz[(x, z)] / pz
 
     @cached_property
     def kernel(self) -> "AtomKernel":
@@ -374,35 +353,6 @@ class AtomKernel:
 def _require_same_space(rule: DecisionRule, arr: CondCdfArray) -> None:
     if rule.space != arr.space:
         raise SpaceMismatch("rule and array live on different covariate spaces")
-
-
-def implied_cdf(rule: DecisionRule, arr: CondCdfArray) -> StepCdf:
-    """Population outcome CDF of rolling out the rule: mixture with weights
-    delta_i(x) * p(x, z) over all treatment cells."""
-    _require_same_space(rule, arr)
-    comps = []
-    for i in arr.space.treatments:
-        for x in arr.space.x_levels:
-            for z in arr.space.z_levels:
-                w = rule.probs[arr.space.x_index[x], i - 1] * arr.pxz[(x, z)]
-                comps.append((arr.cdf[(i, x, z)], w))
-    return mixture(comps)
-
-
-def implied_cdf_group(rule: DecisionRule, arr: CondCdfArray, z) -> StepCdf:
-    """Outcome CDF within protected group z: weights delta_i(x) * p(x | z)."""
-    _require_same_space(rule, arr)
-    if z not in arr.space.z_index:
-        raise UnknownGroup(f"unknown group {z!r}")
-    pz = arr.p_z(z)
-    if pz <= 0.0:
-        raise ZeroGroupMass(f"group {z!r} has zero mass")
-    comps = []
-    for i in arr.space.treatments:
-        for x in arr.space.x_levels:
-            w = rule.probs[arr.space.x_index[x], i - 1] * arr.pxz[(x, z)] / pz
-            comps.append((arr.cdf[(i, x, z)], w))
-    return mixture(comps)
 
 
 def omega(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -93,11 +93,16 @@ class SimResult:
     config: SimConfig
     rows: tuple[SimRow, ...]
 
+    @cached_property
+    def _cells(self) -> dict:
+        """Rows grouped by (n, mechanism, lambda), each group in row order."""
+        cells = {}
+        for r in self.rows:
+            cells.setdefault((r.n, r.mechanism, r.lam), []).append(r)
+        return cells
+
     def cell_rows(self, n: int, mechanism: str, lam: float) -> list[SimRow]:
-        return [
-            r for r in self.rows
-            if r.n == n and r.mechanism == mechanism and r.lam == lam
-        ]
+        return list(self._cells.get((n, mechanism, lam), ()))
 
     def aggregates(self) -> dict:
         """Per (n, mechanism, lambda): CellAggregates of regret, delta_hat, emp_value."""

@@ -151,9 +151,9 @@ def _discretize(cdf_fn, grid_points: int, support: SupportInterval) -> StepCdf:
 def toy_cond_array(p: float, grid_points: int) -> CondCdfArray:
     """The toy conditional structure with G and H discretized on a uniform grid.
 
-    Atoms sit at k/grid_points with the CDF increment over each cell, so all
-    mixture/objective computations against this array are grid-resolution
-    approximations of the continuous example.
+    Atoms sit at k/grid_points with the CDF increment over each cell, so
+    objectives evaluated on this array are grid-resolution approximations of
+    the continuous example.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -182,14 +182,3 @@ def toy_propensity(p: float, mechanism: str) -> PropensityModel:
         (2, X_LEVEL, Z_MINORITY): float(1.0 - q[1]),
     }
     return PropensityModel(e, {Z_MAJORITY: p, Z_MINORITY: 1.0 - p})
-
-
-def toy_group_cdf_value(delta: float, z, c: float) -> float:
-    """Analytic group CDF at c: delta*G + (1-delta)*H for the majority and the
-    mirror image for the minority."""
-    g, h = toy_cdf_g(c), toy_cdf_h(c)
-    if z == Z_MAJORITY:
-        return delta * g + (1.0 - delta) * h
-    if z == Z_MINORITY:
-        return delta * h + (1.0 - delta) * g
-    raise ValueError(f"unknown group {z!r}")

@@ -9,20 +9,19 @@ from fairpolicy import (
     CondCdfArray,
     CovariateSpace,
     DecisionRule,
-    MonotoneStep,
+    SimilarityMeasure,
     StepCdf,
     SupportInterval,
     TrainingSample,
     d1,
     gini_welfare,
-    ks_distance,
     mean,
-    mixture,
-    project_mab,
     random_rule,
 )
+from oracles import MonotoneStep, mixture, project_mab
 
 UNIT = SupportInterval(0.0, 1.0)
+KS = SimilarityMeasure("ks")
 
 
 def random_step_cdf(rng: np.random.Generator, support=UNIT, max_atoms: int = 8) -> StepCdf:
@@ -111,9 +110,9 @@ def check_ks_metric_axioms(rng: np.random.Generator, trials: int = 50) -> float:
     worst = 0.0
     for _ in range(trials):
         f, g, h = (random_step_cdf(rng) for _ in range(3))
-        worst = max(worst, abs(ks_distance(f, g) - ks_distance(g, f)))
-        worst = max(worst, ks_distance(f, h) - (ks_distance(f, g) + ks_distance(g, h)))
-        worst = max(worst, -ks_distance(f, g))
+        worst = max(worst, abs(KS(f, g) - KS(g, f)))
+        worst = max(worst, KS(f, h) - (KS(f, g) + KS(g, h)))
+        worst = max(worst, -KS(f, g))
     return worst
 
 
@@ -135,7 +134,7 @@ def check_lipschitz_audit(rng: np.random.Generator, pairs: int = 500) -> tuple[f
     worst_mean = -np.inf
     for _ in range(pairs):
         f, g = random_step_cdf(rng), random_step_cdf(rng)
-        ks = ks_distance(f, g)
+        ks = KS(f, g)
         worst_gini = max(worst_gini, abs(gini_welfare(f) - gini_welfare(g)) - ks)
         worst_mean = max(worst_mean, abs(mean(f) - mean(g)) - ks)
     return worst_gini, worst_mean

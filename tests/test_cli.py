@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import random
@@ -29,11 +30,13 @@ from fairpolicy.cli import (
     EXIT_OPTIMIZER,
     EXIT_PARSE,
     EXIT_SCHEMA,
+    EXIT_SELFTEST,
     ParseError,
     SchemaError,
     _write_json,
     fitted_array_payload,
     main,
+    oracle_check,
     read_sample_csv,
     write_sample_csv,
 )
@@ -747,9 +750,12 @@ class TestOracleCheck:
         assert "[ok]" in err and "[FAIL]" not in err
 
     def test_perturbed_constant_fails(self, capsys):
-        rc = main(["oracle-check", "--grid-points", "800", "--self-test-perturb", "0.2"])
-        assert rc == 1
-        assert "[FAIL]" in capsys.readouterr().err
+        stream = io.StringIO()
+        assert oracle_check(grid_points=800, perturb=0.2, stream=stream) == EXIT_SELFTEST
+        assert "[FAIL] objective agreement on 21x5 grid" in stream.getvalue()
+        with pytest.raises(SystemExit):  # the perturbation is not a command-line flag
+            main(["oracle-check", "--self-test-perturb", "0.2"])
+        assert "unrecognized arguments: --self-test-perturb" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("flags", [["--grid-points", "0"], ["--p", "2"], ["--p", "0"]])

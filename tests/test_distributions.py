@@ -3,20 +3,17 @@ import pytest
 
 from fairpolicy import (
     EmptySample,
-    MonotoneStep,
     OutOfSupport,
+    SimilarityMeasure,
     StepCdf,
     SupportInterval,
     SupportMismatch,
     WeightMismatch,
-    ks_distance,
-    mixture,
-    one_sided_ks,
     point_mass,
-    project_mab,
     step_cdf_from_samples,
 )
 from helpers import (
+    KS,
     UNIT,
     check_ks_metric_axioms,
     check_mixture_linearity,
@@ -25,6 +22,9 @@ from helpers import (
     random_monotone_step,
     random_step_cdf,
 )
+from oracles import MonotoneStep, mixture, project_mab
+
+ONE_SIDED = SimilarityMeasure("one-sided-ks")
 
 
 def test_support_interval_requires_a_lt_b():
@@ -158,36 +158,36 @@ class TestKsDistances:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(5)
         f = random_step_cdf(rng)
-        assert ks_distance(f, f) == 0.0
-        assert one_sided_ks(f, f) == 0.0
+        assert KS(f, f) == 0.0
+        assert ONE_SIDED(f, f) == 0.0
 
     def test_extreme_point_masses(self):
-        assert ks_distance(point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
+        assert KS(point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
 
     def test_against_dense_grid_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             f = random_step_cdf(rng, max_atoms=5)
             g = random_step_cdf(rng, max_atoms=5)
-            assert abs(ks_distance(f, g) - dense_grid_sup(f, g)) < 1e-12
-            assert abs(one_sided_ks(f, g) - max(dense_grid_sup(f, g, signed=True), 0.0)) < 1e-12
+            assert abs(KS(f, g) - dense_grid_sup(f, g)) < 1e-12
+            assert abs(ONE_SIDED(f, g) - max(dense_grid_sup(f, g, signed=True), 0.0)) < 1e-12
 
     def test_one_sided_vanishes_when_dominated(self):
         # F below G pointwise (F stochastically larger) has no positive part
         f = point_mass(0.9, UNIT)
         g = point_mass(0.1, UNIT)
-        assert one_sided_ks(f, g) == 0.0
-        assert one_sided_ks(g, f) == 1.0
+        assert ONE_SIDED(f, g) == 0.0
+        assert ONE_SIDED(g, f) == 1.0
 
     def test_one_sided_max_identity(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             f, g = random_step_cdf(rng), random_step_cdf(rng)
-            assert abs(max(one_sided_ks(f, g), one_sided_ks(g, f)) - ks_distance(f, g)) < 1e-15
+            assert abs(max(ONE_SIDED(f, g), ONE_SIDED(g, f)) - KS(f, g)) < 1e-15
 
     def test_support_mismatch(self):
         with pytest.raises(SupportMismatch):
-            ks_distance(point_mass(0.5, UNIT), point_mass(0.5, SupportInterval(0.0, 2.0)))
+            KS(point_mass(0.5, UNIT), point_mass(0.5, SupportInterval(0.0, 2.0)))
 
     def test_metric_axioms(self):
         assert check_ks_metric_axioms(np.random.default_rng(19)) <= 1e-12
@@ -200,7 +200,7 @@ class TestProjectMab:
             f = random_step_cdf(rng)
             back = project_mab(MonotoneStep(UNIT, f.points, f.masses))
             assert np.array_equal(back.points, f.points)
-            assert ks_distance(back, f) < 1e-12
+            assert KS(back, f) < 1e-12
 
     def test_zero_function_becomes_point_mass_at_b(self):
         g = MonotoneStep(UNIT, [], [])
@@ -239,6 +239,6 @@ def test_dkwm_convergence_of_empirical_cdf():
     hits = 0
     for _ in range(200):
         f = step_cdf_from_samples(truth.sample(n, rng), UNIT)
-        if ks_distance(f, truth) < bound:
+        if KS(f, truth) < bound:
             hits += 1
     assert hits >= 190

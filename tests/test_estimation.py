@@ -13,23 +13,24 @@ from fairpolicy import (
     TrainingSample,
     ZeroPropensity,
     empirical_pz,
-    estimated_propensities,
     fit_plugin,
     gini_welfare,
-    implied_cdf,
-    ipw_group_cdf,
-    ipw_group_raw,
-    ipw_objective,
-    ipw_objective_estimated,
-    ks_distance,
-    mixture,
     omega,
     step_cdf_from_samples,
     toy_propensity,
     toy_sample,
 )
-from fairpolicy.toy import toy_group_cdf_value
+from fairpolicy.estimation import ipw_kernel
 from helpers import UNIT, random_training_sample
+from oracles import (
+    estimated_propensities,
+    implied_cdf,
+    ipw_group_cdf,
+    ipw_group_raw,
+    ks_distance,
+    mixture,
+    toy_group_cdf_value,
+)
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
@@ -253,6 +254,8 @@ class TestIpwGroupCdf:
         rule = DecisionRule.uniform(space)
         with pytest.raises(ZeroPropensity):
             ipw_group_raw(sample, rule, "z0", prop)
+        with pytest.raises(ZeroPropensity):
+            ipw_kernel(sample, prop)
 
 
 class TestIpwObjective:
@@ -263,7 +266,7 @@ class TestIpwObjective:
         rule = DecisionRule(sample.space, np.array([[0.3, 0.7]]))
         groups = {z: ipw_group_cdf(sample, rule, z, prop) for z in ("0", "1")}
         pop = mixture([(groups["0"], p), (groups["1"], 1 - p)])
-        got = ipw_objective(sample, rule, 0.0, GINI, KS, prop)
+        got = ipw_kernel(sample, prop).value(rule.probs, 0.0, GINI, KS)
         assert abs(got - gini_welfare(pop)) < 1e-12
 
     def test_identical_group_estimates_no_penalty(self):
@@ -274,7 +277,7 @@ class TestIpwObjective:
         )
         prop = uniform_prop(space)
         rule = DecisionRule(space, np.array([[1.0, 0.0]]))
-        val = ipw_objective(sample, rule, 1.0, GINI, KS, prop)
+        val = ipw_kernel(sample, prop).value(rule.probs, 1.0, GINI, KS)
         assert val == 0.0
 
     def test_agreement_with_plugin_at_desk_scale(self):
@@ -284,7 +287,7 @@ class TestIpwObjective:
         prop = toy_propensity(p, "A1")
         for delta in np.linspace(0, 1, 5):
             rule = DecisionRule(sample.space, np.array([[delta, 1 - delta]]))
-            a = ipw_objective(sample, rule, 0.3, GINI, KS, prop)
+            a = ipw_kernel(sample, prop).value(rule.probs, 0.3, GINI, KS)
             b = omega(rule, arr, 0.3, GINI, KS)
             assert abs(a - b) < 0.05
 
@@ -307,8 +310,8 @@ class TestIpwObjectiveEstimated:
         prop = toy_propensity(p, "A1")
         for delta in (0.0, 0.5, 1.0):
             rule = DecisionRule(sample.space, np.array([[delta, 1 - delta]]))
-            a = ipw_objective(sample, rule, 0.3, GINI, KS, prop)
-            b = ipw_objective_estimated(sample, rule, 0.3, GINI, KS)
+            a = ipw_kernel(sample, prop).value(rule.probs, 0.3, GINI, KS)
+            b = omega(rule, fit_plugin(sample), 0.3, GINI, KS)
             assert abs(a - b) < 0.05
 
     def test_single_record_sample_finite(self):
@@ -317,4 +320,4 @@ class TestIpwObjectiveEstimated:
         e_hat, pz_hat = estimated_propensities(sample)
         assert e_hat[0, 0, 0] == 1.0
         rule = DecisionRule.uniform(space)
-        assert np.isfinite(ipw_objective_estimated(sample, rule, 0.5, GINI, KS))
+        assert np.isfinite(omega(rule, fit_plugin(sample), 0.5, GINI, KS))

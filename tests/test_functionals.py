@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairpolicy import (
     InvalidTau,
@@ -8,16 +9,14 @@ from fairpolicy import (
     SupportInterval,
     TargetFunctional,
     gini_welfare,
-    ks_distance,
     mad_half,
     mean,
     point_mass,
     quantile,
-    similarity,
     step_cdf_from_samples,
 )
-from fairpolicy.functionals import mad_half_naive
 from helpers import UNIT, check_lipschitz_audit, random_step_cdf
+from oracles import ks_distance, mad_half_naive, one_sided_ks
 
 
 @pytest.fixture(scope="module")
@@ -112,23 +111,23 @@ class TestSimilarity:
     )
     def test_zero_on_identical(self, s):
         f = random_step_cdf(np.random.default_rng(3))
-        assert similarity(s, f, f) == 0.0
+        assert s.value(f, f) == 0.0
 
     def test_ks_extremes(self):
         s = SimilarityMeasure("ks")
-        assert similarity(s, point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
+        assert s.value(point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
 
     def test_abs_target_diff_on_gini_values(self, g_sample, h_sample):
         s = SimilarityMeasure("abs-target-diff", inner=TargetFunctional("gini-welfare"))
-        assert abs(similarity(s, g_sample, h_sample) - abs(1 / 12 - 4 / 15)) < 0.02
+        assert abs(s.value(g_sample, h_sample) - abs(1 / 12 - 4 / 15)) < 0.02
 
     def test_nonnegative_and_ks_symmetric(self):
         rng = np.random.default_rng(31)
         ks = SimilarityMeasure("ks")
         for _ in range(50):
             f, g = random_step_cdf(rng), random_step_cdf(rng)
-            assert similarity(ks, f, g) >= 0.0
-            assert similarity(ks, f, g) == similarity(ks, g, f)
+            assert ks.value(f, g) >= 0.0
+            assert ks.value(f, g) == ks.value(g, f)
 
     def test_requires_inner_functional(self):
         with pytest.raises(ValueError):
@@ -183,3 +182,31 @@ class TestGridEvaluationAgreement:
             vf, vg = f.eval_many(grid), g.eval_many(grid)
             for s in measures:
                 assert abs(s.value(f, g) - s.value_on_grid(grid, vf, vg)) < 1e-12
+
+
+# Atoms drawn from a small pool tie across the two CDFs often; free floats
+# add breakpoints that only one of them has.
+_atom_points = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def step_cdfs(draw):
+    k = draw(st.integers(1, 6))
+    points = draw(st.lists(_atom_points, min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return StepCdf(UNIT, points, weights / weights.sum())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(step_cdfs(), step_cdfs(), st.booleans())
+def test_ks_on_step_cdfs_is_the_grid_route_bitwise(f, g, share):
+    """SimilarityMeasure.value for the KS kinds evaluates on the union of both
+    atom sets through value_on_grid; it equals the oracles' breakpoint and
+    left-limit computation bit for bit, also on shared atoms and point masses."""
+    if share:  # the even mixture of f and g: every atom of f is one of g's
+        g = StepCdf(UNIT, np.concatenate([f.points, g.points]),
+                    np.concatenate([f.masses, g.masses]) / 2.0)
+    for kind, oracle in (("ks", ks_distance), ("one-sided-ks", one_sided_ks)):
+        s = SimilarityMeasure(kind)
+        for a, b in ((f, g), (g, f), (f, f)):
+            assert s.value(a, b).hex() == oracle(a, b).hex()

@@ -1,9 +1,9 @@
 """Property tests: the atom kernel against the mixture and projection routes.
 
 Every objective evaluation goes through one atom table.  These tests rebuild
-each objective from `implied_cdf`/`implied_cdf_group`, `project_mab` and
-`mixture` on StepCdfs (exact KS over merged breakpoints, targets on atoms)
-and require agreement to 1e-12, including the edge cases the kernel must
+each objective from the oracles' `implied_cdf_group`, `project_mab` and
+`mixture` on StepCdfs (exact KS over merged breakpoints and left limits,
+targets on atoms) and require agreement to 1e-12, including the edge cases the kernel must
 handle: empty cells, zero-mass groups, single-record samples and IPW
 estimates that overshoot or fall short of 1.
 """
@@ -18,25 +18,27 @@ from fairpolicy import (
     CondCdfArray,
     CovariateSpace,
     DecisionRule,
-    MonotoneStep,
     PropensityModel,
     SimilarityMeasure,
     SupportInterval,
     TargetFunctional,
     TrainingSample,
-    estimated_propensities,
     fit_plugin,
+    omega,
+    random_rule,
+)
+from fairpolicy.estimation import ipw_kernel
+from helpers import UNIT, random_cond_array, random_training_sample
+from oracles import (
+    MonotoneStep,
+    estimated_propensities,
     implied_cdf_group,
     ipw_group_cdf,
     ipw_group_raw,
-    ipw_objective,
-    ipw_objective_estimated,
     mixture,
-    omega,
     project_mab,
-    random_rule,
+    similarity_value,
 )
-from helpers import UNIT, random_cond_array, random_training_sample
 
 TOL = 1e-12
 # tau is irrational-looking so that no CDF value ties it exactly
@@ -59,7 +61,7 @@ kernel_settings = settings(max_examples=60, deadline=None, derandomize=True)
 def reference(lam, t, s, groups, weights):
     """(1 - lam) T(pop) - lam max_z S(group_z, pop) on StepCdfs."""
     pop = mixture(list(zip(groups, weights)))
-    penalty = max(s.value(g, pop) for g in groups)
+    penalty = max(similarity_value(s, g, pop) for g in groups)
     return (1.0 - lam) * t.value(pop) - lam * penalty
 
 
@@ -127,7 +129,7 @@ def test_ipw_known_matches_projection_route(seed, lam, t, s, support, mode):
     groups = [ipw_group_cdf(sample, rule, z, prop) for z in zs]
     weights = np.array([prop.pz[z] for z in zs])
     want = reference(lam, t, s, groups, weights / weights.sum())
-    assert abs(ipw_objective(sample, rule, lam, t, s, prop) - want) < TOL
+    assert abs(ipw_kernel(sample, prop).value(rule.probs, lam, t, s) - want) < TOL
 
 
 @kernel_settings
@@ -145,9 +147,8 @@ def test_ipw_estimated_matches_projection_and_plugin(seed, lam, t, s, support, m
         increments = rule.probs[sample.xi[mask], sample.d[mask] - 1] * base[mask]
         groups.append(project_mab(MonotoneStep(sample.support, sample.ys[mask], increments)))
         weights.append(pz_hat[j])
-    got = ipw_objective_estimated(sample, rule, lam, t, s)
+    got = omega(rule, fit_plugin(sample), lam, t, s)
     assert abs(got - reference(lam, t, s, groups, weights)) < TOL
-    assert abs(got - omega(rule, fit_plugin(sample), lam, t, s)) < TOL
 
 
 def test_ipw_overshoot_and_empty_group_hand_computed():
@@ -159,8 +160,8 @@ def test_ipw_overshoot_and_empty_group_hand_computed():
                            {"z0": 0.5, "z1": 0.5})
     rule = DecisionRule.singleton(space, 1)
     mean, ks = TargetFunctional("mean"), SIMILARITIES[0]
-    assert ipw_objective(sample, rule, 0.0, mean, ks, prop) == 0.625
-    assert ipw_objective(sample, rule, 1.0, mean, ks, prop) == -0.5
+    assert ipw_kernel(sample, prop).value(rule.probs, 0.0, mean, ks) == 0.625
+    assert ipw_kernel(sample, prop).value(rule.probs, 1.0, mean, ks) == -0.5
 
 
 def test_ipw_total_within_mass_tol_is_renormalized():
@@ -179,7 +180,8 @@ def test_ipw_total_within_mass_tol_is_renormalized():
     groups = [ipw_group_cdf(sample, rule, z, prop) for z in ("z0", "z1")]
     for lam in (0.0, 1.0):
         want = reference(lam, mean, SIMILARITIES[0], groups, [0.5, 0.5])
-        assert abs(ipw_objective(sample, rule, lam, mean, SIMILARITIES[0], prop) - want) < TOL
+        got = ipw_kernel(sample, prop).value(rule.probs, lam, mean, SIMILARITIES[0])
+        assert abs(got - want) < TOL
 
 
 def test_ipw_models_sharing_a_sample_keep_their_own_values():
@@ -197,7 +199,7 @@ def test_ipw_models_sharing_a_sample_keep_their_own_values():
         wants.append(reference(0.37, t, s, groups, weights / weights.sum()))
     assert abs(wants[0] - wants[1]) > 1e-6
     for prop, want in [*zip(props, wants)] * 2:
-        assert abs(ipw_objective(sample, rule, 0.37, t, s, prop) - want) < TOL
+        assert abs(ipw_kernel(sample, prop).value(rule.probs, 0.37, t, s) - want) < TOL
     first = weakref.ref(props[0])
     del props[0]
     gc.collect()

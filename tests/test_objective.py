@@ -11,15 +11,9 @@ from fairpolicy import (
     SpaceMismatch,
     StepCdf,
     TargetFunctional,
-    UnknownGroup,
-    ZeroGroupMass,
     d1,
     d1_to_set,
     gini_welfare,
-    implied_cdf,
-    implied_cdf_group,
-    ks_distance,
-    mixture,
     omega,
     point_mass,
     random_rule,
@@ -28,6 +22,14 @@ from fairpolicy import (
     ToyParams,
 )
 from helpers import UNIT, check_d1_triangle, random_cond_array, random_space, random_step_cdf
+from oracles import (
+    UnknownGroup,
+    ZeroGroupMass,
+    implied_cdf,
+    implied_cdf_group,
+    ks_distance,
+    mixture,
+)
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")

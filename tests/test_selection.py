@@ -18,8 +18,6 @@ from fairpolicy import (
     budget_slack,
     delta_n,
     fit_plugin,
-    implied_cdf,
-    implied_cdf_group,
     interpolate_linear,
     interpolate_value,
     lip_m,
@@ -30,6 +28,7 @@ from fairpolicy import (
     toy_sample,
 )
 from fairpolicy.toy import toy_space
+from oracles import implied_cdf, implied_cdf_group, ks_distance
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
@@ -105,7 +104,7 @@ class TestSweep:
             assert e.target_value == pytest.approx(GINI.value(pop), abs=1e-9)
             for z, u in e.unfairness.items():
                 assert u == pytest.approx(
-                    KS.value(implied_cdf_group(e.rule, arr, z), pop), abs=1e-9
+                    ks_distance(implied_cdf_group(e.rule, arr, z), pop), abs=1e-9
                 )
             assert e.max_unfairness == max(e.unfairness.values())
 

@@ -8,7 +8,6 @@ from fairpolicy import (
     ToyParams,
     fit_plugin,
     gini_welfare,
-    ks_distance,
     omega,
     toy_argmax,
     toy_cdf_g,
@@ -171,7 +170,7 @@ class TestCondArray:
 
     def test_ks_between_discretized_g_and_h(self):
         arr = toy_cond_array(P, 2000)
-        got = ks_distance(arr.cdf[(1, "0", "0")], arr.cdf[(2, "0", "0")])
+        got = KS.value(arr.cdf[(1, "0", "0")], arr.cdf[(2, "0", "0")])
         ys = np.linspace(0, 1, 200001)
         analytic = float((np.sqrt(ys) - ys**2).max())
         assert abs(got - analytic) < 0.002
