@@ -5,8 +5,11 @@ CSV with header ``y,x,z,d`` (outcome, covariate label, protected group label,
 1-based treatment index).  x and z are strings mapped to ordered levels by
 first appearance; K defaults to the largest observed treatment index.  The
 support [a, b] defaults to [0, 1]; ``--rescale`` min-max rescales outcomes to
-[0, 1] instead.  The sample is read in one streaming pass into typed
-columns; the parsed rows are never held.
+[0, 1] instead.  The sample (UTF-8, a leading byte-order mark skipped) is
+read into typed columns a block of text at a time: plain lines are split
+into columns by string operations and converted in bulk, other lines go
+row by row through csv.reader (see `_read_columns`); the parsed rows are
+never held.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
 across runs with the same seed.  JSON is formatted here, not by json's
@@ -70,6 +73,8 @@ EXIT_CONFIG = 5
 
 SAMPLE_HEADER = ["y", "x", "z", "d"]
 INT64_MAX = 2**63 - 1
+BLOCK_CHARS = 16384  # sample text read per block
+_NOT_COMMA_OR_NL = bytes(c for c in range(256) if c not in b",\n")
 
 
 class ParseError(Exception):
@@ -87,55 +92,137 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # sample CSV
 
+def _lines(text: str, fh):
+    """text, then the rest of fh, cut into lines as iterating the file cuts them."""
+    while text.endswith("\r"):  # a "\r\n" may straddle the end of text
+        more = fh.read(1)
+        if not more:
+            break
+        text += more
+    if not text.endswith(("\n", "\r")):
+        text += fh.readline()
+    yield from io.StringIO(text, newline="")
+    yield from fh
+
+
+def _read_columns(path: str, by_block: bool):
+    """Typed columns of the sample's data rows: ys, xs, zs, ds, the x and z
+    code dicts, the CSV row numbers of blank rows, and {data row: d} for each
+    d beyond int64 (stored as INT64_MAX, reported after the outcome checks).
+
+    With by_block, text blocks of BLOCK_CHARS characters are cut at their last
+    newline.  A plain block (no quote or carriage return, three commas on
+    every line) is converted column by column; any other, or one holding a
+    value the bulk conversion rejects, goes through `add_rows`.  From the
+    first quote or carriage return csv.reader reads the rest of the file,
+    since a quoted field may span lines.  Without by_block it reads all rows.
+    """
+    ys, xs, zs, ds = array("d"), array("q"), array("q"), array("q")
+    x_codes, z_codes = {}, {}
+    blanks = []  # CSV row numbers of skipped blank rows, ascending
+    huge = {}  # data row -> treatment index beyond int64
+
+    def add_rows(rows, first: int) -> int:
+        """Append parsed CSV rows numbered from first; return the next row number."""
+        idx = first - 1
+        for idx, row in enumerate(rows, start=first):
+            if not row:
+                blanks.append(idx)
+                continue
+            if len(row) != 4:
+                raise ParseError(f"{path}: row {idx}: expected 4 fields, got {len(row)}")
+            y_text, x, z, d_text = row
+            try:
+                y = float(y_text)
+            except ValueError:
+                raise ParseError(f"{path}: row {idx}: cannot parse y={y_text!r}") from None
+            try:
+                d = int(d_text)
+            except ValueError:
+                raise ParseError(f"{path}: row {idx}: cannot parse d={d_text!r}") from None
+            if d < 1:
+                raise SchemaError(f"{path}: row {idx}: treatment index {d} must be >= 1")
+            try:
+                ds.append(d)
+            except OverflowError:  # reported after the outcome checks, with d > K
+                huge[len(ys)] = d
+                ds.append(INT64_MAX)
+            ys.append(y)
+            xs.append(x_codes.setdefault(x, len(x_codes)))
+            zs.append(z_codes.setdefault(z, len(z_codes)))
+        return idx + 1
+
+    def add_block(block: str, rows: int) -> bool:
+        """Append a plain block's rows column by column; False leaves it unread."""
+        # a longer block may hold a field csv.reader rejects as too large;
+        # without its other characters a plain block is ",,,\n" per line
+        if (len(block) > csv.field_size_limit()
+                or block.encode().translate(None, _NOT_COMMA_OR_NL)
+                != b",,,\n" * (rows - 1) + b",,,"):
+            return False
+        fields = block.replace("\n", ",").split(",")
+        d_text = fields[3::4]
+        try:
+            y_col = list(map(float, fields[0::4]))
+            d_of = {text: int(text) for text in dict.fromkeys(d_text)}
+        except ValueError:
+            return False
+        if min(d_of.values()) < 1 or max(d_of.values()) > INT64_MAX:
+            return False
+        ys.fromlist(y_col)
+        ds.fromlist(list(map(d_of.__getitem__, d_text)))
+        for col, codes, out in ((fields[1::4], x_codes, xs), (fields[2::4], z_codes, zs)):
+            for label in dict.fromkeys(col):
+                codes.setdefault(label, len(codes))
+            out.fromlist(list(map(codes.__getitem__, col)))
+        return True
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        if [c.strip() for c in header] != SAMPLE_HEADER:
+            raise ParseError(f"{path}: row 1: header must be {','.join(SAMPLE_HEADER)}")
+        idx, tail = 2, ""
+        if not by_block:
+            add_rows(csv.reader(fh), idx)  # to the end of the file: no block follows
+        while text := tail + (chunk := fh.read(BLOCK_CHARS)):
+            if '"' in text or "\r" in text:
+                add_rows(csv.reader(_lines(text, fh)), idx)
+                break
+            cut = text.rfind("\n") if chunk else len(text)
+            if cut < 0:
+                tail = text
+                continue
+            block, tail = text[:cut], text[cut + 1:]
+            rows = block.count("\n") + 1
+            if not add_block(block, rows):
+                add_rows(csv.reader(block.split("\n")), idx)
+            idx += rows
+    return ys, xs, zs, ds, x_codes, z_codes, blanks, huge
+
+
 def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
                     x_levels=None, z_levels=None, drop_empty_x: bool = False,
                     rescale: bool = False) -> TrainingSample:
     """Load a training sample, mapping labels to levels by first appearance.
 
-    One streaming pass keeps typed columns only (outcomes, first-appearance
-    codes of x and z, treatment indices), never the rows.
+    A leading UTF-8 byte-order mark is skipped.  A file the block reader
+    fails on is read again row by row, so the error reported does not depend
+    on the block size.  (The row reader decodes the file 8 KiB at a time: a
+    row error wins over a decode error when the row ends before the 8 KiB
+    that holds the bad byte.)
     """
-    ys, xs, zs, ds = array("d"), array("q"), array("q"), array("q")
-    x_codes, z_codes = {}, {}
-    blanks = []  # CSV row numbers of skipped blank rows, ascending
-    huge = {}  # data row -> treatment index beyond int64 (stored as INT64_MAX)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            if [c.strip() for c in header] != SAMPLE_HEADER:
-                raise ParseError(f"{path}: row 1: header must be {','.join(SAMPLE_HEADER)}")
-            for idx, row in enumerate(reader, start=2):
-                if not row:
-                    blanks.append(idx)
-                    continue
-                if len(row) != 4:
-                    raise ParseError(f"{path}: row {idx}: expected 4 fields, got {len(row)}")
-                y_text, x, z, d_text = row
-                try:
-                    y = float(y_text)
-                except ValueError:
-                    raise ParseError(f"{path}: row {idx}: cannot parse y={y_text!r}") from None
-                try:
-                    d = int(d_text)
-                except ValueError:
-                    raise ParseError(f"{path}: row {idx}: cannot parse d={d_text!r}") from None
-                if d < 1:
-                    raise SchemaError(f"{path}: row {idx}: treatment index {d} must be >= 1")
-                try:
-                    ds.append(d)
-                except OverflowError:  # reported after the outcome checks, with d > K
-                    huge[len(ys)] = d
-                    ds.append(INT64_MAX)
-                ys.append(y)
-                xs.append(x_codes.setdefault(x, len(x_codes)))
-                zs.append(z_codes.setdefault(z, len(z_codes)))
+        try:
+            columns = _read_columns(path, by_block=True)
+        except (ParseError, SchemaError, UnicodeDecodeError, csv.Error):
+            columns = _read_columns(path, by_block=False)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    ys, xs, zs, ds, x_codes, z_codes, blanks, huge = columns
     if not ys:
         raise SchemaError(f"{path}: no data rows")
 
@@ -202,16 +289,6 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         k_eff,
     )
     return TrainingSample(space, support, y_arr, xi, zi, d_arr)
-
-
-def write_sample_csv(path: str, sample: TrainingSample) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SAMPLE_HEADER)
-    xl, zl = sample.space.x_levels, sample.space.z_levels
-    for y, xi, zi, d in zip(sample.ys, sample.xi, sample.zi, sample.d):
-        writer.writerow([repr(float(y)), xl[xi], zl[zi], int(d)])
-    _atomic_write(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,11 @@ class AtomKernel:
     """
 
     def __init__(self, support: SupportInterval, ys, z, slot, mass, pz):
-        self.grid = np.unique(np.append(ys, support.b))
+        # np.unique's sort-and-mask route, without its np.ma check, which
+        # imports numpy.ma; ties such as 0.0 and -0.0 keep the same survivor
+        grid = np.append(ys, support.b)
+        grid.sort()
+        self.grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         self.steps = np.diff(self.grid)
         self.pz = np.asarray(pz, dtype=float)
         self.shape = (self.pz.size, self.grid.size)

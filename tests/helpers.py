@@ -3,6 +3,8 @@ acceptance suite's property-bundle criterion."""
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from fairpolicy import (
@@ -77,6 +79,16 @@ def random_training_sample(rng: np.random.Generator, n: int | None = None,
         rng.integers(1, space.k + 1, n),
     )
 
+
+
+def write_sample_csv(path: str, sample: TrainingSample) -> None:
+    """Write a sample as the CLI reads it: header y,x,z,d, y by repr, LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["y", "x", "z", "d"])
+        xl, zl = sample.space.x_levels, sample.space.z_levels
+        for y, xi, zi, d in zip(sample.ys, sample.xi, sample.zi, sample.d):
+            writer.writerow([repr(float(y)), xl[xi], zl[zi], int(d)])
 
 def dense_grid_sup(f: StepCdf, g: StepCdf, signed: bool = False) -> float:
     """Brute-force sup over merged atoms plus midpoints (the KS oracle)."""

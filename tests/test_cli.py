@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from array import array
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairpolicy
+import fairpolicy.cli as cli
 from fairpolicy import (
     CovariateSpace,
     SupportInterval,
@@ -38,8 +40,8 @@ from fairpolicy.cli import (
     main,
     oracle_check,
     read_sample_csv,
-    write_sample_csv,
 )
+from helpers import write_sample_csv
 
 UNIT = SupportInterval(0.0, 1.0)
 
@@ -154,6 +156,52 @@ def assert_same_sample(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+# read_sample_csv's error cases.  A lone row is appended to a header, a
+# valid row and a blank row 3, so it is row 4; a text starting with the
+# header or a blank line is used as it is (see write_error_case).
+ERROR_CASES = [
+    ("", {}, ParseError, "empty file"),
+    ("\ny,x,z,d\n0.5,a,u,1\n", {}, ParseError, "row 1: header must be y,x,z,d"),
+    ("0.5,a,u", {}, ParseError, "row 4: expected 4 fields, got 3"),
+    ("zz,a,u,1", {}, ParseError, "row 4: cannot parse y='zz'"),
+    ("0.5,a,u,1.0", {}, ParseError, "row 4: cannot parse d='1.0'"),
+    ("0.5,a,u,0", {}, SchemaError, "row 4: treatment index 0 must be >= 1"),
+    ("y,x,z,d\n\n\n", {}, SchemaError, "no data rows"),
+    ("nan,a,u,1", {}, SchemaError, "row 4: y=nan is not finite"),
+    ("0.5,a,u,2", {"rescale": True}, SchemaError,
+     "cannot rescale a constant outcome column"),
+    ("1.5,a,u,1", {}, SchemaError, "row 4: y=1.5 outside support [0.0, 1.0]"),
+    ("0.5,a,u,3", {"k": 2}, SchemaError, "row 4: treatment index 3 exceeds K=2"),
+    ("0.5,b,u,1", {"x_levels": ["a"]}, SchemaError, "row 4: unknown x level 'b'"),
+    ("0.5,a,v,1", {"z_levels": ["u"]}, SchemaError, "row 4: unknown z level 'v'"),
+    ("y,x,z,d\n\n0.5,a,u,1\n", {"x_levels": ["ghost"], "drop_empty_x": True},
+     SchemaError, "row 3: unknown x level 'a'"),
+    # precedence: the first failing check wins, whatever its row
+    ("y,x,z,d\n1.5,a,u,1\n\n0.5,a,u\n", {}, ParseError,
+     "row 4: expected 4 fields, got 3"),
+    ("y,x,z,d\n1.5,a,u,1\n\nnan,a,u,1\n", {}, SchemaError, "row 4: y=nan is not finite"),
+    ("y,x,z,d\n0.5,a,u,3\n\n1.5,a,u,1\n", {"k": 2}, SchemaError,
+     "row 4: y=1.5 outside support [0.0, 1.0]"),
+    ("y,x,z,d\n0.5,b,u,1\n\n0.5,a,u,3\n", {"k": 2, "x_levels": ["a"]}, SchemaError,
+     "row 4: treatment index 3 exceeds K=2"),
+    ("y,x,z,d\n0.5,a,w,1\n\n0.5,b,u,1\n", {"x_levels": ["a"], "z_levels": ["u"]},
+     SchemaError, "row 4: unknown x level 'b'"),
+    ("y,x,z,d\n\n0.5,a,u,1\n\n\n1.5,a,u,1\n", {}, SchemaError,
+     "row 6: y=1.5 outside support [0.0, 1.0]"),
+    # a short row and a long one that hold four fields per row between them
+    ("y,x,z,d\n0.5,a,1\n2,0.5,a,u,1\n", {}, ParseError, "row 2: expected 4 fields, got 3"),
+    ("y,x,z,d\n0.5,a,u,1,2\n0.5,a,1\n", {}, ParseError, "row 2: expected 4 fields, got 5"),
+]
+
+
+
+def write_error_case(path, text):
+    if text and not text.startswith(("y,", "\n")):
+        text = f"y,x,z,d\n0.5,a,u,1\n\n{text}\n"
+    path.write_text(text)
+    return path
+
+
 class TestStreamingIngest:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_list_of_rows_reference(self, tmp_path, seed):
@@ -176,44 +224,9 @@ class TestStreamingIngest:
         assert_same_sample(read_sample_csv(path, UNIT, **options),
                            reference_read(path, UNIT, **options))
 
-    # A lone row is appended to a header, a valid row and a blank row 3, so
-    # it is row 4; a text starting with the header or a blank line is used
-    # as it is.
-    @pytest.mark.parametrize("text, options, error, message", [
-        ("", {}, ParseError, "empty file"),
-        ("\ny,x,z,d\n0.5,a,u,1\n", {}, ParseError, "row 1: header must be y,x,z,d"),
-        ("0.5,a,u", {}, ParseError, "row 4: expected 4 fields, got 3"),
-        ("zz,a,u,1", {}, ParseError, "row 4: cannot parse y='zz'"),
-        ("0.5,a,u,1.0", {}, ParseError, "row 4: cannot parse d='1.0'"),
-        ("0.5,a,u,0", {}, SchemaError, "row 4: treatment index 0 must be >= 1"),
-        ("y,x,z,d\n\n\n", {}, SchemaError, "no data rows"),
-        ("nan,a,u,1", {}, SchemaError, "row 4: y=nan is not finite"),
-        ("0.5,a,u,2", {"rescale": True}, SchemaError,
-         "cannot rescale a constant outcome column"),
-        ("1.5,a,u,1", {}, SchemaError, "row 4: y=1.5 outside support [0.0, 1.0]"),
-        ("0.5,a,u,3", {"k": 2}, SchemaError, "row 4: treatment index 3 exceeds K=2"),
-        ("0.5,b,u,1", {"x_levels": ["a"]}, SchemaError, "row 4: unknown x level 'b'"),
-        ("0.5,a,v,1", {"z_levels": ["u"]}, SchemaError, "row 4: unknown z level 'v'"),
-        ("y,x,z,d\n\n0.5,a,u,1\n", {"x_levels": ["ghost"], "drop_empty_x": True},
-         SchemaError, "row 3: unknown x level 'a'"),
-        # precedence: the first failing check wins, whatever its row
-        ("y,x,z,d\n1.5,a,u,1\n\n0.5,a,u\n", {}, ParseError,
-         "row 4: expected 4 fields, got 3"),
-        ("y,x,z,d\n1.5,a,u,1\n\nnan,a,u,1\n", {}, SchemaError, "row 4: y=nan is not finite"),
-        ("y,x,z,d\n0.5,a,u,3\n\n1.5,a,u,1\n", {"k": 2}, SchemaError,
-         "row 4: y=1.5 outside support [0.0, 1.0]"),
-        ("y,x,z,d\n0.5,b,u,1\n\n0.5,a,u,3\n", {"k": 2, "x_levels": ["a"]}, SchemaError,
-         "row 4: treatment index 3 exceeds K=2"),
-        ("y,x,z,d\n0.5,a,w,1\n\n0.5,b,u,1\n", {"x_levels": ["a"], "z_levels": ["u"]},
-         SchemaError, "row 4: unknown x level 'b'"),
-        ("y,x,z,d\n\n0.5,a,u,1\n\n\n1.5,a,u,1\n", {}, SchemaError,
-         "row 6: y=1.5 outside support [0.0, 1.0]"),
-    ])
+    @pytest.mark.parametrize("text, options, error, message", ERROR_CASES)
     def test_error_messages(self, tmp_path, text, options, error, message):
-        path = tmp_path / "s.csv"
-        if text and not text.startswith(("y,", "\n")):
-            text = f"y,x,z,d\n0.5,a,u,1\n\n{text}\n"
-        path.write_text(text)
+        path = write_error_case(tmp_path / "s.csv", text)
         with pytest.raises(error) as info:
             read_sample_csv(str(path), UNIT, **options)
         assert str(info.value) == f"{path}: {message}"
@@ -237,6 +250,146 @@ class TestStreamingIngest:
             tracemalloc.stop()
         assert sample.n == n
         assert peak < 3_000_000
+
+
+def block_sample_csv(path, seed):
+    """A sample CSV of 200-600 rows: LF rows without quotes up to a random row
+    (every third file to the end), then quoted labels holding commas, quotes
+    and newlines, and LF or CRLF line ends; blank rows throughout, y written
+    as '-0.0', ' 0.5' or '5e-1', d as ' 2' or '+2'; every other file without
+    a line end after its last row."""
+    rng = random.Random(seed)
+    n = rng.randint(200, 600)
+    switch = rng.randint(0, n) if seed % 3 else n
+    plain, quoted = ["a", " padded ", "x0"], ["b,c", 'say "hi"', "two\nlines"]
+    buf = io.StringIO(newline="")
+    writers = {end: csv.writer(buf, lineterminator=end) for end in ("\n", "\r\n")}
+    writers["\n"].writerow(["y", "x", "z", "d"])
+    for row in range(n):
+        end = "\n" if row < switch else rng.choice(["\n", "\r\n"])
+        labels = plain if row < switch else plain + quoted
+        if rng.random() < 0.05:
+            buf.write(end)
+        y = round(rng.random(), rng.choice([1, 4, 17]))
+        y_text = rng.choice([repr(y), f" {y}", f"{y:e}", "-0.0", "0.0", "1"])
+        d_text = rng.choice(["{}", " {}", "+{}"]).format(rng.randint(1, 3))
+        writers[end].writerow([y_text, rng.choice(labels), rng.choice(labels), d_text])
+    text = buf.getvalue()
+    Path(path).write_text(text.rstrip("\r\n") if seed % 2 else text, newline="")
+
+
+def read_passes(path):
+    """read_sample_csv's block pass and its row-by-row pass, as comparable values
+    or as the error each raises."""
+    passes = []
+    for by_block in (True, False):
+        try:
+            columns = cli._read_columns(str(path), by_block)
+        except (ParseError, SchemaError) as exc:
+            passes.append((type(exc), str(exc)))
+        else:
+            passes.append([c.tobytes() if isinstance(c, array) else c for c in columns])
+    return passes
+
+
+class TestBlockIngest:
+    """The block reader with blocks of a few dozen characters, so that blank
+    rows, CRLF, quoted labels and signed or padded values fall on and across
+    the cuts."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_list_of_rows_reference(self, tmp_path, monkeypatch, seed):
+        path = str(tmp_path / "s.csv")
+        block_sample_csv(path, seed)
+        want = reference_read(path, UNIT)
+        for block in (1, 7, 24, 61, cli.BLOCK_CHARS):
+            monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+            assert_same_sample(read_sample_csv(path, UNIT), want)
+            by_block, by_row = read_passes(path)
+            assert by_block == by_row
+
+    @pytest.mark.parametrize("block", [1, 6, 13])
+    @pytest.mark.parametrize("text, options, error, message", ERROR_CASES)
+    def test_error_messages(self, tmp_path, monkeypatch, block, text, options, error,
+                            message):
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        path = write_error_case(tmp_path / "s.csv", text)
+        with pytest.raises(error) as info:
+            read_sample_csv(str(path), UNIT, **options)
+        assert str(info.value) == f"{path}: {message}"
+        # the block pass stops at the same row error as the row-by-row pass
+        by_block, by_row = read_passes(path)
+        assert by_block == by_row
+
+    @pytest.mark.parametrize("block", [5, 64, cli.BLOCK_CHARS])
+    @pytest.mark.parametrize("last, options, message", [
+        ("", {}, "row 302: treatment index 18446744073709551616 does not fit in 64 bits"),
+        ("", {"k": 4}, "row 302: treatment index 18446744073709551616 exceeds K=4"),
+        ("1.5,a,u,1\n", {}, "row 402: y=1.5 outside support [0.0, 1.0]"),
+    ])
+    def test_treatment_index_beyond_int64_in_a_later_block(self, tmp_path, monkeypatch, block,
+                                                           last, options, message):
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n" + "0.5,a,u,1\n" * 300 + "0.5,a,u,18446744073709551616\n"
+                        + "0.25,b,v,2\n" * 99 + last)
+        with pytest.raises(SchemaError) as info:
+            read_sample_csv(str(path), UNIT, **options)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_field_beyond_csv_limit_fails_as_csv_reader_does(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n0.5,a,u,1\n0.5," + "a" * (csv.field_size_limit() + 1)
+                        + ",u,1\n")
+        with pytest.raises(csv.Error) as by_block:
+            cli._read_columns(str(path), by_block=True)
+        with pytest.raises(csv.Error) as by_row:
+            cli._read_columns(str(path), by_block=False)
+        assert str(by_block.value) == str(by_row.value)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (10, "row 11: cannot parse y='zz'"),
+        (2000, "not UTF-8 text (invalid continuation byte)"),
+    ])
+    def test_row_error_and_decode_error_keep_their_order(self, tmp_path, bad_row, message):
+        # the invalid byte sits at offset 12,000, past the first 8 KiB the
+        # row-by-row reader decodes: a row error before it wins, one after
+        # it loses
+        rows = ["y,x,z,d"] + ["0.5,a,u,1"] * 3000
+        rows[bad_row] = "zz,a,u,1"
+        data = ("\n".join(rows) + "\n").encode()
+        path = tmp_path / "s.csv"
+        path.write_bytes(data[:12_000] + b"\xe9" + data[12_001:])
+        with pytest.raises(ParseError) as info:
+            read_sample_csv(str(path), UNIT)
+        assert str(info.value) == f"{path}: {message}"
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("text", [
+        "y,x,z,d\n0.5,a,u,1\n0.25,b,v,2\n",
+        '"y",x,z,d\r\n0.5,"a,b",u,1\r\n\r\n-0.0,c,v,+2\r\n',
+    ], ids=["plain", "quoted-crlf"])
+    def test_reads_as_without(self, tmp_path, text):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert_same_sample(read_sample_csv(str(bom), UNIT), read_sample_csv(str(plain), UNIT))
+
+    def test_fit_output_equals_without(self, tmp_path, toy_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(toy_csv).read_bytes())
+        for name, path in (("plain", toy_csv), ("bom", bom)):
+            assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bom" / "fitted_array.json").read_bytes()
+                == (tmp_path / "plain" / "fitted_array.json").read_bytes())
+
+    def test_not_utf8_after_bom_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "s.csv"
+        bad.write_bytes(b"\xef\xbb\xbf" + "y,x,z,d\n0.5,\xe9,u,1\n".encode("latin-1"))
+        assert main(["fit", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"parse error: {bad}: not UTF-8 text (invalid continuation byte)\n")
 
 
 json_scalars = st.one_of(
@@ -790,16 +943,21 @@ def test_cli_import_leaves_scipy_unloaded(toy_csv, tmp_path):
     # scipy.optimize alone costs about 0.5 s of every command's start-up, and
     # multiprocessing is imported only when simulate starts its workers; a
     # sweep solved as a linear program needs neither, and only such a sweep
-    # imports fairpolicy.lp
-    packages = ("scipy", "multiprocessing")
+    # imports fairpolicy.lp; numpy.ma (about 12 ms) is needed by neither that
+    # sweep nor a Gini-welfare one run by Nelder-Mead
+    packages = ("scipy", "multiprocessing", "numpy.ma")
     src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
     argv = ["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "o"), "--grid-m", "2",
             "--target", "mean", "--similarity", "ks"]
+    gini = ["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "g"), "--grid-m", "2",
+            "--target", "gini-welfare", "--max-iters", "20"]
     code = ("import fairpolicy.cli, sys; "
             "assert 'fairpolicy.lp' not in sys.modules; "
             f"assert fairpolicy.cli.main({argv!r}) == 0; "
             "assert 'fairpolicy.lp' in sys.modules; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
+            f"assert fairpolicy.cli.main({gini!r}) == 0; "
+            f"print(sorted(m for m in sys.modules "
+            f"if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

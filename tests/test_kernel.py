@@ -28,6 +28,7 @@ from fairpolicy import (
     random_rule,
 )
 from fairpolicy.estimation import ipw_kernel
+from fairpolicy.objective import AtomKernel
 from helpers import UNIT, random_cond_array, random_training_sample
 from oracles import (
     MonotoneStep,
@@ -204,3 +205,18 @@ def test_ipw_models_sharing_a_sample_keep_their_own_values():
     del props[0]
     gc.collect()
     assert first() is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, -2.0, 3.0, 5e-324, -5e-324])
+                | st.floats(-2.0, 3.0), max_size=200),
+       supports)
+def test_grid_is_np_unique_bitwise(ys, support):
+    # signed zeros and repeats: the kernel keeps the same survivor of each
+    # run of equal values as np.unique, bit for bit
+    ys = np.array(ys, dtype=float)
+    kernel = AtomKernel(support, ys, np.zeros(ys.size, dtype=np.int64),
+                        np.zeros(ys.size, dtype=np.int64), np.ones(ys.size), [1.0])
+    want = np.unique(np.append(ys, support.b))
+    assert kernel.grid.dtype == want.dtype
+    assert kernel.grid.tobytes() == want.tobytes()
