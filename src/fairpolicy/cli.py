@@ -74,6 +74,7 @@ EXIT_CONFIG = 5
 SAMPLE_HEADER = ["y", "x", "z", "d"]
 INT64_MAX = 2**63 - 1
 BLOCK_CHARS = 16384  # sample text read per block
+WRITE_CHARS = 1 << 20  # output text encoded and written per call
 _NOT_COMMA_OR_NL = bytes(c for c in range(256) if c not in b",\n")
 
 
@@ -222,6 +223,8 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(f"{path}: {exc}") from None
     ys, xs, zs, ds, x_codes, z_codes, blanks, huge = columns
     if not ys:
         raise SchemaError(f"{path}: no data rows")
@@ -298,7 +301,9 @@ def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+            # in slices: one write would encode the whole text into one more copy
+            for start in range(0, len(text), WRITE_CHARS):
+                fh.write(text[start:start + WRITE_CHARS])
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -775,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop overridden x levels with no observations")
 
     def add_optimizer_flags(p):
-        ignored = "; ignored, as is --seed, by sweeps solved as linear programs"
+        ignored = ("; ignored by simulate and, as is --seed, by sweeps of the mean or "
+                   "gini-welfare target with ks, one-sided-ks or abs-target-diff:mean")
         p.add_argument("--restarts", type=int, default=1,
                        help="Nelder-Mead restarts" + ignored)
         p.add_argument("--candidate-starts", type=int, default=50,
@@ -787,8 +793,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_objective_flags(p):
         p.add_argument("--target", default="gini-welfare",
-                       help="gini-welfare | mean | quantile:TAU; mean with ks, one-sided-ks "
-                            "or abs-target-diff:mean is solved exactly as a linear program")
+                       help="gini-welfare | mean | quantile:TAU; with ks, one-sided-ks or "
+                            "abs-target-diff:mean, mean is solved exactly as a linear program "
+                            "and gini-welfare by minorize-maximize over it")
         p.add_argument("--similarity", default="ks",
                        help="ks | one-sided-ks | abs-target-diff:TARGET")
         p.add_argument("--grid-m", type=int, default=49,

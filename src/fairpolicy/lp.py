@@ -1,4 +1,5 @@
-"""Exact maximization of the plug-in objectives that are linear programs.
+"""Exact maximization of the plug-in objectives that are linear programs, and
+minorize-maximize over the same programs for the Gini-welfare target.
 
 With the mean target and the KS, one-sided KS or |mean difference|
 similarity, the plug-in group CDFs, the population CDF and the mean are all
@@ -31,6 +32,17 @@ positive, and the slacks of the other rows.  These programs are highly
 degenerate, so pivots follow Bland's rule (1977), which cannot cycle.  The
 tableau is recomputed from the original data every `REFACTOR_EVERY` pivots
 and before optimality is declared, so round-off does not accumulate.
+
+Gini-welfare on the grid is (g_0 + sum_j (1 - F_j)^2 dg_j) / 2, convex in
+the rule, so with the same penalties the objective is a difference of
+convex functions.  `GiniProgram` maximizes it by minorize-maximize (the DC
+algorithm of Pham Dinh & Le Thi, 1997; the convex-concave procedure of
+Lipp & Boyd, 2016): replace the target by its tangent at the current rule,
+which minorizes it and touches it there, solve the program above with that
+cost vector, and move to its solution, so the objective never falls.  Each
+start (the uniform rule, then the K deterministic rules) stops when a step
+gains at most `MM_TOL`, or after `MM_MAX_STEPS` steps.  The result is a
+local maximum with no certificate.
 """
 
 from __future__ import annotations
@@ -39,11 +51,13 @@ import numpy as np
 
 from .functionals import SimilarityMeasure, TargetFunctional
 from .objective import AtomKernel, CovariateSpace, DecisionRule
-from .optimizer import OptimResult
+from .optimizer import CountingObjective, OptimResult
 
 REFACTOR_EVERY = 20
 CUT_TOL = 1e-12
 GAP_TOL = 1e-9
+MM_TOL = 1e-12  # a start stops once a step gains no more than this
+MM_MAX_STEPS = 50
 _COST_TOL = 1e-12  # reduced costs up to this (times the largest cost) count as zero
 _PIVOT_TOL = 1e-9  # smaller tableau entries are not pivoted on
 _TIE_TOL = 1e-12  # ratios this close to the least one tie
@@ -53,11 +67,14 @@ class Unbounded(ArithmeticError):
     """The linear program's objective grows without bound."""
 
 
+def linear_penalty(s: SimilarityMeasure) -> bool:
+    """Whether the plug-in penalty of s is a max of rows linear in the rule."""
+    return s.kind != "abs-target-diff" or s.inner.kind == "mean"
+
+
 def is_linear(t: TargetFunctional, s: SimilarityMeasure) -> bool:
     """Whether the plug-in objective of (t, s) is a linear program."""
-    if t.kind != "mean":
-        return False
-    return s.kind != "abs-target-diff" or s.inner.kind == "mean"
+    return t.kind == "mean" and linear_penalty(s)
 
 
 def leaving_row(column: np.ndarray, rhs: np.ndarray, basis) -> int | None:
@@ -117,29 +134,26 @@ def simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis):
     return x, y, basis
 
 
-class LinearProgram:
-    """The linear program of one plug-in kernel and a linear (t, s) pair.
+class _CutPlanes:
+    """The penalty rows of one plug-in kernel and similarity, and the cutting-
+    plane loop that maximizes cost.p - lam t subject to them.
 
-    Build once per kernel; `maximize(lam)` solves each lambda on its own,
-    with no rows carried over, so results do not depend on the grid.
+    A row holds for every rule, so rows found under one cost vector stay
+    valid under any other.
     """
 
-    def __init__(self, kernel: AtomKernel, space: CovariateSpace,
-                 t: TargetFunctional, s: SimilarityMeasure):
-        if not is_linear(t, s):
-            raise ValueError(f"({t.kind}, {s.kind}) is not a linear program")
-        self.kernel, self.space, self.t, self.s = kernel, space, t, s
+    def __init__(self, kernel: AtomKernel, space: CovariateSpace, s: SimilarityMeasure):
+        self.kernel, self.space, self.s = kernel, space, s
         self.shape = (len(space.x_levels), space.k)
         self.size = self.shape[0] * self.shape[1]
         z, g = np.divmod(kernel.index, kernel.grid.size)
         order = np.argsort(g, kind="stable")  # a row at grid point g is a prefix
         self.slot, z, g = kernel.slot[order], z[order], g[order]
-        mass, pz = kernel.mass[order], kernel.pz
-        y = kernel.grid[g]
-        self.mean = np.bincount(self.slot, mass * y * pz[z], minlength=self.size)
+        self.z, self.g, self.mass = z, g, kernel.mass[order]
         # atom weights of the row F_z(g) - F(g) (times y for the mean rows)
-        self.weights = {int(zj): mass * ((z == zj) - pz[z]) for zj in kernel.active}
+        self.weights = {int(zj): self.mass * ((z == zj) - kernel.pz[z]) for zj in kernel.active}
         if s.kind == "abs-target-diff":
+            y = kernel.grid[g]
             self.weights = {zj: w * y for zj, w in self.weights.items()}
             self.ends = None
         else:
@@ -166,7 +180,7 @@ class LinearProgram:
                 point = int(np.argmax(sign * d))
                 yield int(zj), None if self.ends is None else point, sign, sign * d[point]
 
-    def _solve_relaxation(self, lam: float, rows: list):
+    def _solve_relaxation(self, cost: np.ndarray, lam: float, rows: list):
         """(probs, t, bound) of the program with these rows only."""
         nx, k = self.shape
         size, ncut = self.size, len(rows)
@@ -175,7 +189,7 @@ class LinearProgram:
         b = np.zeros(nx + ncut)
         b[:nx] = 1.0
         c = np.zeros(size + 1 + ncut)
-        c[:size] = (1.0 - lam) * self.mean
+        c[:size] = cost
         c[size] = -lam
         for r, row in enumerate(rows):
             a[nx + r, :size] = row
@@ -193,19 +207,19 @@ class LinearProgram:
         probs /= probs.sum(axis=1, keepdims=True)
         return probs, x[size], float(b @ y)
 
-    def maximize(self, lam: float) -> OptimResult:
-        """The exact maximizer at lam, with its certified gap.
+    def solve(self, cost: np.ndarray, lam: float, rows: list, seen: set):
+        """(probs, bound, kernel calls) of max cost.p - lam t over every row.
 
-        evaluations counts kernel calls: one per relaxation when lam > 0
-        (to find violated rows) and one for the returned value.
+        rows and seen (the keys of the rows in rows) start as the rows known
+        so far and gain the rows this solve adds.  A kernel call per
+        relaxation finds the violated rows when lam > 0.
         """
-        rows, seen = [], set()
-        evaluations = 0
+        calls = 0
         while True:
-            probs, t_value, bound = self._solve_relaxation(lam, rows)
+            probs, t_value, bound = self._solve_relaxation(cost, lam, rows)
             if lam == 0.0:  # the penalty has no weight
-                break
-            evaluations += 1
+                return probs, bound, calls
+            calls += 1
             added = False
             for zj, point, sign, value in self._violations(probs):
                 key = (zj, point, sign)
@@ -214,9 +228,108 @@ class LinearProgram:
                     rows.append(self._row(zj, point, sign))
                     added = True
             if not added:
-                break
+                return probs, bound, calls
+
+
+class LinearProgram(_CutPlanes):
+    """The linear program of one plug-in kernel and a linear (t, s) pair.
+
+    Build once per kernel; `maximize(lam)` solves each lambda on its own,
+    with no rows carried over, so results do not depend on the grid.
+    """
+
+    def __init__(self, kernel: AtomKernel, space: CovariateSpace,
+                 t: TargetFunctional, s: SimilarityMeasure):
+        if not is_linear(t, s):
+            raise ValueError(f"({t.kind}, {s.kind}) is not a linear program")
+        super().__init__(kernel, space, s)
+        self.t = t
+        y = kernel.grid[self.g]
+        self.mean = np.bincount(self.slot, self.mass * y * kernel.pz[self.z],
+                                minlength=self.size)
+
+    def maximize(self, lam: float) -> OptimResult:
+        """The exact maximizer at lam, with its certified gap.
+
+        evaluations counts kernel calls: one per relaxation when lam > 0
+        (to find violated rows) and one for the returned value.
+        """
+        probs, bound, calls = self.solve((1.0 - lam) * self.mean, lam, [], set())
         rule = DecisionRule(self.space, probs)
         value = self.kernel.value(rule.probs, lam, self.t, self.s)
         gap = bound - value
-        return OptimResult(rule=rule, value=value, evaluations=evaluations + 1,
+        return OptimResult(rule=rule, value=value, evaluations=calls + 1,
                            converged=gap <= GAP_TOL, gap=gap)
+
+
+class GiniProgram(_CutPlanes):
+    """Minorize-maximize for the Gini-welfare target with a linear penalty.
+
+    Build once per kernel; `maximize(lam)` carries rows across the steps and
+    starts of one lambda only, so results do not depend on the grid.
+    """
+
+    def __init__(self, kernel: AtomKernel, space: CovariateSpace,
+                 t: TargetFunctional, s: SimilarityMeasure):
+        if t.kind != "gini-welfare" or not linear_penalty(s):
+            raise ValueError(f"({t.kind}, {s.kind}) has no minorize-maximize route")
+        super().__init__(kernel, space, s)
+        self.t = t
+        self.tangent_mass = -kernel.pz[self.z] * self.mass
+
+    def tangent(self, probs: np.ndarray) -> np.ndarray:
+        """Gradient per rule entry of Gini-welfare at probs (one kernel call).
+
+        Gini-welfare is (g_0 + sum_j (1 - F_j)^2 dg_j) / 2 on the grid, and
+        an atom at grid index g enters F_j for every j >= g with weight
+        pz mass, so its entry gains -pz mass sum_{g <= j < G-1} (1 - F_j) dg_j.
+        """
+        kernel = self.kernel
+        pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
+        tail = np.zeros(kernel.grid.size)
+        tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
+        return np.bincount(self.slot, self.tangent_mass * tail[self.g], minlength=self.size)
+
+    def maximize(self, lam: float) -> OptimResult:
+        """The best local maximizer at lam from the uniform and the K
+        deterministic rules, in that order (ties go to the earlier start).
+
+        evaluations counts kernel calls; converged means that no start
+        reached MM_MAX_STEPS; gap is None.  Raises NonFiniteObjective when
+        the kernel value is NaN or infinite.
+        """
+        objective = CountingObjective(lambda probs: self.kernel.value(probs, lam, self.t, self.s))
+        starts = [DecisionRule.uniform(self.space)]
+        starts += [DecisionRule.singleton(self.space, i) for i in self.space.treatments]
+        rows, seen = [], set()
+        calls, converged = 0, True
+        best, best_value = None, -np.inf
+        for rule in starts:
+            value = objective(rule.probs)
+            for _ in range(MM_MAX_STEPS):
+                cost = (1.0 - lam) * self.tangent(rule.probs)
+                probs, _, used = self.solve(cost, lam, rows, seen)
+                calls += used + 1
+                step = DecisionRule(self.space, probs)
+                step_value = objective(step.probs)
+                gain = step_value - value
+                if gain > 0.0:
+                    rule, value = step, step_value
+                if gain <= MM_TOL:
+                    break
+            else:
+                converged = False
+            if value > best_value:
+                best, best_value = rule, value
+        return OptimResult(rule=best, value=best_value,
+                           evaluations=objective.evaluations + calls, converged=converged)
+
+
+def program_for(kernel: AtomKernel, space: CovariateSpace, t: TargetFunctional,
+                s: SimilarityMeasure) -> LinearProgram | GiniProgram | None:
+    """The solver of the plug-in objective of (t, s), or None when there is none."""
+    if is_linear(t, s):
+        return LinearProgram(kernel, space, t, s)
+    if t.kind == "gini-welfare" and linear_penalty(s):
+        return GiniProgram(kernel, space, t, s)
+    return None

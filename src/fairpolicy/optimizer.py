@@ -14,8 +14,9 @@ uniformly from the product of simplices; independent restarts use RNG
 streams derived from (seed, restart index), so results are deterministic and
 restart sets are prefix-monotone.  The achieved optimization accuracy is best-effort: the true
 supremum is unknown, and `converged` only reports the internal ftol
-criterion.  The objectives that are linear programs are solved exactly by
-`lp.LinearProgram` instead (see `selection.sweep`).
+criterion.  `selection.sweep` sends the plug-in objectives that are linear
+programs to `lp.LinearProgram` instead, which solves them exactly, and
+Gini-welfare with those penalties to `lp.GiniProgram` (minorize-maximize).
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ class OptimResult:
     that no evaluation or iteration budget stopped the final Nelder-Mead
     run (it can hold well short of the maximum), and gap is None.  From
     `lp.LinearProgram.maximize`, gap is the certified distance from value up
-    to an upper bound on the maximum, and converged means gap <= 1e-9.
+    to an upper bound on the maximum, and converged means gap <= 1e-9.  From
+    `lp.GiniProgram.maximize`, converged means that no start hit the step
+    cap, and gap is None (the maximum found is local).
     """
 
     rule: DecisionRule
@@ -113,7 +116,10 @@ def _to_unconstrained(probs: np.ndarray) -> np.ndarray:
     return np.log(p[:, :-1]) - np.log(p[:, -1:])
 
 
-class _CountingObjective:
+class CountingObjective:
+    """obj with its calls counted; a NaN or infinite value raises
+    NonFiniteObjective."""
+
     def __init__(self, obj):
         self.obj = obj
         self.evaluations = 0
@@ -213,7 +219,7 @@ def _nelder_mead(fun, x0: np.ndarray, max_iters: int, ftol: float):
     return sim[0], not (evals >= max_evals or iterations >= max_iters)
 
 
-def _maximize_from(counting: _CountingObjective, u0: np.ndarray, cfg: OptimizerConfig):
+def _maximize_from(counting: CountingObjective, u0: np.ndarray, cfg: OptimizerConfig):
     """Nelder-Mead ascent from u0; joint when small, block sweeps otherwise.
 
     The joint search reruns NM from its own endpoint with a fresh initial
@@ -272,7 +278,7 @@ def maximize(obj, space: CovariateSpace, cfg: OptimizerConfig) -> OptimResult:
     with a common seed are prefix-monotone in the achieved value.  Ties
     across restarts go to the lowest restart index.
     """
-    counting = _CountingObjective(obj)
+    counting = CountingObjective(obj)
     best_probs = None
     best_value = -np.inf
     best_converged = False

@@ -6,8 +6,11 @@ fitted array's for plug-in and for IPW with cell-frequency propensities (the
 same objective), the record kernel for IPW with known propensities.  On the
 fitted array's kernel, the mean target with the KS, one-sided KS or
 |mean difference| similarity is a linear program, solved exactly with a
-certified gap by `lp.LinearProgram`; the optimizer settings and seed play no
-part there.  Every other objective is maximized by Nelder-Mead (`maximize`).
+certified gap by `lp.LinearProgram`, and the Gini-welfare target with those
+similarities is solved by minorize-maximize over the same linear programs
+(`lp.GiniProgram`, local, no certificate); the optimizer settings and seed
+play no part on either route.  Every other objective is maximized by
+Nelder-Mead (`maximize`).
 Per-lambda diagnostics (target value, per-group unfairness) are the plug-in
 kernel's two objective terms at the fitted rule, matching how the empirical
 illustrations report estimated quantities.
@@ -99,13 +102,20 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class PathEntry:
-    """Fitted rule and diagnostics for one preference parameter."""
+    """Fitted rule and diagnostics for one preference parameter.
+
+    evaluations, converged and gap are the solver's `OptimResult` fields;
+    they are None on an entry read back from sweep outputs.
+    """
 
     rule: DecisionRule
     obj_value: float
     target_value: float
     unfairness: dict
     max_unfairness: float
+    evaluations: int | None = None
+    converged: bool | None = None
+    gap: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,20 +175,20 @@ def sweep(
 ) -> LambdaPath:
     """One maximization per grid lambda of the chosen empirical objective.
 
-    The plug-in objective of a linear (t, s) pair is solved exactly by
-    `lp.LinearProgram`, which ignores cfg; every other objective goes to
-    `maximize`, with per-lambda seeds derived from (cfg.seed, lambda index).
-    Either way the path is reproducible bit-for-bit and per-lambda runs are
-    independent.
+    On the plug-in kernel, a linear (t, s) pair is solved exactly by
+    `lp.LinearProgram`, and Gini-welfare with a linear penalty by
+    minorize-maximize (`lp.GiniProgram`); both ignore cfg.  Every other
+    objective goes to `maximize`, with per-lambda seeds derived from
+    (cfg.seed, lambda index).  Either way the path is reproducible
+    bit-for-bit and per-lambda runs are independent.
     """
     arr = fit_plugin(sample)
     kernel = _estimator_kernel(sample, arr, estimator, propensity)
     program = None
-    if kernel is arr.kernel and t.kind == "mean":
-        from . import lp  # here, so that only mean-target sweeps compile it
+    if kernel is arr.kernel and t.kind in ("mean", "gini-welfare"):
+        from . import lp  # here, so that only the sweeps it may solve compile it
 
-        if lp.is_linear(t, s):
-            program = lp.LinearProgram(kernel, sample.space, t, s)
+        program = lp.program_for(kernel, sample.space, t, s)
     z_levels = sample.space.z_levels
     entries = []
     for idx, lam in enumerate(grid):
@@ -196,6 +206,9 @@ def sweep(
                 target_value=target,
                 unfairness=unfairness,
                 max_unfairness=max(unfairness.values()),
+                evaluations=result.evaluations,
+                converged=result.converged,
+                gap=result.gap,
             )
         )
     return LambdaPath(grid=grid, entries=tuple(entries), n=sample.n)

@@ -2,8 +2,8 @@
 
 For each (sample size, assignment mechanism) cell and each replication, draw
 a fresh training sample, run it through `selection.sweep` (the plug-in
-estimator with Gini-welfare and KS, the replication's seed as optimizer
-seed), and score each fitted rule's regret against the analytic oracle: true
+estimator with Gini-welfare and KS, which sweep solves by minorize-maximize;
+the optimizer settings play no part), and score each fitted rule's regret against the analytic oracle: true
 maximum value minus the true objective at the estimated rule.  Regret is
 computed against the closed forms, not a plug-in estimate of the maximum,
 because the example makes the population objective exact.
@@ -25,7 +25,7 @@ case is untested.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -154,7 +154,7 @@ def _replicate(cfg: SimConfig, task: tuple[int, int, str, int]) -> list[SimRow]:
     cell_idx, n, mech, rep = task
     rep_seed = _replication_seed(cfg.seed, cell_idx, rep)
     sample = toy_sample(n, cfg.p, mech, rep_seed)
-    path = sweep(sample, cfg.grid, GINI, KS, replace(cfg.optimizer, seed=rep_seed))
+    path = sweep(sample, cfg.grid, GINI, KS, cfg.optimizer)
     rows = []
     for lam, entry in zip(cfg.grid, path.entries):
         delta_hat = float(entry.rule.probs[0, 0])

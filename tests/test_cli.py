@@ -942,20 +942,26 @@ class TestConfigFile:
 def test_cli_import_leaves_scipy_unloaded(toy_csv, tmp_path):
     # scipy.optimize alone costs about 0.5 s of every command's start-up, and
     # multiprocessing is imported only when simulate starts its workers; a
-    # sweep solved as a linear program needs neither, and only such a sweep
-    # imports fairpolicy.lp; numpy.ma (about 12 ms) is needed by neither that
-    # sweep nor a Gini-welfare one run by Nelder-Mead
+    # sweep run by Nelder-Mead needs neither and does not import
+    # fairpolicy.lp, which a Gini-welfare sweep (minorize-maximize) and a
+    # mean one (a linear program) need; numpy.ma (about 12 ms) is needed by
+    # none of the three
     packages = ("scipy", "multiprocessing", "numpy.ma")
     src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
-    argv = ["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "o"), "--grid-m", "2",
-            "--target", "mean", "--similarity", "ks"]
-    gini = ["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "g"), "--grid-m", "2",
-            "--target", "gini-welfare", "--max-iters", "20"]
+
+    def sweep_argv(out, *objective):
+        return ["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / out),
+                "--grid-m", "2", *objective]
+
+    quantile = sweep_argv("q", "--target", "quantile:0.5", "--max-iters", "20")
+    gini = sweep_argv("g", "--target", "gini-welfare", "--similarity", "ks")
+    argv = sweep_argv("o", "--target", "mean", "--similarity", "ks")
     code = ("import fairpolicy.cli, sys; "
+            f"assert fairpolicy.cli.main({quantile!r}) == 0; "
             "assert 'fairpolicy.lp' not in sys.modules; "
-            f"assert fairpolicy.cli.main({argv!r}) == 0; "
-            "assert 'fairpolicy.lp' in sys.modules; "
             f"assert fairpolicy.cli.main({gini!r}) == 0; "
+            "assert 'fairpolicy.lp' in sys.modules; "
+            f"assert fairpolicy.cli.main({argv!r}) == 0; "
             f"print(sorted(m for m in sys.modules "
             f"if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
     env = dict(os.environ, PYTHONPATH=src)
@@ -982,3 +988,62 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command, bad_file,
     assert capsys.readouterr().err == (
         error.format(bad=bad) + "not UTF-8 text (invalid continuation byte)\n"
     )
+
+
+@pytest.mark.parametrize("command", [
+    ["fit"],
+    ["sweep", "--grid-m", "1"],
+    ["select", "--beta", "0.1", "--grid-m", "1"],
+], ids=["fit", "sweep", "select"])
+def test_field_beyond_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "s.csv"
+    path.write_text("y,x,z,d\n0.5,a,u,1\n0." + "5" * (csv.field_size_limit() + 1) + ",a,u,2\n")
+    rc = main(command + ["--input", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: {path}: field larger than field limit ({csv.field_size_limit()})\n"
+    )
+
+
+def test_output_written_in_slices_keeps_its_bytes(tmp_path, monkeypatch):
+    text = "".join(random.Random(3).choice(["a", "\n", "\r\n", "é", "€", "𝔷"])
+                   for _ in range(5000))
+    whole = tmp_path / "whole.txt"
+    with open(whole, "w", newline="") as fh:
+        fh.write(text)
+    for chars in (1, 7, 4096, 1 << 20):
+        monkeypatch.setattr(cli, "WRITE_CHARS", chars)
+        cli._atomic_write(str(tmp_path / "sliced.txt"), text)
+        assert (tmp_path / "sliced.txt").read_bytes() == whole.read_bytes()
+
+
+class TestOptimizerFlagsIgnored:
+    """Gini-welfare sweeps with a linear penalty and simulate runs solve by
+    minorize-maximize: the optimizer flags and seed leave their outputs alone."""
+
+    FLAGS = [[], ["--seed", "5", "--restarts", "2", "--candidate-starts", "3",
+                  "--max-iters", "2", "--ftol", "0.5"]]
+
+    def test_sweep(self, toy_csv, tmp_path):
+        outs = []
+        for j, flags in enumerate(self.FLAGS):
+            outs.append(tmp_path / str(j))
+            assert main(["sweep", "--input", toy_csv, "--output-dir", str(outs[-1]),
+                         "--grid-m", "3", "--similarity", "one-sided-ks"] + flags) == EXIT_OK
+        for name in ("path.csv", "rules.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_simulate(self, tmp_path):
+        outs = []
+        for j, flags in enumerate(self.FLAGS):
+            outs.append(tmp_path / str(j))
+            assert main(["simulate", "--sample-sizes", "80", "--mechanisms", "A1",
+                         "--grid-m", "2", "--replications", "2", "--output-dir",
+                         str(outs[-1])] + flags[2:]) == EXIT_OK
+        for name in ("replications.csv", "aggregate.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        seeded = tmp_path / "seeded"
+        assert main(["simulate", "--sample-sizes", "80", "--mechanisms", "A1", "--grid-m", "2",
+                     "--replications", "2", "--seed", "5", "--output-dir", str(seeded)]) == 0
+        assert (seeded / "replications.csv").read_bytes() != (
+            outs[0] / "replications.csv").read_bytes()  # --seed still draws the samples

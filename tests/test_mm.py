@@ -1,0 +1,151 @@
+"""Minorize-maximize for Gini-welfare with a linear penalty (`lp.GiniProgram`)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fairpolicy import (
+    DecisionRule,
+    LambdaGrid,
+    OptimizerConfig,
+    SimilarityMeasure,
+    SupportInterval,
+    TargetFunctional,
+    ToyParams,
+    sweep,
+    toy_argmax,
+    toy_cond_array,
+    toy_sample,
+    toy_threshold,
+)
+from fairpolicy.lp import GiniProgram, LinearProgram, program_for
+from helpers import UNIT, random_cond_array
+
+GINI = TargetFunctional("gini-welfare")
+SIMILARITIES = [SimilarityMeasure.parse(s) for s in ("ks", "one-sided-ks", "abs-target-diff:mean")]
+
+seeds = st.integers(0, 2**32 - 1)
+mm_settings = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def starts(space):
+    return [DecisionRule.uniform(space)] + [DecisionRule.singleton(space, i)
+                                           for i in space.treatments]
+
+
+@mm_settings
+@given(seed=seeds, s=st.sampled_from(SIMILARITIES), lam=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       support=st.sampled_from([UNIT, SupportInterval(-2.0, 3.0)]))
+def test_steps_never_lower_the_value_and_the_result_beats_every_start(seed, s, lam, support):
+    arr = random_cond_array(np.random.default_rng(seed), support=support)
+    kernel = arr.kernel
+    program = GiniProgram(kernel, arr.space, GINI, s)
+
+    def value(probs):
+        return kernel.value(probs, lam, GINI, s)
+
+    rows, seen = [], set()
+    for start in starts(arr.space):
+        probs, current = start.probs, value(start.probs)
+        for _ in range(6):
+            cost = (1.0 - lam) * program.tangent(probs)
+            probs = DecisionRule(arr.space, program.solve(cost, lam, rows, seen)[0]).probs
+            stepped = value(probs)
+            assert stepped >= current - 1e-12
+            current = max(current, stepped)
+    res = program.maximize(lam)
+    assert res.value == value(res.rule.probs)
+    assert all(res.value >= value(start.probs) for start in starts(arr.space))
+    assert res.converged and res.gap is None
+
+
+@mm_settings
+@given(seed=seeds, s=st.sampled_from(SIMILARITIES))
+def test_tangent_is_the_gradient(seed, s):
+    arr = random_cond_array(np.random.default_rng(seed))
+    kernel = arr.kernel
+    program = GiniProgram(kernel, arr.space, GINI, s)
+    rng = np.random.default_rng(seed)
+    p0 = rng.dirichlet(np.ones(arr.space.k), size=len(arr.space.x_levels))
+    p1 = rng.dirichlet(np.ones(arr.space.k), size=len(arr.space.x_levels))
+    g0, g1 = (kernel.value(p, 0.0, GINI, s) for p in (p0, p1))
+    # the tangent plane of a convex function lies below it and touches it at p0
+    assert g1 >= g0 + program.tangent(p0) @ (p1 - p0).ravel() - 1e-12
+    eps = 1e-6
+    mid = kernel.value(p0 + eps * (p1 - p0), 0.0, GINI, s)
+    assert abs((mid - g0) / eps - program.tangent(p0) @ (p1 - p0).ravel()) <= 1e-5
+
+
+@pytest.mark.parametrize("p", [0.6, 0.75, 0.9])
+def test_recovers_the_toy_argmax(p):
+    arr = toy_cond_array(p, 400)
+    c = toy_threshold(p)
+    program = GiniProgram(arr.kernel, arr.space, GINI, SimilarityMeasure("ks"))
+    for lam in (0.0, c / 2.0, (c + 1.0) / 2.0, 1.0):
+        (delta,) = toy_argmax(ToyParams(p, lam))
+        res = program.maximize(lam)
+        assert abs(float(res.rule.probs[0, 0]) - delta) <= 1e-9, lam
+    at_c = float(program.maximize(c).rule.probs[0, 0])
+    assert min(abs(at_c - d) for d in toy_argmax(ToyParams(p, c))) <= 1e-9
+
+
+def test_rows_carry_over_within_one_lambda_only(monkeypatch):
+    arr = random_cond_array(np.random.default_rng(5))
+    program = GiniProgram(arr.kernel, arr.space, GINI, SimilarityMeasure("ks"))
+    calls = []
+    solve = GiniProgram.solve
+
+    def recorded(self, cost, lam, rows, seen):
+        calls.append((lam, id(rows), len(rows)))
+        return solve(self, cost, lam, rows, seen)
+
+    monkeypatch.setattr(GiniProgram, "solve", recorded)
+    for lam in (0.5, 0.8):
+        program.maximize(lam)
+    for lam in (0.5, 0.8):
+        mine = [(key, size) for at, key, size in calls if at == lam]
+        assert len({key for key, _ in mine}) == 1  # one row list for every step and start
+        sizes = [size for _, size in mine]
+        assert sizes[0] == 0 and sizes == sorted(sizes) and sizes[-1] > 0
+
+
+def test_a_step_that_lowers_the_value_is_not_taken(monkeypatch):
+    arr = random_cond_array(np.random.default_rng(8))
+    s = SimilarityMeasure("ks")
+    program = GiniProgram(arr.kernel, arr.space, GINI, s)
+    values = [arr.kernel.value(start.probs, 0.5, GINI, s) for start in starts(arr.space)]
+    worst = starts(arr.space)[int(np.argmin(values))].probs
+    # a solver that always lands on the worst start
+    monkeypatch.setattr(GiniProgram, "solve", lambda *args: (worst.copy(), 0.0, 0))
+    res = program.maximize(0.5)
+    assert res.value == max(values)
+    assert np.array_equal(res.rule.probs, starts(arr.space)[int(np.argmax(values))].probs)
+
+
+def test_sweep_ignores_the_optimizer_settings():
+    sample = toy_sample(600, 0.75, "A1", seed=4)
+    grid = LambdaGrid.uniform(4)
+    for s in SIMILARITIES:
+        for estimator in ("plugin", "ipw-estimated"):
+            paths = [sweep(sample, grid, GINI, s, cfg, estimator=estimator) for cfg in (
+                OptimizerConfig(seed=1),
+                OptimizerConfig(seed=99, restarts=3, candidate_starts=2, max_iters=1, ftol=0.5),
+            )]
+            for a, b in zip(*(p.entries for p in paths)):
+                assert a.obj_value == b.obj_value
+                assert np.array_equal(a.rule.probs, b.rule.probs)
+                assert a.gap is None and a.converged and a.evaluations > 0
+
+
+def test_route_choice():
+    arr = random_cond_array(np.random.default_rng(1))
+    kernel, space = arr.kernel, arr.space
+    mean = TargetFunctional("mean")
+    ks = SimilarityMeasure("ks")
+    assert type(program_for(kernel, space, mean, ks)) is LinearProgram
+    assert type(program_for(kernel, space, GINI, ks)) is GiniProgram
+    gini_diff = SimilarityMeasure.parse("abs-target-diff:gini-welfare")
+    assert program_for(kernel, space, GINI, gini_diff) is None
+    assert program_for(kernel, space, TargetFunctional.parse("quantile:0.5"), ks) is None
+    with pytest.raises(ValueError):
+        GiniProgram(None, None, mean, ks)

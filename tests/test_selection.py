@@ -127,6 +127,23 @@ class TestSweep:
             assert len(path.entries) == 2
             assert np.isfinite(path.obj_values).all()
 
+    def test_entries_keep_the_solver_telemetry(self):
+        sample = toy_sample(400, 0.75, "A2", seed=27)
+        grid = LambdaGrid((0.0, 0.5))
+        cfg = OptimizerConfig(seed=29, candidate_starts=5, max_iters=40)
+        routes = {
+            "mean": (TargetFunctional("mean"), {}),  # linear program: certified gap
+            "gini": (GINI, {}),  # minorize-maximize: no certificate
+            "ipw": (GINI, {"estimator": "ipw", "propensity": toy_propensity(0.75, "A2")}),
+        }
+        for name, (t, kwargs) in routes.items():
+            for e in sweep(sample, grid, t, KS, cfg, **kwargs).entries:
+                assert e.evaluations > 0 and isinstance(e.converged, bool)
+                if name == "mean":
+                    assert e.converged and -1e-12 <= e.gap <= 1e-9
+                else:
+                    assert e.gap is None
+
     def test_unknown_estimator(self):
         sample = toy_sample(50, 0.75, "A1", seed=25)
         with pytest.raises(ValueError):
