@@ -672,7 +672,6 @@ def cmd_simulate(args) -> int:
             replications=args.replications,
             p=args.p,
             seed=args.seed,
-            optimizer=_optimizer_config(args),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -780,8 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop overridden x levels with no observations")
 
     def add_optimizer_flags(p):
-        ignored = ("; ignored by simulate and, as is --seed, by sweeps of the mean or "
-                   "gini-welfare target with ks, one-sided-ks or abs-target-diff:mean")
+        ignored = ("; ignored, as is --seed, by sweeps of the mean or gini-welfare "
+                   "target with ks, one-sided-ks or abs-target-diff:mean")
         p.add_argument("--restarts", type=int, default=1,
                        help="Nelder-Mead restarts" + ignored)
         p.add_argument("--candidate-starts", type=int, default=50,
@@ -828,7 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo replications on the toy example")
     add_common(p_sim)
-    add_optimizer_flags(p_sim)
     p_sim.add_argument("--sample-sizes", default="100,1000,10000")
     p_sim.add_argument("--mechanisms", default="A1,A2")
     p_sim.add_argument("--grid-m", type=int, default=49)

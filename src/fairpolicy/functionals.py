@@ -185,3 +185,16 @@ class SimilarityMeasure:
         if text.startswith("abs-target-diff:"):
             return cls("abs-target-diff", inner=TargetFunctional.parse(text.split(":", 1)[1]))
         return cls(text)
+
+
+def plugin_route(t: TargetFunctional, s: SimilarityMeasure) -> str | None:
+    """How `lp` solves the plug-in objective of (t, s), or None if it cannot.
+
+    The KS, one-sided KS and |mean difference| penalties are a max of rows
+    linear in the rule.  With them the mean target makes the objective a
+    linear program ('lp'), and the convex Gini-welfare target a difference
+    of convex functions, solved by minorize-maximize ('mm').
+    """
+    if s.kind == "abs-target-diff" and s.inner.kind != "mean":
+        return None
+    return {"mean": "lp", "gini-welfare": "mm"}.get(t.kind)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import SimilarityMeasure, TargetFunctional
+from .functionals import SimilarityMeasure, TargetFunctional, plugin_route
 from .objective import AtomKernel, CovariateSpace, DecisionRule
 from .optimizer import CountingObjective, OptimResult
 
@@ -67,14 +67,9 @@ class Unbounded(ArithmeticError):
     """The linear program's objective grows without bound."""
 
 
-def linear_penalty(s: SimilarityMeasure) -> bool:
-    """Whether the plug-in penalty of s is a max of rows linear in the rule."""
-    return s.kind != "abs-target-diff" or s.inner.kind == "mean"
-
-
 def is_linear(t: TargetFunctional, s: SimilarityMeasure) -> bool:
     """Whether the plug-in objective of (t, s) is a linear program."""
-    return t.kind == "mean" and linear_penalty(s)
+    return plugin_route(t, s) == "lp"
 
 
 def leaving_row(column: np.ndarray, rhs: np.ndarray, basis) -> int | None:
@@ -271,7 +266,7 @@ class GiniProgram(_CutPlanes):
 
     def __init__(self, kernel: AtomKernel, space: CovariateSpace,
                  t: TargetFunctional, s: SimilarityMeasure):
-        if t.kind != "gini-welfare" or not linear_penalty(s):
+        if plugin_route(t, s) != "mm":
             raise ValueError(f"({t.kind}, {s.kind}) has no minorize-maximize route")
         super().__init__(kernel, space, s)
         self.t = t
@@ -328,8 +323,5 @@ class GiniProgram(_CutPlanes):
 def program_for(kernel: AtomKernel, space: CovariateSpace, t: TargetFunctional,
                 s: SimilarityMeasure) -> LinearProgram | GiniProgram | None:
     """The solver of the plug-in objective of (t, s), or None when there is none."""
-    if is_linear(t, s):
-        return LinearProgram(kernel, space, t, s)
-    if t.kind == "gini-welfare" and linear_penalty(s):
-        return GiniProgram(kernel, space, t, s)
-    return None
+    program = {"lp": LinearProgram, "mm": GiniProgram}.get(plugin_route(t, s))
+    return None if program is None else program(kernel, space, t, s)

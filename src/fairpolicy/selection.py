@@ -8,9 +8,9 @@ fitted array's kernel, the mean target with the KS, one-sided KS or
 |mean difference| similarity is a linear program, solved exactly with a
 certified gap by `lp.LinearProgram`, and the Gini-welfare target with those
 similarities is solved by minorize-maximize over the same linear programs
-(`lp.GiniProgram`, local, no certificate); the optimizer settings and seed
-play no part on either route.  Every other objective is maximized by
-Nelder-Mead (`maximize`).
+(`lp.GiniProgram`, local, no certificate); `plugin_route` names the route,
+and the optimizer settings and seed play no part on either.  Every other
+objective is maximized by Nelder-Mead (`maximize`).
 Per-lambda diagnostics (target value, per-group unfairness) are the plug-in
 kernel's two objective terms at the fitted rule, matching how the empirical
 illustrations report estimated quantities.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimation import PropensityModel, TrainingSample, fit_plugin, ipw_kernel
-from .functionals import SimilarityMeasure, TargetFunctional
+from .functionals import SimilarityMeasure, TargetFunctional, plugin_route
 from .objective import AtomKernel, DecisionRule
 from .optimizer import OptimizerConfig, derive_seed, maximize
 
@@ -185,7 +185,7 @@ def sweep(
     arr = fit_plugin(sample)
     kernel = _estimator_kernel(sample, arr, estimator, propensity)
     program = None
-    if kernel is arr.kernel and t.kind in ("mean", "gini-welfare"):
+    if kernel is arr.kernel and plugin_route(t, s):
         from . import lp  # here, so that only the sweeps it may solve compile it
 
         program = lp.program_for(kernel, sample.space, t, s)

@@ -2,11 +2,12 @@
 
 For each (sample size, assignment mechanism) cell and each replication, draw
 a fresh training sample, run it through `selection.sweep` (the plug-in
-estimator with Gini-welfare and KS, which sweep solves by minorize-maximize;
-the optimizer settings play no part), and score each fitted rule's regret against the analytic oracle: true
-maximum value minus the true objective at the estimated rule.  Regret is
-computed against the closed forms, not a plug-in estimate of the maximum,
-because the example makes the population objective exact.
+estimator with Gini-welfare and KS, which sweep solves by minorize-maximize,
+so no optimizer settings are taken), and score each fitted rule's regret
+against the analytic oracle: true maximum value minus the true objective at
+the estimated rule.  Regret is computed against the closed forms, not a
+plug-in estimate of the maximum, because the example makes the population
+objective exact.
 
 Replication RNG streams derive from (seed, cell index, replication index),
 so a replication's rows depend on nothing else.  `run_simulation` therefore
@@ -47,7 +48,6 @@ class SimConfig:
     replications: int
     p: float
     seed: int
-    optimizer: OptimizerConfig
 
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
@@ -154,7 +154,7 @@ def _replicate(cfg: SimConfig, task: tuple[int, int, str, int]) -> list[SimRow]:
     cell_idx, n, mech, rep = task
     rep_seed = _replication_seed(cfg.seed, cell_idx, rep)
     sample = toy_sample(n, cfg.p, mech, rep_seed)
-    path = sweep(sample, cfg.grid, GINI, KS, cfg.optimizer)
+    path = sweep(sample, cfg.grid, GINI, KS, OptimizerConfig())  # unused on this route
     rows = []
     for lam, entry in zip(cfg.grid, path.entries):
         delta_hat = float(entry.rule.probs[0, 0])

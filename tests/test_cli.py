@@ -794,7 +794,7 @@ class TestSimulate:
         out = str(tmp_path / "out")
         rc = main(["simulate", "--sample-sizes", "100", "--mechanisms", "A1,A2",
                    "--grid-m", "4", "--replications", "2", "--seed", "3",
-                   "--output-dir", out, "--candidate-starts", "10", "--max-iters", "100"])
+                   "--output-dir", out])
         assert rc == EXIT_OK
         lines = Path(os.path.join(out, "replications.csv")).read_text().strip().splitlines()
         assert len(lines) - 1 == 2 * 2 * 5  # mechanisms x replications x grid points
@@ -810,7 +810,7 @@ class TestSimulate:
         for out in outs:
             main(["simulate", "--sample-sizes", "100", "--mechanisms", "A1",
                   "--grid-m", "1", "--replications", "2", "--seed", "8",
-                  "--output-dir", out, "--candidate-starts", "10", "--max-iters", "80"])
+                  "--output-dir", out])
         for name in ("replications.csv", "aggregate.csv"):
             with open(os.path.join(outs[0], name), "rb") as f1, \
                  open(os.path.join(outs[1], name), "rb") as f2:
@@ -820,7 +820,7 @@ class TestSimulate:
         out = str(tmp_path / "out")
         rc = main(["simulate", "--sample-sizes", "100,1000", "--mechanisms", "A1",
                    "--grid-m", "1", "--replications", "8", "--seed", "5",
-                   "--output-dir", out, "--candidate-starts", "15", "--max-iters", "150"])
+                   "--output-dir", out])
         assert rc == EXIT_OK
         lines = Path(os.path.join(out, "aggregate.csv")).read_text().strip().splitlines()
         header = lines[0].split(",")
@@ -839,8 +839,7 @@ class TestSimulate:
             outs[workers] = tmp_path / f"w{workers}"
             rc = main(["simulate", "--sample-sizes", "100,200", "--mechanisms", "A1,A2",
                        "--grid-m", "2", "--replications", "2", "--seed", "4",
-                       "--output-dir", str(outs[workers]),
-                       "--candidate-starts", "10", "--max-iters", "80"])
+                       "--output-dir", str(outs[workers])])
             assert rc == EXIT_OK
         for name in ("replications.csv", "aggregate.csv"):
             assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes()
@@ -859,7 +858,7 @@ class TestSimulate:
     ])
     def test_repeated_cell_exit_5(self, tmp_path, capsys, flags, error):
         rc = main(["simulate", "--output-dir", str(tmp_path / "o"), "--grid-m", "1",
-                   "--replications", "1", "--candidate-starts", "5", "--max-iters", "20"] + flags)
+                   "--replications", "1"] + flags)
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {error}\n"
 
@@ -882,8 +881,7 @@ class TestOutputPaths:
     @pytest.mark.parametrize("command, name", [
         (["fit", "--input", "{csv}"], "fitted_array.json"),
         (["simulate", "--sample-sizes", "50", "--mechanisms", "A1", "--grid-m", "1",
-          "--replications", "1", "--candidate-starts", "5", "--max-iters", "20"],
-         "replications.csv"),
+          "--replications", "1"], "replications.csv"),
     ], ids=["fit", "simulate"])
     def test_output_name_that_is_a_directory(self, toy_csv, tmp_path, capsys, command, name):
         out = tmp_path / "out"
@@ -1018,8 +1016,8 @@ def test_output_written_in_slices_keeps_its_bytes(tmp_path, monkeypatch):
 
 
 class TestOptimizerFlagsIgnored:
-    """Gini-welfare sweeps with a linear penalty and simulate runs solve by
-    minorize-maximize: the optimizer flags and seed leave their outputs alone."""
+    """Gini-welfare sweeps with a linear penalty solve by minorize-maximize:
+    the optimizer flags and seed leave their outputs alone."""
 
     FLAGS = [[], ["--seed", "5", "--restarts", "2", "--candidate-starts", "3",
                   "--max-iters", "2", "--ftol", "0.5"]]
@@ -1032,18 +1030,3 @@ class TestOptimizerFlagsIgnored:
                          "--grid-m", "3", "--similarity", "one-sided-ks"] + flags) == EXIT_OK
         for name in ("path.csv", "rules.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_simulate(self, tmp_path):
-        outs = []
-        for j, flags in enumerate(self.FLAGS):
-            outs.append(tmp_path / str(j))
-            assert main(["simulate", "--sample-sizes", "80", "--mechanisms", "A1",
-                         "--grid-m", "2", "--replications", "2", "--output-dir",
-                         str(outs[-1])] + flags[2:]) == EXIT_OK
-        for name in ("replications.csv", "aggregate.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        seeded = tmp_path / "seeded"
-        assert main(["simulate", "--sample-sizes", "80", "--mechanisms", "A1", "--grid-m", "2",
-                     "--replications", "2", "--seed", "5", "--output-dir", str(seeded)]) == 0
-        assert (seeded / "replications.csv").read_bytes() != (
-            outs[0] / "replications.csv").read_bytes()  # --seed still draws the samples

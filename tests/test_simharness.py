@@ -1,6 +1,5 @@
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +23,6 @@ from fairpolicy import (
 from fairpolicy.optimizer import NonFiniteObjective
 from fairpolicy.simharness import GINI, KS, _replication_seed
 
-FAST_OPT = OptimizerConfig(seed=0, candidate_starts=15, max_iters=200)
-
 
 def small_config(**overrides):
     base = dict(
@@ -35,7 +32,6 @@ def small_config(**overrides):
         replications=3,
         p=0.75,
         seed=11,
-        optimizer=FAST_OPT,
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -86,8 +82,7 @@ class TestRunSimulation:
         assert r1.rows == r2.rows
 
     def test_desk_scale_regret_small_at_large_n(self):
-        cfg = small_config(sample_sizes=(10_000,), grid=LambdaGrid((0.0,)), replications=1,
-                          optimizer=OptimizerConfig(seed=3))
+        cfg = small_config(sample_sizes=(10_000,), grid=LambdaGrid((0.0,)), replications=1)
         result = run_simulation(cfg)
         assert result.rows[0].regret < 0.02
 
@@ -98,8 +93,8 @@ class TestRunSimulation:
         assert result.mean_regret(100, "A1", 0.0) > result.mean_regret(2000, "A1", 0.0)
 
     def test_rows_are_sweep_entries(self):
-        # the harness runs the replication sample through sweep, seeded with
-        # the replication seed
+        # the harness runs the replication sample through sweep, whose
+        # minorize-maximize route takes no optimizer settings
         cfg = small_config(sample_sizes=(150, 300), mechanisms=("A1", "A2"), replications=2)
         result = run_simulation(cfg)
         rows = iter(result.rows)
@@ -107,7 +102,7 @@ class TestRunSimulation:
             for rep in range(cfg.replications):
                 seed = _replication_seed(cfg.seed, cell, rep)
                 path = sweep(toy_sample(n, cfg.p, mech, seed), cfg.grid, GINI, KS,
-                             replace(cfg.optimizer, seed=seed))
+                             OptimizerConfig())
                 for lam, entry in zip(cfg.grid, path.entries):
                     row = next(rows)
                     assert (row.n, row.mechanism, row.lam, row.replication) == (n, mech, lam, rep)
@@ -130,7 +125,6 @@ class TestRunSimulation:
             sample_sizes=(4000,),
             grid=LambdaGrid((0.0, round(c - 0.07, 3), round(c + 0.18, 3))),
             replications=5,
-            optimizer=OptimizerConfig(seed=5, candidate_starts=20, max_iters=300),
         )
         result = run_simulation(cfg)
         low = np.median([r.delta_hat for r in result.cell_rows(4000, "A1", cfg.grid.values[1])])
