@@ -5,9 +5,11 @@ covariate level) that maximize a functional of the implied outcome
 distribution (Gini-welfare, mean, quantiles) penalized by the worst
 dissimilarity between protected-group outcome distributions and the
 population distribution.  It ships plug-in and inverse-propensity-weighted
-empirical objectives, a derivative-free maximizer over products of
-simplices, budget-based preference-parameter selection, a closed-form test
-oracle, and a Monte Carlo harness.
+empirical objectives; two maximizers over products of simplices (the
+plug-in program of `fairpolicy.lp`, minorize-maximize over a linear program
+that is exact for the mean target and local for Gini-welfare, and
+Nelder-Mead for every other objective); budget-based preference-parameter
+selection; a closed-form test oracle; and a Monte Carlo harness.
 """
 
 from .distributions import (

@@ -21,7 +21,9 @@ formatted together: each distinct bit pattern once, finite ones by
 once.  ``fitted_array.json`` hands each cell's atoms to the writer as slices
 of the fitted array's columns.  stdout stays quiet; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV parse error, 3 schema
-violation, 4 optimizer failure, 5 configuration error.
+violation, 4 optimizer failure, 5 configuration error (a malformed or unknown
+flag too).  A run takes at most one ``--config`` file, which cannot name
+another.
 """
 
 from __future__ import annotations
@@ -526,8 +528,6 @@ def _run_sweep(args, beta=None) -> LambdaPath:
         cfg = _optimizer_config(args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.estimator == "ipw":
-        raise ConfigError("estimator 'ipw' needs a propensity model; use the library API")
     sample = _read_sample(args)
     if beta is not None:
         check_budget(beta, sample.n)
@@ -753,8 +753,15 @@ def cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 5 with one line, not 2 with the usage."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairpolicy",
         description="Fairness-penalized treatment rules: fit, sweep, select, simulate.",
     )
@@ -861,6 +868,8 @@ def _load_config_file(path: str) -> list[str]:
             raise ConfigError(f"{path}: line {idx}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise ConfigError(f"{path}: line {idx}: a config file cannot name another")
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 flags.append(flag)
@@ -872,19 +881,21 @@ def _load_config_file(path: str) -> list[str]:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    if not argv:
+    """Put the flags of the one --config file right after the subcommand, so
+    that the flags given on the command line win."""
+    at = [i for i, token in enumerate(argv) if token == "--config" or token.startswith("--config=")]
+    if not at:
         return argv
-    out = list(argv)
-    for i, token in enumerate(out):
-        if token == "--config" and i + 1 < len(out):
-            path = out[i + 1]
-            rest = out[:i] + out[i + 2:]
-            return rest[:1] + _load_config_file(path) + rest[1:]
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            rest = out[:i] + out[i + 1:]
-            return rest[:1] + _load_config_file(path) + rest[1:]
-    return out
+    if len(at) > 1:
+        raise ConfigError("--config given more than once")
+    i = at[0]
+    if argv[i] == "--config":
+        if i + 1 == len(argv):
+            return argv  # argparse reports the missing file name
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        path, rest = argv[i].split("=", 1)[1], argv[:i] + argv[i + 1:]
+    return rest[:1] + _load_config_file(path) + rest[1:]
 
 
 def main(argv=None) -> int:
@@ -892,6 +903,8 @@ def main(argv=None) -> int:
     try:
         argv = _expand_config(argv)
         args = build_parser().parse_args(argv)
+        if args.config is not None:  # an abbreviated --config reaches argparse unread
+            raise ConfigError("--config must be given in full, not abbreviated")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -187,14 +187,14 @@ class SimilarityMeasure:
         return cls(text)
 
 
-def plugin_route(t: TargetFunctional, s: SimilarityMeasure) -> str | None:
-    """How `lp` solves the plug-in objective of (t, s), or None if it cannot.
+def plugin_route(t: TargetFunctional, s: SimilarityMeasure) -> bool:
+    """Whether `lp.PluginProgram` maximizes the plug-in objective of (t, s).
 
     The KS, one-sided KS and |mean difference| penalties are a max of rows
     linear in the rule.  With them the mean target makes the objective a
-    linear program ('lp'), and the convex Gini-welfare target a difference
-    of convex functions, solved by minorize-maximize ('mm').
+    linear program, and the convex Gini-welfare target a difference of
+    convex functions; minorize-maximize over the program solves both.
     """
     if s.kind == "abs-target-diff" and s.inner.kind != "mean":
-        return None
-    return {"mean": "lp", "gini-welfare": "mm"}.get(t.kind)
+        return False
+    return t.kind in ("mean", "gini-welfare")

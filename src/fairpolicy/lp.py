@@ -1,48 +1,48 @@
-"""Exact maximization of the plug-in objectives that are linear programs, and
-minorize-maximize over the same programs for the Gini-welfare target.
+"""Maximization of the plug-in objectives of the mean and Gini-welfare
+targets under the KS, one-sided KS or |mean difference| similarity, by
+minorize-maximize over one cutting-plane linear program (`PluginProgram`).
 
-With the mean target and the KS, one-sided KS or |mean difference|
-similarity, the plug-in group CDFs, the population CDF and the mean are all
-linear in the rule p, and the penalty max becomes linear once it is bounded
-by an epigraph variable t.  The objective's maximum over the product of
-simplices is then the linear program
+With these similarities the plug-in group CDFs, the population CDF and the
+group means are all linear in the rule p, and the penalty max becomes
+linear once it is bounded by an epigraph variable t.  For a cost vector c
+(a target's gradient) the program is
 
-    max  (1 - lam) m.p - lam t
+    max  (1 - lam) c.p - lam t
     s.t. sign (F_z(g) - F(g)).p <= t   (active group z, grid point g, sign)
          sum_i p(x, i) = 1,  p >= 0,  t >= 0
 
 with sign +1 and -1 for KS and +1 only for one-sided KS.  For |mean
 difference| the rows are sign (mean F_z - mean F).p <= t, one pair per
-active group.  m is the population mean per rule entry.  The coefficients
-of every row come from the kernel's atoms with one `bincount` over slots,
-so no dense grid x rule matrix is built.
+active group.  The coefficients of every row come from the kernel's atoms
+with one `bincount` over slots, so no dense grid x rule matrix is built.
 
 The grid has thousands of points, so KS rows are generated (Kelley's
 cutting-plane method, 1960): solve with the rows found so far, evaluate the
 group CDFs at the solution with one kernel call, and add, for each active
 group and sign, the most violated row if it exceeds t by more than
 `CUT_TOL`; stop when nothing is added.  Every relaxed optimum is an upper
-bound on the objective, so `bound - value` at the returned rule is a
-certified optimality gap.
+bound on the linear objective.
 
 Each relaxation is solved from scratch by a dense primal simplex started at
-a feasible basis: for each x the treatment of largest (1 - lam) m (lowest
+a feasible basis: for each x the treatment of largest (1 - lam) c (lowest
 index on ties), t basic in the row of the largest row value if that is
 positive, and the slacks of the other rows.  These programs are highly
 degenerate, so pivots follow Bland's rule (1977), which cannot cycle.  The
 tableau is recomputed from the original data every `REFACTOR_EVERY` pivots
 and before optimality is declared, so round-off does not accumulate.
 
-Gini-welfare on the grid is (g_0 + sum_j (1 - F_j)^2 dg_j) / 2, convex in
-the rule, so with the same penalties the objective is a difference of
-convex functions.  `GiniProgram` maximizes it by minorize-maximize (the DC
-algorithm of Pham Dinh & Le Thi, 1997; the convex-concave procedure of
-Lipp & Boyd, 2016): replace the target by its tangent at the current rule,
-which minorizes it and touches it there, solve the program above with that
-cost vector, and move to its solution, so the objective never falls.  Each
-start (the uniform rule, then the K deterministic rules) stops when a step
-gains at most `MM_TOL`, or after `MM_MAX_STEPS` steps.  The result is a
-local maximum with no certificate.
+Minorize-maximize (the DC algorithm of Pham Dinh & Le Thi, 1997; the
+convex-concave procedure of Lipp & Boyd, 2016) replaces the target by its
+tangent at the current rule, solves the program above with that gradient as
+c, and moves to its solution.  The mean is linear, so its tangent is the
+mean itself and the first step is the exact maximum: `bound - value` at it
+is a certified optimality gap.  Gini-welfare on the grid is (g_0 +
+sum_j (1 - F_j)^2 dg_j) / 2, convex in the rule, so the objective is a
+difference of convex functions; the tangent minorizes the target and
+touches it at the current rule, so an accepted step never lowers the
+objective.  Each start (the uniform rule, then the K deterministic rules)
+stops when a step gains at most `MM_TOL`, or after `MM_MAX_STEPS` steps.
+That result is a local maximum with no certificate.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ _TIE_TOL = 1e-12  # ratios this close to the least one tie
 
 class Unbounded(ArithmeticError):
     """The linear program's objective grows without bound."""
-
-
-def is_linear(t: TargetFunctional, s: SimilarityMeasure) -> bool:
-    """Whether the plug-in objective of (t, s) is a linear program."""
-    return plugin_route(t, s) == "lp"
 
 
 def leaving_row(column: np.ndarray, rhs: np.ndarray, basis) -> int | None:
@@ -129,31 +124,58 @@ def simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis):
     return x, y, basis
 
 
-class _CutPlanes:
-    """The penalty rows of one plug-in kernel and similarity, and the cutting-
-    plane loop that maximizes cost.p - lam t subject to them.
+class PluginProgram:
+    """The plug-in objective of one kernel and a (t, s) pair that
+    `plugin_route` accepts, maximized by minorize-maximize over the
+    cutting-plane linear program.
 
-    A row holds for every rule, so rows found under one cost vector stay
-    valid under any other.
+    Build once per kernel; `maximize(lam)` carries rows across the steps and
+    starts of one lambda only, so results do not depend on the grid.  A row
+    holds for every rule, so rows found under one cost vector stay valid
+    under any other.
     """
 
-    def __init__(self, kernel: AtomKernel, space: CovariateSpace, s: SimilarityMeasure):
-        self.kernel, self.space, self.s = kernel, space, s
+    def __init__(self, kernel: AtomKernel, space: CovariateSpace,
+                 t: TargetFunctional, s: SimilarityMeasure):
+        if not plugin_route(t, s):
+            raise ValueError(f"({t.kind}, {s.kind}) has no plug-in program")
+        self.kernel, self.space, self.t, self.s = kernel, space, t, s
         self.shape = (len(space.x_levels), space.k)
         self.size = self.shape[0] * self.shape[1]
         z, g = np.divmod(kernel.index, kernel.grid.size)
         order = np.argsort(g, kind="stable")  # a row at grid point g is a prefix
         self.slot, z, g = kernel.slot[order], z[order], g[order]
-        self.z, self.g, self.mass = z, g, kernel.mass[order]
+        self.g, self.mass = g, kernel.mass[order]
+        y = kernel.grid[g]
         # atom weights of the row F_z(g) - F(g) (times y for the mean rows)
         self.weights = {int(zj): self.mass * ((z == zj) - kernel.pz[z]) for zj in kernel.active}
         if s.kind == "abs-target-diff":
-            y = kernel.grid[g]
             self.weights = {zj: w * y for zj, w in self.weights.items()}
             self.ends = None
         else:
             self.ends = np.searchsorted(g, np.arange(kernel.grid.size), side="right")
         self.signs = (1.0,) if s.kind == "one-sided-ks" else (1.0, -1.0)
+        if t.kind == "mean":  # the population mean per rule entry, the mean's gradient
+            self.mean = np.bincount(self.slot, self.mass * y * kernel.pz[z], minlength=self.size)
+        else:
+            self.mean, self.tangent_mass = None, -kernel.pz[z] * self.mass
+
+    def tangent(self, probs: np.ndarray) -> np.ndarray:
+        """Gradient per rule entry of the target at probs.
+
+        The mean is linear, so its gradient is the population mean per rule
+        entry whatever probs is.  Gini-welfare is (g_0 + sum_j (1 - F_j)^2
+        dg_j) / 2 on the grid, and an atom at grid index g enters F_j for
+        every j >= g with weight pz mass, so its entry gains
+        -pz mass sum_{g <= j < G-1} (1 - F_j) dg_j (one kernel call).
+        """
+        if self.mean is not None:
+            return self.mean
+        kernel = self.kernel
+        pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
+        tail = np.zeros(kernel.grid.size)
+        tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
+        return np.bincount(self.slot, self.tangent_mass * tail[self.g], minlength=self.size)
 
     def _row(self, zj: int, point: int | None, sign: float) -> np.ndarray:
         end = self.slot.size if point is None else self.ends[point]
@@ -225,86 +247,35 @@ class _CutPlanes:
             if not added:
                 return probs, bound, calls
 
-
-class LinearProgram(_CutPlanes):
-    """The linear program of one plug-in kernel and a linear (t, s) pair.
-
-    Build once per kernel; `maximize(lam)` solves each lambda on its own,
-    with no rows carried over, so results do not depend on the grid.
-    """
-
-    def __init__(self, kernel: AtomKernel, space: CovariateSpace,
-                 t: TargetFunctional, s: SimilarityMeasure):
-        if not is_linear(t, s):
-            raise ValueError(f"({t.kind}, {s.kind}) is not a linear program")
-        super().__init__(kernel, space, s)
-        self.t = t
-        y = kernel.grid[self.g]
-        self.mean = np.bincount(self.slot, self.mass * y * kernel.pz[self.z],
-                                minlength=self.size)
-
     def maximize(self, lam: float) -> OptimResult:
-        """The exact maximizer at lam, with its certified gap.
+        """The best maximizer at lam found by minorize-maximize.
 
-        evaluations counts kernel calls: one per relaxation when lam > 0
-        (to find violated rows) and one for the returned value.
+        Gini-welfare starts from the uniform and the K deterministic rules,
+        in that order (ties go to the earlier start); a step is taken only
+        if it gains, and a start stops once a step gains at most MM_TOL or
+        after MM_MAX_STEPS steps.  converged then means that no start hit
+        the cap, and gap is None.  The mean's tangent is the mean itself, so
+        one step from the (unevaluated) uniform rule is the exact maximum:
+        gap is the certified distance from value up to the last relaxation's
+        bound, and converged means gap <= GAP_TOL.
+
+        evaluations counts kernel calls.  Raises NonFiniteObjective when the
+        kernel value is NaN or infinite.
         """
-        probs, bound, calls = self.solve((1.0 - lam) * self.mean, lam, [], set())
-        rule = DecisionRule(self.space, probs)
-        value = self.kernel.value(rule.probs, lam, self.t, self.s)
-        gap = bound - value
-        return OptimResult(rule=rule, value=value, evaluations=calls + 1,
-                           converged=gap <= GAP_TOL, gap=gap)
-
-
-class GiniProgram(_CutPlanes):
-    """Minorize-maximize for the Gini-welfare target with a linear penalty.
-
-    Build once per kernel; `maximize(lam)` carries rows across the steps and
-    starts of one lambda only, so results do not depend on the grid.
-    """
-
-    def __init__(self, kernel: AtomKernel, space: CovariateSpace,
-                 t: TargetFunctional, s: SimilarityMeasure):
-        if plugin_route(t, s) != "mm":
-            raise ValueError(f"({t.kind}, {s.kind}) has no minorize-maximize route")
-        super().__init__(kernel, space, s)
-        self.t = t
-        self.tangent_mass = -kernel.pz[self.z] * self.mass
-
-    def tangent(self, probs: np.ndarray) -> np.ndarray:
-        """Gradient per rule entry of Gini-welfare at probs (one kernel call).
-
-        Gini-welfare is (g_0 + sum_j (1 - F_j)^2 dg_j) / 2 on the grid, and
-        an atom at grid index g enters F_j for every j >= g with weight
-        pz mass, so its entry gains -pz mass sum_{g <= j < G-1} (1 - F_j) dg_j.
-        """
-        kernel = self.kernel
-        pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
-        tail = np.zeros(kernel.grid.size)
-        tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
-        return np.bincount(self.slot, self.tangent_mass * tail[self.g], minlength=self.size)
-
-    def maximize(self, lam: float) -> OptimResult:
-        """The best local maximizer at lam from the uniform and the K
-        deterministic rules, in that order (ties go to the earlier start).
-
-        evaluations counts kernel calls; converged means that no start
-        reached MM_MAX_STEPS; gap is None.  Raises NonFiniteObjective when
-        the kernel value is NaN or infinite.
-        """
+        linear = self.mean is not None
         objective = CountingObjective(lambda probs: self.kernel.value(probs, lam, self.t, self.s))
         starts = [DecisionRule.uniform(self.space)]
-        starts += [DecisionRule.singleton(self.space, i) for i in self.space.treatments]
+        if not linear:
+            starts += [DecisionRule.singleton(self.space, i) for i in self.space.treatments]
         rows, seen = [], set()
         calls, converged = 0, True
         best, best_value = None, -np.inf
         for rule in starts:
-            value = objective(rule.probs)
-            for _ in range(MM_MAX_STEPS):
+            value = -np.inf if linear else objective(rule.probs)
+            for _ in range(1 if linear else MM_MAX_STEPS):
                 cost = (1.0 - lam) * self.tangent(rule.probs)
-                probs, _, used = self.solve(cost, lam, rows, seen)
-                calls += used + 1
+                probs, bound, used = self.solve(cost, lam, rows, seen)
+                calls += used + (not linear)  # a Gini-welfare tangent is a kernel call
                 step = DecisionRule(self.space, probs)
                 step_value = objective(step.probs)
                 gain = step_value - value
@@ -316,12 +287,9 @@ class GiniProgram(_CutPlanes):
                 converged = False
             if value > best_value:
                 best, best_value = rule, value
-        return OptimResult(rule=best, value=best_value,
-                           evaluations=objective.evaluations + calls, converged=converged)
-
-
-def program_for(kernel: AtomKernel, space: CovariateSpace, t: TargetFunctional,
-                s: SimilarityMeasure) -> LinearProgram | GiniProgram | None:
-    """The solver of the plug-in objective of (t, s), or None when there is none."""
-    program = {"lp": LinearProgram, "mm": GiniProgram}.get(plugin_route(t, s))
-    return None if program is None else program(kernel, space, t, s)
+        gap = None
+        if linear:
+            gap = bound - best_value
+            converged = gap <= GAP_TOL
+        return OptimResult(rule=best, value=best_value, evaluations=objective.evaluations + calls,
+                           converged=converged, gap=gap)

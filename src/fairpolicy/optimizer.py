@@ -14,9 +14,10 @@ uniformly from the product of simplices; independent restarts use RNG
 streams derived from (seed, restart index), so results are deterministic and
 restart sets are prefix-monotone.  The achieved optimization accuracy is best-effort: the true
 supremum is unknown, and `converged` only reports the internal ftol
-criterion.  `selection.sweep` sends the plug-in objectives that are linear
-programs to `lp.LinearProgram` instead, which solves them exactly, and
-Gini-welfare with those penalties to `lp.GiniProgram` (minorize-maximize).
+criterion.  `selection.sweep` sends the plug-in objectives of the mean and
+Gini-welfare targets under the KS, one-sided KS and |mean difference|
+penalties to `lp.PluginProgram` instead: minorize-maximize over a linear
+program, exact for the mean and local for Gini-welfare.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class OptimResult:
     evaluations counts objective calls.  From `maximize`, converged only says
     that no evaluation or iteration budget stopped the final Nelder-Mead
     run (it can hold well short of the maximum), and gap is None.  From
-    `lp.LinearProgram.maximize`, gap is the certified distance from value up
-    to an upper bound on the maximum, and converged means gap <= 1e-9.  From
-    `lp.GiniProgram.maximize`, converged means that no start hit the step
-    cap, and gap is None (the maximum found is local).
+    `lp.PluginProgram.maximize`, for the mean target gap is the certified
+    distance from value up to an upper bound on the maximum, and converged
+    means gap <= 1e-9; for Gini-welfare, converged means that no start hit
+    the step cap, and gap is None (the maximum found is local).
     """
 
     rule: DecisionRule

@@ -4,13 +4,13 @@
 too), fits the plug-in array and picks the estimator's atom kernel once: the
 fitted array's for plug-in and for IPW with cell-frequency propensities (the
 same objective), the record kernel for IPW with known propensities.  On the
-fitted array's kernel, the mean target with the KS, one-sided KS or
-|mean difference| similarity is a linear program, solved exactly with a
-certified gap by `lp.LinearProgram`, and the Gini-welfare target with those
-similarities is solved by minorize-maximize over the same linear programs
-(`lp.GiniProgram`, local, no certificate); `plugin_route` names the route,
-and the optimizer settings and seed play no part on either.  Every other
-objective is maximized by Nelder-Mead (`maximize`).
+fitted array's kernel, the mean and Gini-welfare targets with the KS,
+one-sided KS or |mean difference| similarity (the pairs `plugin_route`
+accepts) go to `lp.PluginProgram`: minorize-maximize over one cutting-plane
+linear program, exact with a certified gap for the mean and a local maximum
+with no certificate for Gini-welfare.  The optimizer settings and seed play
+no part there.  Every other objective is maximized by Nelder-Mead
+(`maximize`).
 Per-lambda diagnostics (target value, per-group unfairness) are the plug-in
 kernel's two objective terms at the fitted rule, matching how the empirical
 illustrations report estimated quantities.
@@ -175,9 +175,8 @@ def sweep(
 ) -> LambdaPath:
     """One maximization per grid lambda of the chosen empirical objective.
 
-    On the plug-in kernel, a linear (t, s) pair is solved exactly by
-    `lp.LinearProgram`, and Gini-welfare with a linear penalty by
-    minorize-maximize (`lp.GiniProgram`); both ignore cfg.  Every other
+    On the plug-in kernel, a (t, s) pair that `plugin_route` accepts is
+    solved by `lp.PluginProgram`, which ignores cfg.  Every other
     objective goes to `maximize`, with per-lambda seeds derived from
     (cfg.seed, lambda index).  Either way the path is reproducible
     bit-for-bit and per-lambda runs are independent.
@@ -188,7 +187,7 @@ def sweep(
     if kernel is arr.kernel and plugin_route(t, s):
         from . import lp  # here, so that only the sweeps it may solve compile it
 
-        program = lp.program_for(kernel, sample.space, t, s)
+        program = lp.PluginProgram(kernel, sample.space, t, s)
     z_levels = sample.space.z_levels
     entries = []
     for idx, lam in enumerate(grid):

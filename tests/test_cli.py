@@ -904,9 +904,10 @@ class TestOracleCheck:
         stream = io.StringIO()
         assert oracle_check(grid_points=800, perturb=0.2, stream=stream) == EXIT_SELFTEST
         assert "[FAIL] objective agreement on 21x5 grid" in stream.getvalue()
-        with pytest.raises(SystemExit):  # the perturbation is not a command-line flag
-            main(["oracle-check", "--self-test-perturb", "0.2"])
-        assert "unrecognized arguments: --self-test-perturb" in capsys.readouterr().err
+        # the perturbation is not a command-line flag
+        assert main(["oracle-check", "--self-test-perturb", "0.2"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --self-test-perturb" in err and err.count("\n") == 1
 
 
     @pytest.mark.parametrize("flags", [["--grid-points", "0"], ["--p", "2"], ["--p", "0"]])
@@ -935,6 +936,42 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a pair\n")
         assert main(["fit", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--config", "{b}", "--config", "{a}"], "config error: --config given more than once\n"),
+        (["--config={a}", "--config={b}"], "config error: --config given more than once\n"),
+        (["--config", "{a}"], "config error: {a}: line 2: a config file cannot name another\n"),
+        (["--conf", "{b}"], "config error: --config must be given in full, not abbreviated\n"),
+    ], ids=["twice", "twice-inline", "nested", "abbreviated"])
+    def test_every_config_file_is_read_or_refused(self, toy_csv, tmp_path, capsys, flags, error):
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("grid_m=1\nconfig = b.cfg\n")
+        b.write_text(f"input={toy_csv}\n")
+        argv = [flag.format(a=a, b=b) for flag in flags]
+        assert main(["sweep", "--output-dir", str(tmp_path / "o")] + argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == error.format(a=a)
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--grid-m", "abc"], "argument --grid-m: invalid int value: 'abc'"),
+    (["sweep", "--estimator", "ipw"], "argument --estimator: invalid choice: 'ipw'"),
+    (["fit", "--bogus"], "unrecognized arguments: --bogus"),
+    (["fit", "--support", "0"], "argument --support: expected 2 arguments"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "bad-choice", "unknown", "too-few-values", "no-command"])
+def test_flag_errors_exit_5_with_one_line(capsys, argv, error):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {error}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep", "select", "simulate", "oracle-check"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: fairpolicy {command}")
 
 
 def test_cli_import_leaves_scipy_unloaded(toy_csv, tmp_path):

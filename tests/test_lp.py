@@ -1,4 +1,5 @@
-"""The cutting-plane simplex against HiGHS, Nelder-Mead and closed forms.
+"""The cutting-plane simplex against HiGHS, Nelder-Mead and closed forms,
+and the mean target's one-step `lp.PluginProgram`.
 
 The reference program is built cell by cell from the array's StepCdfs (not
 from the atom kernel) and solved densely, with every grid row, by
@@ -23,7 +24,8 @@ from fairpolicy import (
     toy_sample,
 )
 from fairpolicy import lp
-from fairpolicy.lp import LinearProgram, Unbounded, is_linear, leaving_row, simplex
+from fairpolicy.functionals import plugin_route
+from fairpolicy.lp import PluginProgram, Unbounded, leaving_row, simplex
 from helpers import UNIT, random_cond_array
 
 MEAN = TargetFunctional("mean")
@@ -77,7 +79,7 @@ def highs_value(arr, lam, s) -> float:
 def test_matches_highs_beats_nelder_mead_and_certifies(seed, s, lam, support):
     rng = np.random.default_rng(seed)
     arr = random_cond_array(rng, support=support)
-    res = LinearProgram(arr.kernel, arr.space, MEAN, s).maximize(lam)
+    res = PluginProgram(arr.kernel, arr.space, MEAN, s).maximize(lam)
     assert abs(res.value - highs_value(arr, lam, s)) <= 1e-9
     assert res.value == arr.kernel.value(res.rule.probs, lam, MEAN, s)
     assert res.gap <= 1e-9 and res.converged
@@ -97,7 +99,7 @@ def test_unpenalized_rule_is_the_per_x_best_treatment(seed, s):
          for i in space.treatments]
         for x in space.x_levels
     ])
-    res = LinearProgram(arr.kernel, space, MEAN, s).maximize(0.0)
+    res = PluginProgram(arr.kernel, space, MEAN, s).maximize(0.0)
     assert np.array_equal(res.rule.probs, np.eye(space.k)[np.argmax(means, axis=1)])
     assert res.evaluations == 1
 
@@ -148,14 +150,19 @@ def test_refactoring_undoes_the_round_off_of_a_tiny_pivot():
     assert abs(b @ y - 4.0) <= 1e-13
 
 
-def test_linear_pairs():
-    assert is_linear(MEAN, SimilarityMeasure("ks"))
-    assert is_linear(MEAN, SimilarityMeasure.parse("abs-target-diff:mean"))
-    assert not is_linear(MEAN, SimilarityMeasure.parse("abs-target-diff:gini-welfare"))
-    assert not is_linear(TargetFunctional("gini-welfare"), SimilarityMeasure("ks"))
-    assert not is_linear(TargetFunctional.parse("quantile:0.5"), SimilarityMeasure("ks"))
-    with pytest.raises(ValueError):
-        LinearProgram(None, None, TargetFunctional("gini-welfare"), SimilarityMeasure("ks"))
+def test_route_predicate_and_program_misuse():
+    gini = TargetFunctional("gini-welfare")
+    ks = SimilarityMeasure("ks")
+    assert all(plugin_route(t, s) for t in (MEAN, gini) for s in SIMILARITIES)
+    off_route = [
+        (MEAN, SimilarityMeasure.parse("abs-target-diff:gini-welfare")),
+        (gini, SimilarityMeasure.parse("abs-target-diff:quantile:0.5")),
+        (TargetFunctional.parse("quantile:0.5"), ks),
+    ]
+    for t, s in off_route:
+        assert not plugin_route(t, s)
+        with pytest.raises(ValueError, match="has no plug-in program"):
+            PluginProgram(None, None, t, s)
 
 
 def test_sweep_solves_mean_targets_exactly_and_ignores_the_optimizer_flags():

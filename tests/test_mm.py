@@ -1,4 +1,4 @@
-"""Minorize-maximize for Gini-welfare with a linear penalty (`lp.GiniProgram`)."""
+"""Minorize-maximize for Gini-welfare with a linear penalty (`lp.PluginProgram`)."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from fairpolicy import (
     toy_sample,
     toy_threshold,
 )
-from fairpolicy.lp import GiniProgram, LinearProgram, program_for
+from fairpolicy.lp import PluginProgram
 from helpers import UNIT, random_cond_array
 
 GINI = TargetFunctional("gini-welfare")
@@ -39,7 +39,7 @@ def starts(space):
 def test_steps_never_lower_the_value_and_the_result_beats_every_start(seed, s, lam, support):
     arr = random_cond_array(np.random.default_rng(seed), support=support)
     kernel = arr.kernel
-    program = GiniProgram(kernel, arr.space, GINI, s)
+    program = PluginProgram(kernel, arr.space, GINI, s)
 
     def value(probs):
         return kernel.value(probs, lam, GINI, s)
@@ -64,7 +64,7 @@ def test_steps_never_lower_the_value_and_the_result_beats_every_start(seed, s, l
 def test_tangent_is_the_gradient(seed, s):
     arr = random_cond_array(np.random.default_rng(seed))
     kernel = arr.kernel
-    program = GiniProgram(kernel, arr.space, GINI, s)
+    program = PluginProgram(kernel, arr.space, GINI, s)
     rng = np.random.default_rng(seed)
     p0 = rng.dirichlet(np.ones(arr.space.k), size=len(arr.space.x_levels))
     p1 = rng.dirichlet(np.ones(arr.space.k), size=len(arr.space.x_levels))
@@ -80,7 +80,7 @@ def test_tangent_is_the_gradient(seed, s):
 def test_recovers_the_toy_argmax(p):
     arr = toy_cond_array(p, 400)
     c = toy_threshold(p)
-    program = GiniProgram(arr.kernel, arr.space, GINI, SimilarityMeasure("ks"))
+    program = PluginProgram(arr.kernel, arr.space, GINI, SimilarityMeasure("ks"))
     for lam in (0.0, c / 2.0, (c + 1.0) / 2.0, 1.0):
         (delta,) = toy_argmax(ToyParams(p, lam))
         res = program.maximize(lam)
@@ -91,15 +91,15 @@ def test_recovers_the_toy_argmax(p):
 
 def test_rows_carry_over_within_one_lambda_only(monkeypatch):
     arr = random_cond_array(np.random.default_rng(5))
-    program = GiniProgram(arr.kernel, arr.space, GINI, SimilarityMeasure("ks"))
+    program = PluginProgram(arr.kernel, arr.space, GINI, SimilarityMeasure("ks"))
     calls = []
-    solve = GiniProgram.solve
+    solve = PluginProgram.solve
 
     def recorded(self, cost, lam, rows, seen):
         calls.append((lam, id(rows), len(rows)))
         return solve(self, cost, lam, rows, seen)
 
-    monkeypatch.setattr(GiniProgram, "solve", recorded)
+    monkeypatch.setattr(PluginProgram, "solve", recorded)
     for lam in (0.5, 0.8):
         program.maximize(lam)
     for lam in (0.5, 0.8):
@@ -112,11 +112,11 @@ def test_rows_carry_over_within_one_lambda_only(monkeypatch):
 def test_a_step_that_lowers_the_value_is_not_taken(monkeypatch):
     arr = random_cond_array(np.random.default_rng(8))
     s = SimilarityMeasure("ks")
-    program = GiniProgram(arr.kernel, arr.space, GINI, s)
+    program = PluginProgram(arr.kernel, arr.space, GINI, s)
     values = [arr.kernel.value(start.probs, 0.5, GINI, s) for start in starts(arr.space)]
     worst = starts(arr.space)[int(np.argmin(values))].probs
     # a solver that always lands on the worst start
-    monkeypatch.setattr(GiniProgram, "solve", lambda *args: (worst.copy(), 0.0, 0))
+    monkeypatch.setattr(PluginProgram, "solve", lambda *args: (worst.copy(), 0.0, 0))
     res = program.maximize(0.5)
     assert res.value == max(values)
     assert np.array_equal(res.rule.probs, starts(arr.space)[int(np.argmax(values))].probs)
@@ -135,17 +135,3 @@ def test_sweep_ignores_the_optimizer_settings():
                 assert a.obj_value == b.obj_value
                 assert np.array_equal(a.rule.probs, b.rule.probs)
                 assert a.gap is None and a.converged and a.evaluations > 0
-
-
-def test_route_choice():
-    arr = random_cond_array(np.random.default_rng(1))
-    kernel, space = arr.kernel, arr.space
-    mean = TargetFunctional("mean")
-    ks = SimilarityMeasure("ks")
-    assert type(program_for(kernel, space, mean, ks)) is LinearProgram
-    assert type(program_for(kernel, space, GINI, ks)) is GiniProgram
-    gini_diff = SimilarityMeasure.parse("abs-target-diff:gini-welfare")
-    assert program_for(kernel, space, GINI, gini_diff) is None
-    assert program_for(kernel, space, TargetFunctional.parse("quantile:0.5"), ks) is None
-    with pytest.raises(ValueError):
-        GiniProgram(None, None, mean, ks)
