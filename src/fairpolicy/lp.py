@@ -43,6 +43,17 @@ touches it at the current rule, so an accepted step never lowers the
 objective.  Each start (the uniform rule, then the K deterministic rules)
 stops when a step gains at most `MM_TOL`, or after `MM_MAX_STEPS` steps.
 That result is a local maximum with no certificate.
+
+Within one lambda, `maximize` replays work instead of redoing it, and each
+replay is exact.  A solve is keyed on the cost vector's bytes and the number
+of rows known after it.  Rows are only appended within one lambda, so an
+equal count means the same rows, and a solve ends on a relaxation over
+exactly those rows that adds none: solving again would return the same
+rule, bound and step value.  A tangent is keyed on the rule's bytes (it does
+not depend on lambda).  The group CDFs that the row search computes at a
+solve's last solution are kept, read-only, for the tangent at that rule.
+Equal bytes go through the same deterministic arithmetic, so the results
+are those of the loop without replay, with fewer kernel calls.
 """
 
 from __future__ import annotations
@@ -140,8 +151,9 @@ class PluginProgram:
         if not plugin_route(t, s):
             raise ValueError(f"({t.kind}, {s.kind}) has no plug-in program")
         self.kernel, self.space, self.t, self.s = kernel, space, t, s
-        self.shape = (len(space.x_levels), space.k)
-        self.size = self.shape[0] * self.shape[1]
+        nx, k = self.shape = (len(space.x_levels), space.k)
+        self.size = nx * k
+        self.simplex_rows = np.kron(np.eye(nx), np.ones(k))  # sum_i p(x, i) = 1
         z, g = np.divmod(kernel.index, kernel.grid.size)
         order = np.argsort(g, kind="stable")  # a row at grid point g is a prefix
         self.slot, z, g = kernel.slot[order], z[order], g[order]
@@ -159,6 +171,27 @@ class PluginProgram:
             self.mean = np.bincount(self.slot, self.mass * y * kernel.pz[z], minlength=self.size)
         else:
             self.mean, self.tangent_mass = None, -kernel.pz[z] * self.mass
+        self.starts = [DecisionRule.uniform(space)]
+        if self.mean is None:
+            self.starts += [DecisionRule.singleton(space, i) for i in space.treatments]
+        self._tangents, self._cdfs, self.kernel_calls = {}, (None, None), 0
+
+    def group_cdfs(self, probs: np.ndarray) -> np.ndarray:
+        """The kernel's group CDFs at probs (one kernel call), read-only.
+
+        For Gini-welfare the last result is kept, so the tangent at the rule
+        a solve ended on reuses the CDFs its row search computed there.
+        """
+        key = probs.tobytes()
+        if self._cdfs[0] == key:
+            return self._cdfs[1]
+        self._cdfs = None, None  # so that two arrays are never held at once
+        f = self.kernel.group_cdfs(probs.ravel())
+        f.flags.writeable = False
+        self.kernel_calls += 1
+        if self.mean is None:  # only a Gini-welfare tangent reads them again
+            self._cdfs = key, f
+        return f
 
     def tangent(self, probs: np.ndarray) -> np.ndarray:
         """Gradient per rule entry of the target at probs.
@@ -167,28 +200,32 @@ class PluginProgram:
         entry whatever probs is.  Gini-welfare is (g_0 + sum_j (1 - F_j)^2
         dg_j) / 2 on the grid, and an atom at grid index g enters F_j for
         every j >= g with weight pz mass, so its entry gains
-        -pz mass sum_{g <= j < G-1} (1 - F_j) dg_j (one kernel call).
+        -pz mass sum_{g <= j < G-1} (1 - F_j) dg_j.  It is computed once per
+        probs bytes (one kernel call at most) and kept read-only.
         """
         if self.mean is not None:
             return self.mean
-        kernel = self.kernel
-        pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
-        tail = np.zeros(kernel.grid.size)
-        tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
-        return np.bincount(self.slot, self.tangent_mass * tail[self.g], minlength=self.size)
+        key = probs.tobytes()
+        grad = self._tangents.get(key)
+        if grad is None:
+            kernel = self.kernel
+            pop = kernel.pz @ self.group_cdfs(probs)
+            tail = np.zeros(kernel.grid.size)
+            tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
+            grad = np.bincount(self.slot, self.tangent_mass * tail[self.g], minlength=self.size)
+            grad.flags.writeable = False
+            self._tangents[key] = grad
+        return grad
 
     def _row(self, zj: int, point: int | None, sign: float) -> np.ndarray:
         end = self.slot.size if point is None else self.ends[point]
         w = self.weights[zj][:end]
         return sign * np.bincount(self.slot[:end], w, minlength=self.size)
 
-    def _violations(self, probs: np.ndarray):
-        """Per (group, sign): the most violated row's grid point and value.
-
-        One kernel evaluation; the point is None for the mean rows.
-        """
+    def _violations(self, f: np.ndarray):
+        """Per (group, sign): the most violated row's grid point and value
+        under the group CDFs f; the point is None for the mean rows."""
         kernel = self.kernel
-        f = kernel.group_cdfs(probs.ravel())
         diff = f[kernel.active] - kernel.pz @ f
         if self.ends is None:  # one mean difference per group
             diff = (np.diff(diff, axis=1, prepend=0.0) @ kernel.grid)[:, None]
@@ -202,19 +239,18 @@ class PluginProgram:
         nx, k = self.shape
         size, ncut = self.size, len(rows)
         a = np.zeros((nx + ncut, size + 1 + ncut))
-        a[:nx, :size] = np.kron(np.eye(nx), np.ones(k))
+        a[:nx, :size] = self.simplex_rows
         b = np.zeros(nx + ncut)
         b[:nx] = 1.0
         c = np.zeros(size + 1 + ncut)
         c[:size] = cost
         c[size] = -lam
-        for r, row in enumerate(rows):
-            a[nx + r, :size] = row
-            a[nx + r, size] = -1.0
-            a[nx + r, size + 1 + r] = 1.0
         best = np.argmax(c[:size].reshape(nx, k), axis=1) + k * np.arange(nx)
-        basis = list(best) + [size + 1 + r for r in range(ncut)]
+        basis = list(best) + list(range(size + 1, size + 1 + ncut))
         if ncut:
+            a[nx:, :size] = rows
+            a[nx:, size] = -1.0
+            np.fill_diagonal(a[nx:, size + 1:], 1.0)
             values = a[nx:, best].sum(axis=1)
             top = int(np.argmax(values))
             if values[top] > 0.0:
@@ -225,27 +261,25 @@ class PluginProgram:
         return probs, x[size], float(b @ y)
 
     def solve(self, cost: np.ndarray, lam: float, rows: list, seen: set):
-        """(probs, bound, kernel calls) of max cost.p - lam t over every row.
+        """(probs, bound) of max cost.p - lam t over every row.
 
         rows and seen (the keys of the rows in rows) start as the rows known
-        so far and gain the rows this solve adds.  A kernel call per
-        relaxation finds the violated rows when lam > 0.
+        so far and gain the rows this solve adds.  The group CDFs at each
+        relaxation's solution find the violated rows when lam > 0.
         """
-        calls = 0
         while True:
             probs, t_value, bound = self._solve_relaxation(cost, lam, rows)
             if lam == 0.0:  # the penalty has no weight
-                return probs, bound, calls
-            calls += 1
+                return probs, bound
             added = False
-            for zj, point, sign, value in self._violations(probs):
+            for zj, point, sign, value in self._violations(self.group_cdfs(probs)):
                 key = (zj, point, sign)
                 if value - t_value > CUT_TOL and key not in seen:
                     seen.add(key)
                     rows.append(self._row(zj, point, sign))
                     added = True
             if not added:
-                return probs, bound, calls
+                return probs, bound
 
     def maximize(self, lam: float) -> OptimResult:
         """The best maximizer at lam found by minorize-maximize.
@@ -259,25 +293,30 @@ class PluginProgram:
         gap is the certified distance from value up to the last relaxation's
         bound, and converged means gap <= GAP_TOL.
 
-        evaluations counts kernel calls.  Raises NonFiniteObjective when the
-        kernel value is NaN or infinite.
+        Repeated solves, tangents and group CDFs are replayed, not redone
+        (see the module docstring), so evaluations counts the kernel calls
+        actually made: objective values, and group CDFs at relaxed solutions
+        and tangent points.  Raises NonFiniteObjective when the kernel value
+        is NaN or infinite.
         """
         linear = self.mean is not None
         objective = CountingObjective(lambda probs: self.kernel.value(probs, lam, self.t, self.s))
-        starts = [DecisionRule.uniform(self.space)]
-        if not linear:
-            starts += [DecisionRule.singleton(self.space, i) for i in self.space.treatments]
-        rows, seen = [], set()
-        calls, converged = 0, True
+        rows, seen, solved = [], set(), {}
+        made = self.kernel_calls
+        converged = True
         best, best_value = None, -np.inf
-        for rule in starts:
+        for rule in self.starts:
             value = -np.inf if linear else objective(rule.probs)
             for _ in range(1 if linear else MM_MAX_STEPS):
                 cost = (1.0 - lam) * self.tangent(rule.probs)
-                probs, bound, used = self.solve(cost, lam, rows, seen)
-                calls += used + (not linear)  # a Gini-welfare tangent is a kernel call
-                step = DecisionRule(self.space, probs)
-                step_value = objective(step.probs)
+                key = cost.tobytes()
+                replay = solved.get((key, len(rows)))
+                if replay is None:
+                    probs, bound = self.solve(cost, lam, rows, seen)
+                    step = DecisionRule(self.space, probs)
+                    # keyed on the row count after the solve: a rerun from those rows ends here
+                    replay = solved[key, len(rows)] = step, objective(step.probs), bound
+                step, step_value, bound = replay
                 gain = step_value - value
                 if gain > 0.0:
                     rule, value = step, step_value
@@ -291,5 +330,6 @@ class PluginProgram:
         if linear:
             gap = bound - best_value
             converged = gap <= GAP_TOL
-        return OptimResult(rule=best, value=best_value, evaluations=objective.evaluations + calls,
-                           converged=converged, gap=gap)
+        calls = objective.evaluations + self.kernel_calls - made
+        return OptimResult(rule=best, value=best_value, evaluations=calls, converged=converged,
+                           gap=gap)

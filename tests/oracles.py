@@ -7,8 +7,9 @@ explicit mixtures of cells (`implied_cdf_group`, `implied_cdf`), IPW group
 estimates as monotone step functions projected onto the CDFs on [a, b]
 (`ipw_group_raw`, `project_mab`, `ipw_group_cdf`), KS distances over merged
 breakpoints and left limits (`similarity_value` dispatches to them), the
-O(n^2) mean absolute difference, and the closed-form group CDF of the toy
-example.  The tests compare the program with them; no module under `src/`
+O(n^2) mean absolute difference, the closed-form group CDF of the toy
+example, and minorize-maximize without replay (`mm_reference`).  The tests
+compare the program with them; no module under `src/`
 imports this one.
 """
 
@@ -29,7 +30,9 @@ from fairpolicy.distributions import (
 )
 from fairpolicy.estimation import PropensityModel, TrainingSample, ZeroPropensity
 from fairpolicy.functionals import SimilarityMeasure
+from fairpolicy.lp import CUT_TOL, GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
 from fairpolicy.objective import CondCdfArray, DecisionRule, SpaceMismatch, _require_same_space
+from fairpolicy.optimizer import CountingObjective, OptimResult
 from fairpolicy.toy import Z_MAJORITY, Z_MINORITY, toy_cdf_g, toy_cdf_h
 
 
@@ -298,3 +301,77 @@ def toy_group_cdf_value(delta: float, z, c: float) -> float:
     if z == Z_MINORITY:
         return delta * h + (1.0 - delta) * g
     raise ValueError(f"unknown group {z!r}")
+
+
+# ---------------------------------------------------------------------------
+# minorize-maximize
+
+
+def mm_reference(program: PluginProgram, lam: float) -> tuple[OptimResult, int]:
+    """`program.maximize(lam)` without replay, and its number of solves.
+
+    Every step solves from scratch, and every tangent and row search calls
+    the kernel itself; evaluations charges one kernel call per objective
+    value, per relaxation with lam > 0 and per Gini-welfare tangent.
+    """
+    kernel, space = program.kernel, program.space
+    linear = program.mean is not None
+
+    def tangent(probs):
+        if linear:
+            return program.mean
+        pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
+        tail = np.zeros(kernel.grid.size)
+        tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
+        return np.bincount(program.slot, program.tangent_mass * tail[program.g],
+                           minlength=program.size)
+
+    def solve(cost, rows, seen):
+        calls = 0
+        while True:
+            probs, t_value, bound = program._solve_relaxation(cost, lam, rows)
+            if lam == 0.0:
+                return probs, bound, calls
+            calls += 1
+            added = False
+            for zj, point, sign, value in program._violations(kernel.group_cdfs(probs.ravel())):
+                key = (zj, point, sign)
+                if value - t_value > CUT_TOL and key not in seen:
+                    seen.add(key)
+                    rows.append(program._row(zj, point, sign))
+                    added = True
+            if not added:
+                return probs, bound, calls
+
+    objective = CountingObjective(lambda probs: kernel.value(probs, lam, program.t, program.s))
+    starts = [DecisionRule.uniform(space)]
+    if not linear:
+        starts += [DecisionRule.singleton(space, i) for i in space.treatments]
+    rows, seen = [], set()
+    calls, solves, converged = 0, 0, True
+    best, best_value = None, -np.inf
+    for rule in starts:
+        value = -np.inf if linear else objective(rule.probs)
+        for _ in range(1 if linear else MM_MAX_STEPS):
+            cost = (1.0 - lam) * tangent(rule.probs)
+            probs, bound, used = solve(cost, rows, seen)
+            calls += used + (not linear)
+            solves += 1
+            step = DecisionRule(space, probs)
+            step_value = objective(step.probs)
+            gain = step_value - value
+            if gain > 0.0:
+                rule, value = step, step_value
+            if gain <= MM_TOL:
+                break
+        else:
+            converged = False
+        if value > best_value:
+            best, best_value = rule, value
+    gap = None
+    if linear:
+        gap = bound - best_value
+        converged = gap <= GAP_TOL
+    result = OptimResult(rule=best, value=best_value, evaluations=objective.evaluations + calls,
+                         converged=converged, gap=gap)
+    return result, solves
