@@ -564,13 +564,21 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
         raise ParseError(f"{path_csv}: row 1: not a path CSV")
     header = rows[0]
     groups = [c[len("unfair_"):] for c in header if c.startswith("unfair_")]
+
+    def typed(key, what, kind, many=False):
+        items = rules_doc[key] if many else [rules_doc[key]]
+        # JSON true and false load as Python ints, so bools never pass
+        if not isinstance(items, list) or any(
+                isinstance(v, bool) or not isinstance(v, kind) for v in items):
+            raise SchemaError(f"{rules_json}: {key} must be {what}")
+        return rules_doc[key]
+
     try:
-        n = int(rules_doc["n"])
-        space = CovariateSpace(
-            tuple(rules_doc["x_levels"]), tuple(groups or ["z0", "z1"]), int(rules_doc["k"])
-        )
+        n = typed("n", "an integer", int)
+        space = CovariateSpace(tuple(typed("x_levels", "a list of strings", str, True)),
+                               tuple(groups or ["z0", "z1"]), typed("k", "an integer", int))
         rules = list(rules_doc["rules"])
-        lambdas = [float(lam) for lam in rules_doc["lambdas"]]
+        lambdas = [float(v) for v in typed("lambdas", "a list of numbers", (int, float), True)]
     except KeyError as exc:
         raise SchemaError(f"{rules_json}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

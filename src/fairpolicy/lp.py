@@ -50,10 +50,10 @@ of rows known after it.  Rows are only appended within one lambda, so an
 equal count means the same rows, and a solve ends on a relaxation over
 exactly those rows that adds none: solving again would return the same
 rule, bound and step value.  A tangent is keyed on the rule's bytes (it does
-not depend on lambda).  The group CDFs that the row search computes at a
-solve's last solution are kept, read-only, for the tangent at that rule.
-Equal bytes go through the same deterministic arithmetic, so the results
-are those of the loop without replay, with fewer kernel calls.
+not depend on lambda).  The kernel keeps its last group CDFs, so the value
+and tangent at the rule a solve ended on reuse its row search's.  Equal
+bytes go through the same deterministic arithmetic, so the results are
+those of the loop without replay, with fewer kernel computations.
 """
 
 from __future__ import annotations
@@ -174,24 +174,7 @@ class PluginProgram:
         self.starts = [DecisionRule.uniform(space)]
         if self.mean is None:
             self.starts += [DecisionRule.singleton(space, i) for i in space.treatments]
-        self._tangents, self._cdfs, self.kernel_calls = {}, (None, None), 0
-
-    def group_cdfs(self, probs: np.ndarray) -> np.ndarray:
-        """The kernel's group CDFs at probs (one kernel call), read-only.
-
-        For Gini-welfare the last result is kept, so the tangent at the rule
-        a solve ended on reuses the CDFs its row search computed there.
-        """
-        key = probs.tobytes()
-        if self._cdfs[0] == key:
-            return self._cdfs[1]
-        self._cdfs = None, None  # so that two arrays are never held at once
-        f = self.kernel.group_cdfs(probs.ravel())
-        f.flags.writeable = False
-        self.kernel_calls += 1
-        if self.mean is None:  # only a Gini-welfare tangent reads them again
-            self._cdfs = key, f
-        return f
+        self._tangents = {}
 
     def tangent(self, probs: np.ndarray) -> np.ndarray:
         """Gradient per rule entry of the target at probs.
@@ -201,7 +184,7 @@ class PluginProgram:
         dg_j) / 2 on the grid, and an atom at grid index g enters F_j for
         every j >= g with weight pz mass, so its entry gains
         -pz mass sum_{g <= j < G-1} (1 - F_j) dg_j.  It is computed once per
-        probs bytes (one kernel call at most) and kept read-only.
+        probs bytes and kept read-only.
         """
         if self.mean is not None:
             return self.mean
@@ -209,7 +192,7 @@ class PluginProgram:
         grad = self._tangents.get(key)
         if grad is None:
             kernel = self.kernel
-            pop = kernel.pz @ self.group_cdfs(probs)
+            pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
             tail = np.zeros(kernel.grid.size)
             tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
             grad = np.bincount(self.slot, self.tangent_mass * tail[self.g], minlength=self.size)
@@ -272,7 +255,7 @@ class PluginProgram:
             if lam == 0.0:  # the penalty has no weight
                 return probs, bound
             added = False
-            for zj, point, sign, value in self._violations(self.group_cdfs(probs)):
+            for zj, point, sign, value in self._violations(self.kernel.group_cdfs(probs.ravel())):
                 key = (zj, point, sign)
                 if value - t_value > CUT_TOL and key not in seen:
                     seen.add(key)
@@ -294,15 +277,15 @@ class PluginProgram:
         bound, and converged means gap <= GAP_TOL.
 
         Repeated solves, tangents and group CDFs are replayed, not redone
-        (see the module docstring), so evaluations counts the kernel calls
-        actually made: objective values, and group CDFs at relaxed solutions
-        and tangent points.  Raises NonFiniteObjective when the kernel value
-        is NaN or infinite.
+        (see the module docstring), so evaluations counts the group CDFs the
+        kernel actually computed during the call (`AtomKernel.computations`),
+        for objective values, relaxed solutions and tangent points alike.
+        Raises NonFiniteObjective when the kernel value is NaN or infinite.
         """
         linear = self.mean is not None
         objective = CountingObjective(lambda probs: self.kernel.value(probs, lam, self.t, self.s))
         rows, seen, solved = [], set(), {}
-        made = self.kernel_calls
+        made = self.kernel.computations
         converged = True
         best, best_value = None, -np.inf
         for rule in self.starts:
@@ -330,6 +313,4 @@ class PluginProgram:
         if linear:
             gap = bound - best_value
             converged = gap <= GAP_TOL
-        calls = objective.evaluations + self.kernel_calls - made
-        return OptimResult(rule=best, value=best_value, evaluations=calls, converged=converged,
-                           gap=gap)
+        return OptimResult(best, best_value, self.kernel.computations - made, converged, gap)

@@ -28,7 +28,8 @@ position z*G + grid_idx in the |Z| x G table.
 One evaluation scatters `probs_flat[slot] * mass` into the table with
 `bincount` and takes a cumulative sum along each row: the group CDFs on the
 grid, in O(atoms + |Z|*G) time and memory.  The population CDF is the
-p_Z-weighted sum of the group rows.
+p_Z-weighted sum of the group rows.  The kernel keeps its last result for
+probs of equal bytes, as a solver often evaluates the rule it just tried.
 
 Plug-in atoms are the cell atoms with mass (cell mass) * p(x | z), so every
 group row ends at 1.  IPW atoms are the records, with mass 1 / (n e p_Z);
@@ -287,6 +288,7 @@ class AtomKernel:
 
     ys, z, slot and mass hold one entry per atom; pz holds the population
     weight of each group (zero for groups skipped in the penalty).
+    computations counts the group CDFs computed; the last one is kept.
     """
 
     def __init__(self, support: SupportInterval, ys, z, slot, mass, pz):
@@ -302,6 +304,7 @@ class AtomKernel:
         self.slot = np.asarray(slot)
         self.mass = np.asarray(mass, dtype=float)
         self.active = np.flatnonzero(self.pz > 0.0)
+        self._last, self.computations = (None, None), 0
 
     @classmethod
     def from_array(cls, arr: CondCdfArray) -> "AtomKernel":
@@ -322,7 +325,11 @@ class AtomKernel:
                    arr.masses[atoms] * np.repeat(scale, sizes), arr.group_mass)
 
     def group_cdfs(self, probs_flat: np.ndarray) -> np.ndarray:
-        """Projected group CDFs on the grid, shape (|Z|, G)."""
+        """Projected group CDFs on the grid, shape (|Z|, G), read-only."""
+        key = probs_flat.tobytes()
+        if key == self._last[0]:
+            return self._last[1]
+        self._last = None, None  # so that two results are never held at once
         weights = probs_flat[self.slot]
         weights *= self.mass
         f = np.bincount(self.index, weights,
@@ -332,6 +339,8 @@ class AtomKernel:
         top = f[:, -1:]
         top[1.0 - top > MASS_TOL] = 1.0  # the missing mass becomes an atom at b
         f /= top
+        f.flags.writeable = False
+        self._last, self.computations = (key, f), self.computations + 1
         return f
 
     def value(self, probs: np.ndarray, lam: float, t: TargetFunctional,

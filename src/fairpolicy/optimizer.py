@@ -70,13 +70,13 @@ class OptimizerConfig:
 class OptimResult:
     """A maximizer's rule, the objective at it, and how far to trust it.
 
-    evaluations counts objective calls.  From `maximize`, converged only says
-    that no evaluation or iteration budget stopped the final Nelder-Mead
-    run (it can hold well short of the maximum), and gap is None.  From
-    `lp.PluginProgram.maximize`, for the mean target gap is the certified
-    distance from value up to an upper bound on the maximum, and converged
-    means gap <= 1e-9; for Gini-welfare, converged means that no start hit
-    the step cap, and gap is None (the maximum found is local).
+    evaluations counts objective calls (from `lp.PluginProgram.maximize`,
+    the group CDFs its kernel computed).  From `maximize`, converged only
+    says that no budget stopped the final Nelder-Mead run (it can hold well
+    short of the maximum), and gap is None.  From the plug-in program, for
+    the mean target gap is the certified distance from value up to an upper
+    bound on the maximum, and converged means gap <= 1e-9; for Gini-welfare,
+    converged means that no start hit the step cap, and gap is None.
     """
 
     rule: DecisionRule

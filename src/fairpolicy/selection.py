@@ -169,7 +169,7 @@ def sweep(
     grid: LambdaGrid,
     t: TargetFunctional,
     s: SimilarityMeasure,
-    cfg: OptimizerConfig,
+    cfg: OptimizerConfig = OptimizerConfig(),
     estimator: str = "plugin",
     propensity: PropensityModel | None = None,
 ) -> LambdaPath:

@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .functionals import SimilarityMeasure, TargetFunctional
-from .optimizer import OptimizerConfig, derive_seed
+from .optimizer import derive_seed
 from .selection import LambdaGrid, sweep
 from .toy import MECHANISMS, ToyParams, toy_max_value, toy_objective, toy_sample
 
@@ -154,7 +154,7 @@ def _replicate(cfg: SimConfig, task: tuple[int, int, str, int]) -> list[SimRow]:
     cell_idx, n, mech, rep = task
     rep_seed = _replication_seed(cfg.seed, cell_idx, rep)
     sample = toy_sample(n, cfg.p, mech, rep_seed)
-    path = sweep(sample, cfg.grid, GINI, KS, OptimizerConfig())  # unused on this route
+    path = sweep(sample, cfg.grid, GINI, KS)
     rows = []
     for lam, entry in zip(cfg.grid, path.entries):
         delta_hat = float(entry.rule.probs[0, 0])

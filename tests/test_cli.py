@@ -750,6 +750,26 @@ class TestSelect:
         assert err.startswith(f"schema error: {rules_json}: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 2.9, "n must be an integer"),
+        ("n", True, "n must be an integer"),
+        ("k", 2.5, "k must be an integer"),
+        ("x_levels", "ab", "x_levels must be a list of strings"),
+        ("lambdas", [0.0, True], "lambdas must be a list of numbers"),
+    ], ids=["fractional-n", "boolean-n", "fractional-k", "string-x-levels", "boolean-lambda"])
+    def test_rules_json_of_the_wrong_type_exit_3(self, tmp_path, capsys, key, value, message):
+        # each would otherwise be coerced (2.9 -> 2, "ab" -> a, b, true -> 1.0)
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n1.0,0.4,0.4,0.0,0.0\n")
+        doc = {"n": 100, "x_levels": ["a", "b"], "k": 2, "lambdas": [0.0, 1.0],
+               "rules": [[[0.5, 0.5], [0.5, 0.5]], [[0.4, 0.6], [0.4, 0.6]]], key: value}
+        rules_json.write_text(json.dumps(doc))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"schema error: {rules_json}: {message}\n"
+
     def test_invalid_lambda_column_exit_3(self, tmp_path, capsys):
         path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
         path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"

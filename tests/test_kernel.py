@@ -12,7 +12,8 @@ import gc
 import weakref
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fairpolicy import (
     CondCdfArray,
@@ -220,3 +221,27 @@ def test_grid_is_np_unique_bitwise(ys, support):
     want = np.unique(np.append(ys, support.b))
     assert kernel.grid.dtype == want.dtype
     assert kernel.grid.tobytes() == want.tobytes()
+
+
+@kernel_settings
+@given(seed=seeds, picks=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+@example(seed=0, picks=[2, 3, 3, 2, 0, 0, 1, 0])
+def test_group_cdfs_cache_is_invisible(seed, picks):
+    # repeats, and a pair equal but for the sign of its zeros: every result is
+    # a fresh kernel's bit for bit and read-only, and only a miss is computed
+    rng = np.random.default_rng(seed)
+    arr = random_cond_array(rng)
+    zeros = DecisionRule.singleton(arr.space, 1).probs.ravel()
+    signed = zeros.copy()
+    signed[zeros == 0.0] = -0.0
+    candidates = [random_rule(arr.space, rng).probs.ravel() for _ in range(2)] + [zeros, signed]
+    kernel, last = AtomKernel.from_array(arr), None
+    for j in picks:
+        probs, before = candidates[j], kernel.computations
+        f = kernel.group_cdfs(probs)
+        want = AtomKernel.from_array(arr).group_cdfs(probs)
+        assert f.shape == want.shape and f.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.5
+        assert kernel.computations == before + (probs.tobytes() != last)
+        last = probs.tobytes()

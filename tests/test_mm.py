@@ -20,6 +20,7 @@ from fairpolicy import (
 )
 from fairpolicy.estimation import fit_plugin
 from fairpolicy.lp import PluginProgram
+from fairpolicy.objective import AtomKernel
 from helpers import UNIT, random_cond_array
 from oracles import mm_reference
 
@@ -190,8 +191,30 @@ def test_replay_skips_repeated_solves(monkeypatch):
         program.maximize(lam)
     assert len(solves) < without
     probs = DecisionRule.uniform(sample.space).probs
-    f = program.group_cdfs(probs)
-    assert program.group_cdfs(probs) is f
+    f = kernel.group_cdfs(probs.ravel())
+    assert kernel.group_cdfs(probs.ravel()) is f
     with pytest.raises(ValueError):
         f[0, 0] = 0.5
     assert program.tangent(probs) is program.tangent(probs)
+
+
+def test_no_computation_repeats_the_one_before(monkeypatch):
+    # each step's value, its tangent and the sweep's scores read the CDFs the
+    # kernel computed last when the probs bytes are equal
+    sample = toy_sample(1000, 0.75, "A1", seed=7)
+    group_cdfs = AtomKernel.group_cdfs
+    computed, last = [], [None]
+
+    def recorded(self, probs_flat):
+        f = group_cdfs(self, probs_flat)
+        if f is not last[0]:  # a new array: the kernel computed it
+            computed.append(probs_flat.tobytes())
+        last[0] = f
+        return f
+
+    monkeypatch.setattr(AtomKernel, "group_cdfs", recorded)
+    for t in (GINI, MEAN):
+        computed.clear()
+        sweep(sample, LambdaGrid.uniform(4), t, KS, OptimizerConfig())
+        assert len(computed) > 1
+        assert all(a != b for a, b in zip(computed, computed[1:])), t.kind
