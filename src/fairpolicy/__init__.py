@@ -4,12 +4,13 @@ The library learns decision rules (probability vectors over K treatments per
 covariate level) that maximize a functional of the implied outcome
 distribution (Gini-welfare, mean, quantiles) penalized by the worst
 dissimilarity between protected-group outcome distributions and the
-population distribution.  It ships plug-in and inverse-propensity-weighted
-empirical objectives; two maximizers over products of simplices (the
-plug-in program of `fairpolicy.lp`, minorize-maximize over a linear program
-that is exact for the mean target and local for Gini-welfare, and
-Nelder-Mead for every other objective); budget-based preference-parameter
-selection; a closed-form test oracle; and a Monte Carlo harness.
+population distribution.  It ships the plug-in empirical objective (equal
+to the inverse-propensity-weighted one with cell-frequency propensities);
+two maximizers over products of simplices (the plug-in program of
+`fairpolicy.lp`, minorize-maximize over a linear program that is exact for
+the mean target and local for Gini-welfare, and Nelder-Mead for every other
+objective); budget-based preference-parameter selection; a closed-form test
+oracle; and a Monte Carlo harness.
 """
 
 from .distributions import (
@@ -24,10 +25,8 @@ from .distributions import (
     step_cdf_from_samples,
 )
 from .estimation import (
-    PropensityModel,
     TrainingRecord,
     TrainingSample,
-    ZeroPropensity,
     empirical_pz,
     fit_plugin,
 )
@@ -83,7 +82,6 @@ from .toy import (
     toy_cond_array,
     toy_max_value,
     toy_objective,
-    toy_propensity,
     toy_sample,
     toy_threshold,
 )

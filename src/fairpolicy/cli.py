@@ -531,7 +531,7 @@ def _run_sweep(args, beta=None) -> LambdaPath:
     sample = _read_sample(args)
     if beta is not None:
         check_budget(beta, sample.n)
-    return sweep(sample, grid, t, s, cfg, estimator=args.estimator)
+    return sweep(sample, grid, t, s, cfg)
 
 
 def cmd_sweep(args) -> int:
@@ -565,11 +565,19 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     header = rows[0]
     groups = [c[len("unfair_"):] for c in header if c.startswith("unfair_")]
 
+    def is_a(value, kind):
+        # JSON true and false load as Python ints, so bools never pass
+        return isinstance(value, kind) and not isinstance(value, bool)
+
+    def numbers(value):
+        """Whether every leaf of nested lists is a number."""
+        if isinstance(value, list):
+            return all(map(numbers, value))
+        return is_a(value, (int, float))
+
     def typed(key, what, kind, many=False):
         items = rules_doc[key] if many else [rules_doc[key]]
-        # JSON true and false load as Python ints, so bools never pass
-        if not isinstance(items, list) or any(
-                isinstance(v, bool) or not isinstance(v, kind) for v in items):
+        if not isinstance(items, list) or not all(is_a(v, kind) for v in items):
             raise SchemaError(f"{rules_json}: {key} must be {what}")
         return rules_doc[key]
 
@@ -599,6 +607,8 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
                 f"{rules_json}: rule {idx}: missing ({len(rules)} rules for "
                 f"{len(rows) - 1} {path_csv} rows)"
             )
+        if not numbers(rules[idx]):  # np.array would parse "0.4" and take true as 1.0
+            raise SchemaError(f"{rules_json}: rule {idx}: entries must be numbers")
         try:
             rule = DecisionRule(space, np.array(rules[idx], dtype=float))
         except (TypeError, ValueError) as exc:
@@ -815,7 +825,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-m", type=int, default=49,
                        help="uniform grid {0, 1/m, ..., 1}")
         p.add_argument("--estimator", default="plugin",
-                       choices=["plugin", "ipw-estimated"])
+                       choices=["plugin", "ipw-estimated"],
+                       help="ipw-estimated is an alias of plugin: cell-frequency IPW "
+                            "weights equal the plug-in atom masses")
 
     p_fit = sub.add_parser("fit", help="fit the plug-in conditional-CDF array")
     add_common(p_fit)

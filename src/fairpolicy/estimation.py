@@ -1,4 +1,4 @@
-"""Fitting conditional-CDF arrays from training data, and IPW estimators.
+"""Training samples and the plug-in fit of conditional-CDF arrays.
 
 The plug-in fit groups observations into treatment cells (d, x, z), takes the
 empirical CDF in each cell (point mass at the upper support endpoint b when a
@@ -7,19 +7,10 @@ records are sorted by (cell, outcome) and each run of equal outcomes becomes
 one atom of the array's columns (`CondCdfArray.from_columns`), with no
 per-cell objects.
 
-The IPW estimator instead weights each observation by
-1 / (n * e_d(x, z) * p_Z(z)) with e the known treatment propensities: the
-records are the atoms of one `AtomKernel` (`ipw_kernel`), whose group rows
-are projected onto the CDFs on [a, b] at each evaluation.
-
-With cell-frequency propensities a record's IPW mass is
-n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass, so the
-estimated IPW objective is the plug-in objective of the sample's fitted
-array (`CondCdfArray.kernel`).  `selection.sweep` builds the kernel once
-per run.
-
-Propensities are never clipped or trimmed: a zero propensity on a used cell
-raises, because silently clamping would mask violated overlap.
+The plug-in objective is also the IPW objective with cell-frequency
+propensities: that estimator weights a record by 1 / (n * e_hat * p_Z_hat)
+= n_xz / (n_ixz * n_z), which is exactly its plug-in atom mass.  So every
+sweep runs on the fitted array's kernel (`CondCdfArray.kernel`).
 
 Everything here is a deterministic function of the sample; no hidden RNG.
 """
@@ -31,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import OutOfSupport, SupportInterval
-from .objective import SIMPLEX_TOL, AtomKernel, CondCdfArray, CovariateSpace
-
-
-class ZeroPropensity(ValueError):
-    """A known propensity or group probability used by an estimator is not positive."""
+from .objective import CondCdfArray, CovariateSpace
 
 
 @dataclass(frozen=True)
@@ -195,66 +182,3 @@ def empirical_pz(sample: TrainingSample) -> dict:
     """Relative frequency of each protected-group level."""
     counts = np.bincount(sample.zi, minlength=len(sample.space.z_levels))
     return {z: counts[j] / sample.n for j, z in enumerate(sample.space.z_levels)}
-
-
-@dataclass(frozen=True, eq=False)
-class PropensityModel:
-    """Known assignment propensities e(i, x, z) and group probabilities p_Z.
-
-    e maps every (treatment, x, z) cell to a probability in (0, 1], summing to
-    one over treatments within each (x, z); pz maps every group to (0, 1] and
-    sums to one.
-    """
-
-    e: dict
-    pz: dict
-
-    def __post_init__(self):
-        e = {k: float(v) for k, v in self.e.items()}
-        pz = {k: float(v) for k, v in self.pz.items()}
-        if any(v <= 0.0 or v > 1.0 for v in e.values()):
-            raise ZeroPropensity("propensities must lie in (0, 1]")
-        sums = {}
-        for (i, x, z), v in e.items():
-            sums[(x, z)] = sums.get((x, z), 0.0) + v
-        bad = {k: v for k, v in sums.items() if abs(v - 1.0) > SIMPLEX_TOL}
-        if bad:
-            k, v = next(iter(bad.items()))
-            raise ValueError(f"propensities at {k} sum to {v!r}, expected 1")
-        if any(v <= 0.0 or v > 1.0 for v in pz.values()):
-            raise ZeroPropensity("group probabilities must lie in (0, 1]")
-        total = sum(pz.values())
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"group probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "pz", pz)
-
-
-def _record_propensities(sample: TrainingSample, prop: PropensityModel) -> np.ndarray:
-    """Known propensity e_d(x, z) of each record; each must be positive."""
-    space = sample.space
-    d, xi, zi = sample.d, sample.xi, sample.zi
-    table = np.array([
-        [[prop.e.get((i, x, z), 0.0) for z in space.z_levels] for x in space.x_levels]
-        for i in space.treatments
-    ])
-    e = table[d - 1, xi, zi]
-    bad = np.flatnonzero(e <= 0.0)
-    if bad.size:
-        j = bad[0]
-        key = (int(d[j]), space.x_levels[xi[j]], space.z_levels[zi[j]])
-        raise ZeroPropensity(f"propensity e{key} must be positive")
-    return e
-
-
-def ipw_kernel(sample: TrainingSample, prop: PropensityModel) -> AtomKernel:
-    """Kernel over the records: mass 1 / (n * e * p_Z) at each outcome."""
-    zs = sample.space.z_levels
-    missing = [z for z in zs if prop.pz.get(z, 0.0) <= 0.0]
-    if missing:
-        raise ZeroPropensity(f"p_Z({missing[0]!r}) must be positive")
-    e_rec = _record_propensities(sample, prop)
-    pz = np.array([prop.pz[z] for z in zs])
-    mass = 1.0 / (sample.n * e_rec * pz[sample.zi])
-    return AtomKernel(sample.support, sample.ys, sample.zi,
-                      sample.xi * sample.space.k + sample.d - 1, mass, pz / pz.sum())

@@ -18,24 +18,22 @@ all K*|X|*|Z| cells in cell order with their masses and cell offsets, and
 the p(x, z) matrix.  `cdf[(i, x, z)]` is a read-only view that builds one
 cell's StepCdf on access.
 
-The objective is evaluated thousands of times per optimizer run, so every
-estimator evaluates it on one atom table (`AtomKernel`); a fitted array
-keeps its plug-in kernel (`CondCdfArray.kernel`), gathered from its
-columns.  Each atom is an outcome value y with its group z, its slot
-x*K + (i-1) in `probs.ravel()`, and a mass; the union of atom values plus
-the support endpoint b is the grid, and each atom stores its row-major
-position z*G + grid_idx in the |Z| x G table.
+The objective is evaluated thousands of times per optimizer run, so it is
+evaluated on one atom table (`AtomKernel`); a fitted array keeps its
+plug-in kernel (`CondCdfArray.kernel`), gathered from its columns.  Each
+atom is an outcome value y with its group z, its slot x*K + (i-1) in
+`probs.ravel()`, and a mass; the union of atom values plus the support
+endpoint b is the grid, and each atom stores its row-major position
+z*G + grid_idx in the |Z| x G table.
 One evaluation scatters `probs_flat[slot] * mass` into the table with
 `bincount` and takes a cumulative sum along each row: the group CDFs on the
 grid, in O(atoms + |Z|*G) time and memory.  The population CDF is the
 p_Z-weighted sum of the group rows.  The kernel keeps its last result for
 probs of equal bytes, as a solver often evaluates the rule it just tried.
 
-Plug-in atoms are the cell atoms with mass (cell mass) * p(x | z), so every
-group row ends at 1.  IPW atoms are the records, with mass 1 / (n e p_Z);
-their rows can overshoot or fall short of 1, so each row is projected onto
-the CDFs on [a, b]: capped at 1, any residual above MASS_TOL put at b, and
-renormalized.  The projection is a no-op up to rounding on plug-in rows.
+Plug-in atoms are the cell atoms with mass (cell mass) * p(x | z).  Each
+group row is projected onto the CDFs on [a, b]: capped at 1, any residual
+above MASS_TOL put at b, and renormalized (`group_cdfs` says why).
 """
 
 from __future__ import annotations
@@ -284,7 +282,7 @@ def _pair_keys(space: CovariateSpace):
 
 
 class AtomKernel:
-    """Atom table of one estimator's group CDFs; see the module docstring.
+    """Atom table of the group CDFs; see the module docstring.
 
     ys, z, slot and mass hold one entry per atom; pz holds the population
     weight of each group (zero for groups skipped in the penalty).
@@ -335,6 +333,9 @@ class AtomKernel:
         f = np.bincount(self.index, weights,
                         minlength=self.shape[0] * self.shape[1]).reshape(self.shape)
         np.cumsum(f, axis=1, out=f)
+        # rows end at 1 only up to rounding: without the cap the simulate
+        # golden digest moves, without the division every golden digest does;
+        # the residual branch keeps a zero-mass group's row all zeros
         np.minimum(f, 1.0, out=f)
         top = f[:, -1:]
         top[1.0 - top > MASS_TOL] = 1.0  # the missing mass becomes an atom at b

@@ -1,17 +1,16 @@
 """Preference-parameter sweeps, diagnostics, budget-based selection, interpolation.
 
 `sweep`, the only per-lambda loop (the Monte Carlo harness runs through it
-too), fits the plug-in array and picks the estimator's atom kernel once: the
-fitted array's for plug-in and for IPW with cell-frequency propensities (the
-same objective), the record kernel for IPW with known propensities.  On the
-fitted array's kernel, the mean and Gini-welfare targets with the KS,
+too), fits the plug-in array once and maximizes the objective on its atom
+kernel, which is also the IPW objective with cell-frequency propensities
+(see `estimation`).  The mean and Gini-welfare targets with the KS,
 one-sided KS or |mean difference| similarity (the pairs `plugin_route`
 accepts) go to `lp.PluginProgram`: minorize-maximize over one cutting-plane
 linear program, exact with a certified gap for the mean and a local maximum
 with no certificate for Gini-welfare.  The optimizer settings and seed play
 no part there.  Every other objective is maximized by Nelder-Mead
 (`maximize`).
-Per-lambda diagnostics (target value, per-group unfairness) are the plug-in
+Per-lambda diagnostics (target value, per-group unfairness) are the same
 kernel's two objective terms at the fitted rule, matching how the empirical
 illustrations report estimated quantities.
 
@@ -33,12 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import PropensityModel, TrainingSample, fit_plugin, ipw_kernel
+from .estimation import TrainingSample, fit_plugin
 from .functionals import SimilarityMeasure, TargetFunctional, plugin_route
 from .objective import AtomKernel, DecisionRule
 from .optimizer import OptimizerConfig, derive_seed, maximize
-
-ESTIMATORS = ("plugin", "ipw", "ipw-estimated")
 
 
 class LambdaNotOnGrid(ValueError):
@@ -150,16 +147,6 @@ class BudgetSelection:
     deltas: dict
 
 
-def _estimator_kernel(sample, arr, estimator, propensity) -> AtomKernel:
-    if estimator in ("plugin", "ipw-estimated"):
-        return arr.kernel
-    if estimator == "ipw":
-        if propensity is None:
-            raise ValueError("estimator 'ipw' needs a propensity model")
-        return ipw_kernel(sample, propensity)
-    raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-
-
 def _empirical_objective(kernel: AtomKernel, lam, t, s):
     return lambda probs: kernel.value(probs, lam, t, s)
 
@@ -170,21 +157,18 @@ def sweep(
     t: TargetFunctional,
     s: SimilarityMeasure,
     cfg: OptimizerConfig = OptimizerConfig(),
-    estimator: str = "plugin",
-    propensity: PropensityModel | None = None,
 ) -> LambdaPath:
-    """One maximization per grid lambda of the chosen empirical objective.
+    """One maximization per grid lambda of the plug-in empirical objective.
 
-    On the plug-in kernel, a (t, s) pair that `plugin_route` accepts is
-    solved by `lp.PluginProgram`, which ignores cfg.  Every other
-    objective goes to `maximize`, with per-lambda seeds derived from
-    (cfg.seed, lambda index).  Either way the path is reproducible
-    bit-for-bit and per-lambda runs are independent.
+    A (t, s) pair that `plugin_route` accepts is solved by
+    `lp.PluginProgram`, which ignores cfg.  Every other objective goes to
+    `maximize`, with per-lambda seeds derived from (cfg.seed, lambda
+    index).  Either way the path is reproducible bit-for-bit and
+    per-lambda runs are independent.
     """
-    arr = fit_plugin(sample)
-    kernel = _estimator_kernel(sample, arr, estimator, propensity)
+    kernel = fit_plugin(sample).kernel
     program = None
-    if kernel is arr.kernel and plugin_route(t, s):
+    if plugin_route(t, s):
         from . import lp  # here, so that only the sweeps it may solve compile it
 
         program = lp.PluginProgram(kernel, sample.space, t, s)
@@ -196,7 +180,7 @@ def sweep(
         else:
             obj = _empirical_objective(kernel, lam, t, s)
             result = maximize(obj, sample.space, replace(cfg, seed=derive_seed(cfg.seed, 1, idx)))
-        target, by_index = arr.kernel.scores(result.rule.probs, t, s)
+        target, by_index = kernel.scores(result.rule.probs, t, s)
         unfairness = {z_levels[j]: u for j, u in by_index.items()}
         entries.append(
             PathEntry(

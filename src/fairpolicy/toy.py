@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import StepCdf, SupportInterval
-from .estimation import PropensityModel, TrainingSample
+from .estimation import TrainingSample
 from .objective import CondCdfArray, CovariateSpace
 
 X_LEVEL = "0"
@@ -110,14 +110,6 @@ def toy_max_value(params: ToyParams) -> float:
     return (89.0 / 560.0) * (1.0 - lam)
 
 
-def _treatment_one_prob(z_is_minority: np.ndarray, mechanism: str) -> np.ndarray:
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-    if mechanism == "A1":
-        return np.where(z_is_minority, 0.75, 0.25)
-    return np.where(z_is_minority, 0.25, 0.75)
-
-
 def toy_sample(n: int, p: float, mechanism: str, seed) -> TrainingSample:
     """Draw n records: Z ~ Bernoulli(1 - p) on the minority, D per mechanism,
     outcomes by inverse transform (G draws are U^2, H draws are sqrt(U))."""
@@ -125,9 +117,12 @@ def toy_sample(n: int, p: float, mechanism: str, seed) -> TrainingSample:
         raise ValueError("n must be >= 1")
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
     rng = np.random.default_rng(seed)
     minority = rng.random(n) >= p
-    d = np.where(rng.random(n) < _treatment_one_prob(minority, mechanism), 1, 2)
+    # treatment 1 with probability 0.75 in the minority under A1, in the majority under A2
+    d = np.where(rng.random(n) < np.where(minority == (mechanism == "A1"), 0.75, 0.25), 1, 2)
     u = rng.random(n)
     # cells (d=1, majority) and (d=2, minority) follow G; the other two follow H
     follows_g = (d == 1) ^ minority
@@ -171,14 +166,3 @@ def toy_cond_array(p: float, grid_points: int) -> CondCdfArray:
     pxz = {(X_LEVEL, Z_MAJORITY): p, (X_LEVEL, Z_MINORITY): 1.0 - p}
     return CondCdfArray(toy_space(), cdf, pxz)
 
-
-def toy_propensity(p: float, mechanism: str) -> PropensityModel:
-    """The known assignment mechanism as a propensity model."""
-    q = _treatment_one_prob(np.array([False, True]), mechanism)
-    e = {
-        (1, X_LEVEL, Z_MAJORITY): float(q[0]),
-        (2, X_LEVEL, Z_MAJORITY): float(1.0 - q[0]),
-        (1, X_LEVEL, Z_MINORITY): float(q[1]),
-        (2, X_LEVEL, Z_MINORITY): float(1.0 - q[1]),
-    }
-    return PropensityModel(e, {Z_MAJORITY: p, Z_MINORITY: 1.0 - p})

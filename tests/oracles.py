@@ -3,14 +3,14 @@
 Every command evaluates the penalized objective on one atom table
 (`fairpolicy.objective.AtomKernel`).  The routes here build the same
 quantities the direct way, on StepCdfs: group and population CDFs as
-explicit mixtures of cells (`implied_cdf_group`, `implied_cdf`), IPW group
-estimates as monotone step functions projected onto the CDFs on [a, b]
-(`ipw_group_raw`, `project_mab`, `ipw_group_cdf`), KS distances over merged
-breakpoints and left limits (`similarity_value` dispatches to them), the
-O(n^2) mean absolute difference, the closed-form group CDF of the toy
-example, and minorize-maximize without replay (`mm_reference`).  The tests
-compare the program with them; no module under `src/`
-imports this one.
+explicit mixtures of cells (`implied_cdf_group`, `implied_cdf`), the
+projection of a monotone step function onto the CDFs on [a, b]
+(`MonotoneStep`, `project_mab`), which with the cell-frequency propensities
+of `estimated_propensities` rebuilds the IPW group estimates, KS distances
+over merged breakpoints and left limits (`similarity_value` dispatches to
+them), the O(n^2) mean absolute difference, and minorize-maximize without
+replay (`mm_reference`).  The tests compare the program with them; no
+module under `src/` imports this one.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from fairpolicy.distributions import (
     WeightMismatch,
     _require_same_support,
 )
-from fairpolicy.estimation import PropensityModel, TrainingSample, ZeroPropensity
+from fairpolicy.estimation import TrainingSample
 from fairpolicy.functionals import SimilarityMeasure
 from fairpolicy.lp import CUT_TOL, GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
-from fairpolicy.objective import CondCdfArray, DecisionRule, SpaceMismatch, _require_same_space
+from fairpolicy.objective import CondCdfArray, DecisionRule, _require_same_space
 from fairpolicy.optimizer import CountingObjective, OptimResult
-from fairpolicy.toy import Z_MAJORITY, Z_MINORITY, toy_cdf_g, toy_cdf_h
 
 
 # ---------------------------------------------------------------------------
@@ -231,49 +230,6 @@ def implied_cdf_group(rule: DecisionRule, arr: CondCdfArray, z) -> StepCdf:
 # estimation
 
 
-def _record_propensities(sample: TrainingSample, prop: PropensityModel, rows) -> np.ndarray:
-    """Known propensity e_d(x, z) of each selected record; each must be positive."""
-    space = sample.space
-    d, xi, zi = sample.d[rows], sample.xi[rows], sample.zi[rows]
-    table = np.array([
-        [[prop.e.get((i, x, z), 0.0) for z in space.z_levels] for x in space.x_levels]
-        for i in space.treatments
-    ])
-    e = table[d - 1, xi, zi]
-    bad = np.flatnonzero(e <= 0.0)
-    if bad.size:
-        j = bad[0]
-        key = (int(d[j]), space.x_levels[xi[j]], space.z_levels[zi[j]])
-        raise ZeroPropensity(f"propensity e{key} must be positive")
-    return e
-
-
-def ipw_group_raw(sample: TrainingSample, rule: DecisionRule, z, prop: PropensityModel) -> MonotoneStep:
-    """Pre-projection IPW estimate of the group-z outcome CDF.
-
-    A jump delta_{d_j}(x_j) / (n * e_{d_j}(x_j, z) * p_Z(z)) at each outcome
-    y_j of a group-z record; unbiased pointwise for the group CDF but not
-    itself a CDF.
-    """
-    if rule.space != sample.space:
-        raise SpaceMismatch("rule and sample live on different covariate spaces")
-    space = sample.space
-    if z not in space.z_index:
-        raise ValueError(f"unknown group {z!r}")
-    pz = prop.pz.get(z)
-    if pz is None or pz <= 0.0:
-        raise ZeroPropensity(f"p_Z({z!r}) must be positive")
-    mask = sample.zi == space.z_index[z]
-    e = _record_propensities(sample, prop, mask)
-    increments = rule.probs[sample.xi[mask], sample.d[mask] - 1] / (sample.n * e * pz)
-    return MonotoneStep(sample.support, sample.ys[mask], increments)
-
-
-def ipw_group_cdf(sample: TrainingSample, rule: DecisionRule, z, prop: PropensityModel) -> StepCdf:
-    """IPW estimate of the group-z outcome CDF, projected onto the CDFs on [a, b]."""
-    return project_mab(ipw_group_raw(sample, rule, z, prop))
-
-
 def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
     """Cell-frequency propensity estimates and group frequencies.
 
@@ -286,21 +242,6 @@ def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarr
         e_hat = np.where(pair > 0, counts / np.maximum(pair, 1), 0.0)
     pz_hat = np.bincount(sample.zi, minlength=len(sample.space.z_levels)) / sample.n
     return e_hat, pz_hat
-
-
-# ---------------------------------------------------------------------------
-# toy
-
-
-def toy_group_cdf_value(delta: float, z, c: float) -> float:
-    """Analytic group CDF at c: delta*G + (1-delta)*H for the majority and the
-    mirror image for the minority."""
-    g, h = toy_cdf_g(c), toy_cdf_h(c)
-    if z == Z_MAJORITY:
-        return delta * g + (1.0 - delta) * h
-    if z == Z_MINORITY:
-        return delta * h + (1.0 - delta) * g
-    raise ValueError(f"unknown group {z!r}")
 
 
 # ---------------------------------------------------------------------------

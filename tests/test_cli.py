@@ -602,6 +602,17 @@ class TestSweep:
         doc = validate(os.path.join(outs[0], "rules.json"), "rules.schema.json")
         assert doc["lambdas"] == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("target", ["gini-welfare", "quantile:0.3"])
+    def test_ipw_estimated_is_an_alias_of_plugin(self, toy_csv, tmp_path, target):
+        # cell-frequency IPW weights equal the plug-in atom masses
+        outs = [tmp_path / estimator for estimator in ("plugin", "ipw-estimated")]
+        for out in outs:
+            assert main(["sweep", "--input", toy_csv, "--output-dir", str(out),
+                         "--estimator", out.name, "--target", target, "--grid-m", "2",
+                         "--candidate-starts", "10", "--max-iters", "100"]) == EXIT_OK
+        for name in ("path.csv", "rules.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_path_csv_schema(self, toy_csv, tmp_path):
         out = str(tmp_path / "out")
         main(["sweep", "--input", toy_csv, "--output-dir", out, "--grid-m", "1",
@@ -734,7 +745,13 @@ class TestSelect:
         (lambda doc: doc["rules"].pop(), "rule 1: missing"),
         (lambda doc: doc["rules"][1][0].__setitem__(0, 0.9), "rule 1: rows must sum to 1"),
         (lambda doc: doc["rules"].__setitem__(0, [["a", "b"]]), "rule 0:"),
-    ], ids=["missing-key", "too-few-rules", "non-simplex", "non-numeric"])
+        # np.array(..., dtype=float) would take these as 1.0, 0.0 and 0.4, 0.6
+        (lambda doc: doc["rules"].__setitem__(0, [[True, False]]),
+         "rule 0: entries must be numbers"),
+        (lambda doc: doc["rules"].__setitem__(1, [["0.4", "0.6"]]),
+         "rule 1: entries must be numbers"),
+    ], ids=["missing-key", "too-few-rules", "non-simplex", "non-numeric", "boolean-entries",
+            "string-entries"])
     def test_invalid_rules_json_exit_3(self, tmp_path, capsys, broken, message):
         path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
         path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"

@@ -5,31 +5,22 @@ from fairpolicy import (
     CovariateSpace,
     DecisionRule,
     OutOfSupport,
-    PropensityModel,
     SimilarityMeasure,
     SupportInterval,
     TargetFunctional,
     TrainingRecord,
     TrainingSample,
-    ZeroPropensity,
     empirical_pz,
     fit_plugin,
-    gini_welfare,
     omega,
     step_cdf_from_samples,
-    toy_propensity,
     toy_sample,
 )
-from fairpolicy.estimation import ipw_kernel
 from helpers import UNIT, random_training_sample
 from oracles import (
     estimated_propensities,
     implied_cdf,
-    ipw_group_cdf,
-    ipw_group_raw,
     ks_distance,
-    mixture,
-    toy_group_cdf_value,
 )
 
 GINI = TargetFunctional("gini-welfare")
@@ -38,17 +29,6 @@ KS = SimilarityMeasure("ks")
 
 def small_space():
     return CovariateSpace(("x0",), ("z0", "z1"), 2)
-
-
-def uniform_prop(space):
-    e = {
-        (i, x, z): 1.0 / space.k
-        for i in space.treatments
-        for x in space.x_levels
-        for z in space.z_levels
-    }
-    nz = len(space.z_levels)
-    return PropensityModel(e, {z: 1.0 / nz for z in space.z_levels})
 
 
 class TestTrainingSample:
@@ -185,113 +165,6 @@ class TestEmpiricalPz:
         assert sum(pz.values()) == 1.0
 
 
-class TestPropensityModel:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ZeroPropensity):
-            PropensityModel({(1, "x", "z"): 0.0, (2, "x", "z"): 1.0}, {"z": 1.0})
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            PropensityModel({(1, "x", "z"): 0.3, (2, "x", "z"): 0.3}, {"z": 1.0})
-
-
-class TestIpwGroupCdf:
-    def test_uniform_weights_collapse_to_group_ecdf(self):
-        # uniform rule and uniform propensities: increments are exactly 1/n
-        space = CovariateSpace(("x0",), ("z0",), 2)
-        prop = PropensityModel(
-            {(1, "x0", "z0"): 0.5, (2, "x0", "z0"): 0.5}, {"z0": 1.0}
-        )
-        rng = np.random.default_rng(17)
-        ys = rng.random(50)
-        sample = TrainingSample.from_columns(
-            ys, ["x0"] * 50, ["z0"] * 50, rng.integers(1, 3, 50), UNIT, space=space
-        )
-        out = ipw_group_cdf(sample, DecisionRule.uniform(space), "z0", prop)
-        assert ks_distance(out, step_cdf_from_samples(ys, UNIT)) < 1e-12
-
-    def test_single_record_hand_computed(self):
-        # one record, delta_1 = 1, e = 0.5, pz = 0.5: raw jump 1/(1*0.5*0.5) = 4
-        space = small_space()
-        sample = TrainingSample.from_columns([0.5], ["x0"], ["z0"], [1], UNIT, space=space)
-        prop = uniform_prop(space)
-        rule = DecisionRule(space, np.array([[1.0, 0.0]]))
-        raw = ipw_group_raw(sample, rule, "z0", prop)
-        assert raw.eval(0.5) == 4.0
-        assert raw.eval(0.4999) == 0.0
-        cdf = ipw_group_cdf(sample, rule, "z0", prop)
-        assert cdf.eval(0.4999) == 0.0
-        assert cdf.eval(0.5) == 1.0
-
-    def test_monte_carlo_mean_matches_analytic_group_cdf(self):
-        # E f = group cdf at the cutoff; single large draw within 0.01
-        p, delta, c = 0.75, 0.4, 0.5
-        sample = toy_sample(100_000, p, "A1", seed=23)
-        rule = DecisionRule(sample.space, np.array([[delta, 1.0 - delta]]))
-        raw = ipw_group_raw(sample, rule, "0", toy_propensity(p, "A1"))
-        assert abs(raw.eval(c) - toy_group_cdf_value(delta, "0", c)) < 0.01
-
-    def test_unbiasedness_over_resamples(self):
-        # mean of the pre-projection estimate within 3 SE of the analytic value
-        p, delta, c, z = 0.75, 0.3, 0.5, "0"
-        prop = toy_propensity(p, "A1")
-        rng_seeds = range(200)
-        vals = []
-        for seed in rng_seeds:
-            sample = toy_sample(2000, p, "A1", seed=seed)
-            rule = DecisionRule(sample.space, np.array([[delta, 1.0 - delta]]))
-            vals.append(ipw_group_raw(sample, rule, z, prop).eval(c))
-        vals = np.array(vals)
-        se = vals.std(ddof=1) / np.sqrt(vals.size)
-        assert abs(vals.mean() - toy_group_cdf_value(delta, z, c)) < 3.0 * se
-
-    def test_missing_propensity_raises(self):
-        space = small_space()
-        sample = TrainingSample.from_columns([0.5], ["x0"], ["z0"], [1], UNIT, space=space)
-        prop = PropensityModel(
-            {(1, "x0", "z1"): 0.5, (2, "x0", "z1"): 0.5}, {"z0": 0.5, "z1": 0.5}
-        )
-        rule = DecisionRule.uniform(space)
-        with pytest.raises(ZeroPropensity):
-            ipw_group_raw(sample, rule, "z0", prop)
-        with pytest.raises(ZeroPropensity):
-            ipw_kernel(sample, prop)
-
-
-class TestIpwObjective:
-    def test_lambda_zero_is_target_of_weighted_mixture(self):
-        p = 0.75
-        sample = toy_sample(2000, p, "A1", seed=31)
-        prop = toy_propensity(p, "A1")
-        rule = DecisionRule(sample.space, np.array([[0.3, 0.7]]))
-        groups = {z: ipw_group_cdf(sample, rule, z, prop) for z in ("0", "1")}
-        pop = mixture([(groups["0"], p), (groups["1"], 1 - p)])
-        got = ipw_kernel(sample, prop).value(rule.probs, 0.0, GINI, KS)
-        assert abs(got - gini_welfare(pop)) < 1e-12
-
-    def test_identical_group_estimates_no_penalty(self):
-        # one record per group with the same outcome: both projections coincide
-        space = small_space()
-        sample = TrainingSample.from_columns(
-            [0.5, 0.5], ["x0", "x0"], ["z0", "z1"], [1, 1], UNIT, space=space
-        )
-        prop = uniform_prop(space)
-        rule = DecisionRule(space, np.array([[1.0, 0.0]]))
-        val = ipw_kernel(sample, prop).value(rule.probs, 1.0, GINI, KS)
-        assert val == 0.0
-
-    def test_agreement_with_plugin_at_desk_scale(self):
-        p = 0.75
-        sample = toy_sample(10_000, p, "A1", seed=37)
-        arr = fit_plugin(sample)
-        prop = toy_propensity(p, "A1")
-        for delta in np.linspace(0, 1, 5):
-            rule = DecisionRule(sample.space, np.array([[delta, 1 - delta]]))
-            a = ipw_kernel(sample, prop).value(rule.probs, 0.3, GINI, KS)
-            b = omega(rule, arr, 0.3, GINI, KS)
-            assert abs(a - b) < 0.05
-
-
 class TestIpwObjectiveEstimated:
     def test_balanced_design_has_near_uniform_propensities(self):
         space = small_space()
@@ -303,16 +176,6 @@ class TestIpwObjectiveEstimated:
         )
         e_hat, _ = estimated_propensities(sample)
         assert np.abs(e_hat - 0.5).max() < 0.05
-
-    def test_agreement_with_known_propensities(self):
-        p = 0.75
-        sample = toy_sample(10_000, p, "A1", seed=43)
-        prop = toy_propensity(p, "A1")
-        for delta in (0.0, 0.5, 1.0):
-            rule = DecisionRule(sample.space, np.array([[delta, 1 - delta]]))
-            a = ipw_kernel(sample, prop).value(rule.probs, 0.3, GINI, KS)
-            b = omega(rule, fit_plugin(sample), 0.3, GINI, KS)
-            assert abs(a - b) < 0.05
 
     def test_single_record_sample_finite(self):
         space = small_space()

@@ -3,13 +3,10 @@
 Every objective evaluation goes through one atom table.  These tests rebuild
 each objective from the oracles' `implied_cdf_group`, `project_mab` and
 `mixture` on StepCdfs (exact KS over merged breakpoints and left limits,
-targets on atoms) and require agreement to 1e-12, including the edge cases the kernel must
-handle: empty cells, zero-mass groups, single-record samples and IPW
-estimates that overshoot or fall short of 1.
+targets on atoms) and require agreement to 1e-12, including the edge cases
+the kernel must handle: empty cells, zero-mass groups, single-record
+samples, and atom masses whose group totals overshoot or fall short of 1.
 """
-
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ from fairpolicy import (
     CondCdfArray,
     CovariateSpace,
     DecisionRule,
-    PropensityModel,
     SimilarityMeasure,
     SupportInterval,
     TargetFunctional,
@@ -28,15 +24,12 @@ from fairpolicy import (
     omega,
     random_rule,
 )
-from fairpolicy.estimation import ipw_kernel
 from fairpolicy.objective import AtomKernel
 from helpers import UNIT, random_cond_array, random_training_sample
 from oracles import (
     MonotoneStep,
     estimated_propensities,
     implied_cdf_group,
-    ipw_group_cdf,
-    ipw_group_raw,
     mixture,
     project_mab,
     similarity_value,
@@ -88,19 +81,6 @@ def sample_case(rng, support, mode) -> TrainingSample:
     return sample
 
 
-def random_propensities(rng, space) -> PropensityModel:
-    # a small floor keeps every propensity positive; skewed draws make the
-    # raw IPW group estimates overshoot or fall short of 1
-    e = {}
-    for x in space.x_levels:
-        for z in space.z_levels:
-            raw = (rng.dirichlet(np.full(space.k, 0.4)) + 0.01) / (1.0 + 0.01 * space.k)
-            for i in space.treatments:
-                e[(i, x, z)] = raw[i - 1]
-    pz = (rng.dirichlet(np.ones(len(space.z_levels))) + 0.01) / (1.0 + 0.01 * len(space.z_levels))
-    return PropensityModel(e, dict(zip(space.z_levels, pz)))
-
-
 @kernel_settings
 @given(seeds, lams, targets, similarities, supports,
        st.sampled_from(["cells", "empty-cells", "zero-group"]))
@@ -122,21 +102,6 @@ def test_omega_matches_mixture_route(seed, lam, t, s, support, mode):
 @kernel_settings
 @given(seeds, lams, targets, similarities, supports,
        st.sampled_from(["sample", "single", "missing-group"]))
-def test_ipw_known_matches_projection_route(seed, lam, t, s, support, mode):
-    rng = np.random.default_rng(seed)
-    sample = sample_case(rng, support, mode)
-    prop = random_propensities(rng, sample.space)
-    rule = random_rule(sample.space, rng)
-    zs = sample.space.z_levels
-    groups = [ipw_group_cdf(sample, rule, z, prop) for z in zs]
-    weights = np.array([prop.pz[z] for z in zs])
-    want = reference(lam, t, s, groups, weights / weights.sum())
-    assert abs(ipw_kernel(sample, prop).value(rule.probs, lam, t, s) - want) < TOL
-
-
-@kernel_settings
-@given(seeds, lams, targets, similarities, supports,
-       st.sampled_from(["sample", "single", "missing-group"]))
 def test_ipw_estimated_matches_projection_and_plugin(seed, lam, t, s, support, mode):
     rng = np.random.default_rng(seed)
     sample = sample_case(rng, support, mode)
@@ -153,59 +118,37 @@ def test_ipw_estimated_matches_projection_and_plugin(seed, lam, t, s, support, m
     assert abs(got - reference(lam, t, s, groups, weights)) < TOL
 
 
-def test_ipw_overshoot_and_empty_group_hand_computed():
-    # one record, in group z0, with raw mass 1 / (1 * 0.5 * 0.5) = 4: capped to
-    # a point mass at 0.25.  Group z1 has no records: its mass all goes to b.
+def test_overshoot_and_empty_group_hand_computed():
+    # one atom, at 0.25 in group z0, with mass 4 (a record's IPW mass
+    # 1 / (1 * 0.5 * 0.5)): capped to a point mass at 0.25.  Group z1 has no
+    # atoms: its mass all goes to b.
     space = CovariateSpace(("x0",), ("z0", "z1"), 2)
-    sample = TrainingSample.from_columns([0.25], ["x0"], ["z0"], [1], UNIT, space=space)
-    prop = PropensityModel({(i, "x0", z): 0.5 for i in (1, 2) for z in ("z0", "z1")},
-                           {"z0": 0.5, "z1": 0.5})
+    kernel = AtomKernel(UNIT, np.array([0.25]), np.array([0]), np.array([0]),
+                        np.array([4.0]), [0.5, 0.5])
     rule = DecisionRule.singleton(space, 1)
     mean, ks = TargetFunctional("mean"), SIMILARITIES[0]
-    assert ipw_kernel(sample, prop).value(rule.probs, 0.0, mean, ks) == 0.625
-    assert ipw_kernel(sample, prop).value(rule.probs, 1.0, mean, ks) == -0.5
+    assert kernel.value(rule.probs, 0.0, mean, ks) == 0.625
+    assert kernel.value(rule.probs, 1.0, mean, ks) == -0.5
 
 
-def test_ipw_total_within_mass_tol_is_renormalized():
-    # group z0's raw estimate totals 1 - 4e-10: within MASS_TOL of 1, so it is
+def test_total_within_mass_tol_is_renormalized():
+    # group z0's atoms total 1 - 4e-10: within MASS_TOL of 1, so its row is
     # renormalized (as StepCdf does), not topped up with an atom at b
     space = CovariateSpace(("x0",), ("z0", "z1"), 2)
-    sample = TrainingSample.from_columns(
-        [0.2, 0.7, 0.4, 0.9], ["x0"] * 4, ["z0", "z0", "z1", "z1"], [1, 2, 1, 2], UNIT,
-        space=space,
-    )
-    e = {(1, "x0", z): 0.25 for z in ("z0", "z1")} | {(2, "x0", z): 0.75 for z in ("z0", "z1")}
-    prop = PropensityModel(e, {"z0": 0.5, "z1": 0.5})
+    ys, z, slot = np.array([0.2, 0.7, 0.4, 0.9]), np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    # IPW masses 1 / (n e p_Z) with n = 4, e = 0.25 or 0.75 and p_Z = 0.5
+    mass = 1.0 / (4 * np.array([0.25, 0.75, 0.25, 0.75]) * 0.5)
+    kernel = AtomKernel(UNIT, ys, z, slot, mass, [0.5, 0.5])
     rule = DecisionRule(space, np.array([[0.25 - 3e-10, 0.75 + 3e-10]]))
-    assert abs(ipw_group_raw(sample, rule, "z0", prop).total - (1.0 - 4e-10)) < 1e-15
+    raw = [MonotoneStep(UNIT, ys[z == j], rule.probs.ravel()[slot[z == j]] * mass[z == j])
+           for j in (0, 1)]
+    assert abs(raw[0].total - (1.0 - 4e-10)) < 1e-15
     mean = TargetFunctional("mean")
-    groups = [ipw_group_cdf(sample, rule, z, prop) for z in ("z0", "z1")]
+    groups = [project_mab(g) for g in raw]
     for lam in (0.0, 1.0):
         want = reference(lam, mean, SIMILARITIES[0], groups, [0.5, 0.5])
-        got = ipw_kernel(sample, prop).value(rule.probs, lam, mean, SIMILARITIES[0])
+        got = kernel.value(rule.probs, lam, mean, SIMILARITIES[0])
         assert abs(got - want) < TOL
-
-
-def test_ipw_models_sharing_a_sample_keep_their_own_values():
-    # alternating two propensity models on one sample must rebuild the
-    # kernel for each; only the most recent model stays referenced
-    rng = np.random.default_rng(5)
-    sample = random_training_sample(rng)
-    rule = random_rule(sample.space, rng)
-    t, s = TARGETS[0], SIMILARITIES[0]
-    props = [random_propensities(rng, sample.space) for _ in range(2)]
-    wants = []
-    for prop in props:
-        groups = [ipw_group_cdf(sample, rule, z, prop) for z in sample.space.z_levels]
-        weights = np.array([prop.pz[z] for z in sample.space.z_levels])
-        wants.append(reference(0.37, t, s, groups, weights / weights.sum()))
-    assert abs(wants[0] - wants[1]) > 1e-6
-    for prop, want in [*zip(props, wants)] * 2:
-        assert abs(ipw_kernel(sample, prop).value(rule.probs, 0.37, t, s) - want) < TOL
-    first = weakref.ref(props[0])
-    del props[0]
-    gc.collect()
-    assert first() is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

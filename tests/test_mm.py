@@ -131,15 +131,14 @@ def test_sweep_ignores_the_optimizer_settings():
     sample = toy_sample(600, 0.75, "A1", seed=4)
     grid = LambdaGrid.uniform(4)
     for s in SIMILARITIES:
-        for estimator in ("plugin", "ipw-estimated"):
-            paths = [sweep(sample, grid, GINI, s, cfg, estimator=estimator) for cfg in (
-                OptimizerConfig(seed=1),
-                OptimizerConfig(seed=99, restarts=3, candidate_starts=2, max_iters=1, ftol=0.5),
-            )]
-            for a, b in zip(*(p.entries for p in paths)):
-                assert a.obj_value == b.obj_value
-                assert np.array_equal(a.rule.probs, b.rule.probs)
-                assert a.gap is None and a.converged and a.evaluations > 0
+        paths = [sweep(sample, grid, GINI, s, cfg) for cfg in (
+            OptimizerConfig(seed=1),
+            OptimizerConfig(seed=99, restarts=3, candidate_starts=2, max_iters=1, ftol=0.5),
+        )]
+        for a, b in zip(*(p.entries for p in paths)):
+            assert a.obj_value == b.obj_value
+            assert np.array_equal(a.rule.probs, b.rule.probs)
+            assert a.gap is None and a.converged and a.evaluations > 0
 
 
 def assert_replays(program: PluginProgram, lams) -> None:

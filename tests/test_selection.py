@@ -24,7 +24,6 @@ from fairpolicy import (
     select_lambda_budget,
     sweep,
     toy_max_value,
-    toy_propensity,
     toy_sample,
 )
 from fairpolicy.toy import toy_space
@@ -117,38 +116,22 @@ class TestSweep:
             assert np.array_equal(e1.rule.probs, e2.rule.probs)
             assert e1.obj_value == e2.obj_value
 
-    def test_ipw_estimators_run(self):
-        sample = toy_sample(400, 0.75, "A1", seed=21)
-        prop = toy_propensity(0.75, "A1")
-        cfg = OptimizerConfig(seed=23, candidate_starts=10, max_iters=120)
-        grid = LambdaGrid((0.0, 0.5))
-        for kwargs in ({"estimator": "ipw", "propensity": prop}, {"estimator": "ipw-estimated"}):
-            path = sweep(sample, grid, GINI, KS, cfg, **kwargs)
-            assert len(path.entries) == 2
-            assert np.isfinite(path.obj_values).all()
-
     def test_entries_keep_the_solver_telemetry(self):
         sample = toy_sample(400, 0.75, "A2", seed=27)
         grid = LambdaGrid((0.0, 0.5))
         cfg = OptimizerConfig(seed=29, candidate_starts=5, max_iters=40)
         routes = {
-            "mean": (TargetFunctional("mean"), {}),  # linear program: certified gap
-            "gini": (GINI, {}),  # minorize-maximize: no certificate
-            "ipw": (GINI, {"estimator": "ipw", "propensity": toy_propensity(0.75, "A2")}),
+            "mean": TargetFunctional("mean"),  # linear program: certified gap
+            "gini": GINI,  # minorize-maximize: no certificate
+            "quantile": TargetFunctional.parse("quantile:0.3"),  # Nelder-Mead
         }
-        for name, (t, kwargs) in routes.items():
-            for e in sweep(sample, grid, t, KS, cfg, **kwargs).entries:
+        for name, t in routes.items():
+            for e in sweep(sample, grid, t, KS, cfg).entries:
                 assert e.evaluations > 0 and isinstance(e.converged, bool)
                 if name == "mean":
                     assert e.converged and -1e-12 <= e.gap <= 1e-9
                 else:
                     assert e.gap is None
-
-    def test_unknown_estimator(self):
-        sample = toy_sample(50, 0.75, "A1", seed=25)
-        with pytest.raises(ValueError):
-            sweep(sample, LambdaGrid((0.0,)), GINI, KS, OptimizerConfig(seed=1),
-                  estimator="bogus")
 
 
 class TestDeltaN:
