@@ -335,7 +335,7 @@ class AtomKernel:
         np.cumsum(f, axis=1, out=f)
         # rows end at 1 only up to rounding: without the cap the simulate
         # golden digest moves, without the division every golden digest does;
-        # the residual branch keeps a zero-mass group's row all zeros
+        # the residual branch makes a zero-mass group's row a point mass at b
         np.minimum(f, 1.0, out=f)
         top = f[:, -1:]
         top[1.0 - top > MASS_TOL] = 1.0  # the missing mass becomes an atom at b

@@ -8,7 +8,8 @@ projection of a monotone step function onto the CDFs on [a, b]
 (`MonotoneStep`, `project_mab`), which with the cell-frequency propensities
 of `estimated_propensities` rebuilds the IPW group estimates, KS distances
 over merged breakpoints and left limits (`similarity_value` dispatches to
-them), the O(n^2) mean absolute difference, and minorize-maximize without
+them), the O(n^2) mean absolute difference, the closed-form group CDF of
+the toy example (`toy_group_cdf_value`), and minorize-maximize without
 replay (`mm_reference`).  The tests compare the program with them; no
 module under `src/` imports this one.
 """
@@ -33,6 +34,7 @@ from fairpolicy.functionals import SimilarityMeasure
 from fairpolicy.lp import CUT_TOL, GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
 from fairpolicy.objective import CondCdfArray, DecisionRule, _require_same_space
 from fairpolicy.optimizer import CountingObjective, OptimResult
+from fairpolicy.toy import Z_MAJORITY, Z_MINORITY, toy_cdf_g, toy_cdf_h
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +244,17 @@ def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarr
         e_hat = np.where(pair > 0, counts / np.maximum(pair, 1), 0.0)
     pz_hat = np.bincount(sample.zi, minlength=len(sample.space.z_levels)) / sample.n
     return e_hat, pz_hat
+
+
+def toy_group_cdf_value(delta: float, z, c: float) -> float:
+    """Analytic group CDF at c: delta*G + (1-delta)*H for the majority and the
+    mirror image for the minority."""
+    g, h = toy_cdf_g(c), toy_cdf_h(c)
+    if z == Z_MAJORITY:
+        return delta * g + (1.0 - delta) * h
+    if z == Z_MINORITY:
+        return delta * h + (1.0 - delta) * g
+    raise ValueError(f"unknown group {z!r}")
 
 
 # ---------------------------------------------------------------------------

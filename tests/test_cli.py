@@ -602,7 +602,7 @@ class TestSweep:
         doc = validate(os.path.join(outs[0], "rules.json"), "rules.schema.json")
         assert doc["lambdas"] == [0.0, 0.5, 1.0]
 
-    @pytest.mark.parametrize("target", ["gini-welfare", "quantile:0.3"])
+    @pytest.mark.parametrize("target", ["mean", "gini-welfare", "quantile:0.3"])
     def test_ipw_estimated_is_an_alias_of_plugin(self, toy_csv, tmp_path, target):
         # cell-frequency IPW weights equal the plug-in atom masses
         outs = [tmp_path / estimator for estimator in ("plugin", "ipw-estimated")]
@@ -750,8 +750,13 @@ class TestSelect:
          "rule 0: entries must be numbers"),
         (lambda doc: doc["rules"].__setitem__(1, [["0.4", "0.6"]]),
          "rule 1: entries must be numbers"),
+        # np.array would take null as nan; a JSON NaN is a number but not finite
+        (lambda doc: doc["rules"].__setitem__(1, [[None, 1.0]]),
+         "rule 1: entries must be numbers"),
+        (lambda doc: doc["rules"].__setitem__(1, [[float("nan"), 1.0]]),
+         "rule 1: probs must be finite"),
     ], ids=["missing-key", "too-few-rules", "non-simplex", "non-numeric", "boolean-entries",
-            "string-entries"])
+            "string-entries", "null-entries", "nan-entries"])
     def test_invalid_rules_json_exit_3(self, tmp_path, capsys, broken, message):
         path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
         path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"

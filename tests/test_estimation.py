@@ -11,9 +11,11 @@ from fairpolicy import (
     TrainingRecord,
     TrainingSample,
     empirical_pz,
+    ToyParams,
     fit_plugin,
     omega,
     step_cdf_from_samples,
+    toy_objective,
     toy_sample,
 )
 from helpers import UNIT, random_training_sample
@@ -21,6 +23,7 @@ from oracles import (
     estimated_propensities,
     implied_cdf,
     ks_distance,
+    toy_group_cdf_value,
 )
 
 GINI = TargetFunctional("gini-welfare")
@@ -29,6 +32,13 @@ KS = SimilarityMeasure("ks")
 
 def small_space():
     return CovariateSpace(("x0",), ("z0", "z1"), 2)
+
+
+def group_cdf_at(arr, rule, j, c):
+    """Plug-in CDF of group index j under the rule, evaluated at c."""
+    kernel = arr.kernel
+    pos = np.searchsorted(kernel.grid, c, side="right") - 1
+    return 0.0 if pos < 0 else float(kernel.group_cdfs(rule.probs.ravel())[j, pos])
 
 
 class TestTrainingSample:
@@ -163,6 +173,77 @@ class TestEmpiricalPz:
         pz = empirical_pz(sample)
         assert pz == {"z0": 0.75, "z1": 0.25}
         assert sum(pz.values()) == 1.0
+
+
+class TestPluginGroupCdf:
+    def test_balanced_arms_under_uniform_rule_collapse_to_group_ecdf(self):
+        # equal arm sizes: the uniform rule's mixture 0.5 F_1 + 0.5 F_2 is the
+        # pooled empirical cdf of the group
+        space = CovariateSpace(("x0",), ("z0",), 2)
+        rng = np.random.default_rng(17)
+        ys = rng.random(50)
+        sample = TrainingSample.from_columns(
+            ys, ["x0"] * 50, ["z0"] * 50, rng.permutation(np.repeat([1, 2], 25)), UNIT,
+            space=space,
+        )
+        kernel = fit_plugin(sample).kernel
+        got = kernel.group_cdfs(DecisionRule.uniform(space).probs.ravel())[0]
+        want = step_cdf_from_samples(ys, UNIT).eval_many(kernel.grid)
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_single_record_hand_computed(self):
+        # one record at 0.5 in (d=1, z0): arm 2 of z0 is an empty cell, a point
+        # mass at b; group z1 has no mass, so its row is a point mass at b
+        space = small_space()
+        sample = TrainingSample.from_columns([0.5], ["x0"], ["z0"], [1], UNIT, space=space)
+        kernel = fit_plugin(sample).kernel
+        assert kernel.grid.tolist() == [0.5, 1.0]
+        treat = kernel.group_cdfs(DecisionRule.singleton(space, 1).probs.ravel())
+        assert treat.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+        control = kernel.group_cdfs(DecisionRule.singleton(space, 2).probs.ravel())
+        assert control.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+
+    def test_toy_group_cdfs_match_analytic_at_scale(self):
+        # a single large draw lands within 0.01 of the closed form in both groups
+        p, delta, c = 0.75, 0.4, 0.5
+        sample = toy_sample(100_000, p, "A1", seed=23)
+        arr = fit_plugin(sample)
+        rule = DecisionRule(sample.space, np.array([[delta, 1.0 - delta]]))
+        for j, z in enumerate(sample.space.z_levels):
+            assert abs(group_cdf_at(arr, rule, j, c) - toy_group_cdf_value(delta, z, c)) < 0.01
+
+    def test_unbiasedness_over_resamples(self):
+        # with every cell observed each cell ECDF is unbiased, so the mean
+        # over resamples lies within 3 SE of the analytic group cdf
+        p, delta, c, z = 0.75, 0.3, 0.5, "0"
+        vals = []
+        for seed in range(200):
+            sample = toy_sample(2000, p, "A1", seed=seed)
+            rule = DecisionRule(sample.space, np.array([[delta, 1.0 - delta]]))
+            vals.append(group_cdf_at(fit_plugin(sample), rule, sample.space.z_index[z], c))
+        vals = np.array(vals)
+        se = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean() - toy_group_cdf_value(delta, z, c)) < 3.0 * se
+
+
+class TestPluginObjective:
+    def test_identical_group_samples_have_no_penalty(self):
+        # one record per group with the same outcome: both group cdfs coincide
+        space = small_space()
+        sample = TrainingSample.from_columns(
+            [0.5, 0.5], ["x0", "x0"], ["z0", "z1"], [1, 1], UNIT, space=space
+        )
+        rule = DecisionRule(space, np.array([[1.0, 0.0]]))
+        assert omega(rule, fit_plugin(sample), 1.0, GINI, KS) == 0.0
+
+    def test_desk_scale_agreement_with_closed_form(self):
+        # the sample objective tracks the population objective of the toy
+        p, lam = 0.75, 0.3
+        arr = fit_plugin(toy_sample(10_000, p, "A1", seed=37))
+        for delta in np.linspace(0, 1, 5):
+            rule = DecisionRule(arr.space, np.array([[delta, 1 - delta]]))
+            want = toy_objective(float(delta), ToyParams(p, lam))
+            assert abs(omega(rule, arr, lam, GINI, KS) - want) < 0.05
 
 
 class TestIpwObjectiveEstimated:

@@ -8,6 +8,9 @@ the kernel must handle: empty cells, zero-mass groups, single-record
 samples, and atom masses whose group totals overshoot or fall short of 1.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +26,7 @@ from fairpolicy import (
     fit_plugin,
     omega,
     random_rule,
+    toy_sample,
 )
 from fairpolicy.objective import AtomKernel
 from helpers import UNIT, random_cond_array, random_training_sample
@@ -149,6 +153,39 @@ def test_total_within_mass_tol_is_renormalized():
         want = reference(lam, mean, SIMILARITIES[0], groups, [0.5, 0.5])
         got = kernel.value(rule.probs, lam, mean, SIMILARITIES[0])
         assert abs(got - want) < TOL
+
+
+@kernel_settings
+@given(seeds, supports, st.sampled_from(["sample", "single", "missing-group"]))
+def test_group_cdf_rows_are_cdfs(seed, support, mode):
+    # every row is nondecreasing in [0, 1] and ends at exactly 1; a group
+    # without mass is a point mass at b
+    rng = np.random.default_rng(seed)
+    sample = sample_case(rng, support, mode)
+    kernel = fit_plugin(sample).kernel
+    f = kernel.group_cdfs(random_rule(sample.space, rng).probs.ravel())
+    assert f.shape == (len(sample.space.z_levels), kernel.grid.size)
+    assert (np.diff(f, axis=1) >= 0.0).all() and (f >= 0.0).all()
+    assert (f[:, -1] == 1.0).all()
+    for j in np.flatnonzero(kernel.pz == 0.0):
+        assert (f[j, :-1] == 0.0).all()
+
+
+def test_arrays_keep_their_own_kernels():
+    # alternating two samples' arrays: each kernel keeps its own last group
+    # CDFs, and nothing outside an array keeps it alive
+    arrs = [fit_plugin(toy_sample(300, 0.75, "A1", seed=seed)) for seed in (1, 2)]
+    rule = DecisionRule(arrs[0].space, np.array([[0.3, 0.7]]))
+    t, s = TARGETS[0], SIMILARITIES[0]
+    wants = [AtomKernel.from_array(arr).value(rule.probs, 0.37, t, s) for arr in arrs]
+    assert abs(wants[0] - wants[1]) > 1e-6
+    for arr, want in [*zip(arrs, wants)] * 3:
+        assert omega(rule, arr, 0.37, t, s) == want
+    assert [arr.kernel.computations for arr in arrs] == [1, 1]
+    first = weakref.ref(arrs[0])
+    del arrs[0]
+    gc.collect()
+    assert first() is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

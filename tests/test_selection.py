@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -133,6 +134,16 @@ class TestSweep:
                 else:
                     assert e.gap is None
 
+
+    def test_sweep_has_one_estimator(self):
+        # every sweep runs on the fitted array's plug-in kernel: there is no
+        # estimator to choose and no propensity model to pass
+        params = inspect.signature(sweep).parameters
+        assert "estimator" not in params and "propensity" not in params
+        sample = toy_sample(50, 0.75, "A1", seed=25)
+        with pytest.raises(TypeError):
+            sweep(sample, LambdaGrid((0.0,)), GINI, KS, OptimizerConfig(seed=1),
+                  estimator="plugin")
 
 class TestDeltaN:
     def test_zero_at_zero(self):
