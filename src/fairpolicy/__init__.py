@@ -11,79 +11,97 @@ two maximizers over products of simplices (the plug-in program of
 the mean target and local for Gini-welfare, and Nelder-Mead for every other
 objective); budget-based preference-parameter selection; a closed-form test
 oracle; and a Monte Carlo harness.
+
+The public names below are imported from their submodules on first use
+(PEP 562), so ``import fairpolicy`` loads none of them and each CLI command
+compiles only the modules it runs.
 """
 
-from .distributions import (
-    DistributionError,
-    EmptySample,
-    OutOfSupport,
-    StepCdf,
-    SupportInterval,
-    SupportMismatch,
-    WeightMismatch,
-    point_mass,
-    step_cdf_from_samples,
-)
-from .estimation import (
-    TrainingRecord,
-    TrainingSample,
-    empirical_pz,
-    fit_plugin,
-)
-from .functionals import (
-    InvalidTau,
-    SimilarityMeasure,
-    TargetFunctional,
-    gini_welfare,
-    mad_half,
-    mean,
-    quantile,
-)
-from .objective import (
-    CondCdfArray,
-    CovariateSpace,
-    DecisionRule,
-    EmptySet,
-    InvalidLambda,
-    SpaceMismatch,
-    d1,
-    d1_to_set,
-    omega,
-)
-from .optimizer import (
-    NonFiniteObjective,
-    OptimResult,
-    OptimizerConfig,
-    maximize,
-    random_rule,
-)
-from .selection import (
-    BudgetSelection,
-    InvalidBudget,
-    LambdaGrid,
-    LambdaNotOnGrid,
-    LambdaPath,
-    NonUniformGrid,
-    PathEntry,
-    budget_slack,
-    delta_n,
-    interpolate_linear,
-    interpolate_value,
-    lip_m,
-    select_lambda_budget,
-    sweep,
-)
-from .simharness import SimConfig, SimResult, SimRow, regret_toy, run_simulation
-from .toy import (
-    ToyParams,
-    toy_argmax,
-    toy_cdf_g,
-    toy_cdf_h,
-    toy_cond_array,
-    toy_max_value,
-    toy_objective,
-    toy_sample,
-    toy_threshold,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULE_NAMES = {
+    "distributions": (
+        "DistributionError",
+        "EmptySample",
+        "OutOfSupport",
+        "StepCdf",
+        "SupportInterval",
+        "SupportMismatch",
+        "WeightMismatch",
+        "point_mass",
+        "step_cdf_from_samples",
+    ),
+    "estimation": ("TrainingRecord", "TrainingSample", "empirical_pz", "fit_plugin"),
+    "functionals": (
+        "InvalidTau",
+        "SimilarityMeasure",
+        "TargetFunctional",
+        "gini_welfare",
+        "mad_half",
+        "mean",
+        "quantile",
+    ),
+    "objective": (
+        "CondCdfArray",
+        "CovariateSpace",
+        "DecisionRule",
+        "EmptySet",
+        "InvalidLambda",
+        "SpaceMismatch",
+        "d1",
+        "d1_to_set",
+        "omega",
+    ),
+    "optimizer": ("NonFiniteObjective", "OptimResult", "OptimizerConfig", "maximize",
+                  "random_rule"),
+    "selection": (
+        "BudgetSelection",
+        "InvalidBudget",
+        "LambdaGrid",
+        "LambdaNotOnGrid",
+        "LambdaPath",
+        "NonUniformGrid",
+        "PathEntry",
+        "budget_slack",
+        "delta_n",
+        "interpolate_linear",
+        "interpolate_value",
+        "lip_m",
+        "select_lambda_budget",
+        "sweep",
+    ),
+    "simharness": ("SimConfig", "SimResult", "SimRow", "regret_toy", "run_simulation"),
+    "toy": (
+        "ToyParams",
+        "toy_argmax",
+        "toy_cdf_g",
+        "toy_cdf_h",
+        "toy_cond_array",
+        "toy_max_value",
+        "toy_objective",
+        "toy_sample",
+        "toy_threshold",
+    ),
+}
+# public name -> the submodule that defines it
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+    elif name in _SUBMODULE_NAMES:  # a submodule not imported yet, as fairpolicy.lp
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

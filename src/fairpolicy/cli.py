@@ -23,7 +23,8 @@ of the fitted array's columns.  stdout stays quiet; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV parse error, 3 schema
 violation, 4 optimizer failure, 5 configuration error (a malformed or unknown
 flag too).  A run takes at most one ``--config`` file, which cannot name
-another.
+another.  Each subcommand imports the modules it runs when it starts, so
+``fit`` loads neither the sweep, the solvers nor the simulation harness.
 """
 
 from __future__ import annotations
@@ -37,34 +38,17 @@ import math
 import os
 import sys
 from array import array
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import DistributionError, SupportInterval
-from .estimation import TrainingSample, fit_plugin
-from .functionals import SimilarityMeasure, TargetFunctional
 from .objective import CovariateSpace, DecisionRule, omega
-from .optimizer import NonFiniteObjective, OptimizerConfig, maximize
-from .selection import (
-    BudgetSelection,
-    InvalidBudget,
-    LambdaGrid,
-    LambdaPath,
-    PathEntry,
-    check_budget,
-    select_lambda_budget,
-    sweep,
-)
-from .simharness import SimConfig, run_simulation
-from .toy import (
-    PENALTY_SCALE,
-    ToyParams,
-    toy_cond_array,
-    toy_max_value,
-    toy_objective,
-    toy_space,
-    toy_threshold,
-)
+
+if TYPE_CHECKING:
+    from .estimation import TrainingSample
+    from .optimizer import OptimizerConfig
+    from .selection import BudgetSelection, LambdaPath
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -216,6 +200,8 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
     row error wins over a decode error when the row ends before the 8 KiB
     that holds the bad byte.)
     """
+    from .estimation import TrainingSample
+
     try:
         try:
             columns = _read_columns(path, by_block=True)
@@ -504,6 +490,8 @@ def _read_sample(args) -> TrainingSample:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
+    from .optimizer import OptimizerConfig
+
     return OptimizerConfig(
         restarts=args.restarts,
         candidate_starts=args.candidate_starts,
@@ -514,6 +502,8 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 
 def cmd_fit(args) -> int:
+    from .estimation import fit_plugin
+
     out = _ensure_outdir(args)
     arr = fit_plugin(_read_sample(args))
     _write_json(os.path.join(out, "fitted_array.json"), fitted_array_payload(arr))
@@ -521,6 +511,9 @@ def cmd_fit(args) -> int:
 
 
 def _run_sweep(args, beta=None) -> LambdaPath:
+    from .functionals import SimilarityMeasure, TargetFunctional
+    from .selection import LambdaGrid, check_budget, sweep
+
     try:
         grid = LambdaGrid.uniform(args.grid_m)
         t = TargetFunctional.parse(args.target)
@@ -544,6 +537,8 @@ def cmd_sweep(args) -> int:
 
 def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs."""
+    from .selection import LambdaGrid, LambdaPath, PathEntry
+
     try:
         with open(rules_json, encoding="utf-8") as fh:
             rules_doc = json.load(fh)
@@ -631,6 +626,8 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
 
 
 def cmd_select(args) -> int:
+    from .selection import check_budget, select_lambda_budget
+
     out = _ensure_outdir(args)
     if args.beta is None:
         raise ConfigError("--beta is required for select")
@@ -681,6 +678,9 @@ def aggregate_csv_text(result) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .selection import LambdaGrid
+    from .simharness import SimConfig, run_simulation
+
     out = _ensure_outdir(args)
     try:
         cfg = SimConfig(
@@ -709,6 +709,18 @@ def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
     `perturb` shifts the closed-form objective and exists as a negative
     control for the suite itself.
     """
+    from .functionals import SimilarityMeasure, TargetFunctional
+    from .optimizer import OptimizerConfig, maximize
+    from .toy import (
+        PENALTY_SCALE,
+        ToyParams,
+        toy_cond_array,
+        toy_max_value,
+        toy_objective,
+        toy_space,
+        toy_threshold,
+    )
+
     stream = stream if stream is not None else sys.stderr
     checks = []
 
@@ -918,6 +930,14 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[:1] + _load_config_file(path) + rest[1:]
 
 
+def _loaded(module: str, name: str) -> tuple:
+    """(exception class `name` of the package's `module`,) if that module is
+    loaded, else ().  A command that raises the class has loaded its module,
+    so main matches these errors without importing a module for them."""
+    error = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+    return () if error is None else (error,)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -932,10 +952,11 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except NonFiniteObjective as exc:
+    # an except clause's classes are evaluated only when an exception reaches it
+    except _loaded("optimizer", "NonFiniteObjective") as exc:
         print(f"optimizer error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
-    except (ConfigError, InvalidBudget) as exc:
+    except (ConfigError, *_loaded("selection", "InvalidBudget")) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

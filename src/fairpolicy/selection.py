@@ -29,13 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimation import TrainingSample, fit_plugin
 from .functionals import SimilarityMeasure, TargetFunctional, plugin_route
 from .objective import AtomKernel, DecisionRule
-from .optimizer import OptimizerConfig, derive_seed, maximize
+
+if TYPE_CHECKING:
+    from .estimation import TrainingSample
+    from .optimizer import OptimizerConfig
 
 
 class LambdaNotOnGrid(ValueError):
@@ -156,20 +159,27 @@ def sweep(
     grid: LambdaGrid,
     t: TargetFunctional,
     s: SimilarityMeasure,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    cfg: OptimizerConfig | None = None,
 ) -> LambdaPath:
     """One maximization per grid lambda of the plug-in empirical objective.
 
     A (t, s) pair that `plugin_route` accepts is solved by
     `lp.PluginProgram`, which ignores cfg.  Every other objective goes to
     `maximize`, with per-lambda seeds derived from (cfg.seed, lambda
-    index).  Either way the path is reproducible bit-for-bit and
-    per-lambda runs are independent.
+    index); cfg None means `OptimizerConfig()`.  Either way the path is
+    reproducible bit-for-bit and per-lambda runs are independent.
     """
+    # Imported here, not at the top, so that `select` on a saved path
+    # compiles neither the estimator nor the optimizer, and only the sweeps
+    # that lp may solve compile it.
+    from .estimation import fit_plugin
+    from .optimizer import OptimizerConfig, derive_seed, maximize
+
+    cfg = OptimizerConfig() if cfg is None else cfg
     kernel = fit_plugin(sample).kernel
     program = None
     if plugin_route(t, s):
-        from . import lp  # here, so that only the sweeps it may solve compile it
+        from . import lp
 
         program = lp.PluginProgram(kernel, sample.space, t, s)
     z_levels = sample.space.z_levels

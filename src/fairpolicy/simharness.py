@@ -124,7 +124,10 @@ class SimResult:
 def _aggregate(values) -> CellAggregate:
     arr = np.asarray(values, dtype=float)
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return CellAggregate(mean=float(arr.mean()), sd=sd, median=float(np.median(arr)))
+    # np.median's value on finite input (the mean of the middle one or two
+    # sorted entries), without its NaN check, which imports numpy.ma
+    middle = np.sort(arr)[(arr.size - 1) // 2:arr.size // 2 + 1]
+    return CellAggregate(mean=float(arr.mean()), sd=sd, median=float(middle.mean()))
 
 
 def regret_toy(delta_hat: float, lam: float, p: float) -> float:

@@ -717,7 +717,7 @@ class TestSelect:
         def no_sweep(*args, **kwargs):
             raise AssertionError("select swept a 1-row sample")
 
-        monkeypatch.setattr("fairpolicy.cli.sweep", no_sweep)
+        monkeypatch.setattr("fairpolicy.selection.sweep", no_sweep)
         sample = tmp_path / "s.csv"
         sample.write_text("y,x,z,d\n0.5,a,u,1\n")
         rc = main(["select", "--input", str(sample), "--beta", "0.1",
@@ -1045,6 +1045,45 @@ def test_cli_import_leaves_scipy_unloaded(toy_csv, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def modules_after(argv):
+    """The modules in sys.modules after cli.main(argv) in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
+    code = ("import fairpolicy.cli, sys; "
+            f"assert fairpolicy.cli.main({argv!r}) == 0; "
+            "print(' '.join(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # without a bytecode cache every module a command imports is compiled
+    sample = tmp_path / "s.csv"
+    sample.write_text("y,x,z,d\n0.1,a,u,1\n0.5,b,v,2\n0.9,a,v,1\n")
+    path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+    path_csv.write_text("lambda,obj_value,target_value,unfair_z0,max_unfairness\n"
+                        "0.0,0.5,0.5,0.0,0.0\n")
+    rules_json.write_text(json.dumps({"n": 100, "x_levels": ["x0"], "k": 2,
+                                      "lambdas": [0.0], "rules": [[[0.4, 0.6]]]}))
+    fit = modules_after(["fit", "--input", str(sample), "--output-dir", str(tmp_path / "f")])
+    select = modules_after(["select", "--beta", "0.1", "--path-csv", str(path_csv),
+                            "--rules-json", str(rules_json), "--output-dir", str(tmp_path / "s")])
+    solvers = {f"fairpolicy.{m}" for m in ("lp", "optimizer", "simharness", "toy")}
+    assert "fairpolicy.estimation" in fit
+    assert not fit & (solvers | {"fairpolicy.selection"})
+    assert "fairpolicy.selection" in select
+    assert not select & (solvers | {"fairpolicy.estimation"})
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median's NaN check imports numpy.ma, about 15 ms of start-up
+    loaded = modules_after(["simulate", "--sample-sizes", "50", "--mechanisms", "A1",
+                            "--grid-m", "1", "--replications", "2", "--seed", "1",
+                            "--output-dir", str(tmp_path / "o")])
+    assert "fairpolicy.simharness" in loaded
+    assert "numpy.ma" not in loaded
 
 
 @pytest.mark.parametrize("command, bad_file, error", [
