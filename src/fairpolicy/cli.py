@@ -6,10 +6,10 @@ CSV with header ``y,x,z,d`` (outcome, covariate label, protected group label,
 first appearance; K defaults to the largest observed treatment index.  The
 support [a, b] defaults to [0, 1]; ``--rescale`` min-max rescales outcomes to
 [0, 1] instead.  The sample (UTF-8, a leading byte-order mark skipped) is
-read into typed columns a block of text at a time: plain lines are split
-into columns by string operations and converted in bulk, other lines go
-row by row through csv.reader (see `_read_columns`); the parsed rows are
-never held.
+read into typed columns a block of text at a time: a plain line is cut at
+its first comma into the outcome and an ``x,z,d`` cell key, which one dict
+lookup maps to its cell, and other lines go row by row through csv.reader
+(see `_read_columns`); the parsed rows are never held.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
 across runs with the same seed.  JSON is formatted here, not by json's
@@ -38,6 +38,9 @@ import math
 import os
 import sys
 from array import array
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,7 +64,6 @@ SAMPLE_HEADER = ["y", "x", "z", "d"]
 INT64_MAX = 2**63 - 1
 BLOCK_CHARS = 16384  # sample text read per block
 WRITE_CHARS = 1 << 20  # output text encoded and written per call
-_NOT_COMMA_OR_NL = bytes(c for c in range(256) if c not in b",\n")
 
 
 class ParseError(Exception):
@@ -93,21 +95,38 @@ def _lines(text: str, fh):
 
 
 def _read_columns(path: str, by_block: bool):
-    """Typed columns of the sample's data rows: ys, xs, zs, ds, the x and z
-    code dicts, the CSV row numbers of blank rows, and {data row: d} for each
-    d beyond int64 (stored as INT64_MAX, reported after the outcome checks).
+    """Typed columns of the sample's data rows: ys (doubles), xs, zs and ds
+    (int64 ndarrays), the x and z code dicts, the CSV row numbers of blank
+    rows, and {data row: d} for each d beyond int64 (stored as INT64_MAX,
+    reported after the outcome checks).
 
-    With by_block, text blocks of BLOCK_CHARS characters are cut at their last
-    newline.  A plain block (no quote or carriage return, three commas on
-    every line) is converted column by column; any other, or one holding a
-    value the bulk conversion rejects, goes through `add_rows`.  From the
-    first quote or carriage return csv.reader reads the rest of the file,
-    since a quoted field may span lines.  Without by_block it reads all rows.
+    Each row costs one lookup in a table of (x, z, d) cells, numbered as they
+    first appear (a new label comes with a new cell, so label codes keep
+    first-appearance order); the x, z and d columns are gathered from it once.
+
+    With by_block, text blocks of BLOCK_CHARS characters are cut at their
+    last newline.  A plain block (no quote or carriage return) has each line
+    cut at its first comma into the y text and a cell key ``x,z,d``, split
+    and checked when first seen; a block holding a line or value this rejects
+    goes, unread, through `add_rows`.  From the first quote or carriage
+    return csv.reader reads the rest of the file, since a quoted field may
+    span lines.  Without by_block it reads all rows.
     """
-    ys, xs, zs, ds = array("d"), array("q"), array("q"), array("q")
+    ys, cs = array("d"), array("q")  # outcome and cell id of each data row
     x_codes, z_codes = {}, {}
+    cells = {}  # key text "x,z,d" or (x, z, stored d) -> cell id
+    table = []  # cell id -> (x code, z code, stored d)
     blanks = []  # CSV row numbers of skipped blank rows, ascending
     huge = {}  # data row -> treatment index beyond int64
+
+    def cell_id(x: str, z: str, d: int) -> int:
+        """The id of cell (x, z, d), numbering it and coding its labels if new."""
+        cell = cells.get((x, z, d))
+        if cell is None:
+            cell = cells[x, z, d] = len(table)
+            table.append((x_codes.setdefault(x, len(x_codes)),
+                          z_codes.setdefault(z, len(z_codes)), d))
+        return cell
 
     def add_rows(rows, first: int) -> int:
         """Append parsed CSV rows numbered from first; return the next row number."""
@@ -129,39 +148,34 @@ def _read_columns(path: str, by_block: bool):
                 raise ParseError(f"{path}: row {idx}: cannot parse d={d_text!r}") from None
             if d < 1:
                 raise SchemaError(f"{path}: row {idx}: treatment index {d} must be >= 1")
-            try:
-                ds.append(d)
-            except OverflowError:  # reported after the outcome checks, with d > K
+            if d > INT64_MAX:  # reported after the outcome checks, with d > K
                 huge[len(ys)] = d
-                ds.append(INT64_MAX)
+                d = INT64_MAX
             ys.append(y)
-            xs.append(x_codes.setdefault(x, len(x_codes)))
-            zs.append(z_codes.setdefault(z, len(z_codes)))
+            cs.append(cell_id(x, z, d))
         return idx + 1
 
-    def add_block(block: str, rows: int) -> bool:
-        """Append a plain block's rows column by column; False leaves it unread."""
-        # a longer block may hold a field csv.reader rejects as too large;
-        # without its other characters a plain block is ",,,\n" per line
-        if (len(block) > csv.field_size_limit()
-                or block.encode().translate(None, _NOT_COMMA_OR_NL)
-                != b",,,\n" * (rows - 1) + b",,,"):
-            return False
-        fields = block.replace("\n", ",").split(",")
-        d_text = fields[3::4]
+    def add_block(lines: list) -> bool:
+        """Append a plain block's rows; False leaves it unread."""
+        parts = list(map(str.partition, lines, repeat(",")))
+        keys = list(map(itemgetter(2), parts))
+        ids = list(map(cells.get, keys))
+        new = {}
         try:
-            y_col = list(map(float, fields[0::4]))
-            d_of = {text: int(text) for text in dict.fromkeys(d_text)}
-        except ValueError:
+            y_col = list(map(float, map(itemgetter(0), parts)))
+            if None in ids:
+                for key in dict.fromkeys(keys):
+                    if key not in cells:
+                        x, z, d_text = key.split(",")
+                        new[key] = x, z, int(d_text)
+        except ValueError:  # a blank line, a line without three commas, a bad value
             return False
-        if min(d_of.values()) < 1 or max(d_of.values()) > INT64_MAX:
+        if not all(1 <= d <= INT64_MAX for _, _, d in new.values()):
             return False
+        for key, cell in new.items():
+            cells[key] = cell_id(*cell)
         ys.fromlist(y_col)
-        ds.fromlist(list(map(d_of.__getitem__, d_text)))
-        for col, codes, out in ((fields[1::4], x_codes, xs), (fields[2::4], z_codes, zs)):
-            for label in dict.fromkeys(col):
-                codes.setdefault(label, len(codes))
-            out.fromlist(list(map(codes.__getitem__, col)))
+        cs.fromlist(list(map(cells.__getitem__, keys)) if new else ids)
         return True
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -182,10 +196,13 @@ def _read_columns(path: str, by_block: bool):
                 tail = text
                 continue
             block, tail = text[:cut], text[cut + 1:]
-            rows = block.count("\n") + 1
-            if not add_block(block, rows):
-                add_rows(csv.reader(block.split("\n")), idx)
-            idx += rows
+            lines = block.split("\n")
+            # a longer block may hold a field csv.reader rejects as too large
+            if len(block) > csv.field_size_limit() or not add_block(lines):
+                add_rows(csv.reader(lines), idx)
+            idx += len(lines)
+    cell = np.frombuffer(cs, dtype=np.int64)
+    xs, zs, ds = (column[cell] for column in np.array(table, dtype=np.int64).reshape(-1, 3).T)
     return ys, xs, zs, ds, x_codes, z_codes, blanks, huge
 
 
@@ -213,7 +230,7 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(f"{path}: {exc}") from None
-    ys, xs, zs, ds, x_codes, z_codes, blanks, huge = columns
+    ys, xi, zi, d_arr, x_codes, z_codes, blanks, huge = columns
     if not ys:
         raise SchemaError(f"{path}: no data rows")
 
@@ -242,7 +259,6 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
             f"{path}: row {line(bad[0])}: y={float(y_arr[bad[0]])!r} outside support "
             f"[{support.a}, {support.b}]"
         )
-    d_arr = np.frombuffer(ds, dtype=np.int64)
     k_eff = k if k is not None else max(2, int(d_arr.max()))
     bad = np.flatnonzero(d_arr > k_eff)
     if bad.size:
@@ -266,8 +282,7 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
             )
         return lookup
 
-    xi, x_seen = np.frombuffer(xs, dtype=np.int64), tuple(x_codes)
-    zi, z_seen = np.frombuffer(zs, dtype=np.int64), tuple(z_codes)
+    x_seen, z_seen = tuple(x_codes), tuple(z_codes)
     if x_levels is not None:
         if drop_empty_x:
             x_levels = [x for x in x_levels if x in x_codes]
@@ -310,7 +325,7 @@ def _json_pieces(value, pad: str, out: list, floats: list) -> None:
     if type(value) is dict and value and all(type(key) is str for key in value):
         out.append("{\n" + inner)
         for j, (key, v) in enumerate(value.items()):
-            out.append((",\n" + inner if j else "") + json.dumps(key) + ": ")
+            out.append((",\n" + inner if j else "") + encode_basestring_ascii(key) + ": ")
             _json_pieces(v, inner, out, floats)
         out.append("\n" + pad + "}")
     elif _is_float_leaf(value):
@@ -326,6 +341,12 @@ def _json_pieces(value, pad: str, out: list, floats: list) -> None:
     elif type(value) in (list, tuple, dict, np.ndarray):
         text = json.dumps(value, indent=2, default=np.ndarray.tolist)
         out.append(text.replace("\n", "\n" + pad))
+    elif type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif type(value) is bool:
+        out.append("true" if value else "false")
     else:
         out.append(json.dumps(value))
 
@@ -549,7 +570,7 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{rules_json}: {exc}") from None
     try:
-        with open(path_csv, newline="", encoding="utf-8") as fh:
+        with open(path_csv, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read {path_csv}: {exc}") from None

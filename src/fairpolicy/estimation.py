@@ -3,9 +3,11 @@
 The plug-in fit groups observations into treatment cells (d, x, z), takes the
 empirical CDF in each cell (point mass at the upper support endpoint b when a
 cell is empty), and records cell frequencies.  It does so in one pass: the
-records are sorted by (cell, outcome) and each run of equal outcomes becomes
-one atom of the array's columns (`CondCdfArray.from_columns`), with no
-per-cell objects.
+records are sorted by outcome and then, stably, by cell, and each run of
+equal outcomes in a cell becomes one atom of the array's columns
+(`CondCdfArray.from_columns`), with no per-cell objects.  A zero atom takes
+the sign of its cell's first zero record, so the outcome sort need not be
+stable.
 
 The plug-in objective is also the IPW objective with cell-frequency
 propensities: that estimator weights a record by 1 / (n * e_hat * p_Z_hat)
@@ -151,15 +153,27 @@ def fit_plugin(sample: TrainingSample) -> CondCdfArray:
     Empty cells get a point mass at the upper support endpoint b.  Records
     with equal outcomes in a cell share one atom; when they mix 0.0 and
     -0.0, the atom keeps the sign of the first such record in the sample.
+    The records are ordered by outcome with a quicksort, which leaves ties in
+    any order, then by cell with a stable sort (a radix sort while the cell
+    codes fit in 16 bits).
     """
-    counts = sample.cell_counts()
-    records = counts.ravel()
+    space = sample.space
+    shape = (space.k, len(space.x_levels), len(space.z_levels))
     cell = sample.cell_index()
-    order = np.lexsort((sample.ys, cell))
+    records = np.bincount(cell, minlength=np.prod(shape))
+    order = np.argsort(sample.ys + 0.0)  # + 0.0 turns -0.0 into 0.0: zeros tie
+    codes = cell[order]
+    if records.size <= 1 << 16:
+        codes = codes.astype(np.uint16)  # numpy's stable sort is then a radix sort
+    order = order[np.argsort(codes, kind="stable")]
+    zeros = np.flatnonzero(sample.ys == 0.0)
+    first_zero = zeros[np.unique(cell[zeros], return_index=True)[1]]
     cell, ys = cell[order], sample.ys[order]
     starts = np.flatnonzero(np.concatenate(
         ([True], (cell[1:] != cell[:-1]) | (ys[1:] != ys[:-1]))))
-    cell = cell[starts]
+    cell, atom_ys = cell[starts], ys[starts]
+    # a cell's zero atom (cells ascend) takes the sign of its first zero record
+    atom_ys[atom_ys == 0.0] = sample.ys[first_zero]
     # one atom per (cell, distinct outcome); an empty cell gets one atom at b,
     # so each atom moves up by the number of empty cells before its own
     empty = records == 0
@@ -167,15 +181,15 @@ def fit_plugin(sample: TrainingSample) -> CondCdfArray:
     np.cumsum(np.bincount(cell, minlength=records.size) + empty, out=offsets[1:])
     at = np.arange(starts.size) + (np.cumsum(empty) - empty)[cell]
     points = np.full(offsets[-1], sample.support.b)
-    points[at] = ys[starts]
+    points[at] = atom_ys
     masses = np.ones(offsets[-1])
     masses[at] = np.diff(starts, append=ys.size) / records[cell]
     # as StepCdf does, divide each cell's masses by their own sum
     bounds = offsets.tolist()
     totals = [masses[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
     masses /= np.repeat(totals, np.diff(offsets))
-    return CondCdfArray.from_columns(sample.space, sample.support, points, masses, offsets,
-                                     counts.sum(axis=0) / sample.n, records)
+    return CondCdfArray.from_columns(space, sample.support, points, masses, offsets,
+                                     records.reshape(shape).sum(axis=0) / sample.n, records)
 
 
 def empirical_pz(sample: TrainingSample) -> dict:

@@ -9,7 +9,8 @@ projection of a monotone step function onto the CDFs on [a, b]
 of `estimated_propensities` rebuilds the IPW group estimates, KS distances
 over merged breakpoints and left limits (`similarity_value` dispatches to
 them), the O(n^2) mean absolute difference, the closed-form group CDF of
-the toy example (`toy_group_cdf_value`), and minorize-maximize without
+the toy example (`toy_group_cdf_value`), the plug-in fit by one lexsort
+of (cell, outcome) (`fit_plugin_lexsort`), and minorize-maximize without
 replay (`mm_reference`).  The tests compare the program with them; no
 module under `src/` imports this one.
 """
@@ -244,6 +245,33 @@ def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarr
         e_hat = np.where(pair > 0, counts / np.maximum(pair, 1), 0.0)
     pz_hat = np.bincount(sample.zi, minlength=len(sample.space.z_levels)) / sample.n
     return e_hat, pz_hat
+
+
+def fit_plugin_lexsort(sample: TrainingSample) -> CondCdfArray:
+    """The plug-in fit with one lexsort by (cell, outcome): each run of equal
+    outcomes in a cell is one atom, whose point is the run's first record, so
+    a zero atom keeps the sign of its cell's first zero record in the sample."""
+    counts = sample.cell_counts()
+    records = counts.ravel()
+    cell = sample.cell_index()
+    order = np.lexsort((sample.ys, cell))
+    cell, ys = cell[order], sample.ys[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (cell[1:] != cell[:-1]) | (ys[1:] != ys[:-1]))))
+    cell = cell[starts]
+    empty = records == 0
+    offsets = np.zeros(records.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=records.size) + empty, out=offsets[1:])
+    at = np.arange(starts.size) + (np.cumsum(empty) - empty)[cell]
+    points = np.full(offsets[-1], sample.support.b)
+    points[at] = ys[starts]
+    masses = np.ones(offsets[-1])
+    masses[at] = np.diff(starts, append=ys.size) / records[cell]
+    bounds = offsets.tolist()
+    totals = [masses[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
+    masses /= np.repeat(totals, np.diff(offsets))
+    return CondCdfArray.from_columns(sample.space, sample.support, points, masses, offsets,
+                                     counts.sum(axis=0) / sample.n, records)
 
 
 def toy_group_cdf_value(delta: float, z, c: float) -> float:

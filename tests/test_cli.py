@@ -288,7 +288,8 @@ def read_passes(path):
         except (ParseError, SchemaError) as exc:
             passes.append((type(exc), str(exc)))
         else:
-            passes.append([c.tobytes() if isinstance(c, array) else c for c in columns])
+            passes.append([c.tobytes() if isinstance(c, (array, np.ndarray)) else c
+                           for c in columns])
     return passes
 
 
@@ -336,6 +337,35 @@ class TestBlockIngest:
         with pytest.raises(SchemaError) as info:
             read_sample_csv(str(path), UNIT, **options)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("block", [11, cli.BLOCK_CHARS])
+    def test_one_cell_with_d_spelled_four_ways(self, tmp_path, monkeypatch, block):
+        # one (x, z) pair with d written "2", " 2", "+2" and "02", all in one
+        # block at the default size: four cell keys for one cell
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n0.5,b,v,1\n0.1,a,u,2\n0.2,a,u, 2\n0.3,a,u,+2\n"
+                        "0.4,a,u,02\n0.6,c,u,02\n0.7,a,u,+2\n")
+        by_block, by_row = read_passes(path)
+        assert by_block == by_row
+        sample = read_sample_csv(str(path), UNIT)
+        assert_same_sample(sample, reference_read(str(path), UNIT))
+        assert sample.space.x_levels == ("b", "a", "c") and sample.space.z_levels == ("v", "u")
+        assert sample.d.tolist() == [1, 2, 2, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize("block", [30, 64, 200])
+    def test_new_cell_with_d_zero_after_cached_cells(self, tmp_path, monkeypatch, block):
+        # earlier blocks have cached a,u,1 and b,v,2: the first new cell key of
+        # the last block has d = 0, so that block is read row by row
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n" + "0.5,a,u,1\n0.25,b,v,2\n" * 20
+                        + "0.5,a,u,1\n0.5,c,u,0\n0.5,b,v,2\n")
+        with pytest.raises(SchemaError) as info:
+            read_sample_csv(str(path), UNIT)
+        assert str(info.value) == f"{path}: row 43: treatment index 0 must be >= 1"
+        by_block, by_row = read_passes(path)
+        assert by_block == by_row
 
     def test_field_beyond_csv_limit_fails_as_csv_reader_does(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -708,6 +738,21 @@ class TestSelect:
         doc = json.loads(Path(os.path.join(out, "selection.json")).read_text())
         # threshold ~ 0.00484: the last grid point under it is 0.5
         assert doc["chosen_lambda"] == 0.5
+
+    def test_path_csv_with_byte_order_mark_selects_as_without(self, tmp_path):
+        text = "lambda,obj_value,target_value,unfair_g,max_unfairness\n" + "".join(
+            f"{lam},{tv},{tv},0.0,0.0\n" for lam, tv in ((0.0, 0.5), (0.5, 0.499), (1.0, 0.4)))
+        rules_json = tmp_path / "rules.json"
+        rules_json.write_text(json.dumps(
+            {"n": 8000, "x_levels": ["x0"], "k": 2, "lambdas": [0.0, 0.5, 1.0],
+             "rules": [[[0.5, 0.5]], [[0.4, 0.6]], [[0.3, 0.7]]]}))
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / f"{name}.csv").write_bytes(prefix + text.encode())
+            assert main(["select", "--path-csv", str(tmp_path / f"{name}.csv"),
+                         "--rules-json", str(rules_json), "--beta", "0.005",
+                         "--output-dir", str(tmp_path / name)]) == EXIT_OK
+        assert ((tmp_path / "bom" / "selection.json").read_bytes()
+                == (tmp_path / "plain" / "selection.json").read_bytes())
 
     def test_missing_beta_exit_5(self, toy_csv, tmp_path):
         rc = main(["select", "--input", toy_csv, "--output-dir", str(tmp_path / "o")])

@@ -1,4 +1,4 @@
-"""The columnar plug-in fit against the per-cell reference.
+"""The columnar plug-in fit against the per-cell reference and the lexsort fit.
 
 `fit_plugin` builds every cell's atoms in one sorted pass, and
 `AtomKernel.from_array` gathers the plug-in kernel from those columns.  The
@@ -6,7 +6,9 @@ reference here is the per-cell route they replaced: one empirical StepCdf per
 cell (a point mass at b when the cell has no records), cell frequencies
 renormalized by their sum, and a kernel built cell by cell in (x, z,
 treatment) order.  Atoms, p(x, z) and every kernel array must match bit for
-bit, so that sweeps over a fitted array do not move.
+bit, so that sweeps over a fitted array do not move.  The fit's two sorts (by
+outcome, then stably by cell) must also give the columns of one lexsort by
+(cell, outcome), signed zeros included (`oracles.fit_plugin_lexsort`).
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from fairpolicy import (
 )
 from fairpolicy.objective import AtomKernel
 from helpers import UNIT, random_cond_array
+from oracles import fit_plugin_lexsort
 
 SUPPORTS = [UNIT, SupportInterval(-2.0, 3.0)]
 
@@ -124,6 +127,50 @@ def test_mixed_signed_zeros_keep_the_first_records_sign(ys, sign):
     assert f.points.tolist() == [0.0, 0.5]
     assert np.copysign(1.0, f.points[0]) == sign
     assert f.masses.tolist() == [2 / 3, 1 / 3]
+
+
+def draw_tied_sample(rng, values, wide) -> TrainingSample:
+    """Records in a few cells of a space that has empty cells (more than
+    65,536 cells when wide): outcomes among a handful of values with many
+    zeros of both signs, or one value per cell, so that every record of a
+    cell ties."""
+    if wide:
+        nx, nz, k = 260, 127, 2
+    else:
+        nx, nz, k = (int(v) for v in rng.integers((1, 1, 2), (6, 4, 5)))
+    space = CovariateSpace(tuple(f"x{j}" for j in range(nx)),
+                           tuple(f"z{j}" for j in range(nz)), k)
+    n = int(rng.integers(1, 300))
+    cells = rng.integers(0, k * nx * nz, int(rng.integers(1, 13)))
+    cell = rng.choice(cells, n)
+    if values == "zeros":
+        ys = rng.choice([0.0, -0.0, 0.0, -0.0, 0.5, -1.0, 1.0], n)
+    else:  # one outcome per cell, zeros written with either sign
+        ys = rng.choice([0.0, 0.25, -0.75, 1.0], k * nx * nz)[cell]
+    ys = np.where((ys == 0.0) & (rng.random(n) < 0.5), -ys, ys)
+    d, rest = np.divmod(cell, nx * nz)
+    return TrainingSample(space, SupportInterval(-1.0, 1.0), ys, rest // nz, rest % nz, d + 1)
+
+
+def assert_fit_matches_lexsort(sample):
+    arr, want = fit_plugin(sample), fit_plugin_lexsort(sample)
+    for name in ("points", "masses", "offsets", "cell_records", "pair_mass"):
+        assert same_bits(getattr(arr, name), getattr(want, name)), name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["zeros", "tied-cells"]))
+def test_fit_matches_lexsort_reference(seed, values):
+    assert_fit_matches_lexsort(draw_tied_sample(np.random.default_rng(seed), values, False))
+
+
+# each example costs about 0.3 s: the fit loops over the cells once
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["zeros", "tied-cells"]))
+def test_fit_over_more_than_65536_cells_matches_lexsort_reference(seed, values):
+    sample = draw_tied_sample(np.random.default_rng(seed), values, True)
+    assert sample.cell_counts().size > 1 << 16  # the cell codes do not fit in 16 bits
+    assert_fit_matches_lexsort(sample)
 
 
 def test_array_from_cell_cdfs_keeps_them_bitwise():

@@ -1,10 +1,10 @@
-"""Golden bytes: the SHA-256 of each plug-in program pair's sweep outputs and
-of one small simulate, on fixed inputs.
+"""Golden bytes: the SHA-256 of each plug-in program pair's sweep outputs, of
+one small simulate and of one fit, on fixed inputs.
 
-A refactor of the solvers must leave these files byte-identical.  The
-digests pin the outputs on x86-64 with numpy 2.4; a different BLAS/LAPACK
-build may move the last bits of an LP solution, and then they need
-recomputing with the unchanged solver first.
+A refactor of the solvers, the sample reader or the fit must leave these
+files byte-identical.  The digests pin the outputs on x86-64 with numpy 2.4;
+a different BLAS/LAPACK build may move the last bits of an LP solution, and
+then they need recomputing with the unchanged solver first.
 """
 
 import hashlib
@@ -83,3 +83,34 @@ def test_simulate_outputs(tmp_path):
                  "--grid-m", "2", "--replications", "2", "--seed", "3",
                  "--output-dir", str(out)]) == EXIT_OK
     assert digests(out, ("replications.csv", "aggregate.csv")) == list(SIMULATE)
+
+
+def fit_sample_text() -> str:
+    """n=300 on support [-1, 1], y on a 0.1 grid written with its sign (so
+    0.0 and -0.0 meet in one cell), padded x and z labels, d written as '2',
+    ' 2' or '+2', and cell (3, 'c ', ' v') left empty."""
+    rng = np.random.default_rng(2027)
+    xs, zs = (" a ", "b", "c "), ("u", " v")
+    rows = ["y,x,z,d"]
+    while len(rows) <= 300:
+        x, z, d = int(rng.integers(0, 3)), int(rng.integers(0, 2)), int(rng.integers(1, 4))
+        if (d, x, z) == (3, 2, 1):
+            continue
+        y = float(np.round(rng.uniform(-1.0, 1.0) * (0.3 + 0.2 * d), 1))
+        if y == 0.0 and rng.random() < 0.5:
+            y = -y
+        pad = ("", " ", "+")[int(rng.integers(0, 3))]
+        rows.append(f"{y!r},{xs[x]},{zs[z]},{pad}{d}")
+    return "\n".join(rows) + "\n"
+
+
+FIT = "0169384d1ff3b92b5a0071c0d6cd765a79e25c28cec89842480dcc2cfe3360a7"
+
+
+def test_fit_output(tmp_path):
+    sample_csv = tmp_path / "sample.csv"
+    sample_csv.write_text(fit_sample_text())
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(sample_csv), "--support", "-1", "1",
+                 "--output-dir", str(out)]) == EXIT_OK
+    assert digests(out, ("fitted_array.json",)) == [FIT]
