@@ -33,7 +33,7 @@ _SUBMODULE_NAMES = {
         "point_mass",
         "step_cdf_from_samples",
     ),
-    "estimation": ("TrainingRecord", "TrainingSample", "empirical_pz", "fit_plugin"),
+    "estimation": ("TrainingSample", "empirical_pz", "fit_plugin"),
     "functionals": (
         "InvalidTau",
         "SimilarityMeasure",

@@ -5,11 +5,11 @@ CSV with header ``y,x,z,d`` (outcome, covariate label, protected group label,
 1-based treatment index).  x and z are strings mapped to ordered levels by
 first appearance; K defaults to the largest observed treatment index.  The
 support [a, b] defaults to [0, 1]; ``--rescale`` min-max rescales outcomes to
-[0, 1] instead.  The sample (UTF-8, a leading byte-order mark skipped) is
-read into typed columns a block of text at a time: a plain line is cut at
-its first comma into the outcome and an ``x,z,d`` cell key, which one dict
-lookup maps to its cell, and other lines go row by row through csv.reader
-(see `_read_columns`); the parsed rows are never held.
+[0, 1] instead.  Input files are UTF-8, a leading byte-order mark skipped.
+The sample is read into typed columns either by the block reader, which cuts
+each line at its first comma into the outcome and an ``x,z,d`` cell key that
+one dict lookup maps to its cell, or, from its first row, by csv.reader (see
+`_read_columns`); the parsed rows are never held.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
 across runs with the same seed.  JSON is formatted here, not by json's
@@ -79,19 +79,24 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# sample CSV
+# input files and the sample CSV
 
-def _lines(text: str, fh):
-    """text, then the rest of fh, cut into lines as iterating the file cuts them."""
-    while text.endswith("\r"):  # a "\r\n" may straddle the end of text
-        more = fh.read(1)
-        if not more:
-            break
-        text += more
-    if not text.endswith(("\n", "\r")):
-        text += fh.readline()
-    yield from io.StringIO(text, newline="")
-    yield from fh
+@contextlib.contextmanager
+def _input_file(path: str, newline: str | None = None, config: bool = False):
+    """path opened as UTF-8 text, a leading byte-order mark skipped.
+
+    A file that cannot be read is a ConfigError; one that is not UTF-8 is a
+    ParseError, or a ConfigError for a config file.
+    """
+    name = f"config {path}" if config else path
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        error = ConfigError if config else ParseError
+        raise error(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_columns(path: str, by_block: bool):
@@ -104,13 +109,13 @@ def _read_columns(path: str, by_block: bool):
     first appear (a new label comes with a new cell, so label codes keep
     first-appearance order); the x, z and d columns are gathered from it once.
 
-    With by_block, text blocks of BLOCK_CHARS characters are cut at their
-    last newline.  A plain block (no quote or carriage return) has each line
-    cut at its first comma into the y text and a cell key ``x,z,d``, split
-    and checked when first seen; a block holding a line or value this rejects
-    goes, unread, through `add_rows`.  From the first quote or carriage
-    return csv.reader reads the rest of the file, since a quoted field may
-    span lines.  Without by_block it reads all rows.
+    A file is read either by the block reader or, from its first row, by
+    csv.reader.  With by_block, text blocks of BLOCK_CHARS characters are cut
+    at their last newline; each line of a plain block is cut at its first
+    comma into the y text and a cell key ``x,z,d``, split and checked when
+    first seen, and blank lines are counted and dropped.  At the first quote
+    (a quoted field may span lines), carriage return, undecodable text, or
+    line the block reader rejects, the whole file is read without by_block.
     """
     ys, cs = array("d"), array("q")  # outcome and cell id of each data row
     x_codes, z_codes = {}, {}
@@ -128,10 +133,9 @@ def _read_columns(path: str, by_block: bool):
                           z_codes.setdefault(z, len(z_codes)), d))
         return cell
 
-    def add_rows(rows, first: int) -> int:
-        """Append parsed CSV rows numbered from first; return the next row number."""
-        idx = first - 1
-        for idx, row in enumerate(rows, start=first):
+    def add_rows(rows) -> None:
+        """Append the data rows csv.reader parsed, numbered from 2."""
+        for idx, row in enumerate(rows, start=2):
             if not row:
                 blanks.append(idx)
                 continue
@@ -153,7 +157,6 @@ def _read_columns(path: str, by_block: bool):
                 d = INT64_MAX
             ys.append(y)
             cs.append(cell_id(x, z, d))
-        return idx + 1
 
     def add_block(lines: list) -> bool:
         """Append a plain block's rows; False leaves it unread."""
@@ -178,29 +181,43 @@ def _read_columns(path: str, by_block: bool):
         cs.fromlist(list(map(cells.__getitem__, keys)) if new else ids)
         return True
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    def add_blocks(fh) -> bool:
+        """Append the rest of fh a block at a time; False at the first one
+        that is not plain or that add_block rejects."""
+        row, tail = 2, ""
+        try:
+            while text := tail + (chunk := fh.read(BLOCK_CHARS)):
+                if '"' in text or "\r" in text:
+                    return False
+                cut = text.rfind("\n") if chunk else len(text)
+                if cut < 0:
+                    tail = text
+                    continue
+                block, tail = text[:cut], text[cut + 1:]
+                lines = block.split("\n")
+                # a longer block may hold a field csv.reader rejects as too large
+                if len(block) > csv.field_size_limit():
+                    return False
+                if not add_block(lines):  # float('') fails: drop blank lines, retry
+                    blank = [at for at, line in enumerate(lines, start=row) if not line]
+                    if not blank or not add_block(list(filter(None, lines))):
+                        return False
+                    blanks.extend(blank)
+                row += len(lines)
+        except UnicodeDecodeError:  # the row pass decides if a row error comes first
+            return False
+        return True
+
+    with _input_file(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ParseError(f"{path}: empty file")
         if [c.strip() for c in header] != SAMPLE_HEADER:
             raise ParseError(f"{path}: row 1: header must be {','.join(SAMPLE_HEADER)}")
-        idx, tail = 2, ""
         if not by_block:
-            add_rows(csv.reader(fh), idx)  # to the end of the file: no block follows
-        while text := tail + (chunk := fh.read(BLOCK_CHARS)):
-            if '"' in text or "\r" in text:
-                add_rows(csv.reader(_lines(text, fh)), idx)
-                break
-            cut = text.rfind("\n") if chunk else len(text)
-            if cut < 0:
-                tail = text
-                continue
-            block, tail = text[:cut], text[cut + 1:]
-            lines = block.split("\n")
-            # a longer block may hold a field csv.reader rejects as too large
-            if len(block) > csv.field_size_limit() or not add_block(lines):
-                add_rows(csv.reader(lines), idx)
-            idx += len(lines)
+            add_rows(csv.reader(fh))
+        elif not add_blocks(fh):
+            return _read_columns(path, by_block=False)
     cell = np.frombuffer(cs, dtype=np.int64)
     xs, zs, ds = (column[cell] for column in np.array(table, dtype=np.int64).reshape(-1, 3).T)
     return ys, xs, zs, ds, x_codes, z_codes, blanks, huge
@@ -211,23 +228,16 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
                     rescale: bool = False) -> TrainingSample:
     """Load a training sample, mapping labels to levels by first appearance.
 
-    A leading UTF-8 byte-order mark is skipped.  A file the block reader
-    fails on is read again row by row, so the error reported does not depend
-    on the block size.  (The row reader decodes the file 8 KiB at a time: a
-    row error wins over a decode error when the row ends before the 8 KiB
-    that holds the bad byte.)
+    A leading UTF-8 byte-order mark is skipped.  The file is read by the
+    block reader, which hands it to the row reader where it cannot go on, so
+    the error reported does not depend on the block size.  (The row reader
+    decodes the file 8 KiB at a time: a row error wins over a decode error
+    when the row ends before the 8 KiB that holds the bad byte.)
     """
     from .estimation import TrainingSample
 
     try:
-        try:
-            columns = _read_columns(path, by_block=True)
-        except (ParseError, SchemaError, UnicodeDecodeError, csv.Error):
-            columns = _read_columns(path, by_block=False)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        columns = _read_columns(path, by_block=True)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(f"{path}: {exc}") from None
     ys, xi, zi, d_arr, x_codes, z_codes, blanks, huge = columns
@@ -560,22 +570,13 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs."""
     from .selection import LambdaGrid, LambdaPath, PathEntry
 
-    try:
-        with open(rules_json, encoding="utf-8") as fh:
+    with _input_file(rules_json) as fh:
+        try:
             rules_doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {rules_json}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{rules_json}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{rules_json}: {exc}") from None
-    try:
-        with open(path_csv, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path_csv}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path_csv}: not UTF-8 text ({exc.reason})") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{rules_json}: {exc}") from None
+    with _input_file(path_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0] != "lambda":
         raise ParseError(f"{path_csv}: row 1: not a path CSV")
     header = rows[0]
@@ -905,13 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> list[str]:
     """Turn key=value lines into synthetic CLI flags (flags given later win)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
+    with _input_file(path, config=True) as fh:
+        lines = fh.readlines()
     flags = []
     for idx, line in enumerate(lines, start=1):
         line = line.strip()

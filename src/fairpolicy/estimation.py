@@ -27,23 +27,12 @@ from .distributions import OutOfSupport, SupportInterval
 from .objective import CondCdfArray, CovariateSpace
 
 
-@dataclass(frozen=True)
-class TrainingRecord:
-    """One observation: outcome, covariate level, protected group, treatment (1-based)."""
-
-    y: float
-    x: object
-    z: object
-    d: int
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingSample:
     """A nonempty sample of training records over one covariate space and support.
 
-    Internally stored as columns (outcomes plus integer-coded levels) so that
-    fitting and reweighting are vectorized; `records` materializes the
-    record view.
+    Stored as columns: outcomes, level indices of x and z, and 1-based
+    treatments, so that fitting and reweighting are vectorized.
     """
 
     space: CovariateSpace
@@ -83,14 +72,6 @@ class TrainingSample:
     def n(self) -> int:
         return self.ys.size
 
-    @property
-    def records(self) -> tuple[TrainingRecord, ...]:
-        xl, zl = self.space.x_levels, self.space.z_levels
-        return tuple(
-            TrainingRecord(float(y), xl[i], zl[j], int(t))
-            for y, i, j, t in zip(self.ys, self.xi, self.zi, self.d)
-        )
-
     @classmethod
     def from_columns(cls, y, x, z, d, support: SupportInterval,
                      space: CovariateSpace | None = None, k: int | None = None) -> "TrainingSample":
@@ -123,16 +104,6 @@ class TrainingSample:
         except KeyError as exc:
             raise ValueError(f"unknown z level {exc.args[0]!r}") from None
         return cls(space, support, np.asarray(y, dtype=float), xi, zi, d)
-
-    @classmethod
-    def from_records(cls, records, support: SupportInterval,
-                     space: CovariateSpace | None = None, k: int | None = None) -> "TrainingSample":
-        records = list(records)
-        return cls.from_columns(
-            [r.y for r in records], [r.x for r in records],
-            [r.z for r in records], [r.d for r in records],
-            support, space=space, k=k,
-        )
 
     def cell_index(self) -> np.ndarray:
         """Flat cell (d-1)*|X|*|Z| + x*|Z| + z of each record."""
@@ -185,9 +156,11 @@ def fit_plugin(sample: TrainingSample) -> CondCdfArray:
     masses = np.ones(offsets[-1])
     masses[at] = np.diff(starts, append=ys.size) / records[cell]
     # as StepCdf does, divide each cell's masses by their own sum
-    bounds = offsets.tolist()
-    totals = [masses[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
-    masses /= np.repeat(totals, np.diff(offsets))
+    sizes = np.diff(offsets)
+    totals = masses[offsets[:-1]]  # a one-atom cell's sum is its mass
+    for c in np.flatnonzero(sizes > 1).tolist():
+        totals[c] = masses[offsets[c]:offsets[c + 1]].sum()
+    masses /= np.repeat(totals, sizes)
     return CondCdfArray.from_columns(space, sample.support, points, masses, offsets,
                                      records.reshape(shape).sum(axis=0) / sample.n, records)
 

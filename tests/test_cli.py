@@ -70,8 +70,10 @@ class TestSampleCsv:
         sample = toy_sample(250, 0.75, "A2", seed=5)
         path = str(tmp_path / "s.csv")
         write_sample_csv(path, sample)
-        back = read_sample_csv(path, UNIT)
-        assert back.records == sample.records
+        space = sample.space
+        back = read_sample_csv(path, UNIT, x_levels=list(space.x_levels),
+                               z_levels=list(space.z_levels))
+        assert_same_sample(back, sample)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -366,6 +368,27 @@ class TestBlockIngest:
         assert str(info.value) == f"{path}: row 43: treatment index 0 must be >= 1"
         by_block, by_row = read_passes(path)
         assert by_block == by_row
+
+    @pytest.mark.parametrize("block", [7, 61, cli.BLOCK_CHARS])
+    def test_blank_rows_stay_on_the_block_path(self, tmp_path, monkeypatch, block):
+        # blank rows, two in a row and one trailing, in a file without quotes
+        # or carriage returns: csv.reader reads the header and nothing else
+        path = tmp_path / "s.csv"
+        rows = [f"0.{i % 9 + 1},x{i % 4},z{i % 3},{i % 2 + 1}" for i in range(200)]
+        for at in (150, 80, 80, 0):
+            rows.insert(at, "")
+        path.write_text("y,x,z,d\n" + "\n".join(rows) + "\n\n")
+        want = reference_read(str(path), UNIT)
+        calls, reader = [], csv.reader
+        monkeypatch.setattr(cli.csv, "reader", lambda *args: calls.append(args) or reader(*args))
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        sample = read_sample_csv(str(path), UNIT)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert_same_sample(sample, want)
+        by_block, by_row = read_passes(path)
+        assert by_block == by_row
+        assert by_block[6] == [2, 83, 84, 155, 206]  # CSV row numbers of the blank rows
 
     def test_field_beyond_csv_limit_fails_as_csv_reader_does(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -754,6 +777,20 @@ class TestSelect:
         assert ((tmp_path / "bom" / "selection.json").read_bytes()
                 == (tmp_path / "plain" / "selection.json").read_bytes())
 
+    def test_rules_json_with_byte_order_mark_selects_as_without(self, tmp_path):
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n0.5,0.499,0.499,0.0,0.0\n")
+        text = json.dumps({"n": 8000, "x_levels": ["x0"], "k": 2, "lambdas": [0.0, 0.5],
+                           "rules": [[[0.5, 0.5]], [[0.4, 0.6]]]})
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / f"{name}.json").write_bytes(prefix + text.encode())
+            assert main(["select", "--path-csv", str(path_csv),
+                         "--rules-json", str(tmp_path / f"{name}.json"), "--beta", "0.005",
+                         "--output-dir", str(tmp_path / name)]) == EXIT_OK
+        assert ((tmp_path / "bom" / "selection.json").read_bytes()
+                == (tmp_path / "plain" / "selection.json").read_bytes())
+
     def test_missing_beta_exit_5(self, toy_csv, tmp_path):
         rc = main(["select", "--input", toy_csv, "--output-dir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
@@ -1018,6 +1055,16 @@ class TestConfigFile:
         with open(os.path.join(out1, "path.csv"), "rb") as f1, \
              open(os.path.join(out2, "path.csv"), "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_config_file_with_byte_order_mark_reads_as_without(self, toy_csv, tmp_path):
+        text = f"grid-m=2\ninput={toy_csv}\nseed=3\n"
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / f"{name}.cfg").write_bytes(prefix + text.encode())
+            assert main(["sweep", "--config", str(tmp_path / f"{name}.cfg"),
+                         "--output-dir", str(tmp_path / name)]) == EXIT_OK
+        for output in ("path.csv", "rules.json"):
+            assert ((tmp_path / "bom" / output).read_bytes()
+                    == (tmp_path / "plain" / output).read_bytes())
 
     def test_bad_config_line_exit_5(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -8,7 +8,6 @@ from fairpolicy import (
     SimilarityMeasure,
     SupportInterval,
     TargetFunctional,
-    TrainingRecord,
     TrainingSample,
     empirical_pz,
     ToyParams,
@@ -42,15 +41,6 @@ def group_cdf_at(arr, rule, j, c):
 
 
 class TestTrainingSample:
-    def test_records_roundtrip(self):
-        space = small_space()
-        recs = [
-            TrainingRecord(0.5, "x0", "z0", 1),
-            TrainingRecord(0.25, "x0", "z1", 2),
-        ]
-        sample = TrainingSample.from_records(recs, UNIT, space=space)
-        assert sample.records == tuple(recs)
-
     def test_rejects_out_of_support(self):
         with pytest.raises(OutOfSupport):
             TrainingSample.from_columns([1.5], ["a"], ["u"], [1], UNIT)

@@ -14,7 +14,7 @@ PUBLIC = {
         "DistributionError", "EmptySample", "OutOfSupport", "StepCdf", "SupportInterval",
         "SupportMismatch", "WeightMismatch", "point_mass", "step_cdf_from_samples",
     ],
-    "estimation": ["TrainingRecord", "TrainingSample", "empirical_pz", "fit_plugin"],
+    "estimation": ["TrainingSample", "empirical_pz", "fit_plugin"],
     "functionals": [
         "InvalidTau", "SimilarityMeasure", "TargetFunctional", "gini_welfare", "mad_half",
         "mean", "quantile",
