@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .distributions import DistributionError, SupportInterval
-from .objective import CovariateSpace, DecisionRule, omega
+from .objective import CovariateSpace, DecisionRule, _cell_keys, omega
 
 if TYPE_CHECKING:
     from .estimation import TrainingSample
@@ -421,7 +421,7 @@ def fitted_array_payload(arr) -> dict:
                 "masses": arr.masses[lo:hi],
                 "empty_cell": empty,
             }
-            for (i, x, z), lo, hi, empty in zip(arr.cdf, bounds, bounds[1:],
+            for (i, x, z), lo, hi, empty in zip(_cell_keys(space), bounds, bounds[1:],
                                                 (arr.cell_records == 0).tolist())
         ],
         "pxz": [{"x": str(x), "z": str(z), "p": p} for (x, z), p in arr.pxz.items()],
@@ -576,7 +576,10 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{rules_json}: {exc}") from None
     with _input_file(path_csv, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise ParseError(f"{path_csv}: {exc}") from None
     if not rows or not rows[0] or rows[0][0] != "lambda":
         raise ParseError(f"{path_csv}: row 1: not a path CSV")
     header = rows[0]

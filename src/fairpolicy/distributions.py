@@ -4,10 +4,11 @@ Every distribution in this library is a finite mixture of point masses on a
 closed interval [a, b], represented canonically: atom points strictly
 increasing, all masses positive, masses summing to one.  Construction always
 coalesces atoms at identical points and renormalizes the total mass, so
-equality checks are exact for double precision.  Evaluation (`eval`,
-`eval_many`) is a binary search into the cumulative masses; the functionals
-of `fairpolicy.functionals` read a StepCdf through its points and cumulative
-masses, and the objective kernel never builds one.
+equality checks are exact for double precision.  `eval_many` is a binary
+search into the cumulative masses.  No command evaluates a StepCdf: the
+objective kernel works on atom columns, and StepCdfs only carry cell atoms
+into a `CondCdfArray` (the closed-form example's array) and out of one
+(`CondCdfArray.cdf`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ MASS_TOL = 1e-9
 
 class DistributionError(ValueError):
     """Base class for distribution construction/usage errors."""
-
-
-class EmptySample(DistributionError):
-    """An empirical CDF was requested from zero observations."""
 
 
 class OutOfSupport(DistributionError):
@@ -57,10 +54,6 @@ class SupportInterval:
             raise DistributionError(f"support requires a < b, got [{a}, {b}]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
 
     def contains(self, y) -> bool:
         y = np.asarray(y, dtype=float)
@@ -137,57 +130,9 @@ class StepCdf:
         cdf._set_atoms(points, masses)
         return cdf
 
-    @property
-    def cum(self) -> np.ndarray:
-        """F at each atom point: cumulative masses, ending at exactly 1."""
-        return self._cum
-
-    @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.points.tolist(), self.masses.tolist()))
-
-    def eval(self, y: float) -> float:
-        """F(y): total mass at points <= y (0 below the smallest atom)."""
-        idx = np.searchsorted(self.points, y, side="right")
-        return 0.0 if idx == 0 else float(self._cum[idx - 1])
-
-    __call__ = eval
-
     def eval_many(self, ys) -> np.ndarray:
+        """F(ys): total mass at points <= each y (0 below the smallest atom)."""
         ys = np.asarray(ys, dtype=float)
         idx = np.searchsorted(self.points, ys, side="right")
         cum0 = np.concatenate(([0.0], self._cum))
         return cum0[idx]
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-transform draws of n i.i.d. values."""
-        u = rng.random(n)
-        idx = np.searchsorted(self._cum, u, side="left")
-        idx = np.minimum(idx, self.points.size - 1)
-        return self.points[idx]
-
-
-def step_cdf_from_samples(values, support: SupportInterval) -> StepCdf:
-    """Empirical CDF: one atom per distinct value, mass = relative frequency."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise EmptySample("cannot build an empirical CDF from an empty sample")
-    if not support.contains(values):
-        bad = values[(values < support.a) | (values > support.b)][0]
-        raise OutOfSupport(
-            f"observation {bad!r} outside support [{support.a}, {support.b}]"
-        )
-    upoints, counts = np.unique(values, return_counts=True)
-    return StepCdf(support, upoints, counts / values.size)
-
-
-def point_mass(point: float, support: SupportInterval) -> StepCdf:
-    """Degenerate CDF with all mass at one point."""
-    if not support.contains(point):
-        raise OutOfSupport(f"point {point!r} outside support [{support.a}, {support.b}]")
-    return StepCdf(support, np.array([float(point)]), np.array([1.0]))
-
-
-def _require_same_support(f: StepCdf, g) -> None:
-    if f.support != g.support:
-        raise SupportMismatch(f"supports differ: {f.support} vs {g.support}")

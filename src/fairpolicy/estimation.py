@@ -72,50 +72,10 @@ class TrainingSample:
     def n(self) -> int:
         return self.ys.size
 
-    @classmethod
-    def from_columns(cls, y, x, z, d, support: SupportInterval,
-                     space: CovariateSpace | None = None, k: int | None = None) -> "TrainingSample":
-        """Build a sample from parallel columns.
-
-        Without an explicit space, x and z levels are ordered by first
-        appearance and K defaults to the largest observed treatment index
-        (at least 2).
-        """
-        x = list(x)
-        z = list(z)
-        d = np.asarray(d, dtype=np.intp)
-        if space is None:
-            x_levels = tuple(dict.fromkeys(x))
-            z_levels = tuple(dict.fromkeys(z))
-            if d.size == 0:
-                raise ValueError("training sample must be nonempty")
-            if np.any(d < 1):
-                raise ValueError(f"treatment indices are 1-based, got {d.min()}")
-            k_eff = int(k) if k is not None else max(2, int(d.max()))
-            space = CovariateSpace(x_levels, z_levels, k_eff)
-        elif k is not None and k != space.k:
-            raise ValueError("k conflicts with the explicit space")
-        try:
-            xi = np.array([space.x_index[v] for v in x], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"unknown x level {exc.args[0]!r}") from None
-        try:
-            zi = np.array([space.z_index[v] for v in z], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"unknown z level {exc.args[0]!r}") from None
-        return cls(space, support, np.asarray(y, dtype=float), xi, zi, d)
-
     def cell_index(self) -> np.ndarray:
         """Flat cell (d-1)*|X|*|Z| + x*|Z| + z of each record."""
         nx, nz = len(self.space.x_levels), len(self.space.z_levels)
         return (self.d - 1) * (nx * nz) + self.xi * nz + self.zi
-
-    def cell_counts(self) -> np.ndarray:
-        """Counts per (treatment, x, z) cell, shape (K, |X|, |Z|)."""
-        nx, nz = len(self.space.x_levels), len(self.space.z_levels)
-        return np.bincount(self.cell_index(), minlength=self.space.k * nx * nz).reshape(
-            self.space.k, nx, nz
-        )
 
 
 def fit_plugin(sample: TrainingSample) -> CondCdfArray:
@@ -163,9 +123,3 @@ def fit_plugin(sample: TrainingSample) -> CondCdfArray:
     masses /= np.repeat(totals, sizes)
     return CondCdfArray.from_columns(space, sample.support, points, masses, offsets,
                                      records.reshape(shape).sum(axis=0) / sample.n, records)
-
-
-def empirical_pz(sample: TrainingSample) -> dict:
-    """Relative frequency of each protected-group level."""
-    counts = np.bincount(sample.zi, minlength=len(sample.space.z_levels))
-    return {z: counts[j] / sample.n for j, z in enumerate(sample.space.z_levels)}

@@ -15,8 +15,7 @@ marginalized groups.
 
 A conditional-CDF array (`CondCdfArray`) is held as columns: the atoms of
 all K*|X|*|Z| cells in cell order with their masses and cell offsets, and
-the p(x, z) matrix.  `cdf[(i, x, z)]` is a read-only view that builds one
-cell's StepCdf on access.
+the p(x, z) matrix.
 
 The objective is evaluated thousands of times per optimizer run, so it is
 evaluated on one atom table (`AtomKernel`); a fitted array keeps its
@@ -129,9 +128,6 @@ class DecisionRule:
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
-    def row(self, x) -> np.ndarray:
-        return self.probs[self.space.x_index[x]]
-
     @classmethod
     def uniform(cls, space: CovariateSpace) -> "DecisionRule":
         return cls(space, np.full((len(space.x_levels), space.k), 1.0 / space.k))
@@ -159,24 +155,6 @@ def d1_to_set(rule: DecisionRule, rules) -> float:
     return min(d1(rule, other) for other in rules)
 
 
-class _CellView(Mapping):
-    """Read-only mapping from keys, in storage order, to values built on access
-    from the key's position."""
-
-    def __init__(self, keys, build):
-        self._index = {key: j for j, key in enumerate(keys)}
-        self._build = build
-
-    def __getitem__(self, key):
-        return self._build(self._index[key])
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
 class CondCdfArray:
     """The fitted or ground-truth array [(F^i(.|x,z), p(x,z))], held as columns.
 
@@ -188,8 +166,10 @@ class CondCdfArray:
     cell of an array fitted from a sample, and is None otherwise.  Every
     array is read-only.
 
-    `cdf` maps (i, x, z) to a StepCdf over the cell's atoms, built on
-    access, and `pxz` maps (x, z) to p(x, z); both are read-only views.
+    `cdf` maps (i, x, z) to a StepCdf over the cell's atoms, `pxz` maps
+    (x, z) to p(x, z), and `p_z(z)` is p_Z(z).  `fit` writes `pxz`; no
+    command reads `cdf` or `p_z`.  All three stay because bench/lpref.py
+    and tests/test_lp.py build their reference programs from them.
     """
 
     def __init__(self, space: CovariateSpace, cdf, pxz):
@@ -245,13 +225,10 @@ class CondCdfArray:
 
     @cached_property
     def cdf(self) -> Mapping:
-        support, points, masses, offsets = self.support, self.points, self.masses, self.offsets
-
-        def build(c):
-            lo, hi = offsets[c], offsets[c + 1]
-            return StepCdf.from_canonical(support, points[lo:hi], masses[lo:hi])
-
-        return _CellView(_cell_keys(self.space), build)
+        bounds = self.offsets.tolist()
+        return MappingProxyType({
+            key: StepCdf.from_canonical(self.support, self.points[lo:hi], self.masses[lo:hi])
+            for key, lo, hi in zip(_cell_keys(self.space), bounds, bounds[1:])})
 
     @cached_property
     def pxz(self) -> Mapping:

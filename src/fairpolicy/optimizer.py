@@ -96,11 +96,6 @@ def _random_probs(space: CovariateSpace, rng: np.random.Generator) -> np.ndarray
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def random_rule(space: CovariateSpace, rng: np.random.Generator) -> DecisionRule:
-    """Rule with every row drawn uniformly on the simplex."""
-    return DecisionRule(space, _random_probs(space, rng))
-
-
 def _softmax_rows(u: np.ndarray) -> np.ndarray:
     """Map (|X|, K-1) unconstrained coords to simplex rows, last logit pinned at 0."""
     logits = np.zeros((u.shape[0], u.shape[1] + 1))

@@ -1,4 +1,4 @@
-"""Preference-parameter sweeps, diagnostics, budget-based selection, interpolation.
+"""Preference-parameter sweeps, diagnostics and budget-based selection.
 
 `sweep`, the only per-lambda loop (the Monte Carlo harness runs through it
 too), fits the plug-in array once and maximizes the objective on its atom
@@ -18,11 +18,6 @@ Budget selection spends at most beta of the target functional on fairness:
 it picks the largest lambda whose target drop relative to lambda = 0 stays
 within beta * (1 - c_n), with slack c_n = sqrt(log(n) / n).  The drop is used
 raw; it can be negative and is not clamped.
-
-The value function over lambda is estimated by piecewise-linear interpolation
-on the uniform grid {0, 1/m, ..., 1}; `lip_m` is the underlying operator and
-its guarantee is attached to that grid only (non-uniform grids get the
-generic `interpolate_linear`).
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .functionals import SimilarityMeasure, TargetFunctional, plugin_route
 from .objective import AtomKernel, DecisionRule
@@ -47,10 +40,6 @@ class LambdaNotOnGrid(ValueError):
 
 class InvalidBudget(ValueError):
     """Budget selection needs a positive real beta and a sample of n >= 2."""
-
-
-class NonUniformGrid(ValueError):
-    """Interpolation with the LIP operator needs the uniform grid {0, 1/m, ..., 1}."""
 
 
 @dataclass(frozen=True)
@@ -90,15 +79,6 @@ class LambdaGrid:
                 return i
         raise LambdaNotOnGrid(f"lambda {lam!r} is not on the grid")
 
-    def uniform_m(self, tol: float = 1e-12) -> int:
-        """The m with values == {0, 1/m, ..., 1}; raises NonUniformGrid otherwise."""
-        m = len(self.values) - 1
-        if m < 1 or self.values[-1] != 1.0:
-            raise NonUniformGrid("grid must end at 1")
-        if any(abs(v - i / m) > tol for i, v in enumerate(self.values)):
-            raise NonUniformGrid("grid points must be {0, 1/m, ..., 1}")
-        return m
-
 
 @dataclass(frozen=True)
 class PathEntry:
@@ -133,10 +113,6 @@ class LambdaPath:
 
     def entry(self, lam: float) -> PathEntry:
         return self.entries[self.grid.index_of(lam)]
-
-    @property
-    def obj_values(self) -> np.ndarray:
-        return np.array([e.obj_value for e in self.entries])
 
 
 @dataclass(frozen=True)
@@ -244,44 +220,3 @@ def select_lambda_budget(path: LambdaPath, beta: float) -> BudgetSelection:
     return BudgetSelection(
         beta=float(beta), c_n=c_n, threshold=threshold, chosen_lambda=chosen, deltas=deltas
     )
-
-
-def lip_m(values, lam: float) -> float:
-    """Piecewise-linear interpolation of values sampled on {0, 1/m, ..., 1}."""
-    values = np.asarray(values, dtype=float)
-    m = values.size - 1
-    if m < 1:
-        raise ValueError("need at least two values")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-    pos = lam * m
-    i = min(int(math.floor(pos)), m - 1)
-    if abs(lam - i / m) <= 1e-12:
-        return float(values[i])
-    if abs(lam - (i + 1) / m) <= 1e-12:
-        return float(values[i + 1])
-    return float(values[i] + (values[i + 1] - values[i]) * m * (lam - i / m))
-
-
-def interpolate_value(path: LambdaPath, lam: float) -> float:
-    """Value-function estimate at lam by LIP interpolation of the path's
-    objective values; requires the uniform grid."""
-    path.grid.uniform_m()
-    return lip_m(path.obj_values, lam)
-
-
-def interpolate_linear(xs, ys, x: float) -> float:
-    """Generic piecewise-linear interpolation on an arbitrary increasing grid.
-
-    Kept separate from interpolate_value: the uniform-grid guarantee does not
-    attach here.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size != ys.size or xs.size < 2:
-        raise ValueError("need matching xs/ys with at least two points")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("xs must be strictly increasing")
-    if not xs[0] <= x <= xs[-1]:
-        raise ValueError(f"x {x!r} outside [{xs[0]}, {xs[-1]}]")
-    return float(np.interp(x, xs, ys))

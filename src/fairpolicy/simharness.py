@@ -117,9 +117,6 @@ class SimResult:
                     }
         return out
 
-    def mean_regret(self, n: int, mechanism: str, lam: float) -> float:
-        return _aggregate([r.regret for r in self.cell_rows(n, mechanism, lam)]).mean
-
 
 def _aggregate(values) -> CellAggregate:
     arr = np.asarray(values, dtype=float)

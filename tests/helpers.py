@@ -14,16 +14,36 @@ from fairpolicy import (
     SimilarityMeasure,
     StepCdf,
     SupportInterval,
+    TargetFunctional,
     TrainingSample,
     d1,
-    gini_welfare,
-    mean,
-    random_rule,
 )
-from oracles import MonotoneStep, mixture, project_mab
+from fairpolicy.optimizer import _random_probs
+from oracles import MonotoneStep, mixture, project_mab, target_value
 
 UNIT = SupportInterval(0.0, 1.0)
 KS = SimilarityMeasure("ks")
+
+
+def point_mass(point: float, support: SupportInterval) -> StepCdf:
+    """Degenerate CDF with all mass at one point."""
+    return StepCdf(support, [point], [1.0])
+
+
+def atoms(f: StepCdf) -> list[tuple[float, float]]:
+    return list(zip(f.points.tolist(), f.masses.tolist()))
+
+
+def grid_value(s: SimilarityMeasure, f: StepCdf, g: StepCdf) -> float:
+    """S(F, G) by the grid form the objective kernel runs, on the union of
+    both CDFs' atoms."""
+    grid = np.union1d(f.points, g.points)
+    return s.value_on_grid(grid, f.eval_many(grid), g.eval_many(grid))
+
+
+def random_rule(space: CovariateSpace, rng: np.random.Generator) -> DecisionRule:
+    """Rule with every row drawn uniformly on the simplex."""
+    return DecisionRule(space, _random_probs(space, rng))
 
 
 def random_step_cdf(rng: np.random.Generator, support=UNIT, max_atoms: int = 8) -> StepCdf:
@@ -66,6 +86,12 @@ def random_cond_array(rng: np.random.Generator, space: CovariateSpace | None = N
     return CondCdfArray(space, cdf, pxz)
 
 
+def labelled_sample(space: CovariateSpace, ys, xs, zs, ds, support=UNIT) -> TrainingSample:
+    """A sample from parallel columns, with x and z given as levels of space."""
+    return TrainingSample(space, support, ys, [space.x_levels.index(x) for x in xs],
+                          [space.z_levels.index(z) for z in zs], ds)
+
+
 def random_training_sample(rng: np.random.Generator, n: int | None = None,
                            support=UNIT) -> TrainingSample:
     space = random_space(rng)
@@ -89,6 +115,7 @@ def write_sample_csv(path: str, sample: TrainingSample) -> None:
         xl, zl = sample.space.x_levels, sample.space.z_levels
         for y, xi, zi, d in zip(sample.ys, sample.xi, sample.zi, sample.d):
             writer.writerow([repr(float(y)), xl[xi], zl[zi], int(d)])
+
 
 def dense_grid_sup(f: StepCdf, g: StepCdf, signed: bool = False) -> float:
     """Brute-force sup over merged atoms plus midpoints (the KS oracle)."""
@@ -122,9 +149,9 @@ def check_ks_metric_axioms(rng: np.random.Generator, trials: int = 50) -> float:
     worst = 0.0
     for _ in range(trials):
         f, g, h = (random_step_cdf(rng) for _ in range(3))
-        worst = max(worst, abs(KS(f, g) - KS(g, f)))
-        worst = max(worst, KS(f, h) - (KS(f, g) + KS(g, h)))
-        worst = max(worst, -KS(f, g))
+        fg, gf = grid_value(KS, f, g), grid_value(KS, g, f)
+        worst = max(worst, abs(fg - gf), -fg)
+        worst = max(worst, grid_value(KS, f, h) - (fg + grid_value(KS, g, h)))
     return worst
 
 
@@ -137,18 +164,21 @@ def check_project_mab_validity(rng: np.random.Generator, trials: int = 100) -> N
         assert np.all(cdf.masses > 0)
         assert abs(cdf.masses.sum() - 1.0) < 1e-9
         assert np.all(np.diff(cdf.points) > 0)
-        assert cdf.eval(g.support.b) == 1.0
+        assert cdf.eval_many(g.support.b) == 1.0
 
 
-def check_lipschitz_audit(rng: np.random.Generator, pairs: int = 500) -> tuple[float, float]:
-    """Worst excess of |T(F)-T(G)| over ||F-G||_inf for Gini-welfare and mean."""
+def check_lipschitz_audit(rng: np.random.Generator, pairs: int = 500,
+                          support=UNIT) -> tuple[float, float]:
+    """Worst excess of |T(F)-T(G)| over (b - a) ||F-G||_inf for Gini-welfare
+    and mean on the support [a, b]."""
+    gini, mean = TargetFunctional("gini-welfare"), TargetFunctional("mean")
     worst_gini = -np.inf
     worst_mean = -np.inf
     for _ in range(pairs):
-        f, g = random_step_cdf(rng), random_step_cdf(rng)
-        ks = KS(f, g)
-        worst_gini = max(worst_gini, abs(gini_welfare(f) - gini_welfare(g)) - ks)
-        worst_mean = max(worst_mean, abs(mean(f) - mean(g)) - ks)
+        f, g = random_step_cdf(rng, support), random_step_cdf(rng, support)
+        bound = (support.b - support.a) * grid_value(KS, f, g)
+        worst_gini = max(worst_gini, abs(target_value(gini, f) - target_value(gini, g)) - bound)
+        worst_mean = max(worst_mean, abs(target_value(mean, f) - target_value(mean, g)) - bound)
     return worst_gini, worst_mean
 
 

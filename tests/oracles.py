@@ -2,17 +2,21 @@
 
 Every command evaluates the penalized objective on one atom table
 (`fairpolicy.objective.AtomKernel`).  The routes here build the same
-quantities the direct way, on StepCdfs: group and population CDFs as
-explicit mixtures of cells (`implied_cdf_group`, `implied_cdf`), the
-projection of a monotone step function onto the CDFs on [a, b]
-(`MonotoneStep`, `project_mab`), which with the cell-frequency propensities
-of `estimated_propensities` rebuilds the IPW group estimates, KS distances
-over merged breakpoints and left limits (`similarity_value` dispatches to
-them), the O(n^2) mean absolute difference, the closed-form group CDF of
-the toy example (`toy_group_cdf_value`), the plug-in fit by one lexsort
-of (cell, outcome) (`fit_plugin_lexsort`), and minorize-maximize without
-replay (`mm_reference`).  The tests compare the program with them; no
-module under `src/` imports this one.
+quantities the direct way, on StepCdfs: the empirical CDF of a sample
+(`step_cdf_from_samples`), group and population CDFs as explicit mixtures
+of cells (`implied_cdf_group`, `implied_cdf`), the projection of a monotone
+step function onto the CDFs on [a, b] (`MonotoneStep`, `project_mab`),
+which with the cell counts (`cell_counts`) and cell-frequency propensities
+of `estimated_propensities` rebuilds the IPW group estimates, a target of a
+StepCdf on its own atoms (`target_value`), KS distances over merged
+breakpoints and left limits and the |target difference| (`similarity_value`
+dispatches to them), half the mean absolute difference by prefix sums
+(`mad_half`, the reference for the Gini-welfare identity) and by the O(n^2)
+double sum, the closed-form group CDF of the toy example
+(`toy_group_cdf_value`), the plug-in fit by one lexsort of (cell, outcome)
+(`fit_plugin_lexsort`), and minorize-maximize without replay
+(`mm_reference`).  The tests compare the program with them; no module under
+`src/` imports this one.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from fairpolicy.distributions import (
     SupportInterval,
     SupportMismatch,
     WeightMismatch,
-    _require_same_support,
 )
 from fairpolicy.estimation import TrainingSample
-from fairpolicy.functionals import SimilarityMeasure
+from fairpolicy.functionals import SimilarityMeasure, TargetFunctional
 from fairpolicy.lp import CUT_TOL, GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
 from fairpolicy.objective import CondCdfArray, DecisionRule, _require_same_space
 from fairpolicy.optimizer import CountingObjective, OptimResult
@@ -88,11 +91,22 @@ class MonotoneStep:
     __call__ = eval
 
 
+def step_cdf_from_samples(values, support: SupportInterval) -> StepCdf:
+    """Empirical CDF: one atom per distinct value, mass = relative frequency."""
+    upoints, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
+    return StepCdf(support, upoints, counts / counts.sum())
+
+
+def _require_same_support(f: StepCdf, g: StepCdf) -> None:
+    if f.support != g.support:
+        raise SupportMismatch(f"supports differ: {f.support} vs {g.support}")
+
+
 def eval_left_many(f: StepCdf, ys) -> np.ndarray:
     """Left limits F(y-) at the given points."""
     ys = np.asarray(ys, dtype=float)
     idx = np.searchsorted(f.points, ys, side="left")
-    cum0 = np.concatenate(([0.0], f.cum))
+    cum0 = np.concatenate(([0.0], f.eval_many(f.points)))
     return cum0[idx]
 
 
@@ -144,12 +158,14 @@ def one_sided_ks(f: StepCdf, g: StepCdf) -> float:
 
 
 def similarity_value(s: SimilarityMeasure, f: StepCdf, g: StepCdf) -> float:
-    """S(F, G) with the KS kinds taken from the two functions above."""
+    """S(F, G): the KS kinds from the two functions above, |T(F) - T(G)|
+    from `target_value`."""
     if s.kind == "ks":
         return ks_distance(f, g)
     if s.kind == "one-sided-ks":
         return one_sided_ks(f, g)
-    return s.value(f, g)
+    _require_same_support(f, g)
+    return abs(target_value(s.inner, f) - target_value(s.inner, g))
 
 
 def project_mab(g: MonotoneStep) -> StepCdf:
@@ -180,6 +196,21 @@ def project_mab(g: MonotoneStep) -> StepCdf:
 
 # ---------------------------------------------------------------------------
 # functionals
+
+
+def target_value(t: TargetFunctional, f: StepCdf) -> float:
+    """T(F) by the grid form on F's own atoms."""
+    return t.value_on_grid(f.points, f.eval_many(f.points))
+
+
+def mad_half(f: StepCdf) -> float:
+    """Half the mean absolute difference: 1/2 integral integral |x-y| dF dF."""
+    # 1/2 sum_ij m_i m_j |x_i - x_j| via sorted prefix sums: points are sorted,
+    # so the double sum collapses to sum_j m_j (x_j M_{<j} - S_{<j}).
+    points, masses = f.points, f.masses
+    m_below = np.cumsum(masses) - masses
+    s_below = np.cumsum(masses * points) - masses * points
+    return float(np.dot(masses, points * m_below - s_below))
 
 
 def mad_half_naive(f: StepCdf) -> float:
@@ -233,13 +264,20 @@ def implied_cdf_group(rule: DecisionRule, arr: CondCdfArray, z) -> StepCdf:
 # estimation
 
 
+def cell_counts(sample: TrainingSample) -> np.ndarray:
+    """Counts per (treatment, x, z) cell, shape (K, |X|, |Z|)."""
+    nx, nz = len(sample.space.x_levels), len(sample.space.z_levels)
+    return np.bincount(sample.cell_index(), minlength=sample.space.k * nx * nz).reshape(
+        sample.space.k, nx, nz)
+
+
 def estimated_propensities(sample: TrainingSample) -> tuple[np.ndarray, np.ndarray]:
     """Cell-frequency propensity estimates and group frequencies.
 
     Returns (e_hat, pz_hat): e_hat[i-1, x, z] = |cell(i,x,z)| / |(x,z)| with
     zero where the (x, z) pair is unobserved, and pz_hat per group level.
     """
-    counts = sample.cell_counts()
+    counts = cell_counts(sample)
     pair = counts.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         e_hat = np.where(pair > 0, counts / np.maximum(pair, 1), 0.0)
@@ -251,7 +289,7 @@ def fit_plugin_lexsort(sample: TrainingSample) -> CondCdfArray:
     """The plug-in fit with one lexsort by (cell, outcome): each run of equal
     outcomes in a cell is one atom, whose point is the run's first record, so
     a zero atom keeps the sign of its cell's first zero record in the sample."""
-    counts = sample.cell_counts()
+    counts = cell_counts(sample)
     records = counts.ravel()
     cell = sample.cell_index()
     order = np.lexsort((sample.ys, cell))

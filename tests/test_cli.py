@@ -21,7 +21,6 @@ import fairpolicy.cli as cli
 from fairpolicy import (
     CovariateSpace,
     SupportInterval,
-    TrainingSample,
     fit_plugin,
     toy_cond_array,
     toy_sample,
@@ -41,7 +40,7 @@ from fairpolicy.cli import (
     oracle_check,
     read_sample_csv,
 )
-from helpers import write_sample_csv
+from helpers import labelled_sample, write_sample_csv
 
 UNIT = SupportInterval(0.0, 1.0)
 
@@ -121,8 +120,6 @@ def reference_read(path, support, k=None, x_levels=None, z_levels=None,
         ys = (ys - ys.min()) / (ys.max() - ys.min())
         support = UNIT
     k_eff = k if k is not None else max(2, max(ds))
-    if x_levels is None and z_levels is None:
-        return TrainingSample.from_columns(ys, xs, zs, ds, support, k=k_eff)
     if x_levels is not None and drop_empty_x:
         x_levels = [x for x in x_levels if x in set(xs)]
     space = CovariateSpace(
@@ -130,7 +127,7 @@ def reference_read(path, support, k=None, x_levels=None, z_levels=None,
         z_levels if z_levels is not None else tuple(dict.fromkeys(zs)),
         k_eff,
     )
-    return TrainingSample.from_columns(ys, xs, zs, ds, support, space=space)
+    return labelled_sample(space, ys, xs, zs, ds, support)
 
 
 def random_sample_csv(path, seed):
@@ -1207,6 +1204,29 @@ def test_field_beyond_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, comm
     path = tmp_path / "s.csv"
     path.write_text("y,x,z,d\n0.5,a,u,1\n0." + "5" * (csv.field_size_limit() + 1) + ",a,u,2\n")
     rc = main(command + ["--input", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: {path}: field larger than field limit ({csv.field_size_limit()})\n"
+    )
+
+
+PATH_HEADER = "lambda,obj_value,target_value,unfair_z0,max_unfairness"
+
+
+@pytest.mark.parametrize("header, row", [
+    ("lambda,obj_value,target_value,unfair_{long},max_unfairness", "0.0,0.5,0.5,0.0,0.0"),
+    (PATH_HEADER, "0.{long},0.5,0.5,0.0,0.0"),
+    (PATH_HEADER, "0.0,0.5,0.5,0.0,0.{long}"),
+    (PATH_HEADER, '0.0,0.5,0.5,"0.\n{long}",0.0'),
+], ids=["header", "first-field", "last-field", "quoted-across-lines"])
+def test_path_csv_field_beyond_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, header, row):
+    path, rules = tmp_path / "path.csv", tmp_path / "rules.json"
+    long = "5" * (csv.field_size_limit() + 1)
+    path.write_text((header + "\n" + row + "\n").format(long=long))
+    rules.write_text('{"n": 100, "x_levels": ["x0"], "k": 2, "lambdas": [0.0], '
+                     '"rules": [[[0.4, 0.6]]]}')
+    rc = main(["select", "--beta", "0.1", "--path-csv", str(path), "--rules-json", str(rules),
+               "--output-dir", str(tmp_path / "o")])
     assert rc == EXIT_PARSE
     assert capsys.readouterr().err == (
         f"parse error: {path}: field larger than field limit ({csv.field_size_limit()})\n"

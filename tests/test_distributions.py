@@ -2,27 +2,37 @@ import numpy as np
 import pytest
 
 from fairpolicy import (
-    EmptySample,
+    CovariateSpace,
     OutOfSupport,
     SimilarityMeasure,
     StepCdf,
     SupportInterval,
     SupportMismatch,
+    TrainingSample,
     WeightMismatch,
-    point_mass,
-    step_cdf_from_samples,
+    fit_plugin,
 )
+from fairpolicy.distributions import DistributionError
 from helpers import (
     KS,
     UNIT,
+    atoms,
     check_ks_metric_axioms,
     check_mixture_linearity,
     check_project_mab_validity,
     dense_grid_sup,
-    random_monotone_step,
+    grid_value,
+    point_mass,
     random_step_cdf,
 )
-from oracles import MonotoneStep, mixture, project_mab
+from oracles import (
+    MonotoneStep,
+    ks_distance,
+    mixture,
+    project_mab,
+    similarity_value,
+    step_cdf_from_samples,
+)
 
 ONE_SIDED = SimilarityMeasure("one-sided-ks")
 
@@ -37,7 +47,7 @@ def test_support_interval_requires_a_lt_b():
 class TestStepCdfConstruction:
     def test_coalesces_duplicate_points(self):
         f = StepCdf(UNIT, [0.5, 0.5, 0.2], [0.25, 0.25, 0.5])
-        assert f.atoms == [(0.2, 0.5), (0.5, 0.5)]
+        assert atoms(f) == [(0.2, 0.5), (0.5, 0.5)]
 
     def test_rejects_mass_sum_off_by_more_than_tolerance(self):
         with pytest.raises(WeightMismatch):
@@ -58,16 +68,18 @@ class TestStepCdfConstruction:
 
 
 class TestFromSamples:
+    """The empirical CDF that the fit tests take as their reference."""
+
     def test_single_point_sample(self):
         f = step_cdf_from_samples([0.5], UNIT)
-        assert f.atoms == [(0.5, 1.0)]
+        assert atoms(f) == [(0.5, 1.0)]
 
     def test_symmetric_two_point_sample(self):
         f = step_cdf_from_samples([0, 0, 1, 1], UNIT)
-        assert f.atoms == [(0.0, 0.5), (1.0, 0.5)]
+        assert atoms(f) == [(0.0, 0.5), (1.0, 0.5)]
 
     def test_empty_sample_raises(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(DistributionError, match="at least one atom"):
             step_cdf_from_samples([], UNIT)
 
     def test_out_of_support_raises(self):
@@ -85,26 +97,26 @@ class TestFromSamples:
 class TestPointMassAndEval:
     def test_point_mass_at_b(self):
         f = point_mass(1.0, UNIT)
-        assert f.eval(0.999999) == 0.0
-        assert f.eval(1.0) == 1.0
+        assert f.eval_many(0.999999) == 0.0
+        assert f.eval_many(1.0) == 1.0
 
     def test_point_mass_at_a(self):
         f = point_mass(0.0, UNIT)
-        assert f.eval(0.0) == 1.0
-        assert f.eval(0.7) == 1.0
+        assert f.eval_many(0.0) == 1.0
+        assert f.eval_many(0.7) == 1.0
 
     def test_right_continuity(self):
-        assert point_mass(0.3, UNIT).eval(0.2999) == 0.0
+        assert point_mass(0.3, UNIT).eval_many(0.2999) == 0.0
 
     def test_point_mass_outside_support(self):
         with pytest.raises(OutOfSupport):
             point_mass(-0.1, UNIT)
 
     def test_eval_examples(self):
-        assert point_mass(0.5, UNIT).eval(0.5) == 1.0
+        assert point_mass(0.5, UNIT).eval_many(0.5) == 1.0
         f = StepCdf(UNIT, [0.0, 1.0], [0.5, 0.5])
-        assert f.eval(0.3) == 0.5
-        assert f.eval(-0.001) == 0.0
+        assert f.eval_many(0.3) == 0.5
+        assert f.eval_many(-0.001) == 0.0
 
     def test_eval_nondecreasing_and_boundary(self):
         rng = np.random.default_rng(3)
@@ -113,19 +125,19 @@ class TestPointMassAndEval:
             ys = np.sort(rng.random(50))
             vals = f.eval_many(ys)
             assert np.all(np.diff(vals) >= 0)
-            assert f.eval(1.0) == 1.0
-            assert f.eval(float(f.points[0]) - 1e-12) == 0.0
+            assert f.eval_many(1.0) == 1.0
+            assert f.eval_many(float(f.points[0]) - 1e-12) == 0.0
 
 
 class TestMixture:
     def test_identity(self):
         f = StepCdf(UNIT, [0.1, 0.9], [0.3, 0.7])
         g = mixture([(f, 1.0)])
-        assert g.atoms == f.atoms
+        assert atoms(g) == atoms(f)
 
     def test_two_point_masses(self):
         g = mixture([(point_mass(0.0, UNIT), 0.5), (point_mass(1.0, UNIT), 0.5)])
-        assert g.atoms == [(0.0, 0.5), (1.0, 0.5)]
+        assert atoms(g) == [(0.0, 0.5), (1.0, 0.5)]
 
     def test_against_brute_force_atom_merge(self):
         f = StepCdf(UNIT, [0.1, 0.5, 0.9], [0.2, 0.3, 0.5])
@@ -133,11 +145,11 @@ class TestMixture:
         mixed = mixture([(f, 0.25), (g, 0.75)])
         merged = {}
         for cdf, w in ((f, 0.25), (g, 0.75)):
-            for pt, m in cdf.atoms:
+            for pt, m in atoms(cdf):
                 merged[pt] = merged.get(pt, 0.0) + w * m
         expected = sorted(merged.items())
-        assert [p for p, _ in mixed.atoms] == [p for p, _ in expected]
-        assert np.allclose([m for _, m in mixed.atoms], [m for _, m in expected], atol=1e-15)
+        assert [p for p, _ in atoms(mixed)] == [p for p, _ in expected]
+        assert np.allclose([m for _, m in atoms(mixed)], [m for _, m in expected], atol=1e-15)
 
     def test_weight_mismatch(self):
         f = point_mass(0.5, UNIT)
@@ -158,36 +170,40 @@ class TestKsDistances:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(5)
         f = random_step_cdf(rng)
-        assert KS(f, f) == 0.0
-        assert ONE_SIDED(f, f) == 0.0
+        assert grid_value(KS, f, f) == 0.0
+        assert grid_value(ONE_SIDED, f, f) == 0.0
 
     def test_extreme_point_masses(self):
-        assert KS(point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
+        assert grid_value(KS, point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
 
     def test_against_dense_grid_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             f = random_step_cdf(rng, max_atoms=5)
             g = random_step_cdf(rng, max_atoms=5)
-            assert abs(KS(f, g) - dense_grid_sup(f, g)) < 1e-12
-            assert abs(ONE_SIDED(f, g) - max(dense_grid_sup(f, g, signed=True), 0.0)) < 1e-12
+            assert abs(grid_value(KS, f, g) - dense_grid_sup(f, g)) < 1e-12
+            signed = max(dense_grid_sup(f, g, signed=True), 0.0)
+            assert abs(grid_value(ONE_SIDED, f, g) - signed) < 1e-12
 
     def test_one_sided_vanishes_when_dominated(self):
         # F below G pointwise (F stochastically larger) has no positive part
         f = point_mass(0.9, UNIT)
         g = point_mass(0.1, UNIT)
-        assert ONE_SIDED(f, g) == 0.0
-        assert ONE_SIDED(g, f) == 1.0
+        assert grid_value(ONE_SIDED, f, g) == 0.0
+        assert grid_value(ONE_SIDED, g, f) == 1.0
 
     def test_one_sided_max_identity(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             f, g = random_step_cdf(rng), random_step_cdf(rng)
-            assert abs(max(ONE_SIDED(f, g), ONE_SIDED(g, f)) - KS(f, g)) < 1e-15
+            both = max(grid_value(ONE_SIDED, f, g), grid_value(ONE_SIDED, g, f))
+            assert abs(both - grid_value(KS, f, g)) < 1e-15
 
     def test_support_mismatch(self):
-        with pytest.raises(SupportMismatch):
-            KS(point_mass(0.5, UNIT), point_mass(0.5, SupportInterval(0.0, 2.0)))
+        f, g = point_mass(0.5, UNIT), point_mass(0.5, SupportInterval(0.0, 2.0))
+        for s in (KS, ONE_SIDED, SimilarityMeasure.parse("abs-target-diff:mean")):
+            with pytest.raises(SupportMismatch):
+                similarity_value(s, f, g)
 
     def test_metric_axioms(self):
         assert check_ks_metric_axioms(np.random.default_rng(19)) <= 1e-12
@@ -200,11 +216,11 @@ class TestProjectMab:
             f = random_step_cdf(rng)
             back = project_mab(MonotoneStep(UNIT, f.points, f.masses))
             assert np.array_equal(back.points, f.points)
-            assert KS(back, f) < 1e-12
+            assert grid_value(KS, back, f) < 1e-12
 
     def test_zero_function_becomes_point_mass_at_b(self):
         g = MonotoneStep(UNIT, [], [])
-        assert project_mab(g).atoms == [(1.0, 1.0)]
+        assert atoms(project_mab(g)) == [(1.0, 1.0)]
 
     def test_truncation_against_pointwise_min_oracle(self):
         # total mass 1.4 reaching 1 at q < b: everything beyond q is cut
@@ -212,14 +228,14 @@ class TestProjectMab:
         f = project_mab(g)
         ys = np.linspace(0.0, 1.0, 1001)
         for y in ys:
-            assert abs(f.eval(y) - min(g.eval(y), 1.0)) < 1e-12
-        assert f.eval(0.4) == 1.0
-        assert f.eval(0.6) == 1.0
+            assert abs(f.eval_many(y) - min(g.eval(y), 1.0)) < 1e-12
+        assert f.eval_many(0.4) == 1.0
+        assert f.eval_many(0.6) == 1.0
 
     def test_missing_mass_goes_to_b(self):
         g = MonotoneStep(UNIT, [0.3], [0.25])
         f = project_mab(g)
-        assert f.atoms == [(0.3, 0.25), (1.0, 0.75)]
+        assert atoms(f) == [(0.3, 0.25), (1.0, 0.75)]
 
     def test_fuzz_validity(self):
         check_project_mab_validity(np.random.default_rng(29))
@@ -230,15 +246,20 @@ class TestProjectMab:
 
 
 def test_dkwm_convergence_of_empirical_cdf():
-    """Samples from a known StepCdf: sup-distance below 2*sqrt(log(2/0.05)/(2n))
-    in at least 95% of 200 trials."""
+    """Samples from a known StepCdf, fitted by the plug-in estimator as one
+    cell: sup-distance below 2*sqrt(log(2/0.05)/(2n)) in at least 95% of
+    200 trials."""
     rng = np.random.default_rng(31)
     truth = random_step_cdf(rng, max_atoms=6)
     n = 400
     bound = 2.0 * np.sqrt(np.log(2.0 / 0.05) / (2.0 * n))
+    space = CovariateSpace(("x0",), ("z0",), 2)
+    zeros = np.zeros(n, dtype=np.int64)
     hits = 0
     for _ in range(200):
-        f = step_cdf_from_samples(truth.sample(n, rng), UNIT)
-        if KS(f, truth) < bound:
+        ys = rng.choice(truth.points, size=n, p=truth.masses)
+        sample = TrainingSample(space, UNIT, ys, zeros, zeros, np.ones(n, dtype=np.int64))
+        f = fit_plugin(sample).cdf[(1, "x0", "z0")]
+        if ks_distance(f, truth) < bound:
             hits += 1
     assert hits >= 190

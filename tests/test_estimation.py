@@ -9,19 +9,19 @@ from fairpolicy import (
     SupportInterval,
     TargetFunctional,
     TrainingSample,
-    empirical_pz,
     ToyParams,
     fit_plugin,
     omega,
-    step_cdf_from_samples,
     toy_objective,
     toy_sample,
 )
-from helpers import UNIT, random_training_sample
+from fairpolicy.cli import read_sample_csv
+from helpers import UNIT, atoms, labelled_sample, random_training_sample
 from oracles import (
     estimated_propensities,
     implied_cdf,
     ks_distance,
+    step_cdf_from_samples,
     toy_group_cdf_value,
 )
 
@@ -42,57 +42,56 @@ def group_cdf_at(arr, rule, j, c):
 
 class TestTrainingSample:
     def test_rejects_out_of_support(self):
-        with pytest.raises(OutOfSupport):
-            TrainingSample.from_columns([1.5], ["a"], ["u"], [1], UNIT)
+        with pytest.raises(OutOfSupport, match="outcome 1.5 at row 1 outside"):
+            TrainingSample(small_space(), UNIT, [0.5, 1.5], [0, 0], [0, 1], [1, 2])
 
     def test_rejects_bad_treatment(self):
-        space = small_space()
-        with pytest.raises(ValueError):
-            TrainingSample.from_columns([0.5], ["x0"], ["z0"], [3], UNIT, space=space)
+        with pytest.raises(ValueError, match="treatment 3 at row 0 outside 1..2"):
+            TrainingSample(small_space(), UNIT, [0.5], [0], [0], [3])
 
-    def test_rejects_unknown_level(self):
-        with pytest.raises(ValueError):
-            TrainingSample.from_columns([0.5], ["weird"], ["z0"], [1], UNIT, space=small_space())
+    @pytest.mark.parametrize("xi, zi, message", [
+        (1, 0, "x index out of range"), (-1, 0, "x index out of range"),
+        (0, 2, "z index out of range"), (0, -1, "z index out of range"),
+    ], ids=["x-above", "x-below", "z-above", "z-below"])
+    def test_rejects_level_index_out_of_range(self, xi, zi, message):
+        with pytest.raises(ValueError, match=message):
+            TrainingSample(small_space(), UNIT, [0.5], [xi], [zi], [1])
 
-    def test_levels_by_first_appearance_and_default_k(self):
-        sample = TrainingSample.from_columns(
-            [0.1, 0.2, 0.3], ["b", "a", "b"], ["v", "v", "u"], [1, 1, 1], UNIT
-        )
+    def test_nonempty_required(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            TrainingSample(small_space(), UNIT, [], [], [], [])
+
+    def test_levels_by_first_appearance_and_default_k(self, tmp_path):
+        # a sample file is the one way a sample gets its levels and K
+        path = tmp_path / "s.csv"
+        path.write_text("y,x,z,d\n0.1,b,v,1\n0.2,a,v,1\n0.3,b,u,1\n")
+        sample = read_sample_csv(str(path), UNIT)
         assert sample.space.x_levels == ("b", "a")
         assert sample.space.z_levels == ("v", "u")
         assert sample.space.k == 2  # at least two treatments even if only d=1 observed
-
-    def test_nonempty_required(self):
-        with pytest.raises(ValueError):
-            TrainingSample.from_columns([], [], [], [], UNIT)
+        assert sample.xi.tolist() == [0, 1, 0] and sample.zi.tolist() == [0, 0, 1]
 
 
 class TestFitPlugin:
     def test_single_cell_sample(self):
         space = small_space()
         ys = [0.1, 0.4, 0.4, 0.9]
-        sample = TrainingSample.from_columns(ys, ["x0"] * 4, ["z0"] * 4, [1] * 4, UNIT, space=space)
+        sample = labelled_sample(space, ys, ["x0"] * 4, ["z0"] * 4, [1] * 4)
         arr = fit_plugin(sample)
         assert ks_distance(arr.cdf[(1, "x0", "z0")], step_cdf_from_samples(ys, UNIT)) == 0.0
         for cell in [(2, "x0", "z0"), (1, "x0", "z1"), (2, "x0", "z1")]:
-            assert arr.cdf[cell].atoms == [(1.0, 1.0)]
+            assert atoms(arr.cdf[cell]) == [(1.0, 1.0)]
         assert arr.pxz[("x0", "z0")] == 1.0
 
     def test_one_record_per_cell(self):
         space = small_space()
-        sample = TrainingSample.from_columns(
-            [0.1, 0.2, 0.3, 0.4],
-            ["x0"] * 4,
-            ["z0", "z0", "z1", "z1"],
-            [1, 2, 1, 2],
-            UNIT,
-            space=space,
-        )
+        sample = labelled_sample(space, [0.1, 0.2, 0.3, 0.4], ["x0"] * 4,
+                                 ["z0", "z0", "z1", "z1"], [1, 2, 1, 2])
         arr = fit_plugin(sample)
-        assert arr.cdf[(1, "x0", "z0")].atoms == [(0.1, 1.0)]
-        assert arr.cdf[(2, "x0", "z0")].atoms == [(0.2, 1.0)]
-        assert arr.cdf[(1, "x0", "z1")].atoms == [(0.3, 1.0)]
-        assert arr.cdf[(2, "x0", "z1")].atoms == [(0.4, 1.0)]
+        assert atoms(arr.cdf[(1, "x0", "z0")]) == [(0.1, 1.0)]
+        assert atoms(arr.cdf[(2, "x0", "z0")]) == [(0.2, 1.0)]
+        assert atoms(arr.cdf[(1, "x0", "z1")]) == [(0.3, 1.0)]
+        assert atoms(arr.cdf[(2, "x0", "z1")]) == [(0.4, 1.0)]
         assert arr.pxz[("x0", "z0")] == 0.5
 
     def test_toy_cell_recovers_analytic_cdf(self):
@@ -140,7 +139,7 @@ class TestFitPlugin:
                     xs.append(x)
                     zs.append(z)
                     ds.append(i)
-        sample = TrainingSample.from_columns(ys, xs, zs, ds, UNIT, space=space)
+        sample = labelled_sample(space, ys, xs, zs, ds)
         arr = fit_plugin(sample)
         probs = np.array([np.array(splits[x]) / 4.0 for x in space.x_levels])
         pooled = DecisionRule(space, probs)
@@ -148,21 +147,19 @@ class TestFitPlugin:
         assert ks_distance(implied_cdf(pooled, arr), raw) < 1e-9
 
 
-class TestEmpiricalPz:
+class TestGroupMass:
     def test_single_group(self):
         space = small_space()
-        sample = TrainingSample.from_columns([0.5], ["x0"], ["z0"], [1], UNIT, space=space)
-        assert empirical_pz(sample) == {"z0": 1.0, "z1": 0.0}
+        sample = labelled_sample(space, [0.5], ["x0"], ["z0"], [1])
+        assert fit_plugin(sample).group_mass.tolist() == [1.0, 0.0]
 
     def test_three_of_four(self):
         space = small_space()
-        sample = TrainingSample.from_columns(
-            [0.1, 0.2, 0.3, 0.4], ["x0"] * 4, ["z0", "z0", "z0", "z1"], [1, 1, 2, 2], UNIT,
-            space=space,
-        )
-        pz = empirical_pz(sample)
-        assert pz == {"z0": 0.75, "z1": 0.25}
-        assert sum(pz.values()) == 1.0
+        sample = labelled_sample(space, [0.1, 0.2, 0.3, 0.4], ["x0"] * 4,
+                                 ["z0", "z0", "z0", "z1"], [1, 1, 2, 2])
+        pz = fit_plugin(sample).group_mass.tolist()
+        assert pz == [0.75, 0.25]
+        assert sum(pz) == 1.0
 
 
 class TestPluginGroupCdf:
@@ -172,10 +169,8 @@ class TestPluginGroupCdf:
         space = CovariateSpace(("x0",), ("z0",), 2)
         rng = np.random.default_rng(17)
         ys = rng.random(50)
-        sample = TrainingSample.from_columns(
-            ys, ["x0"] * 50, ["z0"] * 50, rng.permutation(np.repeat([1, 2], 25)), UNIT,
-            space=space,
-        )
+        sample = labelled_sample(space, ys, ["x0"] * 50, ["z0"] * 50,
+                                 rng.permutation(np.repeat([1, 2], 25)))
         kernel = fit_plugin(sample).kernel
         got = kernel.group_cdfs(DecisionRule.uniform(space).probs.ravel())[0]
         want = step_cdf_from_samples(ys, UNIT).eval_many(kernel.grid)
@@ -185,7 +180,7 @@ class TestPluginGroupCdf:
         # one record at 0.5 in (d=1, z0): arm 2 of z0 is an empty cell, a point
         # mass at b; group z1 has no mass, so its row is a point mass at b
         space = small_space()
-        sample = TrainingSample.from_columns([0.5], ["x0"], ["z0"], [1], UNIT, space=space)
+        sample = labelled_sample(space, [0.5], ["x0"], ["z0"], [1])
         kernel = fit_plugin(sample).kernel
         assert kernel.grid.tolist() == [0.5, 1.0]
         treat = kernel.group_cdfs(DecisionRule.singleton(space, 1).probs.ravel())
@@ -220,9 +215,7 @@ class TestPluginObjective:
     def test_identical_group_samples_have_no_penalty(self):
         # one record per group with the same outcome: both group cdfs coincide
         space = small_space()
-        sample = TrainingSample.from_columns(
-            [0.5, 0.5], ["x0", "x0"], ["z0", "z1"], [1, 1], UNIT, space=space
-        )
+        sample = labelled_sample(space, [0.5, 0.5], ["x0", "x0"], ["z0", "z1"], [1, 1])
         rule = DecisionRule(space, np.array([[1.0, 0.0]]))
         assert omega(rule, fit_plugin(sample), 1.0, GINI, KS) == 0.0
 
@@ -250,7 +243,7 @@ class TestIpwObjectiveEstimated:
 
     def test_single_record_sample_finite(self):
         space = small_space()
-        sample = TrainingSample.from_columns([0.5], ["x0"], ["z0"], [1], UNIT, space=space)
+        sample = labelled_sample(space, [0.5], ["x0"], ["z0"], [1])
         e_hat, pz_hat = estimated_propensities(sample)
         assert e_hat[0, 0, 0] == 1.0
         rule = DecisionRule.uniform(space)

@@ -2,21 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairpolicy import (
-    InvalidTau,
-    SimilarityMeasure,
-    StepCdf,
-    SupportInterval,
-    TargetFunctional,
-    gini_welfare,
+from fairpolicy import InvalidTau, SimilarityMeasure, StepCdf, SupportInterval, TargetFunctional
+from helpers import UNIT, check_lipschitz_audit, grid_value, point_mass, random_step_cdf
+from oracles import (
+    ks_distance,
     mad_half,
-    mean,
-    point_mass,
-    quantile,
+    mad_half_naive,
+    one_sided_ks,
+    similarity_value,
     step_cdf_from_samples,
+    target_value,
 )
-from helpers import UNIT, check_lipschitz_audit, random_step_cdf
-from oracles import ks_distance, mad_half_naive, one_sided_ks
+
+GINI = TargetFunctional("gini-welfare")
+MEAN = TargetFunctional("mean")
+
+
+def mean(f):
+    return target_value(MEAN, f)
+
+
+def gini_welfare(f):
+    return target_value(GINI, f)
+
+
+def quantile(f, tau):
+    return target_value(TargetFunctional("quantile", tau=tau), f)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +98,7 @@ class TestQuantile:
     @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 1.5])
     def test_invalid_tau(self, tau):
         with pytest.raises(InvalidTau):
-            quantile(point_mass(0.5, UNIT), tau)
+            TargetFunctional("quantile", tau=tau)
 
     def test_monotone_in_tau_and_coverage(self):
         rng = np.random.default_rng(23)
@@ -97,7 +108,7 @@ class TestQuantile:
             qs = [quantile(f, t) for t in taus]
             assert all(b >= a for a, b in zip(qs, qs[1:]))
             for t, q in zip(taus, qs):
-                assert f.eval(q) >= t
+                assert f.eval_many(q) >= t
 
 
 class TestSimilarity:
@@ -111,23 +122,23 @@ class TestSimilarity:
     )
     def test_zero_on_identical(self, s):
         f = random_step_cdf(np.random.default_rng(3))
-        assert s.value(f, f) == 0.0
+        assert grid_value(s, f, f) == 0.0
 
     def test_ks_extremes(self):
         s = SimilarityMeasure("ks")
-        assert s.value(point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
+        assert grid_value(s, point_mass(0.0, UNIT), point_mass(1.0, UNIT)) == 1.0
 
     def test_abs_target_diff_on_gini_values(self, g_sample, h_sample):
         s = SimilarityMeasure("abs-target-diff", inner=TargetFunctional("gini-welfare"))
-        assert abs(s.value(g_sample, h_sample) - abs(1 / 12 - 4 / 15)) < 0.02
+        assert abs(grid_value(s, g_sample, h_sample) - abs(1 / 12 - 4 / 15)) < 0.02
 
     def test_nonnegative_and_ks_symmetric(self):
         rng = np.random.default_rng(31)
         ks = SimilarityMeasure("ks")
         for _ in range(50):
             f, g = random_step_cdf(rng), random_step_cdf(rng)
-            assert ks.value(f, g) >= 0.0
-            assert ks.value(f, g) == ks.value(g, f)
+            assert grid_value(ks, f, g) >= 0.0
+            assert grid_value(ks, f, g) == grid_value(ks, g, f)
 
     def test_requires_inner_functional(self):
         with pytest.raises(ValueError):
@@ -145,29 +156,32 @@ class TestLipschitzContract:
         assert worst_gini <= 1e-9
         assert worst_mean <= 1e-9
 
-    def test_certified_constants(self):
-        sup = SupportInterval(0.0, 2.0)
-        assert TargetFunctional("gini-welfare").lipschitz_constant(sup) == 2.0
-        assert TargetFunctional("mean").lipschitz_constant(sup) == 2.0
-        assert TargetFunctional("quantile", tau=0.5).lipschitz_constant(sup) is None
+    def test_gini_and_mean_audit_scale_with_the_support_width(self):
+        worst_gini, worst_mean = check_lipschitz_audit(
+            np.random.default_rng(43), pairs=500, support=SupportInterval(-2.0, 3.0))
+        assert worst_gini <= 1e-9
+        assert worst_mean <= 1e-9
 
 
 class TestGridEvaluationAgreement:
-    """value_on_grid must reproduce value() when fed the CDF's own atoms."""
+    """value_on_grid on a grid holding more points than the CDF's atoms, as
+    the objective kernel's grid does, against references on the atoms."""
 
     def test_targets(self):
         rng = np.random.default_rng(53)
-        targets = [
-            TargetFunctional("gini-welfare"),
-            TargetFunctional("mean"),
-            TargetFunctional("quantile", tau=0.3),
-        ]
         for _ in range(30):
             f = random_step_cdf(rng)
-            grid = f.points
+            grid = np.union1d(f.points, rng.random(5))
             values = f.eval_many(grid)
-            for t in targets:
-                assert abs(t.value(f) - t.value_on_grid(grid, values)) < 1e-12
+            mean_value = float(np.dot(f.points, f.masses))
+            first_at = np.argmax(f.masses.cumsum() >= 0.3)
+            want = {
+                MEAN: mean_value,
+                GINI: (mean_value - mad_half(f)) / 2.0,  # the identity value_on_grid uses
+                TargetFunctional("quantile", tau=0.3): f.points[first_at],
+            }
+            for t, value in want.items():
+                assert abs(t.value_on_grid(grid, values) - value) < 1e-12
 
     def test_similarities(self):
         rng = np.random.default_rng(59)
@@ -181,7 +195,7 @@ class TestGridEvaluationAgreement:
             grid = np.union1d(f.points, g.points)
             vf, vg = f.eval_many(grid), g.eval_many(grid)
             for s in measures:
-                assert abs(s.value(f, g) - s.value_on_grid(grid, vf, vg)) < 1e-12
+                assert abs(similarity_value(s, f, g) - s.value_on_grid(grid, vf, vg)) < 1e-12
 
 
 # Atoms drawn from a small pool tie across the two CDFs often; free floats
@@ -200,13 +214,13 @@ def step_cdfs(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(step_cdfs(), step_cdfs(), st.booleans())
 def test_ks_on_step_cdfs_is_the_grid_route_bitwise(f, g, share):
-    """SimilarityMeasure.value for the KS kinds evaluates on the union of both
-    atom sets through value_on_grid; it equals the oracles' breakpoint and
-    left-limit computation bit for bit, also on shared atoms and point masses."""
+    """The KS kinds' value_on_grid on the union of both atom sets equals the
+    oracles' breakpoint and left-limit computation bit for bit, also on
+    shared atoms and point masses."""
     if share:  # the even mixture of f and g: every atom of f is one of g's
         g = StepCdf(UNIT, np.concatenate([f.points, g.points]),
                     np.concatenate([f.masses, g.masses]) / 2.0)
     for kind, oracle in (("ks", ks_distance), ("one-sided-ks", one_sided_ks)):
         s = SimilarityMeasure(kind)
         for a, b in ((f, g), (g, f), (f, f)):
-            assert s.value(a, b).hex() == oracle(a, b).hex()
+            assert grid_value(s, a, b).hex() == oracle(a, b).hex()

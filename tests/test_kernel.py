@@ -25,11 +25,10 @@ from fairpolicy import (
     TrainingSample,
     fit_plugin,
     omega,
-    random_rule,
     toy_sample,
 )
 from fairpolicy.objective import AtomKernel
-from helpers import UNIT, random_cond_array, random_training_sample
+from helpers import UNIT, random_cond_array, random_rule, random_training_sample
 from oracles import (
     MonotoneStep,
     estimated_propensities,
@@ -37,6 +36,7 @@ from oracles import (
     mixture,
     project_mab,
     similarity_value,
+    target_value,
 )
 
 TOL = 1e-12
@@ -61,7 +61,7 @@ def reference(lam, t, s, groups, weights):
     """(1 - lam) T(pop) - lam max_z S(group_z, pop) on StepCdfs."""
     pop = mixture(list(zip(groups, weights)))
     penalty = max(similarity_value(s, g, pop) for g in groups)
-    return (1.0 - lam) * t.value(pop) - lam * penalty
+    return (1.0 - lam) * target_value(t, pop) - lam * penalty
 
 
 def without_group(rng, arr: CondCdfArray) -> CondCdfArray:

@@ -19,7 +19,6 @@ from fairpolicy import (
     TargetFunctional,
     fit_plugin,
     maximize,
-    mean,
     sweep,
     toy_sample,
 )
@@ -27,6 +26,7 @@ from fairpolicy import lp
 from fairpolicy.functionals import plugin_route
 from fairpolicy.lp import PluginProgram, Unbounded, leaving_row, simplex
 from helpers import UNIT, random_cond_array
+from oracles import target_value
 
 MEAN = TargetFunctional("mean")
 SIMILARITIES = [SimilarityMeasure.parse(s) for s in ("ks", "one-sided-ks", "abs-target-diff:mean")]
@@ -49,10 +49,10 @@ def highs_value(arr, lam, s) -> float:
         w = arr.pxz[(x, z)]
         values = cdf.eval_many(grid)
         pop[:, col] += w * values
-        m[col] += w * mean(cdf)
+        m[col] += w * target_value(MEAN, cdf)
         if z in cdfs:
             cdfs[z][:, col] += w / arr.p_z(z) * values
-            means[z][col] += w / arr.p_z(z) * mean(cdf)
+            means[z][col] += w / arr.p_z(z) * target_value(MEAN, cdf)
     if s.kind == "abs-target-diff":
         rows = np.vstack([means[z] - m for z in groups])
     else:
@@ -95,7 +95,7 @@ def test_unpenalized_rule_is_the_per_x_best_treatment(seed, s):
     arr = random_cond_array(rng)
     space = arr.space
     means = np.array([
-        [sum(arr.pxz[(x, z)] * mean(arr.cdf[(i, x, z)]) for z in space.z_levels)
+        [sum(arr.pxz[(x, z)] * target_value(MEAN, arr.cdf[(i, x, z)]) for z in space.z_levels)
          for i in space.treatments]
         for x in space.x_levels
     ])

@@ -11,13 +11,12 @@ from fairpolicy import (
     d1,
     fit_plugin,
     maximize,
-    random_rule,
     toy_cond_array,
     toy_objective,
     toy_sample,
 )
 from fairpolicy.optimizer import _initial_simplex, _nelder_mead
-from helpers import check_optimizer_feasibility
+from helpers import check_optimizer_feasibility, random_rule
 
 
 def toy_analytic_obj(lam, p=0.75):

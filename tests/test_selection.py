@@ -10,7 +10,6 @@ from fairpolicy import (
     LambdaGrid,
     LambdaNotOnGrid,
     LambdaPath,
-    NonUniformGrid,
     OptimizerConfig,
     PathEntry,
     SimilarityMeasure,
@@ -19,29 +18,28 @@ from fairpolicy import (
     budget_slack,
     delta_n,
     fit_plugin,
-    interpolate_linear,
-    interpolate_value,
-    lip_m,
     select_lambda_budget,
     sweep,
     toy_max_value,
     toy_sample,
 )
 from fairpolicy.toy import toy_space
-from oracles import implied_cdf, implied_cdf_group, ks_distance
+from fairpolicy.functionals import plugin_route
+from oracles import implied_cdf, implied_cdf_group, ks_distance, similarity_value, target_value
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
+TARGETS = ["mean", "gini-welfare", "quantile:0.3"]
+PENALTIES = ["ks", "one-sided-ks", "abs-target-diff:mean", "abs-target-diff:gini-welfare",
+             "abs-target-diff:quantile:0.5"]
 
 
-def synthetic_path(grid_values, target_values, obj_values=None, n=1000):
+def synthetic_path(grid_values, target_values, n=1000):
     """LambdaPath with prescribed diagnostics and placeholder rules."""
     space = toy_space()
     rule = DecisionRule.uniform(space)
-    obj_values = obj_values if obj_values is not None else target_values
     entries = tuple(
-        PathEntry(rule, float(o), float(t), {"0": 0.0, "1": 0.0}, 0.0)
-        for o, t in zip(obj_values, target_values)
+        PathEntry(rule, float(t), float(t), {"0": 0.0, "1": 0.0}, 0.0) for t in target_values
     )
     return LambdaPath(LambdaGrid(tuple(grid_values)), entries, n)
 
@@ -50,7 +48,6 @@ class TestLambdaGrid:
     def test_uniform(self):
         grid = LambdaGrid.uniform(4)
         assert grid.values == (0.0, 0.25, 0.5, 0.75, 1.0)
-        assert grid.uniform_m() == 4
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
@@ -59,12 +56,6 @@ class TestLambdaGrid:
     def test_strictly_increasing(self):
         with pytest.raises(ValueError):
             LambdaGrid((0.0, 0.5, 0.5))
-
-    def test_non_uniform_detection(self):
-        with pytest.raises(NonUniformGrid):
-            LambdaGrid((0.0, 0.3, 1.0)).uniform_m()
-        with pytest.raises(NonUniformGrid):
-            LambdaGrid((0.0, 0.5)).uniform_m()  # does not end at 1
 
     def test_index_of(self):
         grid = LambdaGrid.uniform(49)
@@ -87,6 +78,14 @@ class TestSweep:
         path = sweep(sample, LambdaGrid.uniform(4), GINI, KS, OptimizerConfig(seed=7))
         assert path.entry(0.0).max_unfairness > path.entry(1.0).max_unfairness
 
+    def test_objective_values_track_the_value_function(self):
+        # a real sweep's objective values vs the analytic value function
+        sample = toy_sample(10_000, 0.75, "A1", seed=43)
+        path = sweep(sample, LambdaGrid.uniform(9), GINI, KS, OptimizerConfig(seed=47))
+        worst = max(abs(e.obj_value - toy_max_value(ToyParams(0.75, lam)))
+                    for lam, e in zip(path.grid, path.entries))
+        assert worst <= 0.05
+
     def test_deltas_zero_at_origin(self):
         sample = toy_sample(400, 0.75, "A2", seed=9)
         path = sweep(sample, LambdaGrid((0.0, 0.5)), GINI, KS, OptimizerConfig(seed=11))
@@ -101,12 +100,34 @@ class TestSweep:
             # objective and diagnostics come from one kernel
             assert e.obj_value == (1.0 - lam) * e.target_value - lam * e.max_unfairness
             pop = implied_cdf(e.rule, arr)
-            assert e.target_value == pytest.approx(GINI.value(pop), abs=1e-9)
+            assert e.target_value == pytest.approx(target_value(GINI, pop), abs=1e-9)
             for z, u in e.unfairness.items():
                 assert u == pytest.approx(
                     ks_distance(implied_cdf_group(e.rule, arr, z), pop), abs=1e-9
                 )
             assert e.max_unfairness == max(e.unfairness.values())
+
+    @pytest.mark.parametrize("s", PENALTIES)
+    @pytest.mark.parametrize("t", TARGETS)
+    def test_every_objective_rederives_from_rule_and_array(self, t, s):
+        # each solver route reports the kernel's terms for the rule it returns
+        sample = toy_sample(300, 0.75, "A2", seed=31)
+        arr = fit_plugin(sample)
+        cfg = OptimizerConfig(seed=37, candidate_starts=4, max_iters=40)
+        t, s = TargetFunctional.parse(t), SimilarityMeasure.parse(s)
+        path = sweep(sample, LambdaGrid((0.0, 0.5, 1.0)), t, s, cfg)
+        for lam, e in zip(path.grid, path.entries):
+            assert np.allclose(e.rule.probs.sum(axis=1), 1.0) and e.rule.probs.min() >= 0.0
+            want = (1.0 - lam) * e.target_value - lam * e.max_unfairness
+            assert e.obj_value == pytest.approx(want, abs=1e-9)
+            pop = implied_cdf(e.rule, arr)
+            assert e.target_value == pytest.approx(target_value(t, pop), abs=1e-9)
+            for z, u in e.unfairness.items():
+                group = implied_cdf_group(e.rule, arr, z)
+                assert u == pytest.approx(similarity_value(s, group, pop), abs=1e-9)
+            assert e.max_unfairness == max(e.unfairness.values())
+            # only the linear program certifies its optimum
+            assert (e.gap is not None) == (t.kind == "mean" and plugin_route(t, s))
 
     def test_bitwise_reproducible(self):
         sample = toy_sample(500, 0.75, "A1", seed=17)
@@ -226,66 +247,3 @@ class TestBudgetSelection:
                 sel = select_lambda_budget(est_path, beta)
                 oracle = max(l for l, d in zip(grid, true_deltas) if d <= beta)
                 assert sel.chosen_lambda <= oracle
-
-
-class TestInterpolation:
-    def test_exact_at_grid_points(self):
-        vals = np.array([0.0, 0.3, 0.1, 0.7, 0.2])
-        for i, lam in enumerate(np.linspace(0, 1, 5)):
-            assert lip_m(vals, float(lam)) == vals[i]
-
-    def test_linear_segment(self):
-        assert lip_m([0.0, 1.0], 0.25) == 0.25
-
-    def test_monotone_between_grid_points(self):
-        vals = [0.0, 0.5, 0.4]
-        xs = np.linspace(0.0, 0.5, 101)
-        ys = [lip_m(vals, float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(ys, ys[1:]))
-
-    def test_preserves_convexity(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            m = 8
-            slopes = np.sort(rng.uniform(-1, 1, m))
-            vals = np.concatenate([[0.0], np.cumsum(slopes / m)])
-            lams = np.linspace(0, 1, 201)
-            ys = np.array([lip_m(vals, float(l)) for l in lams])
-            second = ys[:-2] - 2 * ys[1:-1] + ys[2:]
-            assert np.all(second >= -1e-12)
-
-    def test_toy_value_function_error_bound(self):
-        values = [toy_max_value(ToyParams(0.75, i / 49)) for i in range(50)]
-        rng = np.random.default_rng(41)
-        worst = max(
-            abs(lip_m(values, float(lam)) - toy_max_value(ToyParams(0.75, float(lam))))
-            for lam in rng.uniform(0, 1, 200)
-        )
-        assert worst <= 0.05
-
-    def test_interpolate_value_requires_uniform_grid(self):
-        path = synthetic_path((0.0, 0.3, 1.0), (0.3, 0.2, 0.1))
-        with pytest.raises(NonUniformGrid):
-            interpolate_value(path, 0.5)
-
-    def test_interpolate_value_on_path(self):
-        path = synthetic_path(tuple(np.linspace(0, 1, 5)), (0.3, 0.25, 0.2, 0.1, 0.0),
-                              obj_values=(0.3, 0.28, 0.2, 0.15, 0.1))
-        assert interpolate_value(path, 0.25) == 0.28
-        assert interpolate_value(path, 0.375) == pytest.approx((0.28 + 0.2) / 2)
-
-    def test_empirical_value_function_tracks_truth(self):
-        # LIP of a real sweep's objective values vs the analytic value function
-        sample = toy_sample(10_000, 0.75, "A1", seed=43)
-        path = sweep(sample, LambdaGrid.uniform(9), GINI, KS, OptimizerConfig(seed=47))
-        rng = np.random.default_rng(53)
-        worst = max(
-            abs(interpolate_value(path, float(l)) - toy_max_value(ToyParams(0.75, float(l))))
-            for l in rng.uniform(0, 1, 100)
-        )
-        assert worst <= 0.05
-
-    def test_generic_interpolation(self):
-        assert interpolate_linear([0.0, 0.4, 1.0], [0.0, 2.0, 1.0], 0.2) == 1.0
-        with pytest.raises(ValueError):
-            interpolate_linear([0.0, 1.0], [0.0, 1.0], 1.5)

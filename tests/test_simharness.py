@@ -90,7 +90,8 @@ class TestRunSimulation:
         cfg = small_config(sample_sizes=(100, 2000), grid=LambdaGrid((0.0,)),
                           replications=10)
         result = run_simulation(cfg)
-        assert result.mean_regret(100, "A1", 0.0) > result.mean_regret(2000, "A1", 0.0)
+        regret = result.aggregates()
+        assert regret[(100, "A1", 0.0)]["regret"].mean > regret[(2000, "A1", 0.0)]["regret"].mean
 
     def test_rows_are_sweep_entries(self):
         # the harness runs the replication sample through sweep, whose

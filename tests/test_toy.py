@@ -7,7 +7,6 @@ from fairpolicy import (
     TargetFunctional,
     ToyParams,
     fit_plugin,
-    gini_welfare,
     omega,
     toy_argmax,
     toy_cdf_g,
@@ -19,6 +18,8 @@ from fairpolicy import (
     toy_threshold,
 )
 from fairpolicy.toy import PENALTY_SCALE
+from helpers import grid_value
+from oracles import target_value
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
@@ -166,11 +167,11 @@ class TestSampler:
 class TestCondArray:
     def test_gini_of_discretized_g(self):
         arr = toy_cond_array(P, 2000)
-        assert abs(gini_welfare(arr.cdf[(1, "0", "0")]) - 1.0 / 12.0) < 0.002
+        assert abs(target_value(GINI, arr.cdf[(1, "0", "0")]) - 1.0 / 12.0) < 0.002
 
     def test_ks_between_discretized_g_and_h(self):
         arr = toy_cond_array(P, 2000)
-        got = KS.value(arr.cdf[(1, "0", "0")], arr.cdf[(2, "0", "0")])
+        got = grid_value(KS, arr.cdf[(1, "0", "0")], arr.cdf[(2, "0", "0")])
         ys = np.linspace(0, 1, 200001)
         analytic = float((np.sqrt(ys) - ys**2).max())
         assert abs(got - analytic) < 0.002
