@@ -313,7 +313,7 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             # in slices: one write would encode the whole text into one more copy
             for start in range(0, len(text), WRITE_CHARS):
                 fh.write(text[start:start + WRITE_CHARS])

@@ -42,11 +42,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import MASS_TOL, StepCdf, SupportInterval, SupportMismatch
-from .functionals import SimilarityMeasure, TargetFunctional
+
+if TYPE_CHECKING:
+    from .functionals import SimilarityMeasure, TargetFunctional
 
 SIMPLEX_TOL = 1e-9
 

@@ -1107,11 +1107,10 @@ def test_help_exits_0(capsys, command):
 
 def test_cli_import_leaves_scipy_unloaded(toy_csv, tmp_path):
     # scipy.optimize alone costs about 0.5 s of every command's start-up, and
-    # multiprocessing is imported only when simulate starts its workers; a
-    # sweep run by Nelder-Mead needs neither and does not import
-    # fairpolicy.lp, which a Gini-welfare sweep (minorize-maximize) and a
-    # mean one (a linear program) need; numpy.ma (about 12 ms) is needed by
-    # none of the three
+    # no command imports multiprocessing; a sweep run by Nelder-Mead does not
+    # import fairpolicy.lp, which a Gini-welfare sweep (minorize-maximize)
+    # and a mean one (a linear program) need; numpy.ma (about 12 ms) is
+    # needed by none of the three
     packages = ("scipy", "multiprocessing", "numpy.ma")
     src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
 
@@ -1161,18 +1160,20 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                             "--rules-json", str(rules_json), "--output-dir", str(tmp_path / "s")])
     solvers = {f"fairpolicy.{m}" for m in ("lp", "optimizer", "simharness", "toy")}
     assert "fairpolicy.estimation" in fit
-    assert not fit & (solvers | {"fairpolicy.selection"})
+    assert not fit & (solvers | {"fairpolicy.selection", "fairpolicy.functionals"})
     assert "fairpolicy.selection" in select
     assert not select & (solvers | {"fairpolicy.estimation"})
 
 
 def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
-    # np.median's NaN check imports numpy.ma, about 15 ms of start-up
+    # np.median's NaN check imports numpy.ma, about 15 ms of start-up, and
+    # the workers are plain forks: multiprocessing costs about 10 ms to import
     loaded = modules_after(["simulate", "--sample-sizes", "50", "--mechanisms", "A1",
                             "--grid-m", "1", "--replications", "2", "--seed", "1",
                             "--output-dir", str(tmp_path / "o")])
     assert "fairpolicy.simharness" in loaded
     assert "numpy.ma" not in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
 
 
 @pytest.mark.parametrize("command, bad_file, error", [
@@ -1193,6 +1194,28 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command, bad_file,
     assert capsys.readouterr().err == (
         error.format(bad=bad) + "not UTF-8 text (invalid continuation byte)\n"
     )
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    sample = tmp_path / "s.csv"
+    sample.write_text("y,x,z,d\n0.1,a,u,1\n0.5,b,z\u00e9,2\n0.9,a,z\u00e9,1\n"
+                      "0.3,b,u,2\n0.7,a,u,2\n0.2,b,z\u00e9,1\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
+    locales = {"ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+               "utf8": {"PYTHONUTF8": "1"}}
+    for name, overrides in locales.items():
+        out = str(tmp_path / name)
+        env = dict(os.environ, PYTHONPATH=src, **overrides)
+        for argv in (["sweep", "--input", str(sample), "--grid-m", "2"],
+                     ["select", "--beta", "0.1", "--path-csv", f"{out}/path.csv",
+                      "--rules-json", f"{out}/rules.json"]):
+            done = subprocess.run([sys.executable, "-m", "fairpolicy.cli", *argv,
+                                   "--output-dir", out], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+    ascii_path = (tmp_path / "ascii" / "path.csv").read_bytes()
+    assert "unfair_z\u00e9".encode() in ascii_path
+    assert ascii_path == (tmp_path / "utf8" / "path.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", [

@@ -21,7 +21,7 @@ from fairpolicy import (
     toy_threshold,
 )
 from fairpolicy.optimizer import NonFiniteObjective
-from fairpolicy.simharness import GINI, KS, _replication_seed
+from fairpolicy.simharness import GINI, KS, WorkerDied, _replication_seed
 
 
 def small_config(**overrides):
@@ -147,10 +147,11 @@ class TestRunSimulation:
 
 
 class TestWorkers:
-    """Replications run on a pool of forked workers sized by usable_cpus."""
+    """Replications run on forked workers, one per usable CPU, which the
+    calling process only collects from."""
 
     def test_rows_do_not_depend_on_worker_count(self, monkeypatch):
-        # The first cell's replications sleep, so a pool of 3 finishes the
+        # The first cell's replications sleep, so 3 workers finish the
         # second cell first: only results gathered in task order match.
         def slow_first_cell(n, p, mech, seed):
             if n == 150:
@@ -175,6 +176,40 @@ class TestWorkers:
         monkeypatch.setattr(fairpolicy.simharness, "usable_cpus", lambda: workers)
         with pytest.raises(NonFiniteObjective, match="objective returned nan"):
             run_simulation(small_config())
+
+    def test_worker_that_exits_without_results_raises(self, monkeypatch):
+        caller = os.getpid()
+
+        def exits_in_a_worker(n, p, mech, seed):
+            if os.getpid() != caller:
+                os._exit(3)
+            return toy_sample(n, p, mech, seed)
+
+        monkeypatch.setattr(fairpolicy.simharness, "toy_sample", exits_in_a_worker)
+        monkeypatch.setattr(fairpolicy.simharness, "usable_cpus", lambda: 2)
+        with pytest.raises(WorkerDied, match="^worker 0 exited with status 3 without"):
+            run_simulation(small_config())
+
+    @pytest.mark.parametrize("failure", ["exit", "raise"])
+    def test_failing_worker_leaves_no_child_running(self, monkeypatch, failure):
+        # worker 0 (n = 150) fails at once while worker 1 (n = 300) still sleeps
+        def first_worker_fails(n, p, mech, seed):
+            if n == 300:
+                time.sleep(30)
+            elif failure == "exit":
+                os._exit(3)
+            else:
+                raise NonFiniteObjective("objective returned nan")
+            return toy_sample(n, p, mech, seed)
+
+        monkeypatch.setattr(fairpolicy.simharness, "toy_sample", first_worker_fails)
+        monkeypatch.setattr(fairpolicy.simharness, "usable_cpus", lambda: 2)
+        start = time.perf_counter()
+        with pytest.raises(WorkerDied if failure == "exit" else NonFiniteObjective):
+            run_simulation(small_config(sample_sizes=(150, 300), replications=1))
+        assert time.perf_counter() - start < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_usable_cpus_is_the_affinity_mask(self):
