@@ -15,16 +15,19 @@ Outputs are written atomically (temp file + rename) and are byte-identical
 across runs with the same seed.  JSON is formatted here, not by json's
 pure-Python indent encoder, and is byte-identical to
 ``json.dumps(payload, indent=2)`` with 1-D float64 ndarrays written as
-lists.  The floats of all float lists and arrays in a document are
-formatted together: each distinct bit pattern once, finite ones by
-``float.__repr__`` as json does, and the document is joined from its pieces
-once.  ``fitted_array.json`` hands each cell's atoms to the writer as slices
-of the fitted array's columns.  stdout stays quiet; diagnostics go to
-stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV parse error, 3 schema
-violation, 4 optimizer failure, 5 configuration error (a malformed or unknown
-flag too).  A run takes at most one ``--config`` file, which cannot name
-another.  Each subcommand imports the modules it runs when it starts, so
-``fit`` loads neither the sweep, the solvers nor the simulation harness.
+lists.  A float list is formatted where it is met, and the floats of all
+the arrays in a document together, each distinct bit pattern once; finite
+floats are written by ``float.__repr__`` as json does, and the document is
+joined from its pieces once.  ``fitted_array.json`` hands each cell's atoms
+to the writer as slices of the fitted array's columns.  stdout stays quiet;
+diagnostics go to stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV
+parse error, 3 schema violation, 4 optimizer failure, 5 configuration error
+(a malformed or unknown flag too).  A run takes at most one ``--config``
+file, which cannot name another.  Each subcommand imports the modules it
+runs when it starts, so ``fit`` loads neither the sweep, the solvers nor
+the simulation harness, and ``select`` on a saved path loads no numpy: it
+checks the saved rules in pure Python, as `DecisionRule` would
+(`_rule_rows`).
 """
 
 from __future__ import annotations
@@ -38,17 +41,13 @@ import math
 import os
 import sys
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import add, itemgetter, methodcaller
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .distributions import DistributionError, SupportInterval
-from .objective import CovariateSpace, DecisionRule, _cell_keys, omega
-
 if TYPE_CHECKING:
+    from .distributions import SupportInterval
     from .estimation import TrainingSample
     from .optimizer import OptimizerConfig
     from .selection import BudgetSelection, LambdaPath
@@ -218,6 +217,8 @@ def _read_columns(path: str, by_block: bool):
             add_rows(csv.reader(fh))
         elif not add_blocks(fh):
             return _read_columns(path, by_block=False)
+    import numpy as np
+
     cell = np.frombuffer(cs, dtype=np.int64)
     xs, zs, ds = (column[cell] for column in np.array(table, dtype=np.int64).reshape(-1, 3).T)
     return ys, xs, zs, ds, x_codes, z_codes, blanks, huge
@@ -234,7 +235,11 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
     decodes the file 8 KiB at a time: a row error wins over a decode error
     when the row ends before the 8 KiB that holds the bad byte.)
     """
+    import numpy as np
+
+    from .distributions import SupportInterval
     from .estimation import TrainingSample
+    from .objective import CovariateSpace
 
     try:
         columns = _read_columns(path, by_block=True)
@@ -324,66 +329,72 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _json_pieces(value, pad: str, out: list, floats: list) -> None:
+def _json_pieces(value, pad: str, out: list, floats: list, ndarray) -> None:
     """Append json.dumps(value, indent=2), nested at indentation pad, to out.
 
-    A float leaf's items are not formatted here: out gets an empty
-    placeholder, and floats gets (its position, the item separator, the
-    values).
+    A float list is formatted here.  A float64 ndarray's items are not: out
+    gets an empty placeholder, and floats gets (its position, the item
+    separator, the array).  ndarray is numpy's class, or None while numpy is
+    not loaded (no value can then be an ndarray).
     """
     inner = pad + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
+    kind = type(value)
+    if kind is dict and value and all(type(key) is str for key in value):
         out.append("{\n" + inner)
         for j, (key, v) in enumerate(value.items()):
             out.append((",\n" + inner if j else "") + encode_basestring_ascii(key) + ": ")
-            _json_pieces(v, inner, out, floats)
+            _json_pieces(v, inner, out, floats, ndarray)
         out.append("\n" + pad + "}")
-    elif _is_float_leaf(value):
-        floats.append((len(out) + 1, ",\n" + inner, np.asarray(value)))
+    elif kind is list and value and set(map(type, value)) == {float}:
+        out.append("[\n" + inner + (",\n" + inner).join(_float_texts(value))
+                   + "\n" + pad + "]")
+    elif kind is ndarray and value.ndim == 1 and value.dtype == "float64" and value.size:
+        floats.append((len(out) + 1, ",\n" + inner, value))
         out += ["[\n" + inner, "", "\n" + pad + "]"]
-    elif type(value) is list and value:
+    elif kind is list and value:
         out.append("[\n" + inner)
         for j, v in enumerate(value):
             if j:
                 out.append(",\n" + inner)
-            _json_pieces(v, inner, out, floats)
+            _json_pieces(v, inner, out, floats, ndarray)
         out.append("\n" + pad + "]")
-    elif type(value) in (list, tuple, dict, np.ndarray):
-        text = json.dumps(value, indent=2, default=np.ndarray.tolist)
+    elif kind in (list, tuple, dict, ndarray):
+        text = json.dumps(value, indent=2, default=methodcaller("tolist"))
         out.append(text.replace("\n", "\n" + pad))
-    elif type(value) is str:
+    elif kind is str:
         out.append(encode_basestring_ascii(value))
-    elif type(value) is int:
+    elif kind is int:
         out.append(int.__repr__(value))
-    elif type(value) is bool:
+    elif kind is bool:
         out.append("true" if value else "false")
     else:
         out.append(json.dumps(value))
 
 
-def _is_float_leaf(value) -> bool:
-    """A nonempty 1-D float64 ndarray, or a nonempty list of floats."""
-    if type(value) is np.ndarray:
-        return value.ndim == 1 and value.dtype == np.float64 and value.size > 0
-    return type(value) is list and bool(value) and set(map(type, value)) == {float}
+def _float_texts(values: list) -> list:
+    """Floats as json writes them."""
+    return [float.__repr__(v) if math.isfinite(v) else json.dumps(v) for v in values]
 
 
 def _json_text(value) -> str:
     """json.dumps(value, indent=2, default=np.ndarray.tolist) + "\n".
 
     The pure-Python encoder that indent=2 selects yields once per float.
-    Here every float leaf of the document is formatted in one pass: each
-    distinct bit pattern (so -0.0 apart from 0.0) once, by float.__repr__ as
-    json writes finite floats and by json itself otherwise.  Every other
-    value goes through json, and the pieces are joined once.
+    Here a float list is formatted where it is met, and the float64 ndarrays
+    of the document (only `fit` writes them) in one pass: each distinct bit
+    pattern (so -0.0 apart from 0.0) once.  Floats are written by
+    float.__repr__ as json writes finite floats, and by json itself
+    otherwise.  Every other value goes through json, and the pieces are
+    joined once.
     """
     out, floats = [], []
-    _json_pieces(value, "", out, floats)
+    _json_pieces(value, "", out, floats, getattr(sys.modules.get("numpy"), "ndarray", None))
     if floats:
+        import numpy as np
+
         bits = np.concatenate([values.view(np.int64) for _, _, values in floats])
         distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array([float.__repr__(v) if math.isfinite(v) else json.dumps(v)
-                          for v in distinct.view(np.float64).tolist()], dtype=object)
+        texts = np.array(_float_texts(distinct.view(np.float64).tolist()), dtype=object)
         texts = texts[inverse].tolist()
         start = 0
         for at, sep, values in floats:
@@ -403,6 +414,8 @@ def _num(value: float) -> str:
 
 def fitted_array_payload(arr) -> dict:
     """The fitted array as a JSON document; cell atoms stay ndarray slices."""
+    from .objective import _cell_keys
+
     space = arr.space
     if arr.cell_records is None:
         raise ValueError("fitted_array_payload needs an array fitted from a sample")
@@ -457,7 +470,8 @@ def rules_payload(path: LambdaPath) -> dict:
     }
 
 
-def selection_payload(selection: BudgetSelection, rule: DecisionRule | None) -> dict:
+def selection_payload(selection: BudgetSelection, rows: list) -> dict:
+    """The selection document; rows are the chosen rule's probability rows."""
     return {
         "beta": selection.beta,
         "c_n": selection.c_n,
@@ -466,7 +480,7 @@ def selection_payload(selection: BudgetSelection, rule: DecisionRule | None) -> 
         "deltas": [
             {"lambda": float(lam), "delta": float(d)} for lam, d in selection.deltas.items()
         ],
-        "chosen_rule": [list(map(float, row)) for row in rule.probs] if rule is not None else [],
+        "chosen_rule": rows,
     }
 
 
@@ -485,6 +499,8 @@ def _ensure_outdir(args) -> str:
 
 
 def _support(args) -> SupportInterval:
+    from .distributions import DistributionError, SupportInterval
+
     try:
         return SupportInterval(*args.support)
     except DistributionError as exc:
@@ -566,8 +582,73 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+SIMPLEX_TOL = 1e-9  # objective.SIMPLEX_TOL, kept here as objective imports numpy
+
+
+def _row_sum(row: list) -> float:
+    """sum(row) as numpy adds float64 along a contiguous axis.
+
+    Pairwise: fewer than 8 values left to right; up to 128 in 8 running
+    sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
+    left to right; more in two halves (the first a multiple of 8 long).
+    """
+    n = len(row)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(row[:half]) + _row_sum(row[half:])
+    total, tail = 0.0, 0
+    if n >= 8:
+        tail = n - n % 8
+        r = row[:8]
+        for at in range(8, tail, 8):
+            r = list(map(add, r, row[at:at + 8]))
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in row[tail:]:
+        total += v
+    return total
+
+
+def _rule_rows(value, shape: tuple) -> list:
+    """DecisionRule(space, np.array(value, dtype=float)).probs.tolist() for
+    a space of shape (|X|, K), for a value of nested lists of numbers; the
+    same errors are raised, with the same messages.
+
+    Entries down to -SIMPLEX_TOL are set to 0.0 (as is -0.0), each row sum
+    must lie within SIMPLEX_TOL of 1, and each row is divided by its sum,
+    taken in numpy's order, so the rows match the rule's bit for bit.  Only
+    a value of another shape imports numpy, to report the shape (or the
+    ragged nesting) np.array finds in it.
+    """
+    nx, k = shape
+    if not (type(value) is list and len(value) == nx and all(
+            type(row) is list and len(row) == k and list not in map(type, row)
+            for row in value)):
+        import numpy as np
+
+        raise ValueError(f"probs must have shape {shape}, got "
+                         f"{np.array(value, dtype=float).shape}")
+    # an int beyond the largest double raises OverflowError, as it does in np.array
+    rows = [list(map(float, row)) for row in value]
+    entries = list(chain.from_iterable(rows))
+    if not all(map(math.isfinite, entries)):
+        raise ValueError("probs must be finite")
+    if min(entries) < -SIMPLEX_TOL:
+        raise ValueError("probs must be nonnegative")
+    rows = [[v if v > 0.0 else 0.0 for v in row] for row in rows]
+    sums = list(map(_row_sum, rows))
+    for j, total in enumerate(sums):
+        if abs(total - 1.0) > SIMPLEX_TOL:
+            raise ValueError(f"rows must sum to 1 within {SIMPLEX_TOL}, row {j} sums to "
+                             f"np.float64({total!r})")  # as numpy 2 prints the sum
+    return [[v / total for v in row] for row, total in zip(rows, sums)]
+
+
 def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
-    """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs."""
+    """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs.
+
+    Each entry's rule is its checked rows (`_rule_rows`), not a
+    DecisionRule, so that `select` on a saved path loads no numpy.
+    """
     from .selection import LambdaGrid, LambdaPath, PathEntry
 
     with _input_file(rules_json) as fh:
@@ -575,6 +656,8 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
             rules_doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{rules_json}: {exc}") from None
+    if type(rules_doc) is not dict:
+        raise SchemaError(f"{rules_json}: must hold a JSON object")
     with _input_file(path_csv, newline="") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -584,6 +667,9 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
         raise ParseError(f"{path_csv}: row 1: not a path CSV")
     header = rows[0]
     groups = [c[len("unfair_"):] for c in header if c.startswith("unfair_")]
+    if len(set(groups)) != len(groups):
+        raise SchemaError(f"{path_csv}: row 1: a group has two unfair_ columns")
+    width = len(groups) + 4  # lambda, obj_value, target_value, unfair_*, max_unfairness
 
     def is_a(value, kind):
         # JSON true and false load as Python ints, so bools never pass
@@ -603,8 +689,14 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
 
     try:
         n = typed("n", "an integer", int)
-        space = CovariateSpace(tuple(typed("x_levels", "a list of strings", str, True)),
-                               tuple(groups or ["z0", "z1"]), typed("k", "an integer", int))
+        x_levels = typed("x_levels", "a list of strings", str, True)
+        k = typed("k", "an integer", int)
+        if not x_levels:
+            raise ValueError("x_levels must be nonempty")
+        if len(set(x_levels)) != len(x_levels):
+            raise ValueError("duplicate x levels")
+        if k < 2:
+            raise ValueError(f"need at least 2 treatments, got {k}")
         rules = list(rules_doc["rules"])
         lambdas = [float(v) for v in typed("lambdas", "a list of numbers", (int, float), True)]
     except KeyError as exc:
@@ -615,13 +707,15 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     lams = []
     for idx, row in enumerate(rows[1:]):
         try:
-            lam = float(row[0])
-            obj_value = float(row[1])
-            target_value = float(row[2])
-            unf = {z: float(v) for z, v in zip(groups, row[3:3 + len(groups)])}
-            max_unf = float(row[3 + len(groups)])
-        except (ValueError, IndexError):
+            if not width <= len(row) <= len(header):
+                raise ValueError
+            values = list(map(float, row[:width]))
+        except ValueError:
             raise ParseError(f"{path_csv}: row {idx + 2}: malformed row") from None
+        for column, value in zip(header, values):
+            if not math.isfinite(value):
+                raise SchemaError(f"{path_csv}: row {idx + 2}: {column} is not finite")
+        lam, obj_value, target_value, *unfairness, max_unf = values
         if idx >= len(rules):
             raise SchemaError(
                 f"{rules_json}: rule {idx}: missing ({len(rules)} rules for "
@@ -630,11 +724,12 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
         if not numbers(rules[idx]):  # np.array would parse "0.4" and take true as 1.0
             raise SchemaError(f"{rules_json}: rule {idx}: entries must be numbers")
         try:
-            rule = DecisionRule(space, np.array(rules[idx], dtype=float))
-        except (TypeError, ValueError) as exc:
+            rule = _rule_rows(rules[idx], (len(x_levels), k))
+        except (OverflowError, ValueError) as exc:
             raise SchemaError(f"{rules_json}: rule {idx}: {exc}") from None
         lams.append(lam)
-        entries.append(PathEntry(rule, obj_value, target_value, unf, max_unf))
+        entries.append(PathEntry(rule, obj_value, target_value, dict(zip(groups, unfairness)),
+                                 max_unf))
     try:
         grid = LambdaGrid(tuple(lams))
     except ValueError as exc:
@@ -665,7 +760,8 @@ def cmd_select(args) -> int:
         raise ConfigError("select needs either --path-csv with --rules-json, or --input")
     selection = select_lambda_budget(path, args.beta)
     rule = path.entry(selection.chosen_lambda).rule
-    _write_json(os.path.join(out, "selection.json"), selection_payload(selection, rule))
+    rows = rule if type(rule) is list else rule.probs.tolist()  # a saved path holds rows
+    _write_json(os.path.join(out, "selection.json"), selection_payload(selection, rows))
     return EXIT_OK
 
 
@@ -734,7 +830,10 @@ def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
     `perturb` shifts the closed-form objective and exists as a negative
     control for the suite itself.
     """
+    import numpy as np
+
     from .functionals import SimilarityMeasure, TargetFunctional
+    from .objective import DecisionRule, omega
     from .optimizer import OptimizerConfig, maximize
     from .toy import (
         PENALTY_SCALE,

@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .functionals import SimilarityMeasure, TargetFunctional, plugin_route
-from .objective import AtomKernel, DecisionRule
-
 if TYPE_CHECKING:
     from .estimation import TrainingSample
+    from .functionals import SimilarityMeasure, TargetFunctional
+    from .objective import AtomKernel, DecisionRule
     from .optimizer import OptimizerConfig
 
 
@@ -85,10 +84,11 @@ class PathEntry:
     """Fitted rule and diagnostics for one preference parameter.
 
     evaluations, converged and gap are the solver's `OptimResult` fields;
-    they are None on an entry read back from sweep outputs.
+    they are None on an entry read back from sweep outputs, whose rule is
+    its checked probability rows (lists of floats), not a DecisionRule.
     """
 
-    rule: DecisionRule
+    rule: DecisionRule | list
     obj_value: float
     target_value: float
     unfairness: dict
@@ -145,10 +145,12 @@ def sweep(
     index); cfg None means `OptimizerConfig()`.  Either way the path is
     reproducible bit-for-bit and per-lambda runs are independent.
     """
-    # Imported here, not at the top, so that `select` on a saved path
-    # compiles neither the estimator nor the optimizer, and only the sweeps
-    # that lp may solve compile it.
+    # Imported here, not at the top, so that `select` on a saved path loads
+    # no numpy and compiles neither the estimator, the functionals, the
+    # objective nor the optimizer, and only the sweeps that lp may solve
+    # compile it.
     from .estimation import fit_plugin
+    from .functionals import plugin_route
     from .optimizer import OptimizerConfig, derive_seed, maximize
 
     cfg = OptimizerConfig() if cfg is None else cfg

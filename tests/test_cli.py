@@ -834,8 +834,16 @@ class TestSelect:
          "rule 1: entries must be numbers"),
         (lambda doc: doc["rules"].__setitem__(1, [[float("nan"), 1.0]]),
          "rule 1: probs must be finite"),
+        (lambda doc: doc["rules"][0][0].__setitem__(0, 10**400),
+         "rule 0: int too large to convert to float"),
+        (lambda doc: doc["rules"].__setitem__(0, [[0.5], [0.5]]),
+         "rule 0: probs must have shape (1, 2), got (2, 1)"),
+        (lambda doc: doc.__setitem__("x_levels", []), "x_levels must be nonempty"),
+        (lambda doc: doc.__setitem__("x_levels", ["x0", "x0"]), "duplicate x levels"),
+        (lambda doc: doc.__setitem__("k", 1), "need at least 2 treatments, got 1"),
     ], ids=["missing-key", "too-few-rules", "non-simplex", "non-numeric", "boolean-entries",
-            "string-entries", "null-entries", "nan-entries"])
+            "string-entries", "null-entries", "nan-entries", "huge-int", "wrong-shape",
+            "no-x-levels", "duplicate-x-levels", "one-treatment"])
     def test_invalid_rules_json_exit_3(self, tmp_path, capsys, broken, message):
         path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
         path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
@@ -908,6 +916,146 @@ class TestSelect:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("row, column", [
+        ("nan,0.5,0.5,0.0,0.0", "lambda"),
+        ("1.0,0.4,inf,0.0,0.0", "target_value"),
+        ("1.0,0.4,0.4,-inf,0.0", "unfair_g"),
+        ("1.0,0.4,0.4,0.0,NaN", "max_unfairness"),
+    ], ids=["lambda", "target", "unfairness", "max-unfairness"])
+    def test_non_finite_path_value_exit_3(self, tmp_path, capsys, row, column):
+        # a NaN target would be written as "delta": NaN, which is not JSON
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            f"0.0,0.5,0.5,0.0,0.0\n{row}\n")
+        rules_json.write_text(json.dumps({"n": 100, "x_levels": ["x0"], "k": 2,
+                                          "lambdas": [0.0, 1.0],
+                                          "rules": [[[0.5, 0.5]], [[0.4, 0.6]]]}))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"schema error: {path_csv}: row 3: {column} is not finite\n")
+
+    @pytest.mark.parametrize("row", ["1.0,0.4,0.4,0.0,0.0,0.0", "1.0,0.4,0.4,0.0", ""],
+                             ids=["long", "short", "blank"])
+    def test_row_of_another_width_exit_2(self, tmp_path, capsys, row):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            f"0.0,0.5,0.5,0.0,0.0\n{row}\n")
+        rules_json.write_text(json.dumps({"n": 100, "x_levels": ["x0"], "k": 2,
+                                          "lambdas": [0.0, 1.0],
+                                          "rules": [[[0.5, 0.5]], [[0.4, 0.6]]]}))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {path_csv}: row 3: malformed row\n"
+
+    def test_group_with_two_columns_exit_3(self, tmp_path, capsys):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.1,0.1\n")
+        rules_json.write_text(json.dumps({"n": 100, "x_levels": ["x0"], "k": 2,
+                                          "lambdas": [0.0], "rules": [[[0.5, 0.5]]]}))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"schema error: {path_csv}: row 1: a group has two unfair_ columns\n")
+
+    @pytest.mark.parametrize("doc", [[1, 2], "rules", None], ids=["list", "string", "null"])
+    def test_rules_json_that_is_no_object_exit_3(self, tmp_path, capsys, doc):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n")
+        rules_json.write_text(json.dumps(doc))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"schema error: {rules_json}: must hold a JSON object\n")
+
+
+def float_bits(rows) -> list:
+    return [[v.hex() for v in row] for row in rows]
+
+
+def raised(fn, *args):
+    """fn(*args), or the (type, message) of the error it raises."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def rule_entries(draw):
+    """(value, (|X|, K)): nested lists as a rules.json rule may hold them,
+    near the simplex's edges: signed zeros, entries just below 0, row sums
+    off by up to 1e-9 (and a little more), ints, and now and then a
+    non-finite entry, another shape or ragged nesting."""
+    nx = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 12) | st.integers(129, 300))
+    rows = []
+    for _ in range(nx):
+        kind = draw(st.sampled_from(["normalized", "ints", "edge"]))
+        if kind == "ints":
+            row = [0] * k
+            for j in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2)):
+                row[j] += 1
+        else:
+            weights = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5]),
+                                    min_size=k, max_size=k))
+            total = sum(weights)
+            row = [w / total for w in weights] if total > 0 else [1.0] + [0.0] * (k - 1)
+        if kind == "edge":
+            for _ in range(draw(st.integers(1, 4))):
+                j = draw(st.integers(0, k - 1))
+                row[j] = draw(st.sampled_from([-0.0, -1e-9, -5e-10, 1e-9])
+                              | st.floats(-1.2e-9, 0.0, exclude_max=True)
+                              | st.floats(-1.2e-9, 1.2e-9).map(lambda d, v=row[j]: v + d))
+            if draw(st.integers(0, 30)) == 0:
+                row[draw(st.integers(0, k - 1))] = draw(st.sampled_from(
+                    [float("nan"), float("inf"), -float("inf"), 1e308]))
+        rows.append(row)
+    shape = draw(st.sampled_from([(nx, k)] * 8 + [(nx + 1, k), (nx, k + 1)]))
+    nesting = draw(st.sampled_from(["kept"] * 8 + ["short-row", "nested-entry", "flat"]))
+    if nesting == "short-row":
+        rows[-1].pop()
+    elif nesting == "nested-entry":
+        rows[-1][0] = [rows[-1][0]]
+    elif nesting == "flat":
+        rows = rows[0]
+    return rows, shape
+
+
+class TestRuleRows:
+    """select's numpy-free rule check against DecisionRule itself."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(rule_entries())
+    def test_matches_decision_rule_bit_for_bit(self, entries):
+        from fairpolicy import DecisionRule
+
+        rows, shape = entries
+        space = CovariateSpace(tuple(f"x{i}" for i in range(shape[0])), ("z",), shape[1])
+        want = raised(lambda: DecisionRule(space, np.array(rows, dtype=float)).probs.tolist())
+        got = raised(cli._rule_rows, rows, shape)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert float_bits(got) == float_bits(want)
+
+    @pytest.mark.parametrize("k", [2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 200, 1000, 10000])
+    def test_row_sum_is_numpys(self, k):
+        rng = np.random.default_rng(k)
+        probs = rng.random((4, k)) * rng.choice([1e-3, 1.0, 1e3], (4, k))
+        assert list(map(cli._row_sum, probs.tolist())) == probs.sum(axis=1).tolist()
+
+    def test_tolerance_is_the_rules(self):
+        from fairpolicy.objective import SIMPLEX_TOL
+
+        assert cli.SIMPLEX_TOL == SIMPLEX_TOL
 
 
 class TestSimulate:
@@ -1163,6 +1311,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert not fit & (solvers | {"fairpolicy.selection", "fairpolicy.functionals"})
     assert "fairpolicy.selection" in select
     assert not select & (solvers | {"fairpolicy.estimation"})
+    # select on a saved path is pure Python: numpy alone costs about 40 ms to import
+    assert not select & {"numpy", "fairpolicy.objective", "fairpolicy.distributions",
+                         "fairpolicy.functionals"}
 
 
 def test_simulate_leaves_numpy_ma_unloaded(tmp_path):

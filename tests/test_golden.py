@@ -1,5 +1,5 @@
 """Golden bytes: the SHA-256 of each plug-in program pair's sweep outputs, of
-one small simulate and of one fit, on fixed inputs.
+one select, of one small simulate and of one fit, on fixed inputs.
 
 A refactor of the solvers, the sample reader or the fit must leave these
 files byte-identical.  The digests pin the outputs on x86-64 with numpy 2.4;
@@ -69,6 +69,26 @@ def test_sweep_outputs(tmp_path, target, similarity):
     assert main(["sweep", "--input", str(sample_csv), "--output-dir", str(out),
                  "--target", target, "--similarity", similarity, "--grid-m", "4"]) == EXIT_OK
     assert digests(out, ("path.csv", "rules.json")) == list(SWEEPS[target, similarity])
+
+
+SELECT = "bbdcb949226fa7be717a55bd1e96beb0e8c8ce7353f7fa50ee2298f4e49981ee"
+
+
+def test_select_outputs(tmp_path):
+    # the rules read back from rules.json and the ones a sweep holds select alike
+    sample_csv = tmp_path / "sample.csv"
+    write_sample_csv(str(sample_csv), fixed_sample())
+    flags = ["--target", "gini-welfare", "--similarity", "ks", "--grid-m", "4"]
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--input", str(sample_csv), "--output-dir", str(sweep)]
+                + flags) == EXIT_OK
+    assert main(["select", "--beta", "0.01", "--path-csv", str(sweep / "path.csv"),
+                 "--rules-json", str(sweep / "rules.json"),
+                 "--output-dir", str(tmp_path / "saved")]) == EXIT_OK
+    assert main(["select", "--beta", "0.01", "--input", str(sample_csv),
+                 "--output-dir", str(tmp_path / "input")] + flags) == EXIT_OK
+    for name in ("saved", "input"):
+        assert digests(tmp_path / name, ("selection.json",)) == [SELECT]
 
 
 SIMULATE = (
