@@ -18,16 +18,16 @@ pure-Python indent encoder, and is byte-identical to
 lists.  A float list is formatted where it is met, and the floats of all
 the arrays in a document together, each distinct bit pattern once; finite
 floats are written by ``float.__repr__`` as json does, and the document is
-joined from its pieces once.  ``fitted_array.json`` hands each cell's atoms
-to the writer as slices of the fitted array's columns.  stdout stays quiet;
-diagnostics go to stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV
+written from its pieces, never joined into one text.  ``fitted_array.json``
+hands each cell's atoms to the writer as slices of the fitted array's
+columns.  stdout stays quiet; diagnostics go to stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV
 parse error, 3 schema violation, 4 optimizer failure, 5 configuration error
 (a malformed or unknown flag too).  A run takes at most one ``--config``
 file, which cannot name another.  Each subcommand imports the modules it
 runs when it starts, so ``fit`` loads neither the sweep, the solvers nor
 the simulation harness, and ``select`` on a saved path loads no numpy: it
-checks the saved rules in pure Python, as `DecisionRule` would
-(`_rule_rows`).
+checks the saved rules in pure Python, against `DecisionRule`'s bounds
+(`_rule_rows`), and writes the chosen rule as ``rules.json`` holds it.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ import math
 import os
 import sys
 from array import array
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, methodcaller
+from operator import itemgetter, methodcaller
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -62,7 +62,6 @@ EXIT_CONFIG = 5
 SAMPLE_HEADER = ["y", "x", "z", "d"]
 INT64_MAX = 2**63 - 1
 BLOCK_CHARS = 16384  # sample text read per block
-WRITE_CHARS = 1 << 20  # output text encoded and written per call
 
 
 class ParseError(Exception):
@@ -315,13 +314,12 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
 # ---------------------------------------------------------------------------
 # emission helpers
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, *pieces: str) -> None:
+    """Write the pieces, in order, to path through a temporary file."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            # in slices: one write would encode the whole text into one more copy
-            for start in range(0, len(text), WRITE_CHARS):
-                fh.write(text[start:start + WRITE_CHARS])
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -376,8 +374,8 @@ def _float_texts(values: list) -> list:
     return [float.__repr__(v) if math.isfinite(v) else json.dumps(v) for v in values]
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2, default=np.ndarray.tolist) + "\n".
+def _write_json(path: str, payload) -> None:
+    """Write json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n".
 
     The pure-Python encoder that indent=2 selects yields once per float.
     Here a float list is formatted where it is met, and the float64 ndarrays
@@ -385,10 +383,10 @@ def _json_text(value) -> str:
     pattern (so -0.0 apart from 0.0) once.  Floats are written by
     float.__repr__ as json writes finite floats, and by json itself
     otherwise.  Every other value goes through json, and the pieces are
-    joined once.
+    written as they are, never joined into one text.
     """
     out, floats = [], []
-    _json_pieces(value, "", out, floats, getattr(sys.modules.get("numpy"), "ndarray", None))
+    _json_pieces(payload, "", out, floats, getattr(sys.modules.get("numpy"), "ndarray", None))
     if floats:
         import numpy as np
 
@@ -401,11 +399,7 @@ def _json_text(value) -> str:
             out[at] = sep.join(texts[start:start + values.size])
             start += values.size
     out.append("\n")
-    return "".join(out)
-
-
-def _write_json(path: str, payload) -> None:
-    _atomic_write(path, _json_text(payload))
+    _atomic_write(path, *out)
 
 
 def _num(value: float) -> str:
@@ -585,69 +579,42 @@ def cmd_sweep(args) -> int:
 SIMPLEX_TOL = 1e-9  # objective.SIMPLEX_TOL, kept here as objective imports numpy
 
 
-def _row_sum(row: list) -> float:
-    """sum(row) as numpy adds float64 along a contiguous axis.
-
-    Pairwise: fewer than 8 values left to right; up to 128 in 8 running
-    sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
-    left to right; more in two halves (the first a multiple of 8 long).
-    """
-    n = len(row)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sum(row[:half]) + _row_sum(row[half:])
-    total, tail = 0.0, 0
-    if n >= 8:
-        tail = n - n % 8
-        r = row[:8]
-        for at in range(8, tail, 8):
-            r = list(map(add, r, row[at:at + 8]))
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in row[tail:]:
-        total += v
-    return total
-
-
 def _rule_rows(value, shape: tuple) -> list:
-    """DecisionRule(space, np.array(value, dtype=float)).probs.tolist() for
-    a space of shape (|X|, K), for a value of nested lists of numbers; the
-    same errors are raised, with the same messages.
+    """The rows of a saved rule for a space of shape (|X|, K), as read.
 
-    Entries down to -SIMPLEX_TOL are set to 0.0 (as is -0.0), each row sum
-    must lie within SIMPLEX_TOL of 1, and each row is divided by its sum,
-    taken in numpy's order, so the rows match the rule's bit for bit.  Only
-    a value of another shape imports numpy, to report the shape (or the
-    ragged nesting) np.array finds in it.
+    value must be |X| lists of K numbers (JSON true and false, which load as
+    bools, are not numbers), and each row must pass DecisionRule's checks:
+    entries finite and at least -SIMPLEX_TOL, the sum within SIMPLEX_TOL of
+    1.  Each entry is then clamped into [0, 1], which leaves a rule the
+    sweep wrote as it is, so select writes back the rule the sweep fitted.
     """
     nx, k = shape
-    if not (type(value) is list and len(value) == nx and all(
-            type(row) is list and len(row) == k and list not in map(type, row)
-            for row in value)):
-        import numpy as np
-
-        raise ValueError(f"probs must have shape {shape}, got "
-                         f"{np.array(value, dtype=float).shape}")
-    # an int beyond the largest double raises OverflowError, as it does in np.array
-    rows = [list(map(float, row)) for row in value]
-    entries = list(chain.from_iterable(rows))
-    if not all(map(math.isfinite, entries)):
-        raise ValueError("probs must be finite")
-    if min(entries) < -SIMPLEX_TOL:
-        raise ValueError("probs must be nonnegative")
-    rows = [[v if v > 0.0 else 0.0 for v in row] for row in rows]
-    sums = list(map(_row_sum, rows))
-    for j, total in enumerate(sums):
+    if not (type(value) is list and len(value) == nx
+            and all(type(row) is list and len(row) == k for row in value)):
+        raise ValueError(f"probs must be a list of |x_levels| = {nx} lists of k = {k} numbers")
+    rows = []
+    for j, row in enumerate(value):
+        if not all(type(v) in (int, float) for v in row):
+            raise ValueError("entries must be numbers")
+        row = list(map(float, row))  # an int beyond the largest double raises OverflowError
+        if not all(map(math.isfinite, row)):
+            raise ValueError("probs must be finite")
+        if min(row) < -SIMPLEX_TOL:
+            raise ValueError("probs must be nonnegative")
+        row = [v if v > 0.0 else 0.0 for v in row]
+        total = sum(row)
         if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"rows must sum to 1 within {SIMPLEX_TOL}, row {j} sums to "
-                             f"np.float64({total!r})")  # as numpy 2 prints the sum
-    return [[v / total for v in row] for row, total in zip(rows, sums)]
+            raise ValueError(f"rows must sum to 1 within {SIMPLEX_TOL}, row {j} sums to {total!r}")
+        rows.append([min(v, 1.0) for v in row])
+    return rows
 
 
 def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs.
 
-    Each entry's rule is its checked rows (`_rule_rows`), not a
-    DecisionRule, so that `select` on a saved path loads no numpy.
+    Each entry's rule is its rows as rules.json holds them, checked
+    (`_rule_rows`), not a DecisionRule, so that `select` on a saved path
+    loads no numpy.
     """
     from .selection import LambdaGrid, LambdaPath, PathEntry
 
@@ -656,6 +623,8 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
             rules_doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{rules_json}: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"{rules_json}: JSON nested too deeply") from None
     if type(rules_doc) is not dict:
         raise SchemaError(f"{rules_json}: must hold a JSON object")
     with _input_file(path_csv, newline="") as fh:
@@ -674,12 +643,6 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     def is_a(value, kind):
         # JSON true and false load as Python ints, so bools never pass
         return isinstance(value, kind) and not isinstance(value, bool)
-
-    def numbers(value):
-        """Whether every leaf of nested lists is a number."""
-        if isinstance(value, list):
-            return all(map(numbers, value))
-        return is_a(value, (int, float))
 
     def typed(key, what, kind, many=False):
         items = rules_doc[key] if many else [rules_doc[key]]
@@ -721,8 +684,6 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
                 f"{rules_json}: rule {idx}: missing ({len(rules)} rules for "
                 f"{len(rows) - 1} {path_csv} rows)"
             )
-        if not numbers(rules[idx]):  # np.array would parse "0.4" and take true as 1.0
-            raise SchemaError(f"{rules_json}: rule {idx}: entries must be numbers")
         try:
             rule = _rule_rows(rules[idx], (len(x_levels), k))
         except (OverflowError, ValueError) as exc:

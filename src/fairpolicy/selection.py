@@ -85,7 +85,8 @@ class PathEntry:
 
     evaluations, converged and gap are the solver's `OptimResult` fields;
     they are None on an entry read back from sweep outputs, whose rule is
-    its checked probability rows (lists of floats), not a DecisionRule.
+    its probability rows as rules.json holds them (lists of floats, checked
+    and clamped into [0, 1]), not a DecisionRule.
     """
 
     rule: DecisionRule | list

@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fairpolicy
 import fairpolicy.cli as cli
@@ -837,7 +837,7 @@ class TestSelect:
         (lambda doc: doc["rules"][0][0].__setitem__(0, 10**400),
          "rule 0: int too large to convert to float"),
         (lambda doc: doc["rules"].__setitem__(0, [[0.5], [0.5]]),
-         "rule 0: probs must have shape (1, 2), got (2, 1)"),
+         "rule 0: probs must be a list of |x_levels| = 1 lists of k = 2 numbers"),
         (lambda doc: doc.__setitem__("x_levels", []), "x_levels must be nonempty"),
         (lambda doc: doc.__setitem__("x_levels", ["x0", "x0"]), "duplicate x levels"),
         (lambda doc: doc.__setitem__("k", 1), "need at least 2 treatments, got 1"),
@@ -975,6 +975,53 @@ class TestSelect:
         assert capsys.readouterr().err == (
             f"schema error: {rules_json}: must hold a JSON object\n")
 
+    @pytest.mark.parametrize("depth, code, message", [
+        (900, EXIT_SCHEMA, "schema error: {rules}: rule 0: probs must be a list of"),
+        (5000, EXIT_PARSE, "parse error: {rules}: JSON nested too deeply"),
+    ], ids=["checked-flat", "beyond-json"])
+    def test_deeply_nested_rules_one_line(self, tmp_path, depth, code, message):
+        # a process of its own: pytest's frames would shift the recursion limit
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n")
+        rules_json.write_text('{"n": 100, "x_levels": ["x0"], "k": 2, "lambdas": [0.0], '
+                              f'"rules": {"[" * depth}{"]" * depth}}}')
+        src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "fairpolicy.cli", "select", "--beta", "0.1",
+             "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+             "--output-dir", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert done.returncode == code
+        assert done.stderr.startswith(message.format(rules=rules_json))
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 8])
+    @pytest.mark.parametrize("target", ["gini-welfare", "mean", "quantile:0.5"])
+    def test_saved_path_selects_as_the_sample(self, tmp_path, seed, target):
+        # the saved chosen rule is the rule rules.json holds, bit for bit
+        rng = np.random.default_rng(seed)
+        sample = tmp_path / "sample.csv"
+        sample.write_text("y,x,z,d\n" + "".join(
+            f"{rng.random():.4f},x{rng.integers(0, 4)},z{rng.integers(0, 2)},"
+            f"{rng.integers(1, 4)}\n" for _ in range(400)))
+        flags = ["--target", target, "--similarity", "ks", "--grid-m", "4",
+                 "--candidate-starts", "10", "--max-iters", "100"]
+        sweep = str(tmp_path / "sweep")
+        assert main(["sweep", "--input", str(sample), "--output-dir", sweep] + flags) == EXIT_OK
+        assert main(["select", "--beta", "0.01", "--path-csv", f"{sweep}/path.csv",
+                     "--rules-json", f"{sweep}/rules.json",
+                     "--output-dir", str(tmp_path / "saved")]) == EXIT_OK
+        assert main(["select", "--beta", "0.01", "--input", str(sample),
+                     "--output-dir", str(tmp_path / "fresh")] + flags) == EXIT_OK
+        saved = (tmp_path / "saved" / "selection.json").read_bytes()
+        assert saved == (tmp_path / "fresh" / "selection.json").read_bytes()
+        with open(f"{sweep}/rules.json") as fh:
+            rules = json.load(fh)
+        chosen = json.loads(saved)
+        rule = rules["rules"][rules["lambdas"].index(chosen["chosen_lambda"])]
+        assert float_bits(chosen["chosen_rule"]) == float_bits(rule)
+
 
 def float_bits(rows) -> list:
     return [[v.hex() for v in row] for row in rows]
@@ -1029,28 +1076,40 @@ def rule_entries(draw):
     return rows, shape
 
 
+def sum_order_decides(rows) -> bool:
+    """Whether numpy's row sums (of the entries clamped at 0) and the builtin
+    sums lie on opposite sides of the simplex tolerance for some row."""
+    from fairpolicy.objective import SIMPLEX_TOL
+
+    try:
+        probs = np.maximum(np.array(rows, dtype=float), 0.0)
+    except (OverflowError, ValueError):
+        return False
+    return probs.ndim == 2 and any(
+        (abs(total - 1.0) > SIMPLEX_TOL) != (abs(sum(row) - 1.0) > SIMPLEX_TOL)
+        for total, row in zip(probs.sum(axis=1).tolist(), probs.tolist()))
+
+
 class TestRuleRows:
     """select's numpy-free rule check against DecisionRule itself."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(rule_entries())
-    def test_matches_decision_rule_bit_for_bit(self, entries):
+    def test_accepts_what_decision_rule_accepts(self, entries):
         from fairpolicy import DecisionRule
 
         rows, shape = entries
+        # the two checks add a row in different orders: at the tolerance's
+        # edge that order alone may decide
+        assume(not sum_order_decides(rows))
         space = CovariateSpace(tuple(f"x{i}" for i in range(shape[0])), ("z",), shape[1])
-        want = raised(lambda: DecisionRule(space, np.array(rows, dtype=float)).probs.tolist())
+        want = raised(lambda: DecisionRule(space, np.array(rows, dtype=float)))
         got = raised(cli._rule_rows, rows, shape)
         if isinstance(want, tuple):
-            assert got == want
+            assert isinstance(got, tuple) and got[0] is want[0]
         else:
-            assert float_bits(got) == float_bits(want)
-
-    @pytest.mark.parametrize("k", [2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 200, 1000, 10000])
-    def test_row_sum_is_numpys(self, k):
-        rng = np.random.default_rng(k)
-        probs = rng.random((4, k)) * rng.choice([1e-3, 1.0, 1e3], (4, k))
-        assert list(map(cli._row_sum, probs.tolist())) == probs.sum(axis=1).tolist()
+            clamped = [[0.0 if v <= 0 else min(float(v), 1.0) for v in row] for row in rows]
+            assert float_bits(got) == float_bits(clamped)
 
     def test_tolerance_is_the_rules(self):
         from fairpolicy.objective import SIMPLEX_TOL
@@ -1407,16 +1466,16 @@ def test_path_csv_field_beyond_csv_limit_is_a_one_line_parse_error(tmp_path, cap
     )
 
 
-def test_output_written_in_slices_keeps_its_bytes(tmp_path, monkeypatch):
+def test_output_written_from_pieces_keeps_its_bytes(tmp_path):
     text = "".join(random.Random(3).choice(["a", "\n", "\r\n", "é", "€", "𝔷"])
                    for _ in range(5000))
     whole = tmp_path / "whole.txt"
     with open(whole, "w", newline="") as fh:
         fh.write(text)
-    for chars in (1, 7, 4096, 1 << 20):
-        monkeypatch.setattr(cli, "WRITE_CHARS", chars)
-        cli._atomic_write(str(tmp_path / "sliced.txt"), text)
-        assert (tmp_path / "sliced.txt").read_bytes() == whole.read_bytes()
+    for cut in (1, 7, 4096):
+        cli._atomic_write(str(tmp_path / "pieces.txt"),
+                          *(text[at:at + cut] for at in range(0, len(text), cut)))
+        assert (tmp_path / "pieces.txt").read_bytes() == whole.read_bytes()
 
 
 class TestOptimizerFlagsIgnored:

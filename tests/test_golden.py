@@ -75,7 +75,8 @@ SELECT = "bbdcb949226fa7be717a55bd1e96beb0e8c8ce7353f7fa50ee2298f4e49981ee"
 
 
 def test_select_outputs(tmp_path):
-    # the rules read back from rules.json and the ones a sweep holds select alike
+    # select on the saved path writes the chosen rule as rules.json holds it,
+    # which is the rule select --input fits: both write the same bytes
     sample_csv = tmp_path / "sample.csv"
     write_sample_csv(str(sample_csv), fixed_sample())
     flags = ["--target", "gini-welfare", "--similarity", "ks", "--grid-m", "4"]
