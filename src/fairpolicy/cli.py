@@ -9,7 +9,11 @@ support [a, b] defaults to [0, 1]; ``--rescale`` min-max rescales outcomes to
 The sample is read into typed columns either by the block reader, which cuts
 each line at its first comma into the outcome and an ``x,z,d`` cell key that
 one dict lookup maps to its cell, or, from its first row, by csv.reader (see
-`_read_columns`); the parsed rows are never held.
+`_read_columns`); the parsed rows are never held.  ``fit`` reads its sample
+in a child forked (`forking.Forks`) before numpy loads, so that the parse
+runs beside numpy's import; with one usable CPU, or no ``os.fork``, it reads
+in-process.  ``sweep`` and ``select --input`` read in-process: their samples
+parse in less time than a process costs.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
 across runs with the same seed.  JSON is formatted here, not by json's
@@ -98,14 +102,16 @@ def _input_file(path: str, newline: str | None = None, config: bool = False):
 
 
 def _read_columns(path: str, by_block: bool):
-    """Typed columns of the sample's data rows: ys (doubles), xs, zs and ds
-    (int64 ndarrays), the x and z code dicts, the CSV row numbers of blank
-    rows, and {data row: d} for each d beyond int64 (stored as INT64_MAX,
-    reported after the outcome checks).
+    """Typed columns of the sample's data rows, in pure Python: ys and cells
+    (arrays of doubles and int64 cell ids), the cell table, the x and z code
+    dicts, the CSV row numbers of blank rows, and {data row: d} for each d
+    beyond int64 (stored as INT64_MAX, reported after the outcome checks).
 
-    Each row costs one lookup in a table of (x, z, d) cells, numbered as they
-    first appear (a new label comes with a new cell, so label codes keep
-    first-appearance order); the x, z and d columns are gathered from it once.
+    Each row costs one lookup in a table of (x code, z code, d) cells,
+    numbered as they first appear (a new label comes with a new cell, so
+    label codes keep first-appearance order); `read_sample_csv` gathers the
+    x, z and d columns from it.  Nothing here loads numpy, so `fit` runs
+    this in a child forked before numpy loads.
 
     A file is read either by the block reader or, from its first row, by
     csv.reader.  With by_block, text blocks of BLOCK_CHARS characters are cut
@@ -216,23 +222,21 @@ def _read_columns(path: str, by_block: bool):
             add_rows(csv.reader(fh))
         elif not add_blocks(fh):
             return _read_columns(path, by_block=False)
-    import numpy as np
-
-    cell = np.frombuffer(cs, dtype=np.int64)
-    xs, zs, ds = (column[cell] for column in np.array(table, dtype=np.int64).reshape(-1, 3).T)
-    return ys, xs, zs, ds, x_codes, z_codes, blanks, huge
+    return ys, cs, table, x_codes, z_codes, blanks, huge
 
 
 def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
                     x_levels=None, z_levels=None, drop_empty_x: bool = False,
-                    rescale: bool = False) -> TrainingSample:
+                    rescale: bool = False, reader=None) -> TrainingSample:
     """Load a training sample, mapping labels to levels by first appearance.
 
     A leading UTF-8 byte-order mark is skipped.  The file is read by the
     block reader, which hands it to the row reader where it cannot go on, so
     the error reported does not depend on the block size.  (The row reader
     decodes the file 8 KiB at a time: a row error wins over a decode error
-    when the row ends before the 8 KiB that holds the bad byte.)
+    when the row ends before the 8 KiB that holds the bad byte.)  reader,
+    if given, returns ``_read_columns(path, True)``, e.g. by collecting it
+    from the child that `fit` forked to read the file.
     """
     import numpy as np
 
@@ -241,12 +245,14 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
     from .objective import CovariateSpace
 
     try:
-        columns = _read_columns(path, by_block=True)
+        columns = reader() if reader is not None else _read_columns(path, by_block=True)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(f"{path}: {exc}") from None
-    ys, xi, zi, d_arr, x_codes, z_codes, blanks, huge = columns
+    ys, cells, table, x_codes, z_codes, blanks, huge = columns
     if not ys:
         raise SchemaError(f"{path}: no data rows")
+    cell = np.frombuffer(cells, dtype=np.int64)
+    xi, zi, d_arr = (column[cell] for column in np.array(table, dtype=np.int64).reshape(-1, 3).T)
 
     def line(i) -> int:
         """CSV row number of data row i: blank rows are skipped but counted."""
@@ -514,11 +520,17 @@ def _levels(flag: str, text: str | None) -> list[str] | None:
     return levels
 
 
-def _read_sample(args) -> TrainingSample:
+def _read_sample(args, forks=None) -> TrainingSample:
+    """The --input sample.  Given a `forking.Forks` group, the file is parsed
+    in a child started before the other flags are checked and numpy loads,
+    and collected by read_sample_csv; a flag error still wins."""
     if not args.input:
         raise ConfigError("--input is required")
     if args.k is not None and args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
+    reader = None
+    if forks is not None:
+        reader = forks.start("sample reader", _read_columns, args.input, True)
     return read_sample_csv(
         args.input,
         _support(args),
@@ -527,6 +539,7 @@ def _read_sample(args) -> TrainingSample:
         z_levels=_levels("--z-levels", args.z_levels),
         drop_empty_x=args.drop_empty_x,
         rescale=args.rescale,
+        reader=reader,
     )
 
 
@@ -543,10 +556,14 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 
 def cmd_fit(args) -> int:
-    from .estimation import fit_plugin
+    from .forking import Forks, usable_cpus
 
     out = _ensure_outdir(args)
-    arr = fit_plugin(_read_sample(args))
+    with Forks(usable_cpus()) as forks:  # the sample is parsed while numpy loads
+        sample = _read_sample(args, forks)
+    from .estimation import fit_plugin
+
+    arr = fit_plugin(sample)
     _write_json(os.path.join(out, "fitted_array.json"), fitted_array_payload(arr))
     return EXIT_OK
 
@@ -1038,6 +1055,10 @@ def main(argv=None) -> int:
         return EXIT_OPTIMIZER
     except (ConfigError, *_loaded("selection", "InvalidBudget")) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. a --k or --sample-sizes too large for this host
+        detail = f": {exc}" if str(exc) else ""
+        print(f"config error: out of memory{detail}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -14,26 +14,24 @@ so a replication's rows depend on nothing else.  `run_simulation` therefore
 runs the replications on every CPU the process may use (its affinity mask,
 which `taskset` or a cpuset narrows): W forked workers, one per CPU, worker
 w running replications w, w + W, ... and piping its rows back, with the rows
-put back in task order.  The calling process runs no replication itself,
+put back in task order.  The workers are `forking.Forks` children, as is
+`fit`'s sample reader.  The calling process runs no replication itself,
 so no replication's memory adds to its peak.  The rows, and so every
 output, are the same whatever the CPU count.  With one usable CPU, one
-replication, or no `os.fork`, the replications run in-process.  Forked
-workers share the parent's imports, so they start in milliseconds; `spawn`
-would re-import numpy in each one.  CPython 3.12 and later warn
-(DeprecationWarning) when a process with threads forks, and numpy's OpenBLAS
-starts threads when imported; the suite has run on Python 3.11 only, so that
-case is untested.
+replication, or no `os.fork`, the replications run in-process.  CPython
+3.12 and later warn (DeprecationWarning) when a process with threads forks,
+and numpy's OpenBLAS starts threads when imported; the suite has run on
+Python 3.11 only, so that case is untested.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
+from .forking import Forks, WorkerDied, usable_cpus
 from .functionals import SimilarityMeasure, TargetFunctional
 from .optimizer import derive_seed
 from .selection import LambdaGrid, sweep
@@ -145,13 +143,6 @@ def _replication_seed(seed: int, cell: int, rep: int) -> int:
     return derive_seed(seed, 2, cell, rep)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the OS has no affinity mask."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _replicate(cfg: SimConfig, task: tuple[int, int, str, int]) -> list[SimRow]:
     """One replication: sample -> sweep -> one SimRow per grid lambda."""
     cell_idx, n, mech, rep = task
@@ -175,78 +166,22 @@ def _replicate(cfg: SimConfig, task: tuple[int, int, str, int]) -> list[SimRow]:
     return rows
 
 
-class WorkerDied(RuntimeError):
-    """A forked worker exited without sending its results."""
-
-
-class _WorkerTraceback(Exception):
-    """A worker's formatted traceback, chained as the cause of its exception."""
-
-
 def _map_in_order(fn, tasks: list) -> list:
     """[fn(task) for task in tasks], spread over the usable CPUs.
 
-    Worker w of W is a forked child that runs tasks[w::W] and pipes back one
-    pickled record: its results, or its exception with its traceback.  This
-    process runs no task; it reads the records in worker order.  A worker's
-    exception re-raises here with its type unchanged; a worker that exits
-    without a record raises WorkerDied.  Whatever is raised, no worker
-    outlives the call.
+    Worker w of W is a forked child (`forking.Forks`) that runs tasks[w::W]
+    and pipes back its results; this process runs no task and collects them
+    in worker order.  A worker's exception re-raises here with its type
+    unchanged; a worker that exits without its results raises WorkerDied.
+    Whatever is raised, no worker outlives the call.
     """
     workers = min(len(tasks), usable_cpus())
-    if workers < 2 or not hasattr(os, "fork"):
-        return list(map(fn, tasks))
-    readers, pids = [], []  # a pid becomes None once reaped
     results = [None] * len(tasks)
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            readers.append(read_fd)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write_fd)
-                raise
-            if pid == 0:  # worker w; exit status 0 once its whole record is written
-                status = 1
-                try:
-                    for fd in readers:  # no read end stays open in a worker
-                        os.close(fd)
-                    try:
-                        record = [fn(task) for task in tasks[w::workers]]
-                    except Exception as exc:
-                        import traceback
-
-                        record = (exc, traceback.format_exc())
-                    with open(write_fd, "wb") as fh:
-                        pickle.dump(record, fh)
-                    status = 0
-                finally:  # never back into the caller's stack, atexit handlers or buffers
-                    os._exit(status)
-            os.close(write_fd)  # before the next fork, so only worker w holds it
-            pids.append(pid)
-        for w, read_fd in enumerate(readers):
-            with open(read_fd, "rb", closefd=False) as fh:
-                data = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
-            pids[w] = None
-            if status != 0:
-                raise WorkerDied(f"worker {w} exited with status {status} "
-                                 "without sending its results")
-            record = pickle.loads(data)
-            if isinstance(record, tuple):
-                exc, text = record
-                raise exc from _WorkerTraceback(text)
-            results[w::workers] = record
-    finally:
-        for pid in pids:
-            if pid is not None:  # only on an error: a worker is left to stop
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in readers:
-            os.close(fd)
+    with Forks(workers) as forks:
+        collects = [forks.start(f"worker {w}", list, map(fn, tasks[w::workers]))
+                    for w in range(workers)]
+        for w, collect in enumerate(collects):
+            results[w::workers] = collect()
     return results
 
 

@@ -385,7 +385,7 @@ class TestBlockIngest:
         assert_same_sample(sample, want)
         by_block, by_row = read_passes(path)
         assert by_block == by_row
-        assert by_block[6] == [2, 83, 84, 155, 206]  # CSV row numbers of the blank rows
+        assert by_block[5] == [2, 83, 84, 155, 206]  # CSV row numbers of the blank rows
 
     def test_field_beyond_csv_limit_fails_as_csv_reader_does(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -1180,6 +1180,21 @@ class TestSimulate:
         assert rc == EXIT_OPTIMIZER
         assert capsys.readouterr().err == "optimizer error: objective returned nan\n"
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_memory_error_in_a_worker_exit_5(self, tmp_path, monkeypatch, capsys, workers):
+        # raised by a patch: a host that overcommits memory may grant a real allocation
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("fairpolicy.simharness.toy_sample", no_memory)
+        monkeypatch.setattr("fairpolicy.simharness.usable_cpus", lambda: workers)
+        rc = main(["simulate", "--sample-sizes", "100", "--mechanisms", "A1,A2",
+                   "--grid-m", "1", "--replications", "2", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+        )
+
     @pytest.mark.parametrize("flags, error", [
         (["--sample-sizes", "100,100"], "sample_sizes lists 100 twice"),
         (["--mechanisms", "A1,A2,A1"], "mechanisms lists 'A1' twice"),
@@ -1366,10 +1381,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     select = modules_after(["select", "--beta", "0.1", "--path-csv", str(path_csv),
                             "--rules-json", str(rules_json), "--output-dir", str(tmp_path / "s")])
     solvers = {f"fairpolicy.{m}" for m in ("lp", "optimizer", "simharness", "toy")}
-    assert "fairpolicy.estimation" in fit
+    assert {"fairpolicy.estimation", "fairpolicy.forking"} <= fit
     assert not fit & (solvers | {"fairpolicy.selection", "fairpolicy.functionals"})
     assert "fairpolicy.selection" in select
-    assert not select & (solvers | {"fairpolicy.estimation"})
+    assert not select & (solvers | {"fairpolicy.estimation", "fairpolicy.forking"})
     # select on a saved path is pure Python: numpy alone costs about 40 ms to import
     assert not select & {"numpy", "fairpolicy.objective", "fairpolicy.distributions",
                          "fairpolicy.functionals"}
@@ -1441,6 +1456,23 @@ def test_field_beyond_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, comm
     assert capsys.readouterr().err == (
         f"parse error: {path}: field larger than field limit ({csv.field_size_limit()})\n"
     )
+
+
+@pytest.mark.parametrize("command", [["fit"], ["sweep", "--grid-m", "1"]], ids=["fit", "sweep"])
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 2.91 TiB"), "out of memory: Unable to allocate 2.91 TiB"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_a_one_line_config_error(toy_csv, tmp_path, capsys, monkeypatch,
+                                                 command, error, line):
+    # raised by a patch: a host that overcommits memory may grant a real allocation
+    def no_memory(sample):
+        raise error
+
+    monkeypatch.setattr("fairpolicy.estimation.fit_plugin", no_memory)
+    rc = main(command + ["--input", toy_csv, "--output-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {line}\n"
 
 
 PATH_HEADER = "lambda,obj_value,target_value,unfair_z0,max_unfairness"
