@@ -1028,10 +1028,11 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _loaded(module: str, name: str) -> tuple:
-    """(exception class `name` of the package's `module`,) if that module is
-    loaded, else ().  A command that raises the class has loaded its module,
-    so main matches these errors without importing a module for them."""
-    error = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+    """(exception class `name` of `module`, ".x" being the package's x,) if
+    that module is loaded, else ().  A command that raises the class has
+    loaded its module, so main matches these errors without importing it."""
+    module = __package__ + module if module.startswith(".") else module
+    error = getattr(sys.modules.get(module), name, None)
     return () if error is None else (error,)
 
 
@@ -1050,10 +1051,12 @@ def main(argv=None) -> int:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     # an except clause's classes are evaluated only when an exception reaches it
-    except _loaded("optimizer", "NonFiniteObjective") as exc:
+    except (*_loaded(".optimizer", "NonFiniteObjective"), *_loaded(".lp", "Unbounded"),
+            *_loaded("numpy.linalg", "LinAlgError")) as exc:
         print(f"optimizer error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
-    except (ConfigError, *_loaded("selection", "InvalidBudget")) as exc:
+    except (ConfigError, *_loaded(".selection", "InvalidBudget"),
+            *_loaded(".forking", "WorkerDied")) as exc:  # e.g. a child killed for memory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # e.g. a --k or --sample-sizes too large for this host

@@ -13,15 +13,17 @@ linear once it is bounded by an epigraph variable t.  For a cost vector c
 
 with sign +1 and -1 for KS and +1 only for one-sided KS.  For |mean
 difference| the rows are sign (mean F_z - mean F).p <= t, one pair per
-active group.  The coefficients of every row come from the kernel's atoms
-with one `bincount` over slots, so no dense grid x rule matrix is built.
+active group.  Every row is sign slot_sum(w_z phi), w_z the atoms' weights
+in F_z - F and phi the mask g' <= g (the KS row at grid point g) or y (the
+mean row); `slot_sum`, one `bincount` over rule entries, builds the rows,
+the mean's gradient and the tangent with no dense grid x rule matrix.
 
-The grid has thousands of points, so KS rows are generated (Kelley's
+The grid has thousands of points, so rows are generated (Kelley's
 cutting-plane method, 1960): solve with the rows found so far, evaluate the
 group CDFs at the solution with one kernel call, and add, for each active
 group and sign, the most violated row if it exceeds t by more than
-`CUT_TOL`; stop when nothing is added.  Every relaxed optimum is an upper
-bound on the linear objective.
+`CUT_TOL` (`PluginProgram.cuts`); stop when nothing is added.  Every relaxed
+optimum is an upper bound on the linear objective.
 
 Each relaxation is solved from scratch by a dense primal simplex started at
 a feasible basis: for each x the treatment of largest (1 - lam) c (lowest
@@ -29,7 +31,9 @@ index on ties), t basic in the row of the largest row value if that is
 positive, and the slacks of the other rows.  These programs are highly
 degenerate, so pivots follow Bland's rule (1977), which cannot cycle.  The
 tableau is recomputed from the original data every `REFACTOR_EVERY` pivots
-and before optimality is declared, so round-off does not accumulate.
+and before optimality is declared, so round-off does not accumulate; in
+between, only entries above `_PIVOT_TOL` times max(1, the column's largest)
+are pivoted on, so none that round-off lifted off zero is.
 
 Minorize-maximize (the DC algorithm of Pham Dinh & Le Thi, 1997; the
 convex-concave procedure of Lipp & Boyd, 2016) replaces the target by its
@@ -70,7 +74,7 @@ GAP_TOL = 1e-9
 MM_TOL = 1e-12  # a start stops once a step gains no more than this
 MM_MAX_STEPS = 50
 _COST_TOL = 1e-12  # reduced costs up to this (times the largest cost) count as zero
-_PIVOT_TOL = 1e-9  # smaller tableau entries are not pivoted on
+_PIVOT_TOL = 1e-9  # entries up to this times max(1, the column's largest) are not pivoted on
 _TIE_TOL = 1e-12  # ratios this close to the least one tie
 
 
@@ -80,9 +84,9 @@ class Unbounded(ArithmeticError):
 
 def leaving_row(column: np.ndarray, rhs: np.ndarray, basis) -> int | None:
     """Bland's ratio test: among the rows of least ratio rhs / column over the
-    positive column entries, the one whose basic variable has the lowest
-    index; None when no entry is positive (the program is unbounded)."""
-    rows = np.flatnonzero(column > _PIVOT_TOL)
+    entries above _PIVOT_TOL * max(1, max |column|), the one whose basic
+    variable has the lowest index; None if there is none (unbounded)."""
+    rows = np.flatnonzero(column > _PIVOT_TOL * max(1.0, float(np.abs(column).max(initial=0.0))))
     if rows.size == 0:
         return None
     ratios = np.maximum(rhs[rows], 0.0) / column[rows]
@@ -155,20 +159,14 @@ class PluginProgram:
         self.size = nx * k
         self.simplex_rows = np.kron(np.eye(nx), np.ones(k))  # sum_i p(x, i) = 1
         z, g = np.divmod(kernel.index, kernel.grid.size)
-        order = np.argsort(g, kind="stable")  # a row at grid point g is a prefix
+        order = np.argsort(g, kind="stable")  # every slot sums its atoms in grid order
         self.slot, z, g = kernel.slot[order], z[order], g[order]
-        self.g, self.mass = g, kernel.mass[order]
-        y = kernel.grid[g]
-        # atom weights of the row F_z(g) - F(g) (times y for the mean rows)
+        self.g, self.mass, self.y = g, kernel.mass[order], kernel.grid[g]
+        # atom weights of the row F_z - F; a cut weighs them by its phi
         self.weights = {int(zj): self.mass * ((z == zj) - kernel.pz[z]) for zj in kernel.active}
-        if s.kind == "abs-target-diff":
-            self.weights = {zj: w * y for zj, w in self.weights.items()}
-            self.ends = None
-        else:
-            self.ends = np.searchsorted(g, np.arange(kernel.grid.size), side="right")
         self.signs = (1.0,) if s.kind == "one-sided-ks" else (1.0, -1.0)
         if t.kind == "mean":  # the population mean per rule entry, the mean's gradient
-            self.mean = np.bincount(self.slot, self.mass * y * kernel.pz[z], minlength=self.size)
+            self.mean = self.slot_sum(self.mass * self.y * kernel.pz[z])
         else:
             self.mean, self.tangent_mass = None, -kernel.pz[z] * self.mass
         self.starts = [DecisionRule.uniform(space)]
@@ -195,27 +193,37 @@ class PluginProgram:
             pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
             tail = np.zeros(kernel.grid.size)
             tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
-            grad = np.bincount(self.slot, self.tangent_mass * tail[self.g], minlength=self.size)
+            grad = self.slot_sum(self.tangent_mass * tail[self.g])
             grad.flags.writeable = False
             self._tangents[key] = grad
         return grad
 
-    def _row(self, zj: int, point: int | None, sign: float) -> np.ndarray:
-        end = self.slot.size if point is None else self.ends[point]
-        w = self.weights[zj][:end]
-        return sign * np.bincount(self.slot[:end], w, minlength=self.size)
+    def slot_sum(self, weights: np.ndarray) -> np.ndarray:
+        """Per rule entry, the sum of the atoms' weights (in grid order)."""
+        return np.bincount(self.slot, weights, minlength=self.size)
 
-    def _violations(self, f: np.ndarray):
-        """Per (group, sign): the most violated row's grid point and value
-        under the group CDFs f; the point is None for the mean rows."""
+    def cuts(self, f: np.ndarray, t_value: float, seen: set) -> list:
+        """The rows to add at a relaxed solution with group CDFs f and
+        epigraph value t_value: per active group z and sign, the most
+        violated row, sign * slot_sum(weights[z] * phi) with phi the mask
+        g <= point at the peak of sign (F_z - F) (KS) or y (|mean
+        difference|), if it exceeds t_value by more than CUT_TOL and its
+        key (z, point, sign) is not yet in seen, which gains it."""
         kernel = self.kernel
+        by_mean = self.s.kind == "abs-target-diff"
         diff = f[kernel.active] - kernel.pz @ f
-        if self.ends is None:  # one mean difference per group
+        if by_mean:  # one mean difference per group
             diff = (np.diff(diff, axis=1, prepend=0.0) @ kernel.grid)[:, None]
-        for zj, d in zip(kernel.active, diff):
+        rows = []
+        for zj, d in zip(kernel.active.tolist(), diff):
             for sign in self.signs:
                 point = int(np.argmax(sign * d))
-                yield int(zj), None if self.ends is None else point, sign, sign * d[point]
+                key = (zj, point, sign)
+                if sign * d[point] - t_value > CUT_TOL and key not in seen:
+                    seen.add(key)
+                    phi = self.y if by_mean else self.g <= point
+                    rows.append(sign * self.slot_sum(self.weights[zj] * phi))
+        return rows
 
     def _solve_relaxation(self, cost: np.ndarray, lam: float, rows: list):
         """(probs, t, bound) of the program with these rows only."""
@@ -252,17 +260,11 @@ class PluginProgram:
         """
         while True:
             probs, t_value, bound = self._solve_relaxation(cost, lam, rows)
-            if lam == 0.0:  # the penalty has no weight
-                return probs, bound
-            added = False
-            for zj, point, sign, value in self._violations(self.kernel.group_cdfs(probs.ravel())):
-                key = (zj, point, sign)
-                if value - t_value > CUT_TOL and key not in seen:
-                    seen.add(key)
-                    rows.append(self._row(zj, point, sign))
-                    added = True
+            # at lam = 0 the penalty has no weight
+            added = lam > 0.0 and self.cuts(self.kernel.group_cdfs(probs.ravel()), t_value, seen)
             if not added:
                 return probs, bound
+            rows += added  # in place: the caller's rows gain them
 
     def maximize(self, lam: float) -> OptimResult:
         """The best maximizer at lam found by minorize-maximize.

@@ -35,7 +35,7 @@ from fairpolicy.distributions import (
 )
 from fairpolicy.estimation import TrainingSample
 from fairpolicy.functionals import SimilarityMeasure, TargetFunctional
-from fairpolicy.lp import CUT_TOL, GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
+from fairpolicy.lp import GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
 from fairpolicy.objective import CondCdfArray, DecisionRule, _require_same_space
 from fairpolicy.optimizer import CountingObjective, OptimResult
 from fairpolicy.toy import Z_MAJORITY, Z_MINORITY, toy_cdf_g, toy_cdf_h
@@ -343,8 +343,7 @@ def mm_reference(program: PluginProgram, lam: float) -> tuple[OptimResult, int]:
         pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
         tail = np.zeros(kernel.grid.size)
         tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
-        return np.bincount(program.slot, program.tangent_mass * tail[program.g],
-                           minlength=program.size)
+        return program.slot_sum(program.tangent_mass * tail[program.g])
 
     def solve(cost, rows, seen):
         calls = 0
@@ -353,15 +352,10 @@ def mm_reference(program: PluginProgram, lam: float) -> tuple[OptimResult, int]:
             if lam == 0.0:
                 return probs, bound, calls
             calls += 1
-            added = False
-            for zj, point, sign, value in program._violations(kernel.group_cdfs(probs.ravel())):
-                key = (zj, point, sign)
-                if value - t_value > CUT_TOL and key not in seen:
-                    seen.add(key)
-                    rows.append(program._row(zj, point, sign))
-                    added = True
+            added = program.cuts(kernel.group_cdfs(probs.ravel()), t_value, seen)
             if not added:
                 return probs, bound, calls
+            rows += added
 
     objective = CountingObjective(lambda probs: kernel.value(probs, lam, program.t, program.s))
     starts = [DecisionRule.uniform(space)]

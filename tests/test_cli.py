@@ -40,6 +40,7 @@ from fairpolicy.cli import (
     oracle_check,
     read_sample_csv,
 )
+from fairpolicy.lp import Unbounded
 from helpers import labelled_sample, write_sample_csv
 
 UNIT = SupportInterval(0.0, 1.0)
@@ -1195,6 +1196,25 @@ class TestSimulate:
             "config error: out of memory: Unable to allocate 7.28 TiB for an array\n"
         )
 
+    def test_worker_that_dies_exit_5(self, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
+
+        def dies_in_the_child(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            raise AssertionError("the replication ran in the command process")
+
+        monkeypatch.setattr("fairpolicy.simharness.toy_sample", dies_in_the_child)
+        monkeypatch.setattr("fairpolicy.simharness.usable_cpus", lambda: 2)
+        rc = main(["simulate", "--sample-sizes", "100", "--mechanisms", "A1,A2",
+                   "--grid-m", "1", "--replications", "2", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: worker 0 exited with status 3 without sending its results\n"
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("flags, error", [
         (["--sample-sizes", "100,100"], "sample_sizes lists 100 twice"),
         (["--mechanisms", "A1,A2,A1"], "mechanisms lists 'A1' twice"),
@@ -1473,6 +1493,24 @@ def test_memory_error_is_a_one_line_config_error(toy_csv, tmp_path, capsys, monk
     rc = main(command + ["--input", toy_csv, "--output-dir", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["select", "--beta", "0.01"]],
+                         ids=["sweep", "select"])
+@pytest.mark.parametrize("error, line", [
+    (np.linalg.LinAlgError("Singular matrix"), "Singular matrix"),
+    (Unbounded("column 3 can grow without bound"), "column 3 can grow without bound"),
+], ids=["singular-basis", "unbounded"])
+def test_solver_error_is_a_one_line_optimizer_error(toy_csv, tmp_path, capsys, monkeypatch,
+                                                    command, error, line):
+    def fails(*args):
+        raise error
+
+    monkeypatch.setattr("fairpolicy.lp.simplex", fails)
+    rc = main(command + ["--target", "mean", "--grid-m", "1", "--input", toy_csv,
+                         "--output-dir", str(tmp_path / "o")])
+    assert rc == EXIT_OPTIMIZER
+    assert capsys.readouterr().err == f"optimizer error: {line}\n"
 
 
 PATH_HEADER = "lambda,obj_value,target_value,unfair_z0,max_unfairness"

@@ -18,7 +18,6 @@ import pytest
 import fairpolicy
 import fairpolicy.forking
 from fairpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, main
-from fairpolicy.forking import WorkerDied
 
 SRC = os.path.dirname(os.path.dirname(fairpolicy.__file__))
 
@@ -145,7 +144,7 @@ class TestForkedReader:
             assert fit(tmp_path, capsys, path) == want
             assert_no_child_left()
 
-    def test_reader_that_dies_raises(self, tmp_path, monkeypatch, forked):
+    def test_reader_that_dies_exits_5(self, tmp_path, capsys, monkeypatch, forked):
         caller = os.getpid()
 
         def dies_in_the_child(path, by_block):
@@ -156,9 +155,9 @@ class TestForkedReader:
         monkeypatch.setattr(fairpolicy.cli, "_read_columns", dies_in_the_child)
         sample = tmp_path / "s.csv"
         write_rows(sample, 10)
-        with pytest.raises(WorkerDied, match="^sample reader exited with status 3 without "
-                                             "sending its results$"):
-            main(["fit", "--input", str(sample), "--output-dir", str(tmp_path / "o")])
+        assert fit(tmp_path, capsys, sample) == (
+            EXIT_CONFIG, "config error: sample reader exited with status 3 without sending "
+                         "its results\n")
         assert_no_child_left()
 
     @pytest.mark.parametrize("host", ["one-cpu", "no-fork"])

@@ -6,6 +6,8 @@ from the atom kernel) and solved densely, with every grid row, by
 `scipy.optimize.linprog(method="highs")`.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,22 @@ def test_refactoring_undoes_the_round_off_of_a_tiny_pivot():
     assert sorted(basis) == [0, 1, 2]
     assert np.allclose(x, [1.0, 3.0, 0.9 - 1e-8, 0, 0], rtol=0, atol=1e-13)
     assert abs(b @ y - 4.0) <= 1e-13
+
+
+def test_round_off_entries_are_not_pivoted_on():
+    # a relaxation (40 simplex rows, 279 cuts) of mean + KS at lambda = 1 on
+    # a 20,000-row sample with |X| = 40 and K = 4: when every entry above an
+    # absolute 1e-9 could be a pivot, Bland's pivots took entries that
+    # round-off had lifted off zero, and a refactorization met a singular basis
+    data = np.load(Path(__file__).with_name("singular_basis_lp.npz"))
+    a, b, c = data["a"], data["b"], data["c"]
+    x, y, _ = simplex(a, b, c, list(data["basis"]))
+    res = linprog(-c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    assert abs(c @ x + res.fun) <= 1e-9 and abs(b @ y + res.fun) <= 1e-9
+    assert np.abs(a @ x - b).max() <= 1e-12 and x.min() >= 0.0
 
 
 def test_route_predicate_and_program_misuse():
