@@ -15,6 +15,13 @@ runs beside numpy's import; with one usable CPU, or no ``os.fork``, it reads
 in-process.  ``sweep`` and ``select --input`` read in-process: their samples
 parse in less time than a process costs.
 
+`main` runs numpy's BLAS on one thread: before a command loads numpy it sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
+unless the caller has set any of them.  The matrices here (tableaux of a few
+hundred rows, |Z| x G products) are too small for threads to pay, an idle
+OpenBLAS thread would spin beside ``fit``'s reader, and threaded LAPACK can
+move an LP solution's last bits with the CPU count.
+
 Outputs are written atomically (temp file + rename) and are byte-identical
 across runs with the same seed.  JSON is formatted here, not by json's
 pure-Python indent encoder, and is byte-identical to
@@ -66,6 +73,24 @@ EXIT_CONFIG = 5
 SAMPLE_HEADER = ["y", "x", "z", "d"]
 INT64_MAX = 2**63 - 1
 BLOCK_CHARS = 16384  # sample text read per block
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _int(text: str) -> int:
+    """int(text), also for an integer written with more digits than int()
+    converts (sys.get_int_max_str_digits(), 4300 by default): its value if
+    that fits in int64 once leading zeros are dropped, else +-2**63, so that
+    such a d is beyond int64 as it would be without the limit."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        sign = body[:1] if body[:1] in "+-" else ""
+        parts = body[len(sign):].split("_")  # int() takes single underscores between digits
+        if not all(map(str.isdecimal, parts)):
+            raise
+        digits = "".join(parts).lstrip("0") or "0"
+        return int(sign + digits) if len(digits) <= 19 else int(sign + "1") * 2**63
 
 
 class ParseError(Exception):
@@ -104,8 +129,9 @@ def _input_file(path: str, newline: str | None = None, config: bool = False):
 def _read_columns(path: str, by_block: bool):
     """Typed columns of the sample's data rows, in pure Python: ys and cells
     (arrays of doubles and int64 cell ids), the cell table, the x and z code
-    dicts, the CSV row numbers of blank rows, and {data row: d} for each d
-    beyond int64 (stored as INT64_MAX, reported after the outcome checks).
+    dicts, the CSV row numbers of blank rows, and {data row: d as written}
+    for each d beyond int64 (stored as INT64_MAX, reported after the outcome
+    checks).
 
     Each row costs one lookup in a table of (x code, z code, d) cells,
     numbered as they first appear (a new label comes with a new cell, so
@@ -126,7 +152,7 @@ def _read_columns(path: str, by_block: bool):
     cells = {}  # key text "x,z,d" or (x, z, stored d) -> cell id
     table = []  # cell id -> (x code, z code, stored d)
     blanks = []  # CSV row numbers of skipped blank rows, ascending
-    huge = {}  # data row -> treatment index beyond int64
+    huge = {}  # data row -> text of a treatment index beyond int64
 
     def cell_id(x: str, z: str, d: int) -> int:
         """The id of cell (x, z, d), numbering it and coding its labels if new."""
@@ -151,13 +177,15 @@ def _read_columns(path: str, by_block: bool):
             except ValueError:
                 raise ParseError(f"{path}: row {idx}: cannot parse y={y_text!r}") from None
             try:
-                d = int(d_text)
+                d = _int(d_text)
             except ValueError:
                 raise ParseError(f"{path}: row {idx}: cannot parse d={d_text!r}") from None
             if d < 1:
-                raise SchemaError(f"{path}: row {idx}: treatment index {d} must be >= 1")
+                raise SchemaError(
+                    f"{path}: row {idx}: treatment index {d_text.strip()} must be >= 1"
+                )
             if d > INT64_MAX:  # reported after the outcome checks, with d > K
-                huge[len(ys)] = d
+                huge[len(ys)] = d_text.strip()
                 d = INT64_MAX
             ys.append(y)
             cs.append(cell_id(x, z, d))
@@ -174,7 +202,7 @@ def _read_columns(path: str, by_block: bool):
                 for key in dict.fromkeys(keys):
                     if key not in cells:
                         x, z, d_text = key.split(",")
-                        new[key] = x, z, int(d_text)
+                        new[key] = x, z, _int(d_text)
         except ValueError:  # a blank line, a line without three commas, a bad value
             return False
         if not all(1 <= d <= INT64_MAX for _, _, d in new.values()):
@@ -640,6 +668,10 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
             rules_doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{rules_json}: {exc}") from None
+        except UnicodeDecodeError:  # a ValueError that _input_file reports
+            raise
+        except ValueError as exc:  # an integer of more digits than int() converts
+            raise SchemaError(f"{rules_json}: {exc}") from None
         except RecursionError:
             raise ParseError(f"{rules_json}: JSON nested too deeply") from None
     if type(rules_doc) is not dict:
@@ -669,6 +701,8 @@ def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
 
     try:
         n = typed("n", "an integer", int)
+        if n > INT64_MAX:  # budget_slack takes log(n) / n as floats
+            raise ValueError("n does not fit in 64 bits")
         x_levels = typed("x_levels", "a list of strings", str, True)
         k = typed("k", "an integer", int)
         if not x_levels:
@@ -1037,6 +1071,10 @@ def _loaded(module: str, name: str) -> tuple:
 
 
 def main(argv=None) -> int:
+    # read when numpy loads its BLAS; a caller's setting, or a numpy already
+    # loaded (in-process callers), is left alone
+    if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _expand_config(argv)

@@ -18,10 +18,14 @@ put back in task order.  The workers are `forking.Forks` children, as is
 `fit`'s sample reader.  The calling process runs no replication itself,
 so no replication's memory adds to its peak.  The rows, and so every
 output, are the same whatever the CPU count.  With one usable CPU, one
-replication, or no `os.fork`, the replications run in-process.  CPython
-3.12 and later warn (DeprecationWarning) when a process with threads forks,
-and numpy's OpenBLAS starts threads when imported; the suite has run on
-Python 3.11 only, so that case is untested.
+replication, or no `os.fork`, the replications run in-process.
+`cli.main` runs numpy's BLAS on one thread unless the caller sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, so
+each replication's sweep is the same on any CPU count too, and the command
+process holds one thread when it forks.  A caller's BLAS thread count
+above 1 starts an OpenBLAS thread pool, and CPython 3.12 and later warn
+(DeprecationWarning) when a process with threads forks; the suite has run
+on Python 3.11 only, so that case is untested.
 """
 
 from __future__ import annotations

@@ -338,6 +338,25 @@ class TestBlockIngest:
             read_sample_csv(str(path), UNIT, **options)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("d, message", [
+        ("1" * 5000, "treatment index {d} does not fit in 64 bits"),
+        ("-" + "1" * 5000, "treatment index {d} must be >= 1"),
+        ("0" * 5000 + "2", None),
+    ], ids=["beyond-int64", "negative", "leading-zeros"])
+    def test_treatment_index_of_more_digits_than_int_converts(self, tmp_path, d, message):
+        # int() converts at most 4300 digits by default: what such a d means,
+        # not that limit, decides the outcome
+        path = tmp_path / "s.csv"
+        path.write_text(f"y,x,z,d\n0.5,a,u,1\n0.25,b,v,{d}\n")
+        if message is None:
+            assert list(read_sample_csv(str(path), UNIT).d) == [1, 2]
+        else:
+            with pytest.raises(SchemaError) as info:
+                read_sample_csv(str(path), UNIT)
+            assert str(info.value) == f"{path}: row 3: " + message.format(d=d)
+        by_block, by_row = read_passes(path)
+        assert by_block == by_row
+
     @pytest.mark.parametrize("block", [11, cli.BLOCK_CHARS])
     def test_one_cell_with_d_spelled_four_ways(self, tmp_path, monkeypatch, block):
         # one (x, z) pair with d written "2", " 2", "+2" and "02", all in one
@@ -842,9 +861,11 @@ class TestSelect:
         (lambda doc: doc.__setitem__("x_levels", []), "x_levels must be nonempty"),
         (lambda doc: doc.__setitem__("x_levels", ["x0", "x0"]), "duplicate x levels"),
         (lambda doc: doc.__setitem__("k", 1), "need at least 2 treatments, got 1"),
+        # budget_slack would take log(n) / n as floats
+        (lambda doc: doc.__setitem__("n", 10**400), "n does not fit in 64 bits"),
     ], ids=["missing-key", "too-few-rules", "non-simplex", "non-numeric", "boolean-entries",
             "string-entries", "null-entries", "nan-entries", "huge-int", "wrong-shape",
-            "no-x-levels", "duplicate-x-levels", "one-treatment"])
+            "no-x-levels", "duplicate-x-levels", "one-treatment", "huge-n"])
     def test_invalid_rules_json_exit_3(self, tmp_path, capsys, broken, message):
         path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
         path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
@@ -859,6 +880,21 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith(f"schema error: {rules_json}: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["n", "k", "rules"])
+    def test_rules_json_int_of_too_many_digits_exit_3(self, tmp_path, capsys, key):
+        # json.load raises ValueError for more digits than int() converts
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                            "0.0,0.5,0.5,0.0,0.0\n")
+        doc = {"n": 100, "x_levels": ["x0"], "k": 2, "lambdas": [0.0], "rules": [[[0, 1]]]}
+        field = {"n": '"n": 100', "k": '"k": 2', "rules": "[[[0, 1"}[key]
+        rules_json.write_text(json.dumps(doc).replace(field, field + "0" * 5000))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {rules_json}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key, value, message", [
         ("n", 2.9, "n must be an integer"),
@@ -1419,6 +1455,52 @@ def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
     assert "fairpolicy.simharness" in loaded
     assert "numpy.ma" not in loaded
     assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
+
+
+def threads_after_sweep(toy_csv, out, **env):
+    """(threads, {BLAS thread variable: value or None}) after cli.main runs a
+    mean + KS sweep in a fresh interpreter given env and none of the
+    variables otherwise."""
+    src = os.path.dirname(os.path.dirname(fairpolicy.__file__))
+    argv = ["sweep", "--input", toy_csv, "--target", "mean", "--similarity", "ks",
+            "--grid-m", "2", "--output-dir", out]
+    code = ("import fairpolicy.cli, json, os; "
+            f"assert fairpolicy.cli.main({argv!r}) == 0; "
+            "print(json.dumps([len(os.listdir('/proc/self/task')), "
+            f"{{v: os.environ.get(v) for v in {cli.BLAS_THREAD_VARS!r}}}]))")
+    base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    out = subprocess.run([sys.executable, "-c", code], env=dict(base, PYTHONPATH=src, **env),
+                         capture_output=True, text=True, check=True).stdout
+    return tuple(json.loads(out))
+
+
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="no /proc/self/task to count threads")
+
+
+@needs_proc_tasks
+def test_commands_run_blas_on_one_thread(toy_csv, tmp_path):
+    # an idle OpenBLAS thread spins beside fit's reader, and threaded LAPACK
+    # moves the last bits of a wide sweep with the CPU count
+    threads, env = threads_after_sweep(toy_csv, str(tmp_path / "o"))
+    assert threads == 1
+    assert env == dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+
+
+@needs_proc_tasks
+def test_caller_blas_thread_setting_is_kept(toy_csv, tmp_path):
+    _, env = threads_after_sweep(toy_csv, str(tmp_path / "o"), OPENBLAS_NUM_THREADS="2")
+    assert env == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
+                   "MKL_NUM_THREADS": None}
+
+
+def test_main_with_numpy_loaded_leaves_environ_unchanged(toy_csv, tmp_path, monkeypatch):
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert "numpy" in sys.modules
+    assert main(["fit", "--input", toy_csv, "--output-dir", str(tmp_path / "o")]) == EXIT_OK
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("command, bad_file, error", [

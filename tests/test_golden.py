@@ -4,7 +4,11 @@ one select, of one small simulate and of one fit, on fixed inputs.
 A refactor of the solvers, the sample reader or the fit must leave these
 files byte-identical.  The digests pin the outputs on x86-64 with numpy 2.4;
 a different BLAS/LAPACK build may move the last bits of an LP solution, and
-then they need recomputing with the unchanged solver first.
+then they need recomputing with the unchanged solver first.  The CPU count
+no longer moves them: the command runs numpy's BLAS on one thread (see
+`cli.main`), and on inputs this small the suite's own process, where numpy
+loads before `main`, writes the same bytes under ``taskset -c 0`` and on two
+CPUs.
 """
 
 import hashlib
