@@ -14,10 +14,13 @@ oracle; and a Monte Carlo harness.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so ``import fairpolicy`` loads none of them and each CLI command
-compiles only the modules it runs.  Every function under the package runs in
-some command, except the few that the benchmark reads, that a planned
-data-driven-lambda study needs (`d1`, `d1_to_set`, `toy_argmax`), or that a
-protocol calls; `tests/test_package.py` holds that list.
+compiles only the modules it runs.  The classes are plain classes, not
+dataclasses, so that no import runs generated code through ``exec`` or
+loads ``dataclasses`` (and with it ``inspect``).  Every function under the
+package runs in some command, except the few that the benchmark reads,
+that a planned data-driven-lambda study needs (`d1`, `d1_to_set`,
+`toy_argmax`), or that a protocol calls; `tests/test_package.py` holds
+that list.
 """
 
 import importlib

@@ -1,4 +1,5 @@
-"""Command-line front end: CSV ingestion, subcommands, CSV/JSON emission.
+"""Command-line front end: the parser, the errors, input files, the sample
+reader and the JSON writer.
 
 Subcommands: fit, sweep, select, simulate, oracle-check.  Input samples are
 CSV with header ``y,x,z,d`` (outcome, covariate label, protected group label,
@@ -6,14 +7,14 @@ CSV with header ``y,x,z,d`` (outcome, covariate label, protected group label,
 first appearance; K defaults to the largest observed treatment index.  The
 support [a, b] defaults to [0, 1]; ``--rescale`` min-max rescales outcomes to
 [0, 1] instead.  Input files are UTF-8, a leading byte-order mark skipped.
-The sample is read into typed columns either by the block reader, which cuts
-each line at its first comma into the outcome and an ``x,z,d`` cell key that
-one dict lookup maps to its cell, or, from its first row, by csv.reader (see
-`_read_columns`); the parsed rows are never held.  ``fit`` reads its sample
-in a child forked (`forking.Forks`) before numpy loads, so that the parse
-runs beside numpy's import; with one usable CPU, or no ``os.fork``, it reads
-in-process.  ``sweep`` and ``select --input`` read in-process: their samples
-parse in less time than a process costs.
+The sample is read into typed columns by `columns.read_columns` (the block
+reader, or csv.reader from the first row it cannot read), and
+`read_sample_csv` checks them and builds the sample; an error message
+quotes at most the first 40 characters of a field.  ``fit`` reads its
+sample in a child forked (`forking.Forks`) before numpy loads, so that the
+parse runs beside numpy's import; with one usable CPU, or no ``os.fork``,
+it reads in-process.  ``sweep`` and ``select --input`` read in-process:
+their samples parse in less time than a process costs.
 
 `main` runs numpy's BLAS on one thread: before a command loads numpy it sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
@@ -23,22 +24,32 @@ OpenBLAS thread would spin beside ``fit``'s reader, and threaded LAPACK can
 move an LP solution's last bits with the CPU count.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
-across runs with the same seed.  JSON is formatted here, not by json's
-pure-Python indent encoder, and is byte-identical to
+across runs with the same seed.  The documents are built in `payloads`
+(``simulate``'s CSV files in `simulate`).  JSON is formatted here, not by
+json's pure-Python indent encoder, and is byte-identical to
 ``json.dumps(payload, indent=2)`` with 1-D float64 ndarrays written as
 lists.  A float list is formatted where it is met, and the floats of all
 the arrays in a document together, each distinct bit pattern once; finite
 floats are written by ``float.__repr__`` as json does, and the document is
 written from its pieces, never joined into one text.  ``fitted_array.json``
 hands each cell's atoms to the writer as slices of the fitted array's
-columns.  stdout stays quiet; diagnostics go to stderr.  Exit codes: 0 ok, 1 self-test failure, 2 CSV
-parse error, 3 schema violation, 4 optimizer failure, 5 configuration error
-(a malformed or unknown flag too).  A run takes at most one ``--config``
-file, which cannot name another.  Each subcommand imports the modules it
-runs when it starts, so ``fit`` loads neither the sweep, the solvers nor
-the simulation harness, and ``select`` on a saved path loads no numpy: it
-checks the saved rules in pure Python, against `DecisionRule`'s bounds
-(`_rule_rows`), and writes the chosen rule as ``rules.json`` holds it.
+columns.  stdout stays quiet; diagnostics go to stderr.  Exit codes: 0 ok,
+1 self-test failure, 2 CSV parse error, 3 schema violation, 4 optimizer
+failure, 5 configuration error (a malformed or unknown flag too).  A run
+takes at most one ``--config`` file, which cannot name another.
+
+Without a bytecode cache every module a command imports is compiled when it
+starts, so each command imports only the code it runs: the block reader
+(`columns`), the saved-path reader (`savedpath`), the document builders
+(`payloads`) and the ``simulate`` and ``oracle-check`` commands (`simulate`,
+`oraclecheck`) are modules of their own, imported by the commands that run
+them.  ``fit`` loads neither the sweep, the solvers nor the simulation
+harness, and ``select`` on a saved path loads no numpy: it checks the saved
+rules in pure Python, against `DecisionRule`'s bounds, and writes the
+chosen rule as ``rules.json`` holds it.  Every file is written by
+`_atomic_write` and every sample read by `read_sample_csv`, each called
+through this module's binding, so that a wrapper bound here (as
+``bench/tracing.py`` binds them) sees every call.
 """
 
 from __future__ import annotations
@@ -46,22 +57,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
+import importlib
 import json
 import math
 import os
 import sys
-from array import array
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, methodcaller
+from operator import methodcaller
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .distributions import SupportInterval
     from .estimation import TrainingSample
     from .optimizer import OptimizerConfig
-    from .selection import BudgetSelection, LambdaPath
+    from .selection import LambdaPath
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -70,27 +79,8 @@ EXIT_SCHEMA = 3
 EXIT_OPTIMIZER = 4
 EXIT_CONFIG = 5
 
-SAMPLE_HEADER = ["y", "x", "z", "d"]
 INT64_MAX = 2**63 - 1
-BLOCK_CHARS = 16384  # sample text read per block
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _int(text: str) -> int:
-    """int(text), also for an integer written with more digits than int()
-    converts (sys.get_int_max_str_digits(), 4300 by default): its value if
-    that fits in int64 once leading zeros are dropped, else +-2**63, so that
-    such a d is beyond int64 as it would be without the limit."""
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        sign = body[:1] if body[:1] in "+-" else ""
-        parts = body[len(sign):].split("_")  # int() takes single underscores between digits
-        if not all(map(str.isdecimal, parts)):
-            raise
-        digits = "".join(parts).lstrip("0") or "0"
-        return int(sign + digits) if len(digits) <= 19 else int(sign + "1") * 2**63
 
 
 class ParseError(Exception):
@@ -106,7 +96,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# input files and the sample CSV
+# input files and the sample
 
 @contextlib.contextmanager
 def _input_file(path: str, newline: str | None = None, config: bool = False):
@@ -126,133 +116,6 @@ def _input_file(path: str, newline: str | None = None, config: bool = False):
         raise error(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_columns(path: str, by_block: bool):
-    """Typed columns of the sample's data rows, in pure Python: ys and cells
-    (arrays of doubles and int64 cell ids), the cell table, the x and z code
-    dicts, the CSV row numbers of blank rows, and {data row: d as written}
-    for each d beyond int64 (stored as INT64_MAX, reported after the outcome
-    checks).
-
-    Each row costs one lookup in a table of (x code, z code, d) cells,
-    numbered as they first appear (a new label comes with a new cell, so
-    label codes keep first-appearance order); `read_sample_csv` gathers the
-    x, z and d columns from it.  Nothing here loads numpy, so `fit` runs
-    this in a child forked before numpy loads.
-
-    A file is read either by the block reader or, from its first row, by
-    csv.reader.  With by_block, text blocks of BLOCK_CHARS characters are cut
-    at their last newline; each line of a plain block is cut at its first
-    comma into the y text and a cell key ``x,z,d``, split and checked when
-    first seen, and blank lines are counted and dropped.  At the first quote
-    (a quoted field may span lines), carriage return, undecodable text, or
-    line the block reader rejects, the whole file is read without by_block.
-    """
-    ys, cs = array("d"), array("q")  # outcome and cell id of each data row
-    x_codes, z_codes = {}, {}
-    cells = {}  # key text "x,z,d" or (x, z, stored d) -> cell id
-    table = []  # cell id -> (x code, z code, stored d)
-    blanks = []  # CSV row numbers of skipped blank rows, ascending
-    huge = {}  # data row -> text of a treatment index beyond int64
-
-    def cell_id(x: str, z: str, d: int) -> int:
-        """The id of cell (x, z, d), numbering it and coding its labels if new."""
-        cell = cells.get((x, z, d))
-        if cell is None:
-            cell = cells[x, z, d] = len(table)
-            table.append((x_codes.setdefault(x, len(x_codes)),
-                          z_codes.setdefault(z, len(z_codes)), d))
-        return cell
-
-    def add_rows(rows) -> None:
-        """Append the data rows csv.reader parsed, numbered from 2."""
-        for idx, row in enumerate(rows, start=2):
-            if not row:
-                blanks.append(idx)
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}: row {idx}: expected 4 fields, got {len(row)}")
-            y_text, x, z, d_text = row
-            try:
-                y = float(y_text)
-            except ValueError:
-                raise ParseError(f"{path}: row {idx}: cannot parse y={y_text!r}") from None
-            try:
-                d = _int(d_text)
-            except ValueError:
-                raise ParseError(f"{path}: row {idx}: cannot parse d={d_text!r}") from None
-            if d < 1:
-                raise SchemaError(
-                    f"{path}: row {idx}: treatment index {d_text.strip()} must be >= 1"
-                )
-            if d > INT64_MAX:  # reported after the outcome checks, with d > K
-                huge[len(ys)] = d_text.strip()
-                d = INT64_MAX
-            ys.append(y)
-            cs.append(cell_id(x, z, d))
-
-    def add_block(lines: list) -> bool:
-        """Append a plain block's rows; False leaves it unread."""
-        parts = list(map(str.partition, lines, repeat(",")))
-        keys = list(map(itemgetter(2), parts))
-        ids = list(map(cells.get, keys))
-        new = {}
-        try:
-            y_col = list(map(float, map(itemgetter(0), parts)))
-            if None in ids:
-                for key in dict.fromkeys(keys):
-                    if key not in cells:
-                        x, z, d_text = key.split(",")
-                        new[key] = x, z, _int(d_text)
-        except ValueError:  # a blank line, a line without three commas, a bad value
-            return False
-        if not all(1 <= d <= INT64_MAX for _, _, d in new.values()):
-            return False
-        for key, cell in new.items():
-            cells[key] = cell_id(*cell)
-        ys.fromlist(y_col)
-        cs.fromlist(list(map(cells.__getitem__, keys)) if new else ids)
-        return True
-
-    def add_blocks(fh) -> bool:
-        """Append the rest of fh a block at a time; False at the first one
-        that is not plain or that add_block rejects."""
-        row, tail = 2, ""
-        try:
-            while text := tail + (chunk := fh.read(BLOCK_CHARS)):
-                if '"' in text or "\r" in text:
-                    return False
-                cut = text.rfind("\n") if chunk else len(text)
-                if cut < 0:
-                    tail = text
-                    continue
-                block, tail = text[:cut], text[cut + 1:]
-                lines = block.split("\n")
-                # a longer block may hold a field csv.reader rejects as too large
-                if len(block) > csv.field_size_limit():
-                    return False
-                if not add_block(lines):  # float('') fails: drop blank lines, retry
-                    blank = [at for at, line in enumerate(lines, start=row) if not line]
-                    if not blank or not add_block(list(filter(None, lines))):
-                        return False
-                    blanks.extend(blank)
-                row += len(lines)
-        except UnicodeDecodeError:  # the row pass decides if a row error comes first
-            return False
-        return True
-
-    with _input_file(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if [c.strip() for c in header] != SAMPLE_HEADER:
-            raise ParseError(f"{path}: row 1: header must be {','.join(SAMPLE_HEADER)}")
-        if not by_block:
-            add_rows(csv.reader(fh))
-        elif not add_blocks(fh):
-            return _read_columns(path, by_block=False)
-    return ys, cs, table, x_codes, z_codes, blanks, huge
-
-
 def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
                     x_levels=None, z_levels=None, drop_empty_x: bool = False,
                     rescale: bool = False, reader=None) -> TrainingSample:
@@ -263,17 +126,18 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
     the error reported does not depend on the block size.  (The row reader
     decodes the file 8 KiB at a time: a row error wins over a decode error
     when the row ends before the 8 KiB that holds the bad byte.)  reader,
-    if given, returns ``_read_columns(path, True)``, e.g. by collecting it
-    from the child that `fit` forked to read the file.
+    if given, returns ``columns.read_columns(path, True)``, e.g. by
+    collecting it from the child that `fit` forked to read the file.
     """
     import numpy as np
 
+    from .columns import echo, read_columns
     from .distributions import SupportInterval
     from .estimation import TrainingSample
     from .objective import CovariateSpace
 
     try:
-        columns = reader() if reader is not None else _read_columns(path, by_block=True)
+        columns = reader() if reader is not None else read_columns(path, by_block=True)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(f"{path}: {exc}") from None
     ys, cells, table, x_codes, z_codes, blanks, huge = columns
@@ -311,12 +175,12 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
     bad = np.flatnonzero(d_arr > k_eff)
     if bad.size:
         i = int(bad[0])
-        raise SchemaError(
-            f"{path}: row {line(i)}: treatment index {huge.get(i, d_arr[i])} exceeds K={k_eff}"
-        )
+        d = echo(huge[i]) if i in huge else d_arr[i]
+        raise SchemaError(f"{path}: row {line(i)}: treatment index {d} exceeds K={k_eff}")
     if huge:
         i, d = next(iter(huge.items()))
-        raise SchemaError(f"{path}: row {line(i)}: treatment index {d} does not fit in 64 bits")
+        raise SchemaError(
+            f"{path}: row {line(i)}: treatment index {echo(d)} does not fit in 64 bits")
 
     def recode(name, codes, labels, levels):
         """First-appearance codes -> indices into levels; an unlisted label is an error."""
@@ -326,7 +190,7 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         if unknown.size:
             raise SchemaError(
                 f"{path}: row {line(unknown[0])}: unknown {name} level "
-                f"{labels[codes[unknown[0]]]!r}"
+                f"{echo(labels[codes[unknown[0]]], quote=True)}"
             )
         return lookup
 
@@ -437,79 +301,8 @@ def _write_json(path: str, payload) -> None:
 
 
 def _num(value: float) -> str:
+    """A float as the CSV files write it."""
     return repr(float(value))
-
-
-def fitted_array_payload(arr) -> dict:
-    """The fitted array as a JSON document; cell atoms stay ndarray slices."""
-    from .objective import _cell_keys
-
-    space = arr.space
-    if arr.cell_records is None:
-        raise ValueError("fitted_array_payload needs an array fitted from a sample")
-    bounds = arr.offsets.tolist()
-    return {
-        "support": [arr.support.a, arr.support.b],
-        "x_levels": [str(x) for x in space.x_levels],
-        "z_levels": [str(z) for z in space.z_levels],
-        "k": space.k,
-        "cells": [
-            {
-                "d": i,
-                "x": str(x),
-                "z": str(z),
-                "points": arr.points[lo:hi],
-                "masses": arr.masses[lo:hi],
-                "empty_cell": empty,
-            }
-            for (i, x, z), lo, hi, empty in zip(_cell_keys(space), bounds, bounds[1:],
-                                                (arr.cell_records == 0).tolist())
-        ],
-        "pxz": [{"x": str(x), "z": str(z), "p": p} for (x, z), p in arr.pxz.items()],
-    }
-
-
-def path_csv_text(path: LambdaPath) -> str:
-    groups = list(path.entries[0].unfairness)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["lambda", "obj_value", "target_value"]
-        + [f"unfair_{z}" for z in groups]
-        + ["max_unfairness"]
-    )
-    for lam, entry in zip(path.grid, path.entries):
-        writer.writerow(
-            [_num(lam), _num(entry.obj_value), _num(entry.target_value)]
-            + [_num(entry.unfairness[z]) for z in groups]
-            + [_num(entry.max_unfairness)]
-        )
-    return buf.getvalue()
-
-
-def rules_payload(path: LambdaPath) -> dict:
-    space = path.entries[0].rule.space
-    return {
-        "n": path.n,
-        "x_levels": [str(x) for x in space.x_levels],
-        "k": space.k,
-        "lambdas": [float(lam) for lam in path.grid],
-        "rules": [[list(map(float, row)) for row in e.rule.probs] for e in path.entries],
-    }
-
-
-def selection_payload(selection: BudgetSelection, rows: list) -> dict:
-    """The selection document; rows are the chosen rule's probability rows."""
-    return {
-        "beta": selection.beta,
-        "c_n": selection.c_n,
-        "threshold": selection.threshold,
-        "chosen_lambda": selection.chosen_lambda,
-        "deltas": [
-            {"lambda": float(lam), "delta": float(d)} for lam, d in selection.deltas.items()
-        ],
-        "chosen_rule": rows,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +349,11 @@ def _read_sample(args, forks=None) -> TrainingSample:
         raise ConfigError("--input is required")
     if args.k is not None and args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
+    from .columns import read_columns  # here, so that read_sample_csv's own time holds no compile
+
     reader = None
     if forks is not None:
-        reader = forks.start("sample reader", _read_columns, args.input, True)
+        reader = forks.start("sample reader", read_columns, args.input, True)
     return read_sample_csv(
         args.input,
         _support(args),
@@ -590,6 +385,7 @@ def cmd_fit(args) -> int:
     with Forks(usable_cpus()) as forks:  # the sample is parsed while numpy loads
         sample = _read_sample(args, forks)
     from .estimation import fit_plugin
+    from .payloads import fitted_array_payload
 
     arr = fit_plugin(sample)
     _write_json(os.path.join(out, "fitted_array.json"), fitted_array_payload(arr))
@@ -614,6 +410,8 @@ def _run_sweep(args, beta=None) -> LambdaPath:
 
 
 def cmd_sweep(args) -> int:
+    from .payloads import path_csv_text, rules_payload
+
     out = _ensure_outdir(args)
     path = _run_sweep(args)
     _atomic_write(os.path.join(out, "path.csv"), path_csv_text(path))
@@ -621,143 +419,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-SIMPLEX_TOL = 1e-9  # objective.SIMPLEX_TOL, kept here as objective imports numpy
-
-
-def _rule_rows(value, shape: tuple) -> list:
-    """The rows of a saved rule for a space of shape (|X|, K), as read.
-
-    value must be |X| lists of K numbers (JSON true and false, which load as
-    bools, are not numbers), and each row must pass DecisionRule's checks:
-    entries finite and at least -SIMPLEX_TOL, the sum within SIMPLEX_TOL of
-    1.  Each entry is then clamped into [0, 1], which leaves a rule the
-    sweep wrote as it is, so select writes back the rule the sweep fitted.
-    """
-    nx, k = shape
-    if not (type(value) is list and len(value) == nx
-            and all(type(row) is list and len(row) == k for row in value)):
-        raise ValueError(f"probs must be a list of |x_levels| = {nx} lists of k = {k} numbers")
-    rows = []
-    for j, row in enumerate(value):
-        if not all(type(v) in (int, float) for v in row):
-            raise ValueError("entries must be numbers")
-        row = list(map(float, row))  # an int beyond the largest double raises OverflowError
-        if not all(map(math.isfinite, row)):
-            raise ValueError("probs must be finite")
-        if min(row) < -SIMPLEX_TOL:
-            raise ValueError("probs must be nonnegative")
-        row = [v if v > 0.0 else 0.0 for v in row]
-        total = sum(row)
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"rows must sum to 1 within {SIMPLEX_TOL}, row {j} sums to {total!r}")
-        rows.append([min(v, 1.0) for v in row])
-    return rows
-
-
-def _read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
-    """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs.
-
-    Each entry's rule is its rows as rules.json holds them, checked
-    (`_rule_rows`), not a DecisionRule, so that `select` on a saved path
-    loads no numpy.
-    """
-    from .selection import LambdaGrid, LambdaPath, PathEntry
-
-    with _input_file(rules_json) as fh:
-        try:
-            rules_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{rules_json}: {exc}") from None
-        except UnicodeDecodeError:  # a ValueError that _input_file reports
-            raise
-        except ValueError as exc:  # an integer of more digits than int() converts
-            raise SchemaError(f"{rules_json}: {exc}") from None
-        except RecursionError:
-            raise ParseError(f"{rules_json}: JSON nested too deeply") from None
-    if type(rules_doc) is not dict:
-        raise SchemaError(f"{rules_json}: must hold a JSON object")
-    with _input_file(path_csv, newline="") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            raise ParseError(f"{path_csv}: {exc}") from None
-    if not rows or not rows[0] or rows[0][0] != "lambda":
-        raise ParseError(f"{path_csv}: row 1: not a path CSV")
-    header = rows[0]
-    groups = [c[len("unfair_"):] for c in header if c.startswith("unfair_")]
-    if len(set(groups)) != len(groups):
-        raise SchemaError(f"{path_csv}: row 1: a group has two unfair_ columns")
-    width = len(groups) + 4  # lambda, obj_value, target_value, unfair_*, max_unfairness
-
-    def is_a(value, kind):
-        # JSON true and false load as Python ints, so bools never pass
-        return isinstance(value, kind) and not isinstance(value, bool)
-
-    def typed(key, what, kind, many=False):
-        items = rules_doc[key] if many else [rules_doc[key]]
-        if not isinstance(items, list) or not all(is_a(v, kind) for v in items):
-            raise SchemaError(f"{rules_json}: {key} must be {what}")
-        return rules_doc[key]
-
-    try:
-        n = typed("n", "an integer", int)
-        if n > INT64_MAX:  # budget_slack takes log(n) / n as floats
-            raise ValueError("n does not fit in 64 bits")
-        x_levels = typed("x_levels", "a list of strings", str, True)
-        k = typed("k", "an integer", int)
-        if not x_levels:
-            raise ValueError("x_levels must be nonempty")
-        if len(set(x_levels)) != len(x_levels):
-            raise ValueError("duplicate x levels")
-        if k < 2:
-            raise ValueError(f"need at least 2 treatments, got {k}")
-        rules = list(rules_doc["rules"])
-        lambdas = [float(v) for v in typed("lambdas", "a list of numbers", (int, float), True)]
-    except KeyError as exc:
-        raise SchemaError(f"{rules_json}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{rules_json}: {exc}") from None
-    entries = []
-    lams = []
-    for idx, row in enumerate(rows[1:]):
-        try:
-            if not width <= len(row) <= len(header):
-                raise ValueError
-            values = list(map(float, row[:width]))
-        except ValueError:
-            raise ParseError(f"{path_csv}: row {idx + 2}: malformed row") from None
-        for column, value in zip(header, values):
-            if not math.isfinite(value):
-                raise SchemaError(f"{path_csv}: row {idx + 2}: {column} is not finite")
-        lam, obj_value, target_value, *unfairness, max_unf = values
-        if idx >= len(rules):
-            raise SchemaError(
-                f"{rules_json}: rule {idx}: missing ({len(rules)} rules for "
-                f"{len(rows) - 1} {path_csv} rows)"
-            )
-        try:
-            rule = _rule_rows(rules[idx], (len(x_levels), k))
-        except (OverflowError, ValueError) as exc:
-            raise SchemaError(f"{rules_json}: rule {idx}: {exc}") from None
-        lams.append(lam)
-        entries.append(PathEntry(rule, obj_value, target_value, dict(zip(groups, unfairness)),
-                                 max_unf))
-    try:
-        grid = LambdaGrid(tuple(lams))
-    except ValueError as exc:
-        raise SchemaError(f"{path_csv}: lambda column: {exc}") from None
-    if lambdas != lams:
-        raise SchemaError(
-            f"{rules_json}: lambdas {lambdas} differ from the lambda column of {path_csv} {lams}"
-        )
-    if len(rules) != len(entries):
-        raise SchemaError(
-            f"{rules_json}: {len(rules)} rules for {len(entries)} {path_csv} rows"
-        )
-    return LambdaPath(grid, tuple(entries), n)
-
-
 def cmd_select(args) -> int:
+    from .payloads import selection_payload
     from .selection import check_budget, select_lambda_budget
 
     out = _ensure_outdir(args)
@@ -765,7 +428,9 @@ def cmd_select(args) -> int:
         raise ConfigError("--beta is required for select")
     check_budget(args.beta)  # before reading any input
     if args.path_csv and args.rules_json:
-        path = _read_path_files(args.path_csv, args.rules_json)
+        from .savedpath import read_path_files
+
+        path = read_path_files(args.path_csv, args.rules_json)
     elif args.input:
         path = _run_sweep(args, beta=args.beta)
     else:
@@ -777,143 +442,10 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def replications_csv_text(result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "mechanism", "lambda", "replication", "delta_hat", "emp_value", "regret"])
-    for r in result.rows:
-        writer.writerow(
-            [r.n, r.mechanism, _num(r.lam), r.replication,
-             _num(r.delta_hat), _num(r.emp_value), _num(r.regret)]
-        )
-    return buf.getvalue()
-
-
-def aggregate_csv_text(result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    metrics = ("regret", "delta_hat", "emp_value")
-    header = ["n", "mechanism", "lambda"]
-    for name in metrics:
-        header += [f"mean_{name}", f"sd_{name}", f"median_{name}"]
-    writer.writerow(header)
-    aggregates = result.aggregates()
-    for n in result.config.sample_sizes:
-        for mech in result.config.mechanisms:
-            for lam in result.config.grid:
-                cell = aggregates[(n, mech, lam)]
-                row = [n, mech, _num(lam)]
-                for name in metrics:
-                    agg = cell[name]
-                    row += [_num(agg.mean), _num(agg.sd), _num(agg.median)]
-                writer.writerow(row)
-    return buf.getvalue()
-
-
-def cmd_simulate(args) -> int:
-    from .selection import LambdaGrid
-    from .simharness import SimConfig, run_simulation
-
-    out = _ensure_outdir(args)
-    try:
-        cfg = SimConfig(
-            sample_sizes=tuple(int(v) for v in args.sample_sizes.split(",")),
-            mechanisms=tuple(args.mechanisms.split(",")),
-            grid=LambdaGrid.uniform(args.grid_m),
-            replications=args.replications,
-            p=args.p,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    result = run_simulation(cfg)
-    _atomic_write(os.path.join(out, "replications.csv"), replications_csv_text(result))
-    _atomic_write(os.path.join(out, "aggregate.csv"), aggregate_csv_text(result))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# oracle self-test
-
-def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
-                 seed: int = 0, stream=None) -> int:
-    """Closed-form vs numeric agreement suite; one report line per check.
-
-    `perturb` shifts the closed-form objective and exists as a negative
-    control for the suite itself.
-    """
-    import numpy as np
-
-    from .functionals import SimilarityMeasure, TargetFunctional
-    from .objective import DecisionRule, omega
-    from .optimizer import OptimizerConfig, maximize
-    from .toy import (
-        PENALTY_SCALE,
-        ToyParams,
-        toy_cond_array,
-        toy_max_value,
-        toy_objective,
-        toy_space,
-        toy_threshold,
-    )
-
-    stream = stream if stream is not None else sys.stderr
-    checks = []
-
-    ys = np.linspace(0.0, 1.0, 200001)[1:-1]
-    numeric_scale = float((ys * (1.0 - ys**3)).max())
-    checks.append(
-        ("penalty constant sup y(1-y^3)", abs(numeric_scale - PENALTY_SCALE), 1e-6)
-    )
-
-    arr = toy_cond_array(p, grid_points)
-    t = TargetFunctional("gini-welfare")
-    s = SimilarityMeasure("ks")
-    space = toy_space()
-    worst = 0.0
-    for lam in np.linspace(0.0, 1.0, 5):
-        for delta in np.linspace(0.0, 1.0, 21):
-            rule = DecisionRule(space, np.array([[delta, 1.0 - delta]]))
-            num = omega(rule, arr, float(lam), t, s)
-            closed = toy_objective(float(delta), ToyParams(p, float(lam))) + perturb
-            worst = max(worst, abs(num - closed))
-    checks.append(("objective agreement on 21x5 grid", worst, 0.01))
-
-    c = toy_threshold(p)
-    gap = abs(toy_objective(0.0, ToyParams(p, c)) - toy_objective(0.5, ToyParams(p, c)))
-    checks.append(("argmax branch equality at c(p)", gap, 1e-10))
-
-    lo = toy_max_value(ToyParams(p, c))
-    hi = (89.0 / 560.0) * (1.0 - c)
-    checks.append(("value continuity at c(p)", abs(lo - hi), 1e-10))
-
-    cfg = OptimizerConfig(seed=seed)
-    for lam, target_delta, tol, label in (
-        (c / 2.0, 0.0, 0.01, "argmax recovery below c(p)"),
-        ((c + 1.0) / 2.0, 0.5, 0.02, "argmax recovery above c(p)"),
-    ):
-        res = maximize(
-            lambda probs: toy_objective(float(probs[0, 0]), ToyParams(p, lam)),
-            space,
-            cfg,
-        )
-        checks.append((label, abs(float(res.rule.probs[0, 0]) - target_delta), tol))
-
-    failed = False
-    for name, err, tol in checks:
-        ok = err <= tol
-        failed |= not ok
-        print(f"[{'ok' if ok else 'FAIL'}] {name}: error {err:.3e} (tolerance {tol:.0e})",
-              file=stream)
-    return EXIT_SELFTEST if failed else EXIT_OK
-
-
-def cmd_oracle_check(args) -> int:
-    if not 0.5 < args.p < 1.0:
-        raise ConfigError(f"p must lie in (1/2, 1), got {args.p!r}")
-    if args.grid_points < 2:
-        raise ConfigError(f"--grid-points must be >= 2, got {args.grid_points}")
-    return oracle_check(p=args.p, grid_points=args.grid_points, seed=args.seed)
+def _command_of(module: str):
+    """A command that imports the package's module when it runs, and calls
+    the module's `run`."""
+    return lambda args: importlib.import_module(module, __package__).run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,13 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid-m", type=int, default=49)
     p_sim.add_argument("--replications", type=int, default=100)
     p_sim.add_argument("--p", type=float, default=0.75)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=_command_of(".simulate"))
 
     p_oracle = sub.add_parser("oracle-check", help="closed-form vs numeric self-test")
     add_common(p_oracle)
     p_oracle.add_argument("--p", type=float, default=0.75)
     p_oracle.add_argument("--grid-points", type=int, default=2000)
-    p_oracle.set_defaults(func=cmd_oracle_check)
+    p_oracle.set_defaults(func=_command_of(".oraclecheck"))
 
     return parser
 
@@ -1104,4 +636,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # python -m runs this file as __main__, a copy apart from fairpolicy.cli,
+    # whose error classes the command modules raise: run that module's main
+    sys.exit(importlib.import_module("fairpolicy.cli").main())

@@ -13,8 +13,6 @@ into a `CondCdfArray` (the closed-form example's array) and out of one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 # Input masses may drift by accumulated float error; a total within this
@@ -38,22 +36,25 @@ class SupportMismatch(DistributionError):
     """Two distributions do not share the same support interval."""
 
 
-@dataclass(frozen=True)
 class SupportInterval:
     """Closed interval [a, b] with a < b on which all CDFs are supported."""
 
-    a: float
-    b: float
-
-    def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
+    def __init__(self, a: float, b: float):
+        a = float(a)
+        b = float(b)
         if not (np.isfinite(a) and np.isfinite(b)):
             raise DistributionError(f"support endpoints must be finite, got [{a}, {b}]")
         if not a < b:
             raise DistributionError(f"support requires a < b, got [{a}, {b}]")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.a, self.b = a, b
+
+    def __eq__(self, other):
+        if type(other) is not SupportInterval:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __repr__(self) -> str:  # a SupportMismatch message names both intervals
+        return f"SupportInterval(a={self.a!r}, b={self.b!r})"
 
     def contains(self, y) -> bool:
         y = np.asarray(y, dtype=float)
@@ -92,29 +93,22 @@ def _canonical_atoms(points, masses, support: SupportInterval):
     return upoints, agg
 
 
-@dataclass(frozen=True, eq=False)
 class StepCdf:
     """CDF of a purely atomic distribution on [a, b].
 
-    Right-continuous and nondecreasing with F(a-) = 0 and F(b) = 1.
-    Immutable: the atom arrays are read-only and shared freely across threads.
+    Right-continuous and nondecreasing with F(a-) = 0 and F(b) = 1.  The
+    atom arrays are read-only and shared freely across threads.
     """
 
-    support: SupportInterval
-    points: np.ndarray
-    masses: np.ndarray
-    _cum: np.ndarray = field(repr=False, init=False, default=None)
-
-    def __post_init__(self):
-        self._set_atoms(*_canonical_atoms(self.points, self.masses, self.support))
+    def __init__(self, support: SupportInterval, points, masses):
+        self.support = support
+        self._set_atoms(*_canonical_atoms(points, masses, support))
 
     def _set_atoms(self, points: np.ndarray, masses: np.ndarray) -> None:
         cum = np.cumsum(masses)
         cum[-1] = 1.0
         cum.flags.writeable = False
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "_cum", cum)
+        self.points, self.masses, self._cum = points, masses, cum
 
     @classmethod
     def from_canonical(cls, support: SupportInterval, points: np.ndarray,
@@ -126,7 +120,7 @@ class StepCdf:
         renormalized, so the masses stay bitwise as stored.
         """
         cdf = object.__new__(cls)
-        object.__setattr__(cdf, "support", support)
+        cdf.support = support
         cdf._set_atoms(points, masses)
         return cdf
 

@@ -19,15 +19,12 @@ Everything here is a deterministic function of the sample; no hidden RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import OutOfSupport, SupportInterval
 from .objective import CondCdfArray, CovariateSpace
 
 
-@dataclass(frozen=True, eq=False)
 class TrainingSample:
     """A nonempty sample of training records over one covariate space and support.
 
@@ -35,38 +32,32 @@ class TrainingSample:
     treatments, so that fitting and reweighting are vectorized.
     """
 
-    space: CovariateSpace
-    support: SupportInterval
-    ys: np.ndarray
-    xi: np.ndarray
-    zi: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        ys = np.asarray(self.ys, dtype=float).ravel()
-        xi = np.asarray(self.xi, dtype=np.intp).ravel()
-        zi = np.asarray(self.zi, dtype=np.intp).ravel()
-        d = np.asarray(self.d, dtype=np.intp).ravel()
+    def __init__(self, space: CovariateSpace, support: SupportInterval, ys, xi, zi, d):
+        ys = np.asarray(ys, dtype=float).ravel()
+        xi = np.asarray(xi, dtype=np.intp).ravel()
+        zi = np.asarray(zi, dtype=np.intp).ravel()
+        d = np.asarray(d, dtype=np.intp).ravel()
         if ys.size == 0:
             raise ValueError("training sample must be nonempty")
         if not (ys.size == xi.size == zi.size == d.size):
             raise ValueError("sample columns must have equal length")
-        bad = np.flatnonzero((ys < self.support.a) | (ys > self.support.b) | ~np.isfinite(ys))
+        bad = np.flatnonzero((ys < support.a) | (ys > support.b) | ~np.isfinite(ys))
         if bad.size:
             raise OutOfSupport(
                 f"outcome {float(ys[bad[0]])!r} at row {int(bad[0])} outside "
-                f"[{self.support.a}, {self.support.b}]"
+                f"[{support.a}, {support.b}]"
             )
-        if np.any(xi < 0) or np.any(xi >= len(self.space.x_levels)):
+        if np.any(xi < 0) or np.any(xi >= len(space.x_levels)):
             raise ValueError("x index out of range")
-        if np.any(zi < 0) or np.any(zi >= len(self.space.z_levels)):
+        if np.any(zi < 0) or np.any(zi >= len(space.z_levels)):
             raise ValueError("z index out of range")
-        bad = np.flatnonzero((d < 1) | (d > self.space.k))
+        bad = np.flatnonzero((d < 1) | (d > space.k))
         if bad.size:
-            raise ValueError(f"treatment {d[bad[0]]} at row {bad[0]} outside 1..{self.space.k}")
-        for name, arr in (("ys", ys), ("xi", xi), ("zi", zi), ("d", d)):
+            raise ValueError(f"treatment {d[bad[0]]} at row {bad[0]} outside 1..{space.k}")
+        for arr in (ys, xi, zi, d):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        self.space, self.support = space, support
+        self.ys, self.xi, self.zi, self.d = ys, xi, zi, d
 
     @property
     def n(self) -> int:

@@ -20,8 +20,6 @@ needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -29,23 +27,20 @@ class InvalidTau(ValueError):
     """Quantile level outside (0, 1)."""
 
 
-@dataclass(frozen=True)
 class TargetFunctional:
     """Real-valued functional of a CDF: 'gini-welfare', 'mean', or 'quantile'."""
 
-    kind: str
-    tau: float | None = None
-
     KINDS = ("gini-welfare", "mean", "quantile")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown target functional {self.kind!r}")
-        if self.kind == "quantile":
-            if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise InvalidTau(f"quantile target needs tau in (0, 1), got {self.tau!r}")
-        elif self.tau is not None:
-            raise ValueError(f"{self.kind!r} takes no tau")
+    def __init__(self, kind: str, tau: float | None = None):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown target functional {kind!r}")
+        if kind == "quantile":
+            if tau is None or not 0.0 < tau < 1.0:
+                raise InvalidTau(f"quantile target needs tau in (0, 1), got {tau!r}")
+        elif tau is not None:
+            raise ValueError(f"{kind!r} takes no tau")
+        self.kind, self.tau = kind, tau
 
     def value_on_grid(self, grid: np.ndarray, values: np.ndarray,
                       steps: np.ndarray | None = None) -> float:
@@ -73,23 +68,20 @@ class TargetFunctional:
         return cls(text)
 
 
-@dataclass(frozen=True)
 class SimilarityMeasure:
     """Nonnegative dissimilarity of two CDFs; zero on identical pairs."""
 
-    kind: str
-    inner: TargetFunctional | None = None
-
     KINDS = ("ks", "one-sided-ks", "abs-target-diff")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown similarity measure {self.kind!r}")
-        if self.kind == "abs-target-diff":
-            if self.inner is None:
+    def __init__(self, kind: str, inner: TargetFunctional | None = None):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown similarity measure {kind!r}")
+        if kind == "abs-target-diff":
+            if inner is None:
                 raise ValueError("abs-target-diff needs an inner target functional")
-        elif self.inner is not None:
-            raise ValueError(f"{self.kind!r} takes no inner functional")
+        elif inner is not None:
+            raise ValueError(f"{kind!r} takes no inner functional")
+        self.kind, self.inner = kind, inner
 
     def value_on_grid(self, grid: np.ndarray, vf: np.ndarray, vg: np.ndarray,
                       steps: np.ndarray | None = None) -> float:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -66,17 +65,11 @@ class EmptySet(ValueError):
     """Distance to an empty set of rules."""
 
 
-@dataclass(frozen=True)
 class CovariateSpace:
     """Ordered covariate levels (x), protected-group levels (z), and K >= 2 treatments."""
 
-    x_levels: tuple
-    z_levels: tuple
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_levels", tuple(self.x_levels))
-        object.__setattr__(self, "z_levels", tuple(self.z_levels))
+    def __init__(self, x_levels, z_levels, k: int):
+        self.x_levels, self.z_levels, self.k = tuple(x_levels), tuple(z_levels), k
         if not self.x_levels or not self.z_levels:
             raise ValueError("x_levels and z_levels must be nonempty")
         if len(set(self.x_levels)) != len(self.x_levels):
@@ -85,6 +78,11 @@ class CovariateSpace:
             raise ValueError("duplicate z levels")
         if self.k < 2:
             raise ValueError(f"need at least 2 treatments, got {self.k}")
+
+    def __eq__(self, other):  # a rule and an array may hold equal spaces built apart
+        if type(other) is not CovariateSpace:
+            return NotImplemented
+        return (self.x_levels, self.z_levels, self.k) == (other.x_levels, other.z_levels, other.k)
 
     @cached_property
     def x_index(self) -> dict:
@@ -100,7 +98,6 @@ class CovariateSpace:
         return range(1, self.k + 1)
 
 
-@dataclass(frozen=True, eq=False)
 class DecisionRule:
     """One probability vector over treatments per covariate level.
 
@@ -108,12 +105,9 @@ class DecisionRule:
     SIMPLEX_TOL and renormalized exactly).
     """
 
-    space: CovariateSpace
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        expected = (len(self.space.x_levels), self.space.k)
+    def __init__(self, space: CovariateSpace, probs):
+        probs = np.asarray(probs, dtype=float)
+        expected = (len(space.x_levels), space.k)
         if probs.shape != expected:
             raise ValueError(f"probs must have shape {expected}, got {probs.shape}")
         if not np.all(np.isfinite(probs)):
@@ -129,7 +123,7 @@ class DecisionRule:
             )
         probs = probs / sums[:, None]
         probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        self.space, self.probs = space, probs
 
     @classmethod
     def uniform(cls, space: CovariateSpace) -> "DecisionRule":

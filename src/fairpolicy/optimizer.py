@@ -23,7 +23,6 @@ program, exact for the mean and local for Gini-welfare.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,22 +50,17 @@ class NonFiniteObjective(ValueError):
     """The objective returned NaN or infinity at a feasible rule."""
 
 
-@dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 1
-    candidate_starts: int = 50
-    max_iters: int = 500
-    ftol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.candidate_starts < 1 or self.max_iters < 1:
+    def __init__(self, restarts: int = 1, candidate_starts: int = 50, max_iters: int = 500,
+                 ftol: float = 1e-8, seed: int = 0):
+        if restarts < 1 or candidate_starts < 1 or max_iters < 1:
             raise ValueError("restarts, candidate_starts, and max_iters must be >= 1")
-        if not self.ftol > 0:
+        if not ftol > 0:
             raise ValueError("ftol must be positive")
+        self.restarts, self.candidate_starts, self.max_iters = restarts, candidate_starts, max_iters
+        self.ftol, self.seed = ftol, seed
 
 
-@dataclass(frozen=True, eq=False)
 class OptimResult:
     """A maximizer's rule, the objective at it, and how far to trust it.
 
@@ -79,11 +73,10 @@ class OptimResult:
     converged means that no start hit the step cap, and gap is None.
     """
 
-    rule: DecisionRule
-    value: float
-    evaluations: int
-    converged: bool
-    gap: float | None = None
+    def __init__(self, rule: DecisionRule, value: float, evaluations: int, converged: bool,
+                 gap: float | None = None):
+        self.rule, self.value, self.evaluations = rule, value, evaluations
+        self.converged, self.gap = converged, gap
 
 
 def _random_probs(space: CovariateSpace, rng: np.random.Generator) -> np.ndarray:

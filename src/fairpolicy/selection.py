@@ -23,7 +23,6 @@ raw; it can be negative and is not clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -41,14 +40,11 @@ class InvalidBudget(ValueError):
     """Budget selection needs a positive real beta and a sample of n >= 2."""
 
 
-@dataclass(frozen=True)
 class LambdaGrid:
     """Strictly increasing preference parameters in [0, 1], starting at 0."""
 
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+    def __init__(self, values):
+        values = tuple(float(v) for v in values)
         if not values:
             raise ValueError("grid must be nonempty")
         if values[0] != 0.0:
@@ -57,7 +53,7 @@ class LambdaGrid:
             raise ValueError("grid values must lie in [0, 1]")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("grid values must be strictly increasing")
-        object.__setattr__(self, "values", values)
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -79,7 +75,6 @@ class LambdaGrid:
         raise LambdaNotOnGrid(f"lambda {lam!r} is not on the grid")
 
 
-@dataclass(frozen=True)
 class PathEntry:
     """Fitted rule and diagnostics for one preference parameter.
 
@@ -89,42 +84,33 @@ class PathEntry:
     and clamped into [0, 1]), not a DecisionRule.
     """
 
-    rule: DecisionRule | list
-    obj_value: float
-    target_value: float
-    unfairness: dict
-    max_unfairness: float
-    evaluations: int | None = None
-    converged: bool | None = None
-    gap: float | None = None
+    def __init__(self, rule: DecisionRule | list, obj_value: float, target_value: float,
+                 unfairness: dict, max_unfairness: float, evaluations: int | None = None,
+                 converged: bool | None = None, gap: float | None = None):
+        self.rule, self.obj_value, self.target_value = rule, obj_value, target_value
+        self.unfairness, self.max_unfairness = unfairness, max_unfairness
+        self.evaluations, self.converged, self.gap = evaluations, converged, gap
 
 
-@dataclass(frozen=True, eq=False)
 class LambdaPath:
     """Per-lambda results of a sweep, aligned with the grid."""
 
-    grid: LambdaGrid
-    entries: tuple[PathEntry, ...]
-    n: int
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.grid):
+    def __init__(self, grid: LambdaGrid, entries, n: int):
+        if len(entries) != len(grid):
             raise ValueError("one entry per grid value required")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        self.grid, self.entries, self.n = grid, tuple(entries), n
 
     def entry(self, lam: float) -> PathEntry:
         return self.entries[self.grid.index_of(lam)]
 
 
-@dataclass(frozen=True)
 class BudgetSelection:
     """Outcome of budget-based preference-parameter selection."""
 
-    beta: float
-    c_n: float
-    threshold: float
-    chosen_lambda: float
-    deltas: dict
+    def __init__(self, beta: float, c_n: float, threshold: float, chosen_lambda: float,
+                 deltas: dict):
+        self.beta, self.c_n, self.threshold = beta, c_n, threshold
+        self.chosen_lambda, self.deltas = chosen_lambda, deltas
 
 
 def _empirical_objective(kernel: AtomKernel, lam, t, s):
@@ -168,7 +154,9 @@ def sweep(
             result = program.maximize(lam)
         else:
             obj = _empirical_objective(kernel, lam, t, s)
-            result = maximize(obj, sample.space, replace(cfg, seed=derive_seed(cfg.seed, 1, idx)))
+            seeded = OptimizerConfig(cfg.restarts, cfg.candidate_starts, cfg.max_iters, cfg.ftol,
+                                     derive_seed(cfg.seed, 1, idx))
+            result = maximize(obj, sample.space, seeded)
         target, by_index = kernel.scores(result.rule.probs, t, s)
         unfairness = {z_levels[j]: u for j, u in by_index.items()}
         entries.append(

@@ -30,7 +30,6 @@ on Python 3.11 only, so that case is untested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -45,58 +44,50 @@ GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
 
 
-@dataclass(frozen=True)
 class SimConfig:
-    sample_sizes: tuple[int, ...]
-    mechanisms: tuple[str, ...]
-    grid: LambdaGrid
-    replications: int
-    p: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
+    def __init__(self, sample_sizes, mechanisms, grid: LambdaGrid, replications: int, p: float,
+                 seed: int):
+        sample_sizes, mechanisms = tuple(int(n) for n in sample_sizes), tuple(mechanisms)
+        if not sample_sizes or any(n < 1 for n in sample_sizes):
             raise ValueError("sample_sizes must be positive")
-        if not self.mechanisms or any(m not in MECHANISMS for m in self.mechanisms):
+        if not mechanisms or any(m not in MECHANISMS for m in mechanisms):
             raise ValueError(f"mechanisms must be among {MECHANISMS}")
-        for name, values in (("sample_sizes", self.sample_sizes), ("mechanisms", self.mechanisms)):
+        for name, values in (("sample_sizes", sample_sizes), ("mechanisms", mechanisms)):
             repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
             if repeated is not None:
                 raise ValueError(f"{name} lists {repeated!r} twice")
-        if self.replications < 1:
+        if replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0.5 < self.p < 1.0:
-            raise ValueError(f"p must lie in (1/2, 1), got {self.p!r}")
+        if not 0.5 < p < 1.0:
+            raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+        self.sample_sizes, self.mechanisms, self.grid = sample_sizes, mechanisms, grid
+        self.replications, self.p, self.seed = replications, p, seed
 
 
-@dataclass(frozen=True)
 class SimRow:
     """One replication's result at one (n, mechanism, lambda)."""
 
-    n: int
-    mechanism: str
-    lam: float
-    replication: int
-    delta_hat: float
-    emp_value: float
-    regret: float
+    def __init__(self, n: int, mechanism: str, lam: float, replication: int, delta_hat: float,
+                 emp_value: float, regret: float):
+        self.n, self.mechanism, self.lam, self.replication = n, mechanism, lam, replication
+        self.delta_hat, self.emp_value, self.regret = delta_hat, emp_value, regret
+
+    def __eq__(self, other):  # two runs' rows are compared row by row
+        if type(other) is not SimRow:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class CellAggregate:
     """Mean / standard deviation / median of a metric within one cell."""
 
-    mean: float
-    sd: float
-    median: float
+    def __init__(self, mean: float, sd: float, median: float):
+        self.mean, self.sd, self.median = mean, sd, median
 
 
-@dataclass(frozen=True, eq=False)
 class SimResult:
-    config: SimConfig
-    rows: tuple[SimRow, ...]
+    def __init__(self, config: SimConfig, rows: tuple[SimRow, ...]):
+        self.config, self.rows = config, rows
 
     @cached_property
     def _cells(self) -> dict:

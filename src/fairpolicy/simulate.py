@@ -1,0 +1,66 @@
+"""The `simulate` command: the harness's configuration from the flags, its
+run, and the two CSV files it writes."""
+
+from __future__ import annotations
+
+import csv
+import io
+import os
+
+from . import cli
+from .cli import _num
+
+
+def replications_csv_text(result) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "mechanism", "lambda", "replication", "delta_hat", "emp_value", "regret"])
+    for r in result.rows:
+        writer.writerow(
+            [r.n, r.mechanism, _num(r.lam), r.replication,
+             _num(r.delta_hat), _num(r.emp_value), _num(r.regret)]
+        )
+    return buf.getvalue()
+
+
+def aggregate_csv_text(result) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    metrics = ("regret", "delta_hat", "emp_value")
+    header = ["n", "mechanism", "lambda"]
+    for name in metrics:
+        header += [f"mean_{name}", f"sd_{name}", f"median_{name}"]
+    writer.writerow(header)
+    aggregates = result.aggregates()
+    for n in result.config.sample_sizes:
+        for mech in result.config.mechanisms:
+            for lam in result.config.grid:
+                cell = aggregates[(n, mech, lam)]
+                row = [n, mech, _num(lam)]
+                for name in metrics:
+                    agg = cell[name]
+                    row += [_num(agg.mean), _num(agg.sd), _num(agg.median)]
+                writer.writerow(row)
+    return buf.getvalue()
+
+
+def run(args) -> int:
+    from .selection import LambdaGrid
+    from .simharness import SimConfig, run_simulation
+
+    out = cli._ensure_outdir(args)
+    try:
+        cfg = SimConfig(
+            sample_sizes=tuple(int(v) for v in args.sample_sizes.split(",")),
+            mechanisms=tuple(args.mechanisms.split(",")),
+            grid=LambdaGrid.uniform(args.grid_m),
+            replications=args.replications,
+            p=args.p,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise cli.ConfigError(str(exc)) from None
+    result = run_simulation(cfg)
+    cli._atomic_write(os.path.join(out, "replications.csv"), replications_csv_text(result))
+    cli._atomic_write(os.path.join(out, "aggregate.csv"), aggregate_csv_text(result))
+    return cli.EXIT_OK

@@ -13,8 +13,6 @@ the example usable end-to-end as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import StepCdf, SupportInterval
@@ -40,18 +38,15 @@ def toy_support() -> SupportInterval:
     return SupportInterval(0.0, 1.0)
 
 
-@dataclass(frozen=True)
 class ToyParams:
     """Majority share p in (1/2, 1) and preference parameter lam in [0, 1]."""
 
-    p: float
-    lam: float
-
-    def __post_init__(self):
-        if not 0.5 < self.p < 1.0:
-            raise ValueError(f"p must lie in (1/2, 1), got {self.p!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam!r}")
+    def __init__(self, p: float, lam: float):
+        if not 0.5 < p < 1.0:
+            raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+        self.p, self.lam = p, lam
 
 
 def toy_cdf_g(y: float) -> float:

@@ -18,6 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fairpolicy
 import fairpolicy.cli as cli
+import fairpolicy.columns as columns
+import fairpolicy.savedpath as savedpath
 from fairpolicy import (
     CovariateSpace,
     SupportInterval,
@@ -35,11 +37,11 @@ from fairpolicy.cli import (
     ParseError,
     SchemaError,
     _write_json,
-    fitted_array_payload,
     main,
-    oracle_check,
     read_sample_csv,
 )
+from fairpolicy.oraclecheck import oracle_check
+from fairpolicy.payloads import fitted_array_payload
 from fairpolicy.lp import Unbounded
 from helpers import labelled_sample, write_sample_csv
 
@@ -284,12 +286,12 @@ def read_passes(path):
     passes = []
     for by_block in (True, False):
         try:
-            columns = cli._read_columns(str(path), by_block)
+            read = columns.read_columns(str(path), by_block)
         except (ParseError, SchemaError) as exc:
             passes.append((type(exc), str(exc)))
         else:
             passes.append([c.tobytes() if isinstance(c, (array, np.ndarray)) else c
-                           for c in columns])
+                           for c in read])
     return passes
 
 
@@ -303,8 +305,8 @@ class TestBlockIngest:
         path = str(tmp_path / "s.csv")
         block_sample_csv(path, seed)
         want = reference_read(path, UNIT)
-        for block in (1, 7, 24, 61, cli.BLOCK_CHARS):
-            monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        for block in (1, 7, 24, 61, columns.BLOCK_CHARS):
+            monkeypatch.setattr(columns, "BLOCK_CHARS", block)
             assert_same_sample(read_sample_csv(path, UNIT), want)
             by_block, by_row = read_passes(path)
             assert by_block == by_row
@@ -313,7 +315,7 @@ class TestBlockIngest:
     @pytest.mark.parametrize("text, options, error, message", ERROR_CASES)
     def test_error_messages(self, tmp_path, monkeypatch, block, text, options, error,
                             message):
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        monkeypatch.setattr(columns, "BLOCK_CHARS", block)
         path = write_error_case(tmp_path / "s.csv", text)
         with pytest.raises(error) as info:
             read_sample_csv(str(path), UNIT, **options)
@@ -322,7 +324,7 @@ class TestBlockIngest:
         by_block, by_row = read_passes(path)
         assert by_block == by_row
 
-    @pytest.mark.parametrize("block", [5, 64, cli.BLOCK_CHARS])
+    @pytest.mark.parametrize("block", [5, 64, columns.BLOCK_CHARS])
     @pytest.mark.parametrize("last, options, message", [
         ("", {}, "row 302: treatment index 18446744073709551616 does not fit in 64 bits"),
         ("", {"k": 4}, "row 302: treatment index 18446744073709551616 exceeds K=4"),
@@ -330,7 +332,7 @@ class TestBlockIngest:
     ])
     def test_treatment_index_beyond_int64_in_a_later_block(self, tmp_path, monkeypatch, block,
                                                            last, options, message):
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        monkeypatch.setattr(columns, "BLOCK_CHARS", block)
         path = tmp_path / "s.csv"
         path.write_text("y,x,z,d\n" + "0.5,a,u,1\n" * 300 + "0.5,a,u,18446744073709551616\n"
                         + "0.25,b,v,2\n" * 99 + last)
@@ -339,13 +341,13 @@ class TestBlockIngest:
         assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("d, message", [
-        ("1" * 5000, "treatment index {d} does not fit in 64 bits"),
-        ("-" + "1" * 5000, "treatment index {d} must be >= 1"),
+        ("1" * 5000, "treatment index " + "1" * 40 + "... (5000 characters) does not fit in 64 bits"),
+        ("-" + "1" * 5000, "treatment index -" + "1" * 39 + "... (5001 characters) must be >= 1"),
         ("0" * 5000 + "2", None),
     ], ids=["beyond-int64", "negative", "leading-zeros"])
     def test_treatment_index_of_more_digits_than_int_converts(self, tmp_path, d, message):
         # int() converts at most 4300 digits by default: what such a d means,
-        # not that limit, decides the outcome
+        # not that limit, decides the outcome; the message quotes 40 digits
         path = tmp_path / "s.csv"
         path.write_text(f"y,x,z,d\n0.5,a,u,1\n0.25,b,v,{d}\n")
         if message is None:
@@ -353,15 +355,15 @@ class TestBlockIngest:
         else:
             with pytest.raises(SchemaError) as info:
                 read_sample_csv(str(path), UNIT)
-            assert str(info.value) == f"{path}: row 3: " + message.format(d=d)
+            assert str(info.value) == f"{path}: row 3: " + message
         by_block, by_row = read_passes(path)
         assert by_block == by_row
 
-    @pytest.mark.parametrize("block", [11, cli.BLOCK_CHARS])
+    @pytest.mark.parametrize("block", [11, columns.BLOCK_CHARS])
     def test_one_cell_with_d_spelled_four_ways(self, tmp_path, monkeypatch, block):
         # one (x, z) pair with d written "2", " 2", "+2" and "02", all in one
         # block at the default size: four cell keys for one cell
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        monkeypatch.setattr(columns, "BLOCK_CHARS", block)
         path = tmp_path / "s.csv"
         path.write_text("y,x,z,d\n0.5,b,v,1\n0.1,a,u,2\n0.2,a,u, 2\n0.3,a,u,+2\n"
                         "0.4,a,u,02\n0.6,c,u,02\n0.7,a,u,+2\n")
@@ -376,7 +378,7 @@ class TestBlockIngest:
     def test_new_cell_with_d_zero_after_cached_cells(self, tmp_path, monkeypatch, block):
         # earlier blocks have cached a,u,1 and b,v,2: the first new cell key of
         # the last block has d = 0, so that block is read row by row
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        monkeypatch.setattr(columns, "BLOCK_CHARS", block)
         path = tmp_path / "s.csv"
         path.write_text("y,x,z,d\n" + "0.5,a,u,1\n0.25,b,v,2\n" * 20
                         + "0.5,a,u,1\n0.5,c,u,0\n0.5,b,v,2\n")
@@ -386,7 +388,7 @@ class TestBlockIngest:
         by_block, by_row = read_passes(path)
         assert by_block == by_row
 
-    @pytest.mark.parametrize("block", [7, 61, cli.BLOCK_CHARS])
+    @pytest.mark.parametrize("block", [7, 61, columns.BLOCK_CHARS])
     def test_blank_rows_stay_on_the_block_path(self, tmp_path, monkeypatch, block):
         # blank rows, two in a row and one trailing, in a file without quotes
         # or carriage returns: csv.reader reads the header and nothing else
@@ -397,8 +399,8 @@ class TestBlockIngest:
         path.write_text("y,x,z,d\n" + "\n".join(rows) + "\n\n")
         want = reference_read(str(path), UNIT)
         calls, reader = [], csv.reader
-        monkeypatch.setattr(cli.csv, "reader", lambda *args: calls.append(args) or reader(*args))
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        monkeypatch.setattr(columns.csv, "reader", lambda *args: calls.append(args) or reader(*args))
+        monkeypatch.setattr(columns, "BLOCK_CHARS", block)
         sample = read_sample_csv(str(path), UNIT)
         assert len(calls) == 1
         monkeypatch.undo()
@@ -412,9 +414,9 @@ class TestBlockIngest:
         path.write_text("y,x,z,d\n0.5,a,u,1\n0.5," + "a" * (csv.field_size_limit() + 1)
                         + ",u,1\n")
         with pytest.raises(csv.Error) as by_block:
-            cli._read_columns(str(path), by_block=True)
+            columns.read_columns(str(path), by_block=True)
         with pytest.raises(csv.Error) as by_row:
-            cli._read_columns(str(path), by_block=False)
+            columns.read_columns(str(path), by_block=False)
         assert str(by_block.value) == str(by_row.value)
 
     @pytest.mark.parametrize("bad_row, message", [
@@ -433,6 +435,45 @@ class TestBlockIngest:
         with pytest.raises(ParseError) as info:
             read_sample_csv(str(path), UNIT)
         assert str(info.value) == f"{path}: {message}"
+
+
+class TestLongFieldInAnError:
+    """An error message quotes at most 40 characters of a field, and its length."""
+
+    DIGITS = "1" * 5000
+    LABEL = "é" * 5000  # 10 KB as UTF-8
+
+    @pytest.mark.parametrize("row, flags, code, shown", [
+        (f"0.5,a,u,{DIGITS}", [], EXIT_SCHEMA,
+         "treatment index " + "1" * 40 + "... (5000 characters) does not fit in 64 bits"),
+        (f"0.5,a,u,{DIGITS}", ["--k", "3"], EXIT_SCHEMA,
+         "treatment index " + "1" * 40 + "... (5000 characters) exceeds K=3"),
+        (f"0.5,a,u,-{DIGITS}", [], EXIT_SCHEMA,
+         "treatment index -" + "1" * 39 + "... (5001 characters) must be >= 1"),
+        (f"0.5,a,u,{DIGITS}x", [], EXIT_PARSE,
+         "cannot parse d='" + "1" * 40 + "'... (5001 characters)"),
+        (f"{LABEL},a,u,1", [], EXIT_PARSE,
+         "cannot parse y='" + "é" * 40 + "'... (5000 characters)"),
+        (f"0.5,{LABEL},u,1", ["--x-levels", "a"], EXIT_SCHEMA,
+         "unknown x level '" + "é" * 40 + "'... (5000 characters)"),
+    ], ids=["beyond-int64", "beyond-k", "negative", "unparseable-d", "unparseable-y",
+            "unknown-label"])
+    def test_one_short_line_naming_the_row(self, tmp_path, capsys, row, flags, code, shown):
+        path = tmp_path / "s.csv"
+        path.write_text(f"y,x,z,d\n0.5,a,u,1\n{row}\n0.25,b,v,2\n", encoding="utf-8")
+        rc = main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o"), *flags])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.endswith(f"{path}: row 3: {shown}\n")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    def test_short_field_prints_whole(self, tmp_path):
+        path = tmp_path / "s.csv"
+        field = "9" * 39 + "x"  # 40 characters
+        path.write_text(f"y,x,z,d\n0.5,a,u,{field}\n")
+        with pytest.raises(ParseError) as info:
+            read_sample_csv(str(path), UNIT)
+        assert str(info.value) == f"{path}: row 2: cannot parse d={field!r}"
 
 
 class TestByteOrderMark:
@@ -1141,7 +1182,7 @@ class TestRuleRows:
         assume(not sum_order_decides(rows))
         space = CovariateSpace(tuple(f"x{i}" for i in range(shape[0])), ("z",), shape[1])
         want = raised(lambda: DecisionRule(space, np.array(rows, dtype=float)))
-        got = raised(cli._rule_rows, rows, shape)
+        got = raised(savedpath.rule_rows, rows, shape)
         if isinstance(want, tuple):
             assert isinstance(got, tuple) and got[0] is want[0]
         else:
@@ -1151,7 +1192,7 @@ class TestRuleRows:
     def test_tolerance_is_the_rules(self):
         from fairpolicy.objective import SIMPLEX_TOL
 
-        assert cli.SIMPLEX_TOL == SIMPLEX_TOL
+        assert savedpath.SIMPLEX_TOL == SIMPLEX_TOL
 
 
 class TestSimulate:
@@ -1437,13 +1478,42 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     select = modules_after(["select", "--beta", "0.1", "--path-csv", str(path_csv),
                             "--rules-json", str(rules_json), "--output-dir", str(tmp_path / "s")])
     solvers = {f"fairpolicy.{m}" for m in ("lp", "optimizer", "simharness", "toy")}
-    assert {"fairpolicy.estimation", "fairpolicy.forking"} <= fit
-    assert not fit & (solvers | {"fairpolicy.selection", "fairpolicy.functionals"})
-    assert "fairpolicy.selection" in select
-    assert not select & (solvers | {"fairpolicy.estimation", "fairpolicy.forking"})
+    commands = {f"fairpolicy.{m}" for m in ("simulate", "oraclecheck")}
+    assert {"fairpolicy.estimation", "fairpolicy.forking", "fairpolicy.columns"} <= fit
+    assert not fit & (solvers | commands | {"fairpolicy.selection", "fairpolicy.functionals",
+                                            "fairpolicy.savedpath"})
+    assert {"fairpolicy.selection", "fairpolicy.savedpath"} <= select
+    assert not select & (solvers | commands | {"fairpolicy.estimation", "fairpolicy.forking",
+                                               "fairpolicy.columns"})
     # select on a saved path is pure Python: numpy alone costs about 40 ms to import
     assert not select & {"numpy", "fairpolicy.objective", "fairpolicy.distributions",
                          "fairpolicy.functionals"}
+
+
+def test_no_command_imports_dataclasses(toy_csv, tmp_path):
+    # @dataclass builds each class's methods by exec at import, about 0.9 ms a
+    # class, and dataclasses imports inspect, ast, dis and tokenize (about
+    # 9.5 ms) without a bytecode cache; numpy imports inspect itself
+    def out(name):
+        return ["--output-dir", str(tmp_path / name)]
+
+    sweep = ["sweep", "--input", toy_csv, "--grid-m", "2"]
+    run = {
+        "fit": ["fit", "--input", toy_csv] + out("fit"),
+        "sweep lp": sweep + ["--target", "mean", "--similarity", "ks"] + out("lp"),
+        "sweep nelder-mead": sweep + ["--target", "quantile:0.5", "--max-iters", "20"]
+        + out("nm"),
+        "select saved": ["select", "--beta", "0.01", "--path-csv", str(tmp_path / "lp/path.csv"),
+                         "--rules-json", str(tmp_path / "lp/rules.json")] + out("saved"),
+        "select input": ["select", "--beta", "0.01", "--input", toy_csv, "--target", "mean",
+                         "--grid-m", "1"] + out("input"),
+        "simulate": ["simulate", "--sample-sizes", "50", "--mechanisms", "A1", "--grid-m", "1",
+                     "--replications", "2"] + out("simulate"),
+        "oracle-check": ["oracle-check", "--grid-points", "50"],
+    }
+    loaded = {name: modules_after(argv) for name, argv in run.items()}  # in order: lp first
+    assert [name for name, modules in loaded.items() if "dataclasses" in modules] == []
+    assert "inspect" not in loaded["select saved"]
 
 
 def test_simulate_leaves_numpy_ma_unloaded(tmp_path):

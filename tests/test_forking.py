@@ -1,6 +1,6 @@
 """`fit` parses its sample in a child forked before numpy loads.
 
-The reader (`cli._read_columns`) must load no numpy, and the child must be
+The reader (`columns.read_columns`) must load no numpy, and the child must be
 forked before anything else does, or the parse no longer runs beside
 numpy's import.  Errors keep the precedence and the lines of an in-process
 read, and no child outlives a failed command.
@@ -16,6 +16,7 @@ import time
 import pytest
 
 import fairpolicy
+import fairpolicy.columns
 import fairpolicy.forking
 from fairpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, main
 
@@ -72,9 +73,9 @@ def test_reader_forks_before_numpy_loads(tmp_path):
 
 def test_reader_loads_no_numpy(tmp_path):
     paths = [str(path) for path in sample_files(tmp_path).values()]
-    code = ("import sys, fairpolicy.cli\n"
+    code = ("import sys, fairpolicy.columns\n"
             f"for path in {paths!r}:\n"
-            "    ys = fairpolicy.cli._read_columns(path, True)[0]\n"
+            "    ys = fairpolicy.columns.read_columns(path, True)[0]\n"
             "    assert len(ys) == 3000, len(ys)\n"
             "print('numpy' in sys.modules)")
     assert run_python(code) == "False"
@@ -152,7 +153,7 @@ class TestForkedReader:
                 os._exit(3)
             raise AssertionError("the sample was read in the command process")
 
-        monkeypatch.setattr(fairpolicy.cli, "_read_columns", dies_in_the_child)
+        monkeypatch.setattr(fairpolicy.columns, "read_columns", dies_in_the_child)
         sample = tmp_path / "s.csv"
         write_rows(sample, 10)
         assert fit(tmp_path, capsys, sample) == (

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from fairpolicy import (
     SimilarityMeasure,
     SpaceMismatch,
     StepCdf,
+    SupportInterval,
+    SupportMismatch,
     TargetFunctional,
     d1,
     d1_to_set,
@@ -66,6 +70,26 @@ class TestCovariateSpaceAndRule:
         space = CovariateSpace(("a",), ("z",), 3)
         rule = DecisionRule(space, np.array([[0.2, 0.3, 0.5 + 3e-10]]))
         assert rule.probs.sum() == 1.0
+
+
+class TestCellSupports:
+    """The cells of an array share one support, compared by its endpoints."""
+
+    def cells(self, b):
+        return {(1, "x0", "z0"): point_mass(0.2, SupportInterval(0.0, 1.0)),
+                (2, "x0", "z0"): point_mass(0.9, SupportInterval(0.0, b))}
+
+    def test_equal_supports_built_apart(self):
+        space = CovariateSpace(("x0",), ("z0",), 2)
+        arr = CondCdfArray(space, self.cells(1.0), {("x0", "z0"): 1.0})
+        assert arr.support == SupportInterval(0.0, 1.0)
+
+    def test_mismatch_names_both_supports(self):
+        space = CovariateSpace(("x0",), ("z0",), 2)
+        message = ("cell (2, 'x0', 'z0') has support SupportInterval(a=0.0, b=2.0), "
+                   "expected SupportInterval(a=0.0, b=1.0)")
+        with pytest.raises(SupportMismatch, match=re.escape(message)):
+            CondCdfArray(space, self.cells(2.0), {("x0", "z0"): 1.0})
 
 
 class TestImpliedCdf:

@@ -73,9 +73,12 @@ def test_import_loads_no_submodule():
 #              another bench entry), so the benchmark's LP check needs it;
 #   item-3   - ROADMAP open item 3 (regret at a data-driven lambda in
 #              simulate) needs it;
-#   protocol - Python calls it on the object's behalf (dir(), len(), ...).
+#   protocol - Python calls it on the object's behalf (dir(), len(), ==,
+#              repr(), ...), for the tests or a library error message.
 KEPT = {
     "__init__.__dir__": "protocol",
+    "distributions.SupportInterval.__repr__": "protocol",
+    "simharness.SimRow.__eq__": "protocol",
     "distributions.StepCdf.eval_many": "bench",
     "distributions.StepCdf.from_canonical": "bench",
     "objective.CondCdfArray.cdf": "bench",
@@ -96,9 +99,12 @@ from fairpolicy import cli
 
 tmp = sys.argv[1]
 sample, config = os.path.join(tmp, "s.csv"), os.path.join(tmp, "c.cfg")
+bad_sample = os.path.join(tmp, "bad.csv")
 with open(sample, "w") as fh:
     fh.write("y,x,z,d\n" + "".join(
         f"{7 * j % 11 / 10},x{j % 3},z{j % 2},{1 + j * j % 2}\n" for j in range(30)))
+with open(bad_sample, "w") as fh:
+    fh.write("y,x,z,d\n0.5,x0,z0,one\n")
 with open(config, "w") as fh:
     fh.write(f"input={sample}\ngrid-m=1\n")
 out = lambda name: ["--output-dir", os.path.join(tmp, name)]
@@ -117,6 +123,7 @@ runs += [
     ["oracle-check", "--grid-points", "50"],
     ["sweep", "--config", config] + out("config"),
     ["sweep", "--grid-m", "abc"],
+    ["sweep", "--input", bad_sample] + out("bad-sample"),  # read in-process, not forked
 ]
 src = os.path.dirname(fairpolicy.__file__)
 called = set()
@@ -147,7 +154,7 @@ for info in [None, *pkgutil.iter_modules(fairpolicy.__path__)]:
                          if inspect.isclass(v) and v.__module__ == module.__name__]
     for owner in owners:
         for fn in map(inspect.unwrap, functions(owner)):
-            code = fn.__code__  # dataclass methods are compiled from "<string>": skipped
+            code = fn.__code__
             if (fn.__module__ == module.__name__ and code.co_filename.startswith(src)
                     and code not in called):
                 unreached.add(f"{'__init__' if info is None else info.name}.{fn.__qualname__}")
@@ -169,7 +176,7 @@ def test_every_function_runs_in_a_command_or_is_kept(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     result = json.loads(out)
-    assert result["codes"] == [0] * 21 + [5]  # the bad flag exits 5
+    assert result["codes"] == [0] * 21 + [5, 2]  # the bad flag exits 5, the bad sample 2
     unreached = set(result["unreached"])
     assert sorted(unreached - set(KEPT)) == [], "no command calls these: delete or move them"
     assert sorted(set(KEPT) - unreached) == [], "a command calls these: take them out of KEPT"
