@@ -61,6 +61,7 @@ import importlib
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
@@ -453,6 +454,10 @@ def _command_of(module: str):
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors exit 5 with one line, not 2 with the usage."""
+
+    def __init__(self, *args, **kwargs):  # -1e-3 and -inf are values: no flag starts like a number
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message):
         raise ConfigError(message)

@@ -13,10 +13,10 @@ linear once it is bounded by an epigraph variable t.  For a cost vector c
 
 with sign +1 and -1 for KS and +1 only for one-sided KS.  For |mean
 difference| the rows are sign (mean F_z - mean F).p <= t, one pair per
-active group.  Every row is sign slot_sum(w_z phi), w_z the atoms' weights
-in F_z - F and phi the mask g' <= g (the KS row at grid point g) or y (the
-mean row); `slot_sum`, one `bincount` over rule entries, builds the rows,
-the mean's gradient and the tangent with no dense grid x rule matrix.
+active group.  Every row is sign slot_sum(w_z phi) over the kernel's atoms, in
+grid order (`objective`): w_z their weights in F_z - F, phi the mask g' <= g
+(the KS row at g: a prefix of the atoms) or y (the mean row).  One `bincount`,
+`slot_sum`, builds the rows, gradient and tangent with no grid x rule matrix.
 
 The grid has thousands of points, so rows are generated (Kelley's
 cutting-plane method, 1960): solve with the rows found so far, evaluate the
@@ -158,19 +158,11 @@ class PluginProgram:
         nx, k = self.shape = (len(space.x_levels), space.k)
         self.size = nx * k
         self.simplex_rows = np.kron(np.eye(nx), np.ones(k))  # sum_i p(x, i) = 1
-        z, g = np.divmod(kernel.index, kernel.grid.size)
-        order = np.argsort(g, kind="stable")  # every slot sums its atoms in grid order
-        self.slot, z, g = kernel.slot[order], z[order], g[order]
-        self.g, self.mass, self.y = g, kernel.mass[order], kernel.grid[g]
-        # atom weights of the row F_z - F; a cut weighs them by its phi
-        self.weights = {int(zj): self.mass * ((z == zj) - kernel.pz[z]) for zj in kernel.active}
         self.signs = (1.0,) if s.kind == "one-sided-ks" else (1.0, -1.0)
+        self.mean, self.starts = None, [DecisionRule.uniform(space)]
         if t.kind == "mean":  # the population mean per rule entry, the mean's gradient
-            self.mean = self.slot_sum(self.mass * self.y * kernel.pz[z])
+            self.mean = self.slot_sum(kernel.mass * kernel.grid[kernel.g] * kernel.pz[kernel.z])
         else:
-            self.mean, self.tangent_mass = None, -kernel.pz[z] * self.mass
-        self.starts = [DecisionRule.uniform(space)]
-        if self.mean is None:
             self.starts += [DecisionRule.singleton(space, i) for i in space.treatments]
         self._tangents = {}
 
@@ -193,19 +185,19 @@ class PluginProgram:
             pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
             tail = np.zeros(kernel.grid.size)
             tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
-            grad = self.slot_sum(self.tangent_mass * tail[self.g])
+            grad = self.slot_sum(-kernel.pz[kernel.z] * kernel.mass * tail[kernel.g])
             grad.flags.writeable = False
             self._tangents[key] = grad
         return grad
 
     def slot_sum(self, weights: np.ndarray) -> np.ndarray:
-        """Per rule entry, the sum of the atoms' weights (in grid order)."""
-        return np.bincount(self.slot, weights, minlength=self.size)
+        """Per rule entry, the sum of the kernel's atoms' weights (in grid order)."""
+        return np.bincount(self.kernel.slot, weights, minlength=self.size)
 
     def cuts(self, f: np.ndarray, t_value: float, seen: set) -> list:
         """The rows to add at a relaxed solution with group CDFs f and
         epigraph value t_value: per active group z and sign, the most
-        violated row, sign * slot_sum(weights[z] * phi) with phi the mask
+        violated row, sign * slot_sum(w_z * phi) with phi the mask
         g <= point at the peak of sign (F_z - F) (KS) or y (|mean
         difference|), if it exceeds t_value by more than CUT_TOL and its
         key (z, point, sign) is not yet in seen, which gains it."""
@@ -221,8 +213,9 @@ class PluginProgram:
                 key = (zj, point, sign)
                 if sign * d[point] - t_value > CUT_TOL and key not in seen:
                     seen.add(key)
-                    phi = self.y if by_mean else self.g <= point
-                    rows.append(sign * self.slot_sum(self.weights[zj] * phi))
+                    phi = kernel.grid[kernel.g] if by_mean else kernel.g <= point
+                    weights = kernel.mass * ((kernel.z == zj) - kernel.pz[kernel.z])
+                    rows.append(sign * self.slot_sum(weights * phi))
         return rows
 
     def _solve_relaxation(self, cost: np.ndarray, lam: float, rows: list):

@@ -22,8 +22,9 @@ evaluated on one atom table (`AtomKernel`); a fitted array keeps its
 plug-in kernel (`CondCdfArray.kernel`), gathered from its columns.  Each
 atom is an outcome value y with its group z, its slot x*K + (i-1) in
 `probs.ravel()`, and a mass; the union of atom values plus the support
-endpoint b is the grid, and each atom stores its row-major position
-z*G + grid_idx in the |Z| x G table.
+endpoint b is the grid, and each atom stores its grid index g (y = grid[g]) and
+row-major position index = z*G + g in the |Z| x G table, in grid order (sorted
+stably: every slot and table entry sums its atoms in grid order; `lp` too).
 One evaluation scatters `probs_flat[slot] * mass` into the table with
 `bincount` and takes a cumulative sum along each row: the group CDFs on the
 grid, in O(atoms + |Z|*G) time and memory.  The population CDF is the
@@ -258,8 +259,8 @@ def _pair_keys(space: CovariateSpace):
 class AtomKernel:
     """Atom table of the group CDFs; see the module docstring.
 
-    ys, z, slot and mass hold one entry per atom; pz holds the population
-    weight of each group (zero for groups skipped in the penalty).
+    g, z, slot, mass and index hold one entry per atom, in grid order; pz the
+    population weight of each group (zero for groups skipped in the penalty).
     computations counts the group CDFs computed; the last one is kept.
     """
 
@@ -272,9 +273,10 @@ class AtomKernel:
         self.steps = np.diff(self.grid)
         self.pz = np.asarray(pz, dtype=float)
         self.shape = (self.pz.size, self.grid.size)
-        self.index = np.asarray(z) * self.grid.size + np.searchsorted(self.grid, ys)
-        self.slot = np.asarray(slot)
-        self.mass = np.asarray(mass, dtype=float)
+        order = np.argsort(g := np.searchsorted(self.grid, ys), kind="stable")
+        self.g, self.z, self.slot = g[order], np.asarray(z)[order], np.asarray(slot)[order]
+        self.mass = np.asarray(mass, dtype=float)[order]
+        self.index = self.z * self.grid.size + self.g
         self.active = np.flatnonzero(self.pz > 0.0)
         self._last, self.computations = (None, None), 0
 

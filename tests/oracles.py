@@ -343,7 +343,7 @@ def mm_reference(program: PluginProgram, lam: float) -> tuple[OptimResult, int]:
         pop = kernel.pz @ kernel.group_cdfs(probs.ravel())
         tail = np.zeros(kernel.grid.size)
         tail[:-1] = np.cumsum(((1.0 - pop[:-1]) * kernel.steps)[::-1])[::-1]
-        return program.slot_sum(program.tangent_mass * tail[program.g])
+        return program.slot_sum(-kernel.pz[kernel.z] * kernel.mass * tail[kernel.g])
 
     def solve(cost, rows, seen):
         calls = 0

@@ -1416,6 +1416,33 @@ def test_flag_errors_exit_5_with_one_line(capsys, argv, error):
     assert err.startswith(f"config error: {error}") and err.count("\n") == 1
 
 
+def fit_with_support(toy_csv, tmp_path, a: str, in_config: bool):
+    """(exit code, fitted_array.json bytes or None) of fit on support [a, 1],
+    given as flags or in a config file."""
+    out = tmp_path / f"{a}-{in_config}"
+    flags = ["--support", a, "1"]
+    if in_config:
+        config = tmp_path / f"{a}.cfg"
+        config.write_text(f"support={a} 1\n")
+        flags = ["--config", str(config)]
+    code = main(["fit", "--input", toy_csv, "--output-dir", str(out)] + flags)
+    path = out / "fitted_array.json"
+    return code, path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("in_config", [False, True], ids=["argv", "config"])
+def test_negative_numbers_in_exponent_notation_are_flag_values(toy_csv, tmp_path, capsys,
+                                                                in_config):
+    # argparse's own pattern takes -0.001 for a value, but -1e-3 and -inf for flags
+    code, fitted = fit_with_support(toy_csv, tmp_path, "-1e-3", in_config)
+    assert code == EXIT_OK
+    assert fitted == fit_with_support(toy_csv, tmp_path, "-0.001", in_config)[1]
+    capsys.readouterr()
+    assert fit_with_support(toy_csv, tmp_path, "-inf", in_config) == (EXIT_CONFIG, None)
+    assert capsys.readouterr().err == (
+        "config error: support endpoints must be finite, got [-inf, 1.0]\n")
+
+
 @pytest.mark.parametrize("command", ["fit", "sweep", "select", "simulate", "oracle-check"])
 def test_help_exits_0(capsys, command):
     with pytest.raises(SystemExit) as stop:

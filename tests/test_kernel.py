@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fairpolicy import (
     CondCdfArray,
@@ -27,6 +27,7 @@ from fairpolicy import (
     omega,
     toy_sample,
 )
+from fairpolicy.lp import PluginProgram
 from fairpolicy.objective import AtomKernel
 from helpers import UNIT, random_cond_array, random_rule, random_training_sample
 from oracles import (
@@ -48,6 +49,10 @@ SIMILARITIES = [
     SimilarityMeasure.parse(s) for s in ("ks", "one-sided-ks", "abs-target-diff:gini-welfare")
 ]
 SUPPORTS = [UNIT, SupportInterval(-2.0, 3.0)]
+PLUGIN_TARGETS = [TargetFunctional("mean"), TargetFunctional("gini-welfare")]
+PLUGIN_SIMILARITIES = [
+    SimilarityMeasure.parse(s) for s in ("ks", "one-sided-ks", "abs-target-diff:mean")
+]
 
 seeds = st.integers(0, 2**32 - 1)
 lams = st.sampled_from([0.0, 0.37, 1.0])
@@ -225,3 +230,46 @@ def test_group_cdfs_cache_is_invisible(seed, picks):
             f[0, 0] = 0.5
         assert kernel.computations == before + (probs.tobytes() != last)
         last = probs.tobytes()
+
+
+def array_leaves(value):
+    """The numpy arrays in value, looking inside dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from array_leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from array_leaves(item)
+
+
+@kernel_settings
+@given(seeds, supports, st.sampled_from(["cells", "sample", "ties"]),
+       st.sampled_from(PLUGIN_TARGETS), st.sampled_from(PLUGIN_SIMILARITIES))
+def test_the_kernel_alone_holds_the_atom_table(seed, support, mode, t, s):
+    # the atoms are in grid order and rebuild the same kernel bit for bit; a
+    # plug-in program, maximized, keeps no array with one entry per atom
+    rng = np.random.default_rng(seed)
+    if mode == "cells":
+        arr = random_cond_array(rng, support=support)
+    else:
+        sample = random_training_sample(rng, support=support)
+        if mode == "ties":  # many atoms of one group at one grid point
+            ys = support.a + (support.b - support.a) * rng.integers(0, 4, sample.n) / 3
+            sample = TrainingSample(sample.space, support, ys, sample.xi, sample.zi, sample.d)
+        arr = fit_plugin(sample)
+    kernel = arr.kernel
+    assert (np.diff(kernel.g) >= 0).all()
+    assert np.array_equal(kernel.index, kernel.z * kernel.grid.size + kernel.g)
+    rebuilt = AtomKernel(support, kernel.grid[kernel.g], kernel.z, kernel.slot, kernel.mass,
+                         kernel.pz)
+    for name in ("grid", "g", "z", "slot", "mass", "index"):
+        assert getattr(rebuilt, name).tobytes() == getattr(kernel, name).tobytes(), name
+    probs = random_rule(arr.space, rng).probs.ravel()
+    assert rebuilt.group_cdfs(probs).tobytes() == kernel.group_cdfs(probs).tobytes()
+    program = PluginProgram(kernel, arr.space, t, s)
+    assume(kernel.mass.size > program.size)  # no other array of the program is that long
+    program.maximize(0.5)
+    for value in array_leaves(vars(program)):
+        assert kernel.mass.size not in value.shape

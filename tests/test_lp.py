@@ -19,6 +19,7 @@ from fairpolicy import (
     SimilarityMeasure,
     SupportInterval,
     TargetFunctional,
+    TrainingSample,
     fit_plugin,
     maximize,
     sweep,
@@ -27,7 +28,7 @@ from fairpolicy import (
 from fairpolicy import lp
 from fairpolicy.functionals import plugin_route
 from fairpolicy.lp import PluginProgram, Unbounded, leaving_row, simplex
-from helpers import UNIT, random_cond_array
+from helpers import UNIT, random_cond_array, random_space
 from oracles import target_value
 
 MEAN = TargetFunctional("mean")
@@ -75,19 +76,34 @@ def highs_value(arr, lam, s) -> float:
     return -float(res.fun)
 
 
-@lp_settings
+def gridded_array(rng, support):
+    """The array fitted from a sample of 2 to 60 records whose y lie on a 0.1
+    or 0.01 grid: cells share points and some are empty, so the KS rows of
+    neighbouring grid points are near-parallel (a highly degenerate program)."""
+    space = random_space(rng)
+    n = int(rng.integers(2, 61))
+    ys = np.round(rng.uniform(support.a, support.b, n), int(rng.integers(1, 3)))
+    return fit_plugin(TrainingSample(space, support, ys, rng.integers(0, len(space.x_levels), n),
+                                     rng.integers(0, len(space.z_levels), n),
+                                     rng.integers(1, space.k + 1, n)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=seeds, s=st.sampled_from(SIMILARITIES), lam=st.sampled_from([0.0, 0.3, 1.0]),
-       support=st.sampled_from([UNIT, SupportInterval(-2.0, 3.0)]))
-def test_matches_highs_beats_nelder_mead_and_certifies(seed, s, lam, support):
+       support=st.sampled_from([UNIT, SupportInterval(-2.0, 3.0)]), gridded=st.booleans())
+def test_matches_highs_beats_nelder_mead_and_certifies(seed, s, lam, support, gridded):
+    # a gridded (degenerate) array is solved at every lambda of the 0.25 grid
     rng = np.random.default_rng(seed)
-    arr = random_cond_array(rng, support=support)
-    res = PluginProgram(arr.kernel, arr.space, MEAN, s).maximize(lam)
-    assert abs(res.value - highs_value(arr, lam, s)) <= 1e-9
-    assert res.value == arr.kernel.value(res.rule.probs, lam, MEAN, s)
-    assert res.gap <= 1e-9 and res.converged
-    nm = maximize(lambda probs: arr.kernel.value(probs, lam, MEAN, s), arr.space,
-                  OptimizerConfig(seed=seed, candidate_starts=10, max_iters=100))
-    assert res.value >= nm.value - 1e-12
+    arr = gridded_array(rng, support) if gridded else random_cond_array(rng, support=support)
+    program = PluginProgram(arr.kernel, arr.space, MEAN, s)
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0) if gridded else (lam,):
+        res = program.maximize(lam)
+        assert abs(res.value - highs_value(arr, lam, s)) <= 1e-9
+        assert res.value == arr.kernel.value(res.rule.probs, lam, MEAN, s)
+        assert res.gap <= 1e-9 and res.converged
+        nm = maximize(lambda probs: arr.kernel.value(probs, lam, MEAN, s), arr.space,
+                      OptimizerConfig(seed=seed, candidate_starts=10, max_iters=100))
+        assert res.value >= nm.value - 1e-12
 
 
 @lp_settings

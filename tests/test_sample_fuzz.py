@@ -97,19 +97,57 @@ def capped_cpus(usable_cpus=forking.usable_cpus) -> int:
 @example([("flip", 0, 1)])
 @example([("flip", at(0, D), 0x08)])  # d = 9
 def test_mutated_sample_exits_by_contract(ops):
-    data = mutate(SAMPLE, ops)
+    assert_exits_by_contract(mutate(SAMPLE, ops))
+
+
+# flag values that are out of range, not numbers, or look like flags; none is
+# a size that would allocate for real
+FLAG_VALUES = ["-1e-3", "-inf", "nan", "0", "-1", "", "abc", "x1,x1"]
+flag_value = st.none() | st.sampled_from(FLAG_VALUES)
+flag_sets = st.fixed_dictionaries({
+    "support": st.none() | st.tuples(st.sampled_from(FLAG_VALUES), st.sampled_from(FLAG_VALUES)),
+    "k": flag_value, "grid-m": flag_value, "x-levels": flag_value, "z-levels": flag_value,
+})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(mutations, flag_sets, st.booleans())
+def test_mutated_sample_and_flags_exit_by_contract(ops, flags, in_config):
+    assert_exits_by_contract(mutate(SAMPLE, ops), flags, in_config)
+
+
+def flag_argv(command: str, flags: dict, config: str, in_config: bool) -> list:
+    """--grid-m 2 for sweep and the given flags (--grid-m for sweep only) as
+    argv, or written as key=value lines to the file config, named by --config."""
+    given = {"grid-m": "2"} if command == "sweep" else {}
+    given.update((name, value) for name, value in flags.items()
+                 if value is not None and (name != "grid-m" or command == "sweep"))
+    if not in_config:
+        return [token for name, value in given.items()
+                for token in ["--" + name, *(value if name == "support" else [value])]]
+    with open(config, "w", encoding="utf-8") as fh:
+        for name, value in given.items():
+            fh.write(f"{name.replace('-', '_')}={' '.join(value) if name == 'support' else value}\n")
+    return ["--config", config]
+
+
+def assert_exits_by_contract(data: bytes, flags=None, in_config=False) -> None:
+    """fit and sweep on a sample file of these bytes, with these flags, each
+    exit by contract."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(forking, "usable_cpus",
                                                                  capped_cpus):
         path = os.path.join(tmp, "s.csv")
         with open(path, "wb") as fh:
             fh.write(data)
-        for command in (["fit"], ["sweep", "--grid-m", "2"]):
-            out = os.path.join(tmp, command[0])
-            code, err = run(command + ["--input", path, "--output-dir", out])
-            assert code in (0, 2, 3, 4, 5), (command, code, err)
+        for command in ("fit", "sweep"):
+            out = os.path.join(tmp, command)
+            argv = [command, "--input", path, "--output-dir", out] + flag_argv(
+                command, flags or {}, os.path.join(tmp, "c.cfg"), in_config)
+            code, err = run(argv)
+            assert code in (0, 2, 3, 4, 5), (argv, code, err)
             if code:
-                assert err.count("\n") == 1 and err.endswith("\n"), (command, err)
-                assert err.startswith(PREFIXES), (command, err)
+                assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+                assert err.startswith(PREFIXES), (argv, err)
             if os.path.isdir(out):
                 assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
             with pytest.raises(ChildProcessError):  # no child is left, running or not
