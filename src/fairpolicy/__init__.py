@@ -8,9 +8,10 @@ population distribution.  It ships the plug-in empirical objective (equal
 to the inverse-propensity-weighted one with cell-frequency propensities);
 two maximizers over products of simplices (the plug-in program of
 `fairpolicy.lp`, minorize-maximize over a linear program that is exact for
-the mean target and local for Gini-welfare, and Nelder-Mead for every other
-objective); budget-based preference-parameter selection; a closed-form test
-oracle; and a Monte Carlo harness.
+the mean target and local for Gini-welfare, and Nelder-Mead, alone in
+`fairpolicy.optimizer`, for every other objective; their settings and
+result are `fairpolicy.selection`'s); budget-based preference-parameter
+selection; a closed-form test oracle; and a Monte Carlo harness.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so ``import fairpolicy`` loads none of them and each CLI command
@@ -49,13 +50,16 @@ _SUBMODULE_NAMES = {
         "d1_to_set",
         "omega",
     ),
-    "optimizer": ("NonFiniteObjective", "OptimResult", "OptimizerConfig", "maximize"),
+    "optimizer": ("maximize",),
     "selection": (
         "BudgetSelection",
         "InvalidBudget",
         "LambdaGrid",
         "LambdaNotOnGrid",
         "LambdaPath",
+        "NonFiniteObjective",
+        "OptimResult",
+        "OptimizerConfig",
         "PathEntry",
         "budget_slack",
         "delta_n",

@@ -35,21 +35,22 @@ written from its pieces, never joined into one text.  ``fitted_array.json``
 hands each cell's atoms to the writer as slices of the fitted array's
 columns.  stdout stays quiet; diagnostics go to stderr.  Exit codes: 0 ok,
 1 self-test failure, 2 CSV parse error, 3 schema violation, 4 optimizer
-failure, 5 configuration error (a malformed or unknown flag too).  A run
-takes at most one ``--config`` file, which cannot name another.
+failure, 5 configuration error (a malformed or unknown flag too, named in
+the message; a count above `MAX_COUNT` is refused before any allocation).
+A run takes at most one ``--config`` file, which cannot name another.
 
 Without a bytecode cache every module a command imports is compiled when it
 starts, so each command imports only the code it runs: the block reader
 (`columns`), the saved-path reader (`savedpath`), the document builders
-(`payloads`) and the ``simulate`` and ``oracle-check`` commands (`simulate`,
-`oraclecheck`) are modules of their own, imported by the commands that run
-them.  ``fit`` loads neither the sweep, the solvers nor the simulation
-harness, and ``select`` on a saved path loads no numpy: it checks the saved
-rules in pure Python, against `DecisionRule`'s bounds, and writes the
-chosen rule as ``rules.json`` holds it.  Every file is written by
-`_atomic_write` and every sample read by `read_sample_csv`, each called
-through this module's binding, so that a wrapper bound here (as
-``bench/tracing.py`` binds them) sees every call.
+(`payloads`), the ``simulate`` and ``oracle-check`` commands (`simulate`,
+`oraclecheck`) and Nelder-Mead (`optimizer`, which only the sweeps it solves
+load) are modules of their own.  ``fit`` loads neither the sweep, the
+solvers nor the simulation harness, and ``select`` on a saved path loads
+no numpy: it checks the saved rules in pure Python, against
+`DecisionRule`'s bounds, and writes the chosen rule as ``rules.json`` holds
+it.  Every file is written by `_atomic_write` and every sample read by
+`read_sample_csv`, each called through this module's binding, so that a
+wrapper bound here (as ``bench/tracing.py`` binds them) sees every call.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .distributions import SupportInterval
     from .estimation import TrainingSample
-    from .optimizer import OptimizerConfig
     from .selection import LambdaPath
 
 EXIT_OK = 0
@@ -81,6 +81,10 @@ EXIT_OPTIMIZER = 4
 EXIT_CONFIG = 5
 
 INT64_MAX = 2**63 - 1
+# the largest count a flag may give (exact as a float64): numpy raises
+# ValueError, not MemoryError, for arrays of 2**60 float64s and more, so a
+# larger count is refused before numpy sees it
+MAX_COUNT = 2**53
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -207,6 +211,8 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
         tuple(z_levels) if z_levels is not None else z_seen,
         k_eff,
     )
+    if k_eff * len(space.x_levels) * len(space.z_levels) > MAX_COUNT:  # cells beyond an array
+        raise SchemaError(f"{path}: K={k_eff} gives more than {MAX_COUNT} (d, x, z) cells")
     return TrainingSample(space, support, y_arr, xi, zi, d_arr)
 
 
@@ -329,17 +335,29 @@ def _support(args) -> SupportInterval:
         raise ConfigError(str(exc)) from None
 
 
-def _levels(flag: str, text: str | None) -> list[str] | None:
-    """The comma-separated levels of a --x-levels/--z-levels flag, if given."""
-    if not text:
-        return None
-    levels = text.split(",")
+def check_flag(flag: str, value, ok: bool, rule: str):
+    """value if ok, else the ConfigError "{flag} must {rule}, got {value}"."""
+    if not ok:
+        from .columns import echo
+
+        raise ConfigError(f"{flag} must {rule}, got {echo(str(value), type(value) is str)}")
+    return value
+
+
+def check_count(flag: str, value: int, least: int = 1) -> int:
+    """value if least <= value <= MAX_COUNT, else a ConfigError naming flag."""
+    rule = f"be >= {least}" if value < least else f"be <= {MAX_COUNT}"
+    return check_flag(flag, value, least <= value <= MAX_COUNT, rule)
+
+
+def distinct(flag: str, values: list) -> list:
+    """values, unless flag lists one twice."""
     seen = set()
-    for level in levels:
-        if level in seen:
-            raise ConfigError(f"{flag} lists {level!r} twice")
-        seen.add(level)
-    return levels
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{flag} lists {value!r} twice")
+        seen.add(value)
+    return values
 
 
 def _read_sample(args, forks=None) -> TrainingSample:
@@ -348,8 +366,8 @@ def _read_sample(args, forks=None) -> TrainingSample:
     and collected by read_sample_csv; a flag error still wins."""
     if not args.input:
         raise ConfigError("--input is required")
-    if args.k is not None and args.k < 2:
-        raise ConfigError(f"--k must be >= 2, got {args.k}")
+    if args.k is not None:
+        check_count("--k", args.k, least=2)
     from .columns import read_columns  # here, so that read_sample_csv's own time holds no compile
 
     reader = None
@@ -359,23 +377,11 @@ def _read_sample(args, forks=None) -> TrainingSample:
         args.input,
         _support(args),
         k=args.k,
-        x_levels=_levels("--x-levels", args.x_levels),
-        z_levels=_levels("--z-levels", args.z_levels),
+        x_levels=distinct("--x-levels", args.x_levels.split(",")) if args.x_levels else None,
+        z_levels=distinct("--z-levels", args.z_levels.split(",")) if args.z_levels else None,
         drop_empty_x=args.drop_empty_x,
         rescale=args.rescale,
         reader=reader,
-    )
-
-
-def _optimizer_config(args) -> OptimizerConfig:
-    from .optimizer import OptimizerConfig
-
-    return OptimizerConfig(
-        restarts=args.restarts,
-        candidate_starts=args.candidate_starts,
-        max_iters=args.max_iters,
-        ftol=args.ftol,
-        seed=args.seed,
     )
 
 
@@ -395,15 +401,18 @@ def cmd_fit(args) -> int:
 
 def _run_sweep(args, beta=None) -> LambdaPath:
     from .functionals import SimilarityMeasure, TargetFunctional
-    from .selection import LambdaGrid, check_budget, sweep
+    from .selection import LambdaGrid, OptimizerConfig, check_budget, sweep
 
+    grid = LambdaGrid.uniform(check_count("--grid-m", args.grid_m))
     try:
-        grid = LambdaGrid.uniform(args.grid_m)
         t = TargetFunctional.parse(args.target)
         s = SimilarityMeasure.parse(args.similarity)
-        cfg = _optimizer_config(args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    cfg = OptimizerConfig(check_count("--restarts", args.restarts),
+                          check_count("--candidate-starts", args.candidate_starts),
+                          check_count("--max-iters", args.max_iters),
+                          check_flag("--ftol", args.ftol, args.ftol > 0, "be positive"), args.seed)
     sample = _read_sample(args)
     if beta is not None:
         check_budget(beta, sample.n)
@@ -547,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_command_of(".simulate"))
 
     p_oracle = sub.add_parser("oracle-check", help="closed-form vs numeric self-test")
-    add_common(p_oracle)
+    p_oracle.add_argument("--config", help="key=value file; flags override its entries")
     p_oracle.add_argument("--p", type=float, default=0.75)
     p_oracle.add_argument("--grid-points", type=int, default=2000)
     p_oracle.set_defaults(func=_command_of(".oraclecheck"))
@@ -626,7 +635,7 @@ def main(argv=None) -> int:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     # an except clause's classes are evaluated only when an exception reaches it
-    except (*_loaded(".optimizer", "NonFiniteObjective"), *_loaded(".lp", "Unbounded"),
+    except (*_loaded(".selection", "NonFiniteObjective"), *_loaded(".lp", "Unbounded"),
             *_loaded("numpy.linalg", "LinAlgError")) as exc:
         print(f"optimizer error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER

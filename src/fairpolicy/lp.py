@@ -58,6 +58,8 @@ not depend on lambda).  The kernel keeps its last group CDFs, so the value
 and tangent at the rule a solve ended on reuse its row search's.  Equal
 bytes go through the same deterministic arithmetic, so the results are
 those of the loop without replay, with fewer kernel computations.
+
+`selection.sweep` (so `simulate` too) and `oracle-check` run the program.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import numpy as np
 
 from .functionals import SimilarityMeasure, TargetFunctional, plugin_route
 from .objective import AtomKernel, CovariateSpace, DecisionRule
-from .optimizer import CountingObjective, OptimResult
+from .selection import CountingObjective, OptimResult
 
 REFACTOR_EVERY = 20
 CUT_TOL = 1e-12

@@ -14,69 +14,25 @@ uniformly from the product of simplices; independent restarts use RNG
 streams derived from (seed, restart index), so results are deterministic and
 restart sets are prefix-monotone.  The achieved optimization accuracy is best-effort: the true
 supremum is unknown, and `converged` only reports the internal ftol
-criterion.  `selection.sweep` sends the plug-in objectives of the mean and
-Gini-welfare targets under the KS, one-sided KS and |mean difference|
-penalties to `lp.PluginProgram` instead: minorize-maximize over a linear
-program, exact for the mean and local for Gini-welfare.
+criterion.
+
+This module is Nelder-Mead alone (its settings and result are `selection`'s),
+imported only by `selection.sweep` for the pairs `functionals.plugin_route`
+refuses; the others go to `lp.PluginProgram`, which is exact for the mean.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .objective import CovariateSpace, DecisionRule
+from .selection import CountingObjective, OptimizerConfig, OptimResult, seed_sequence
 
 _JOINT_DIM_LIMIT = 40
 _INITIAL_EDGE = 0.5
 _MAX_BLOCK_SWEEPS = 1000
 _MAX_POLISH_ROUNDS = 30
 _PROB_FLOOR = 1e-12  # for mapping simplex points back to unconstrained coords
-_MASK64 = (1 << 64) - 1
-
-
-def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    """The SeedSequence of stream `key` under `seed` (taken modulo 2**64)."""
-    return np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=key)
-
-
-def derive_seed(seed: int, *key: int) -> int:
-    """A 64-bit seed for stream `key` under `seed`."""
-    return int(seed_sequence(seed, *key).generate_state(1, dtype=np.uint64)[0])
-
-
-class NonFiniteObjective(ValueError):
-    """The objective returned NaN or infinity at a feasible rule."""
-
-
-class OptimizerConfig:
-    def __init__(self, restarts: int = 1, candidate_starts: int = 50, max_iters: int = 500,
-                 ftol: float = 1e-8, seed: int = 0):
-        if restarts < 1 or candidate_starts < 1 or max_iters < 1:
-            raise ValueError("restarts, candidate_starts, and max_iters must be >= 1")
-        if not ftol > 0:
-            raise ValueError("ftol must be positive")
-        self.restarts, self.candidate_starts, self.max_iters = restarts, candidate_starts, max_iters
-        self.ftol, self.seed = ftol, seed
-
-
-class OptimResult:
-    """A maximizer's rule, the objective at it, and how far to trust it.
-
-    evaluations counts objective calls (from `lp.PluginProgram.maximize`,
-    the group CDFs its kernel computed).  From `maximize`, converged only
-    says that no budget stopped the final Nelder-Mead run (it can hold well
-    short of the maximum), and gap is None.  From the plug-in program, for
-    the mean target gap is the certified distance from value up to an upper
-    bound on the maximum, and converged means gap <= 1e-9; for Gini-welfare,
-    converged means that no start hit the step cap, and gap is None.
-    """
-
-    def __init__(self, rule: DecisionRule, value: float, evaluations: int, converged: bool,
-                 gap: float | None = None):
-        self.rule, self.value, self.evaluations = rule, value, evaluations
-        self.converged, self.gap = converged, gap
 
 
 def _random_probs(space: CovariateSpace, rng: np.random.Generator) -> np.ndarray:
@@ -103,25 +59,6 @@ def _to_unconstrained(probs: np.ndarray) -> np.ndarray:
     """Inverse of _softmax_rows up to the probability floor."""
     p = np.maximum(probs, _PROB_FLOOR)
     return np.log(p[:, :-1]) - np.log(p[:, -1:])
-
-
-class CountingObjective:
-    """obj with its calls counted; a NaN or infinite value raises
-    NonFiniteObjective."""
-
-    def __init__(self, obj):
-        self.obj = obj
-        self.evaluations = 0
-
-    def __call__(self, probs: np.ndarray) -> float:
-        self.evaluations += 1
-        value = float(self.obj(probs))
-        if not math.isfinite(value):
-            raise NonFiniteObjective(f"objective returned {value!r}")
-        return value
-
-    def at_u(self, u: np.ndarray) -> float:
-        return self(_softmax_rows(u))
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
@@ -219,7 +156,7 @@ def _maximize_from(counting: CountingObjective, u0: np.ndarray, cfg: OptimizerCo
 
     if nx * dims <= _JOINT_DIM_LIMIT:
         def neg(flat_u):
-            return -counting.at_u(flat_u.reshape(nx, dims))
+            return -counting(_softmax_rows(flat_u.reshape(nx, dims)))
 
         x = u0.ravel().copy()
         best = -np.inf
@@ -235,7 +172,7 @@ def _maximize_from(counting: CountingObjective, u0: np.ndarray, cfg: OptimizerCo
         return u, best, converged
 
     u = u0.copy()
-    best = counting.at_u(u)
+    best = counting(_softmax_rows(u))
     converged = False
     for _ in range(_MAX_BLOCK_SWEEPS):
         sweep_start = best
@@ -244,13 +181,13 @@ def _maximize_from(counting: CountingObjective, u0: np.ndarray, cfg: OptimizerCo
             def neg_row(block, row=row):
                 trial = u.copy()
                 trial[row] = block
-                return -counting.at_u(trial)
+                return -counting(_softmax_rows(trial))
 
             x, ok = _nelder_mead(neg_row, u[row].copy(), cfg.max_iters, cfg.ftol)
             block_converged &= ok
             trial = u.copy()
             trial[row] = x
-            value = counting.at_u(trial)
+            value = counting(_softmax_rows(trial))
             if value > best:
                 u, best = trial, value
         if best - sweep_start <= cfg.ftol:
@@ -290,7 +227,4 @@ def maximize(obj, space: CovariateSpace, cfg: OptimizerConfig) -> OptimResult:
             best_probs, best_value = restart_probs, restart_value
             best_converged = converged
     rule = DecisionRule(space, best_probs)
-    return OptimResult(
-        rule=rule, value=counting(rule.probs), evaluations=counting.evaluations,
-        converged=best_converged,
-    )
+    return OptimResult(rule, counting(rule.probs), counting.evaluations, best_converged)

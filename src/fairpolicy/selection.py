@@ -9,7 +9,7 @@ accepts) go to `lp.PluginProgram`: minorize-maximize over one cutting-plane
 linear program, exact with a certified gap for the mean and a local maximum
 with no certificate for Gini-welfare.  The optimizer settings and seed play
 no part there.  Every other objective is maximized by Nelder-Mead
-(`maximize`).
+(`optimizer.maximize`).
 Per-lambda diagnostics (target value, per-group unfairness) are the same
 kernel's two objective terms at the fitted rule, matching how the empirical
 illustrations report estimated quantities.
@@ -18,6 +18,10 @@ Budget selection spends at most beta of the target functional on fairness:
 it picks the largest lambda whose target drop relative to lambda = 0 stays
 within beta * (1 - c_n), with slack c_n = sqrt(log(n) / n).  The drop is used
 raw; it can be negative and is not clamped.
+
+Both solvers' settings, result, evaluation counter and RNG streams live
+here, in the module every solver user loads; the streams import numpy when
+called, so that `select` on a saved path loads none.
 """
 
 from __future__ import annotations
@@ -29,7 +33,69 @@ if TYPE_CHECKING:
     from .estimation import TrainingSample
     from .functionals import SimilarityMeasure, TargetFunctional
     from .objective import AtomKernel, DecisionRule
-    from .optimizer import OptimizerConfig
+
+
+def seed_sequence(seed: int, *key: int):
+    """The numpy SeedSequence of stream `key` under `seed` (taken modulo 2**64)."""
+    import numpy as np
+
+    return np.random.SeedSequence(entropy=seed % 2**64, spawn_key=key)
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """A 64-bit seed for stream `key` under `seed`."""
+    return int(seed_sequence(seed, *key).generate_state(1, dtype="uint64")[0])
+
+
+class NonFiniteObjective(ValueError):
+    """The objective returned NaN or infinity at a feasible rule."""
+
+
+class OptimizerConfig:
+    """Nelder-Mead's settings; the plug-in program takes none of them."""
+
+    def __init__(self, restarts: int = 1, candidate_starts: int = 50, max_iters: int = 500,
+                 ftol: float = 1e-8, seed: int = 0):
+        if restarts < 1 or candidate_starts < 1 or max_iters < 1:
+            raise ValueError("restarts, candidate_starts, and max_iters must be >= 1")
+        if not ftol > 0:
+            raise ValueError("ftol must be positive")
+        self.restarts, self.candidate_starts, self.max_iters = restarts, candidate_starts, max_iters
+        self.ftol, self.seed = ftol, seed
+
+
+class OptimResult:
+    """A maximizer's rule, the objective at it, and how far to trust it.
+
+    evaluations counts objective calls (from `lp.PluginProgram.maximize`,
+    the group CDFs its kernel computed).  From Nelder-Mead, converged only
+    says that no budget stopped the final Nelder-Mead run (it can hold well
+    short of the maximum), and gap is None.  From the plug-in program, for
+    the mean target gap is the certified distance from value up to an upper
+    bound on the maximum, and converged means gap <= 1e-9; for Gini-welfare,
+    converged means that no start hit the step cap, and gap is None.
+    """
+
+    def __init__(self, rule: DecisionRule, value: float, evaluations: int, converged: bool,
+                 gap: float | None = None):
+        self.rule, self.value, self.evaluations = rule, value, evaluations
+        self.converged, self.gap = converged, gap
+
+
+class CountingObjective:
+    """obj with its calls counted; a NaN or infinite value raises
+    NonFiniteObjective."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.evaluations = 0
+
+    def __call__(self, probs) -> float:
+        self.evaluations += 1
+        value = float(self.obj(probs))
+        if not math.isfinite(value):
+            raise NonFiniteObjective(f"objective returned {value!r}")
+        return value
 
 
 class LambdaNotOnGrid(ValueError):
@@ -128,17 +194,15 @@ def sweep(
 
     A (t, s) pair that `plugin_route` accepts is solved by
     `lp.PluginProgram`, which ignores cfg.  Every other objective goes to
-    `maximize`, with per-lambda seeds derived from (cfg.seed, lambda
+    `optimizer.maximize`, with per-lambda seeds derived from (cfg.seed, lambda
     index); cfg None means `OptimizerConfig()`.  Either way the path is
     reproducible bit-for-bit and per-lambda runs are independent.
     """
     # Imported here, not at the top, so that `select` on a saved path loads
-    # no numpy and compiles neither the estimator, the functionals, the
-    # objective nor the optimizer, and only the sweeps that lp may solve
-    # compile it.
+    # no numpy and compiles neither the estimator, the functionals nor the
+    # objective, and each sweep compiles only the solver it runs.
     from .estimation import fit_plugin
     from .functionals import plugin_route
-    from .optimizer import OptimizerConfig, derive_seed, maximize
 
     cfg = OptimizerConfig() if cfg is None else cfg
     kernel = fit_plugin(sample).kernel
@@ -147,6 +211,8 @@ def sweep(
         from . import lp
 
         program = lp.PluginProgram(kernel, sample.space, t, s)
+    else:
+        from .optimizer import maximize
     z_levels = sample.space.z_levels
     entries = []
     for idx, lam in enumerate(grid):

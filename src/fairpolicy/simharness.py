@@ -36,8 +36,7 @@ import numpy as np
 
 from .forking import Forks, WorkerDied, usable_cpus
 from .functionals import SimilarityMeasure, TargetFunctional
-from .optimizer import derive_seed
-from .selection import LambdaGrid, sweep
+from .selection import LambdaGrid, derive_seed, sweep
 from .toy import MECHANISMS, ToyParams, toy_max_value, toy_objective, toy_sample
 
 GINI = TargetFunctional("gini-welfare")

@@ -44,23 +44,28 @@ def aggregate_csv_text(result) -> str:
     return buf.getvalue()
 
 
+def _size(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    cli.check_flag("--sample-sizes", text, n is not None, "list integers")
+    return cli.check_count("--sample-sizes", n)
+
+
 def run(args) -> int:
     from .selection import LambdaGrid
     from .simharness import SimConfig, run_simulation
+    from .toy import MECHANISMS
 
     out = cli._ensure_outdir(args)
-    try:
-        cfg = SimConfig(
-            sample_sizes=tuple(int(v) for v in args.sample_sizes.split(",")),
-            mechanisms=tuple(args.mechanisms.split(",")),
-            grid=LambdaGrid.uniform(args.grid_m),
-            replications=args.replications,
-            p=args.p,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise cli.ConfigError(str(exc)) from None
-    result = run_simulation(cfg)
+    sizes = cli.distinct("--sample-sizes", [_size(v) for v in args.sample_sizes.split(",")])
+    mechanisms = [cli.check_flag("--mechanisms", m, m in MECHANISMS, "list A1 or A2")
+                  for m in cli.distinct("--mechanisms", args.mechanisms.split(","))]
+    grid = LambdaGrid.uniform(cli.check_count("--grid-m", args.grid_m))
+    replications = cli.check_count("--replications", args.replications)
+    p = cli.check_flag("--p", args.p, 0.5 < args.p < 1.0, "lie in (1/2, 1)")
+    result = run_simulation(SimConfig(sizes, mechanisms, grid, replications, p, args.seed))
     cli._atomic_write(os.path.join(out, "replications.csv"), replications_csv_text(result))
     cli._atomic_write(os.path.join(out, "aggregate.csv"), aggregate_csv_text(result))
     return cli.EXIT_OK

@@ -37,7 +37,7 @@ from fairpolicy.estimation import TrainingSample
 from fairpolicy.functionals import SimilarityMeasure, TargetFunctional
 from fairpolicy.lp import GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
 from fairpolicy.objective import CondCdfArray, DecisionRule, _require_same_space
-from fairpolicy.optimizer import CountingObjective, OptimResult
+from fairpolicy.selection import CountingObjective, OptimResult
 from fairpolicy.toy import Z_MAJORITY, Z_MINORITY, toy_cdf_g, toy_cdf_h
 
 

@@ -42,7 +42,7 @@ from fairpolicy.cli import (
 )
 from fairpolicy.oraclecheck import oracle_check
 from fairpolicy.payloads import fitted_array_payload
-from fairpolicy.lp import Unbounded
+from fairpolicy.lp import PluginProgram, Unbounded
 from helpers import labelled_sample, write_sample_csv
 
 UNIT = SupportInterval(0.0, 1.0)
@@ -174,6 +174,8 @@ ERROR_CASES = [
      "cannot rescale a constant outcome column"),
     ("1.5,a,u,1", {}, SchemaError, "row 4: y=1.5 outside support [0.0, 1.0]"),
     ("0.5,a,u,3", {"k": 2}, SchemaError, "row 4: treatment index 3 exceeds K=2"),
+    # more cells than any array holds; once an exit 1 from fit_plugin
+    (f"0.5,a,u,{2**62}", {}, SchemaError, f"K={2**62} gives more than {2**53} (d, x, z) cells"),
     ("0.5,b,u,1", {"x_levels": ["a"]}, SchemaError, "row 4: unknown x level 'b'"),
     ("0.5,a,v,1", {"z_levels": ["u"]}, SchemaError, "row 4: unknown z level 'v'"),
     ("y,x,z,d\n\n0.5,a,u,1\n", {"x_levels": ["ghost"], "drop_empty_x": True},
@@ -685,6 +687,7 @@ class TestFit:
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "1"], "--k must be >= 2, got 1"),
+        (["--k", str(2**61)], f"--k must be <= {2**53}, got {2**61}"),  # once an exit 1
         (["--x-levels", "a,b,a"], "--x-levels lists 'a' twice"),
         (["--z-levels", "u,u"], "--z-levels lists 'u' twice"),
     ])
@@ -734,23 +737,26 @@ class TestSweep:
         assert header[-1] == "max_unfairness"
         assert len(lines) == 3  # grid {0, 1} plus header
 
-    @pytest.mark.parametrize("flags", [["--grid-m", "0"], ["--target", "quantile:2"]])
-    def test_bad_objective_config_exit_5(self, toy_csv, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-m", "0"], "--grid-m must be >= 1, got 0"),
+        (["--grid-m", str(2**61)], f"--grid-m must be <= {2**53}, got {2**61}"),
+        (["--target", "quantile:2"], "quantile target needs tau in (0, 1), got 2.0"),
+    ])
+    def test_bad_objective_config_exit_5(self, toy_csv, tmp_path, capsys, flags, message):
         rc = main(["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "o")] + flags)
         assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
-    @pytest.mark.parametrize("command, flags", [
-        ("sweep", ["--ftol", "0"]),
-        ("sweep", ["--restarts", "0"]),
-        ("sweep", ["--candidate-starts", "0"]),
-        ("sweep", ["--max-iters", "0"]),
-        ("sweep", ["--support", "1", "0"]),
-        ("fit", ["--support", "1", "0"]),
+    @pytest.mark.parametrize("command, flags, message", [
+        ("sweep", ["--ftol", "0"], "--ftol must be positive, got 0.0"),
+        ("sweep", ["--restarts", "0"], "--restarts must be >= 1, got 0"),
+        ("sweep", ["--candidate-starts", "0"], "--candidate-starts must be >= 1, got 0"),
+        ("sweep", ["--max-iters", "0"], "--max-iters must be >= 1, got 0"),
+        ("sweep", ["--support", "1", "0"], "support requires a < b, got [1.0, 0.0]"),
+        ("fit", ["--support", "1", "0"], "support requires a < b, got [1.0, 0.0]"),
     ])
     def test_bad_optimizer_or_support_exit_5_before_reading(
-        self, toy_csv, tmp_path, capsys, monkeypatch, command, flags
+        self, toy_csv, tmp_path, capsys, monkeypatch, command, flags, message
     ):
         def no_read(*args, **kwargs):
             raise AssertionError("sample read before the configuration was checked")
@@ -758,8 +764,7 @@ class TestSweep:
         monkeypatch.setattr("fairpolicy.cli.read_sample_csv", no_read)
         rc = main([command, "--input", toy_csv, "--output-dir", str(tmp_path / "o")] + flags)
         assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_stdout_stays_quiet(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -1293,14 +1298,37 @@ class TestSimulate:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("flags, error", [
-        (["--sample-sizes", "100,100"], "sample_sizes lists 100 twice"),
-        (["--mechanisms", "A1,A2,A1"], "mechanisms lists 'A1' twice"),
+        (["--sample-sizes", "100,100"], "--sample-sizes lists 100 twice"),
+        (["--mechanisms", "A1,A2,A1"], "--mechanisms lists 'A1' twice"),
+        (["--sample-sizes", "abc"], "--sample-sizes must list integers, got 'abc'"),
+        (["--sample-sizes", "-5"], "--sample-sizes must be >= 1, got -5"),
+        (["--mechanisms", "A3"], "--mechanisms must list A1 or A2, got 'A3'"),
+        (["--replications", "0"], "--replications must be >= 1, got 0"),
+        (["--grid-m", "0"], "--grid-m must be >= 1, got 0"),
+        (["--p", "0.5"], "--p must lie in (1/2, 1), got 0.5"),
     ])
-    def test_repeated_cell_exit_5(self, tmp_path, capsys, flags, error):
+    def test_bad_config_exit_5(self, tmp_path, capsys, flags, error):
         rc = main(["simulate", "--output-dir", str(tmp_path / "o"), "--grid-m", "1",
                    "--replications", "1"] + flags)
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {error}\n"
+
+    @pytest.mark.parametrize("replications, workers", [(1, 1), (2, 2)],
+                             ids=["in-process", "forked"])
+    @pytest.mark.parametrize("size", [10**23, 2**61])
+    def test_size_beyond_an_array_exit_5(self, tmp_path, capsys, monkeypatch, size,
+                                         replications, workers):
+        # numpy refuses arrays of 2**60 float64s and more with ValueError (once an
+        # exit 1, from a worker too), so these sizes never allocate
+        monkeypatch.setattr("fairpolicy.simharness.usable_cpus", lambda: workers)
+        rc = main(["simulate", "--sample-sizes", str(size), "--mechanisms", "A1",
+                   "--grid-m", "1", "--replications", str(replications),
+                   "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --sample-sizes must be <= {2**53}, got {size}\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestOutputPaths:
@@ -1350,11 +1378,29 @@ class TestOracleCheck:
         assert "unrecognized arguments: --self-test-perturb" in err and err.count("\n") == 1
 
 
-    @pytest.mark.parametrize("flags", [["--grid-points", "0"], ["--p", "2"], ["--p", "0"]])
-    def test_bad_config_exit_5(self, capsys, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-points", "0"], "--grid-points must be >= 2, got 0"),
+        (["--p", "2"], "--p must lie in (1/2, 1), got 2.0"),
+        (["--p", "0"], "--p must lie in (1/2, 1), got 0.0"),
+        # numpy refused it with ValueError, once an exit 1
+        (["--grid-points", str(10**23)], f"--grid-points must be <= {2**53}, got {10**23}"),
+        # it draws nothing at random and writes no file
+        (["--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["--output-dir", "d"], "unrecognized arguments: --output-dir d"),
+    ])
+    def test_bad_config_exit_5(self, capsys, flags, message):
         assert main(["oracle-check"] + flags) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_argmax_checks_run_the_plug_in_program(self, monkeypatch, capsys):
+        # the solver simulate runs on the toy, not Nelder-Mead
+        runs = []
+        maximize = PluginProgram.maximize
+        monkeypatch.setattr(PluginProgram, "maximize",
+                            lambda self, lam: runs.append(lam) or maximize(self, lam))
+        assert main(["oracle-check", "--grid-points", "50"]) == EXIT_OK
+        assert len(runs) == 2
+        assert "[FAIL]" not in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -1515,6 +1561,34 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # select on a saved path is pure Python: numpy alone costs about 40 ms to import
     assert not select & {"numpy", "fairpolicy.objective", "fairpolicy.distributions",
                          "fairpolicy.functionals"}
+
+
+def test_only_the_sweeps_nelder_mead_solves_load_the_optimizer(toy_csv, tmp_path):
+    # every other command runs the plug-in program or no solver at all
+    def out(name):
+        return ["--output-dir", str(tmp_path / name)]
+
+    never = {}
+    for target in ("mean", "gini-welfare"):
+        for similarity in ("ks", "one-sided-ks", "abs-target-diff:mean"):
+            never[f"sweep {target} {similarity}"] = [
+                "sweep", "--input", toy_csv, "--target", target, "--similarity", similarity,
+                "--grid-m", "2"] + out(target + similarity)
+    saved = tmp_path / "meanks"
+    never.update({
+        "select saved": ["select", "--beta", "0.01", "--path-csv", str(saved / "path.csv"),
+                         "--rules-json", str(saved / "rules.json")] + out("saved"),
+        "select input": ["select", "--beta", "0.01", "--input", toy_csv, "--grid-m", "1"]
+        + out("input"),
+        "simulate": ["simulate", "--sample-sizes", "50", "--mechanisms", "A1", "--grid-m", "1",
+                     "--replications", "1"] + out("simulate"),
+        "oracle-check": ["oracle-check", "--grid-points", "50"],
+    })
+    loaded = {name: modules_after(argv) for name, argv in never.items()}  # sweeps first
+    assert [name for name, modules in loaded.items() if "fairpolicy.optimizer" in modules] == []
+    quantile = modules_after(["sweep", "--input", toy_csv, "--target", "quantile:0.5",
+                              "--grid-m", "1", "--max-iters", "20"] + out("quantile"))
+    assert "fairpolicy.optimizer" in quantile and "fairpolicy.lp" not in quantile
 
 
 def test_no_command_imports_dataclasses(toy_csv, tmp_path):

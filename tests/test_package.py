@@ -25,10 +25,11 @@ PUBLIC = {
         "CondCdfArray", "CovariateSpace", "DecisionRule", "EmptySet", "InvalidLambda",
         "SpaceMismatch", "d1", "d1_to_set", "omega",
     ],
-    "optimizer": ["NonFiniteObjective", "OptimResult", "OptimizerConfig", "maximize"],
+    "optimizer": ["maximize"],
     "selection": [
         "BudgetSelection", "InvalidBudget", "LambdaGrid", "LambdaNotOnGrid", "LambdaPath",
-        "PathEntry", "budget_slack", "delta_n", "select_lambda_budget", "sweep",
+        "NonFiniteObjective", "OptimResult", "OptimizerConfig", "PathEntry", "budget_slack",
+        "delta_n", "select_lambda_budget", "sweep",
     ],
     "simharness": ["SimConfig", "SimResult", "SimRow", "regret_toy", "run_simulation"],
     "toy": [

@@ -20,7 +20,7 @@ from fairpolicy import (
     toy_sample,
     toy_threshold,
 )
-from fairpolicy.optimizer import NonFiniteObjective
+from fairpolicy.selection import NonFiniteObjective
 from fairpolicy.simharness import GINI, KS, WorkerDied, _replication_seed
 
 
