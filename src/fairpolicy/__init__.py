@@ -34,8 +34,6 @@ _SUBMODULE_NAMES = {
         "OutOfSupport",
         "StepCdf",
         "SupportInterval",
-        "SupportMismatch",
-        "WeightMismatch",
     ),
     "estimation": ("TrainingSample", "fit_plugin"),
     "functionals": ("InvalidTau", "SimilarityMeasure", "TargetFunctional"),

@@ -9,12 +9,12 @@ support [a, b] defaults to [0, 1]; ``--rescale`` min-max rescales outcomes to
 [0, 1] instead.  Input files are UTF-8, a leading byte-order mark skipped.
 The sample is read into typed columns by `columns.read_columns` (the block
 reader, or csv.reader from the first row it cannot read), and
-`read_sample_csv` checks them and builds the sample; an error message
-quotes at most the first 40 characters of a field.  ``fit`` reads its
-sample in a child forked (`forking.Forks`) before numpy loads, so that the
-parse runs beside numpy's import; with one usable CPU, or no ``os.fork``,
-it reads in-process.  ``sweep`` and ``select --input`` read in-process:
-their samples parse in less time than a process costs.
+`read_sample_csv` checks them and builds the sample; an error message quotes
+at most the first 40 characters of a field or flag (`echo`).  ``fit`` reads
+its sample in a child forked (`forking.Forks`) before numpy loads, so that
+the parse runs beside numpy's import; with one usable CPU, or no
+``os.fork``, it reads in-process.  ``sweep`` and ``select --input`` read
+in-process: their samples parse in less time than a process costs.
 
 `main` runs numpy's BLAS on one thread: before a command loads numpy it sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
@@ -36,7 +36,7 @@ hands each cell's atoms to the writer as slices of the fitted array's
 columns.  stdout stays quiet; diagnostics go to stderr.  Exit codes: 0 ok,
 1 self-test failure, 2 CSV parse error, 3 schema violation, 4 optimizer
 failure, 5 configuration error (a malformed or unknown flag too, named in
-the message; a count above `MAX_COUNT` is refused before any allocation).
+the message; a count flag is checked against `MAX_COUNT` as it is read).
 A run takes at most one ``--config`` file, which cannot name another.
 
 Without a bytecode cache every module a command imports is compiled when it
@@ -64,6 +64,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from typing import TYPE_CHECKING
@@ -98,6 +99,35 @@ class SchemaError(Exception):
 
 class ConfigError(Exception):
     """Missing or inconsistent command configuration."""
+
+
+ECHO_CHARS = 40  # the most of a field that an error message quotes
+
+
+def echo(text: str, quote: bool = False) -> str:
+    """text as an error message quotes it (repr'd if quote), a sample's
+    field or a flag's value: its first ECHO_CHARS characters, then "..."
+    and its length if it is longer."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text) if quote else text
+    head = text[:ECHO_CHARS]
+    return f"{repr(head) if quote else head}... ({len(text)} characters)"
+
+
+def _int(text: str) -> int:
+    """int(text), also for an integer with more digits than int() converts
+    (sys.get_int_max_str_digits(), 4300 by default): its value if that fits
+    in int64 once leading zeros are dropped, else +-2**63 (beyond int64)."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        sign = body[:1] if body[:1] in "+-" else ""
+        parts = body[len(sign):].split("_")  # int() takes single underscores between digits
+        if not all(map(str.isdecimal, parts)):
+            raise
+        digits = "".join(parts).lstrip("0") or "0"
+        return int(sign + digits) if len(digits) <= 19 else int(sign + "1") * 2**63
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +166,7 @@ def read_sample_csv(path: str, support: SupportInterval, k: int | None = None,
     """
     import numpy as np
 
-    from .columns import echo, read_columns
+    from .columns import read_columns
     from .distributions import SupportInterval
     from .estimation import TrainingSample
     from .objective import CovariateSpace
@@ -338,16 +368,18 @@ def _support(args) -> SupportInterval:
 def check_flag(flag: str, value, ok: bool, rule: str):
     """value if ok, else the ConfigError "{flag} must {rule}, got {value}"."""
     if not ok:
-        from .columns import echo
-
         raise ConfigError(f"{flag} must {rule}, got {echo(str(value), type(value) is str)}")
     return value
 
 
-def check_count(flag: str, value: int, least: int = 1) -> int:
-    """value if least <= value <= MAX_COUNT, else a ConfigError naming flag."""
-    rule = f"be >= {least}" if value < least else f"be <= {MAX_COUNT}"
-    return check_flag(flag, value, least <= value <= MAX_COUNT, rule)
+def check_count(flag: str, text: str, least: int = 1) -> int:
+    """The integer text (by `_int`) if least <= it <= MAX_COUNT, else a
+    ConfigError naming flag; a count flag's argparse type."""
+    value = _int(text)
+    if not least <= value <= MAX_COUNT:
+        rule = f">= {least}" if value < least else f"<= {MAX_COUNT}"
+        raise ConfigError(f"{flag} must be {rule}, got {echo(text.strip())}")
+    return value
 
 
 def distinct(flag: str, values: list) -> list:
@@ -355,9 +387,18 @@ def distinct(flag: str, values: list) -> list:
     seen = set()
     for value in values:
         if value in seen:
-            raise ConfigError(f"{flag} lists {value!r} twice")
+            raise ConfigError(f"{flag} lists {echo(str(value), type(value) is str)} twice")
         seen.add(value)
     return values
+
+
+def _parsed(flag: str, text: str, parse, rule: str):
+    """parse(text); a ValueError is "{flag} must {rule}" if text is too long to quote."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        check_flag(flag, text, len(text) <= ECHO_CHARS, rule)
+        raise ConfigError(str(exc)) from None
 
 
 def _read_sample(args, forks=None) -> TrainingSample:
@@ -366,8 +407,6 @@ def _read_sample(args, forks=None) -> TrainingSample:
     and collected by read_sample_csv; a flag error still wins."""
     if not args.input:
         raise ConfigError("--input is required")
-    if args.k is not None:
-        check_count("--k", args.k, least=2)
     from .columns import read_columns  # here, so that read_sample_csv's own time holds no compile
 
     reader = None
@@ -403,15 +442,12 @@ def _run_sweep(args, beta=None) -> LambdaPath:
     from .functionals import SimilarityMeasure, TargetFunctional
     from .selection import LambdaGrid, OptimizerConfig, check_budget, sweep
 
-    grid = LambdaGrid.uniform(check_count("--grid-m", args.grid_m))
-    try:
-        t = TargetFunctional.parse(args.target)
-        s = SimilarityMeasure.parse(args.similarity)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    cfg = OptimizerConfig(check_count("--restarts", args.restarts),
-                          check_count("--candidate-starts", args.candidate_starts),
-                          check_count("--max-iters", args.max_iters),
+    grid = LambdaGrid.uniform(args.grid_m)
+    t = _parsed("--target", args.target, TargetFunctional.parse,
+                "be gini-welfare, mean or quantile:TAU")
+    s = _parsed("--similarity", args.similarity, SimilarityMeasure.parse,
+                "be ks, one-sided-ks or abs-target-diff:TARGET")
+    cfg = OptimizerConfig(args.restarts, args.candidate_starts, args.max_iters,
                           check_flag("--ftol", args.ftol, args.ftol > 0, "be positive"), args.seed)
     sample = _read_sample(args)
     if beta is not None:
@@ -462,11 +498,31 @@ def _command_of(module: str):
 # parser and entry point
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors exit 5 with one line, not 2 with the usage."""
+    """argparse whose usage errors exit 5 with one line, a value cut by `echo`."""
 
     def __init__(self, *args, **kwargs):  # -1e-3 and -inf are values: no flag starts like a number
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
+
+    def _get_value(self, action, text):
+        try:
+            return super()._get_value(action, text)
+        except argparse.ArgumentError:
+            kind = "float" if action.type is float else "int"
+            raise argparse.ArgumentError(
+                action, f"invalid {kind} value: {echo(text, True)}") from None
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {echo(value, True)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {echo(' '.join(extras))}")
+        return args
 
     def error(self, message):
         raise ConfigError(message)
@@ -482,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key=value file; flags override its entries")
         p.add_argument("--output-dir", help="directory for output files")
-        p.add_argument("--seed", type=int, default=0)
 
     def add_sample_flags(p):
         p.add_argument("--input", help="sample CSV with header y,x,z,d")
@@ -490,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("A", "B"))
         p.add_argument("--rescale", action="store_true",
                        help="min-max rescale outcomes to [0, 1]")
-        p.add_argument("--k", type=int, default=None,
+        p.add_argument("--k", type=partial(check_count, "--k", least=2), default=None,
                        help="number of treatments (default: max observed d)")
         p.add_argument("--x-levels", default=None, help="comma-separated x levels")
         p.add_argument("--z-levels", default=None, help="comma-separated z levels")
@@ -500,11 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_optimizer_flags(p):
         ignored = ("; ignored, as is --seed, by sweeps of the mean or gini-welfare "
                    "target with ks, one-sided-ks or abs-target-diff:mean")
-        p.add_argument("--restarts", type=int, default=1,
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--restarts", type=partial(check_count, "--restarts"), default=1,
                        help="Nelder-Mead restarts" + ignored)
-        p.add_argument("--candidate-starts", type=int, default=50,
-                       help="random rules scored to pick each start" + ignored)
-        p.add_argument("--max-iters", type=int, default=500,
+        p.add_argument("--candidate-starts", type=partial(check_count, "--candidate-starts"),
+                       default=50, help="random rules scored to pick each start" + ignored)
+        p.add_argument("--max-iters", type=partial(check_count, "--max-iters"), default=500,
                        help="Nelder-Mead iterations per run" + ignored)
         p.add_argument("--ftol", type=float, default=1e-8,
                        help="Nelder-Mead value tolerance" + ignored)
@@ -516,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "and gini-welfare by minorize-maximize over it")
         p.add_argument("--similarity", default="ks",
                        help="ks | one-sided-ks | abs-target-diff:TARGET")
-        p.add_argument("--grid-m", type=int, default=49,
+        p.add_argument("--grid-m", type=partial(check_count, "--grid-m"), default=49,
                        help="uniform grid {0, 1/m, ..., 1}")
         p.add_argument("--estimator", default="plugin",
                        choices=["plugin", "ipw-estimated"],
@@ -548,17 +604,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo replications on the toy example")
     add_common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--sample-sizes", default="100,1000,10000")
     p_sim.add_argument("--mechanisms", default="A1,A2")
-    p_sim.add_argument("--grid-m", type=int, default=49)
-    p_sim.add_argument("--replications", type=int, default=100)
+    p_sim.add_argument("--grid-m", type=partial(check_count, "--grid-m"), default=49)
+    p_sim.add_argument("--replications", type=partial(check_count, "--replications"), default=100)
     p_sim.add_argument("--p", type=float, default=0.75)
     p_sim.set_defaults(func=_command_of(".simulate"))
 
     p_oracle = sub.add_parser("oracle-check", help="closed-form vs numeric self-test")
     p_oracle.add_argument("--config", help="key=value file; flags override its entries")
     p_oracle.add_argument("--p", type=float, default=0.75)
-    p_oracle.add_argument("--grid-points", type=int, default=2000)
+    p_oracle.add_argument("--grid-points", type=partial(check_count, "--grid-points", least=2),
+                          default=2000)
     p_oracle.set_defaults(func=_command_of(".oraclecheck"))
 
     return parser

@@ -7,8 +7,9 @@ parsed rows are never held.  Nothing here loads numpy, so `fit` runs the
 reader in a child forked before numpy loads.  `cli.read_sample_csv` turns
 the columns into a `TrainingSample`.
 
-An error message quotes a field of the sample by `echo`: whole when it is
-short, else cut, with its length, so that one bad row gives one short line.
+An error message quotes a field of the sample by `cli.echo`: whole when it
+is short, else cut, with its length, so that one bad row gives one short
+line.
 """
 
 from __future__ import annotations
@@ -18,37 +19,10 @@ from array import array
 from itertools import repeat
 from operator import itemgetter
 
-from .cli import INT64_MAX, ParseError, SchemaError, _input_file
+from .cli import INT64_MAX, ParseError, SchemaError, _input_file, _int, echo
 
 SAMPLE_HEADER = ["y", "x", "z", "d"]
 BLOCK_CHARS = 16384  # sample text read per block
-ECHO_CHARS = 40  # the most of a field that an error message quotes
-
-
-def echo(text: str, quote: bool = False) -> str:
-    """text as an error message quotes it (repr'd if quote): its first
-    ECHO_CHARS characters, then "..." and its length if it is longer."""
-    if len(text) <= ECHO_CHARS:
-        return repr(text) if quote else text
-    head = text[:ECHO_CHARS]
-    return f"{repr(head) if quote else head}... ({len(text)} characters)"
-
-
-def _int(text: str) -> int:
-    """int(text), also for an integer written with more digits than int()
-    converts (sys.get_int_max_str_digits(), 4300 by default): its value if
-    that fits in int64 once leading zeros are dropped, else +-2**63, so that
-    such a d is beyond int64 as it would be without the limit."""
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        sign = body[:1] if body[:1] in "+-" else ""
-        parts = body[len(sign):].split("_")  # int() takes single underscores between digits
-        if not all(map(str.isdecimal, parts)):
-            raise
-        digits = "".join(parts).lstrip("0") or "0"
-        return int(sign + digits) if len(digits) <= 19 else int(sign + "1") * 2**63
 
 
 def read_columns(path: str, by_block: bool):

@@ -4,8 +4,8 @@ The plug-in fit groups observations into treatment cells (d, x, z), takes the
 empirical CDF in each cell (point mass at the upper support endpoint b when a
 cell is empty), and records cell frequencies.  It does so in one pass: the
 records are sorted by outcome and then, stably, by cell, and each run of
-equal outcomes in a cell becomes one atom of the array's columns
-(`CondCdfArray.from_columns`), with no per-cell objects.  A zero atom takes
+equal outcomes in a cell becomes one atom of the columns that the array is
+built from (`CondCdfArray`), with no per-cell objects.  A zero atom takes
 the sign of its cell's first zero record, so the outcome sort need not be
 stable.
 
@@ -106,11 +106,11 @@ def fit_plugin(sample: TrainingSample) -> CondCdfArray:
     points[at] = atom_ys
     masses = np.ones(offsets[-1])
     masses[at] = np.diff(starts, append=ys.size) / records[cell]
-    # as StepCdf does, divide each cell's masses by their own sum
+    # divide each cell's masses by their own sum, as the toy array's are
     sizes = np.diff(offsets)
     totals = masses[offsets[:-1]]  # a one-atom cell's sum is its mass
     for c in np.flatnonzero(sizes > 1).tolist():
         totals[c] = masses[offsets[c]:offsets[c + 1]].sum()
     masses /= np.repeat(totals, sizes)
-    return CondCdfArray.from_columns(space, sample.support, points, masses, offsets,
-                                     records.reshape(shape).sum(axis=0) / sample.n, records)
+    return CondCdfArray(space, sample.support, points, masses, offsets,
+                        records.reshape(shape).sum(axis=0) / sample.n, records)

@@ -13,9 +13,9 @@ groups at small n; the objective must still evaluate).  The penalty max is
 unweighted across groups: weighting by group size would down-weigh small
 marginalized groups.
 
-A conditional-CDF array (`CondCdfArray`) is held as columns: the atoms of
-all K*|X|*|Z| cells in cell order with their masses and cell offsets, and
-the p(x, z) matrix.
+A conditional-CDF array (`CondCdfArray`) is built from and held as
+columns: the atoms of all K*|X|*|Z| cells in cell order with their masses
+and cell offsets, and the p(x, z) matrix.
 
 The objective is evaluated thousands of times per optimizer run, so it is
 evaluated on one atom table (`AtomKernel`); a fitted array keeps its
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import MASS_TOL, StepCdf, SupportInterval, SupportMismatch
+from .distributions import MASS_TOL, StepCdf, SupportInterval
 
 if TYPE_CHECKING:
     from .functionals import SimilarityMeasure, TargetFunctional
@@ -154,7 +154,7 @@ def d1_to_set(rule: DecisionRule, rules) -> float:
 
 
 class CondCdfArray:
-    """The fitted or ground-truth array [(F^i(.|x,z), p(x,z))], held as columns.
+    """The fitted or ground-truth array [(F^i(.|x,z), p(x,z))], built from columns.
 
     Cell c = (i-1)*|X|*|Z| + x*|Z| + z (level indices, treatments i = 1..K)
     holds the atoms points[offsets[c]:offsets[c+1]] with the masses at the
@@ -170,54 +170,14 @@ class CondCdfArray:
     and tests/test_lp.py build their reference programs from them.
     """
 
-    def __init__(self, space: CovariateSpace, cdf, pxz):
-        """The array of the given cell CDFs and pair masses.
-
-        cdf maps every (i, x, z) to a StepCdf, all on one support; pxz maps
-        every (x, z) to a nonnegative mass, the masses summing to one within
-        SIMPLEX_TOL (they are renormalized exactly).
-        """
-        cells = list(_cell_keys(space))
-        missing = [c for c in cells if c not in cdf]
-        if missing:
-            raise ValueError(f"missing cdf cells, e.g. {missing[0]}")
-        pairs = list(_pair_keys(space))
-        missing_p = [p for p in pairs if p not in pxz]
-        if missing_p:
-            raise ValueError(f"missing pxz entries, e.g. {missing_p[0]}")
-        cdfs = [cdf[c] for c in cells]
-        support = cdfs[0].support
-        for c, f in zip(cells, cdfs):
-            if f.support != support:
-                raise SupportMismatch(f"cell {c} has support {f.support}, expected {support}")
-        offsets = np.cumsum([0] + [f.points.size for f in cdfs])
-        pair_mass = np.array([float(pxz[p]) for p in pairs]).reshape(
-            len(space.x_levels), len(space.z_levels))
-        self._set(space, support, np.concatenate([f.points for f in cdfs]),
-                  np.concatenate([f.masses for f in cdfs]), offsets, pair_mass, None)
-
-    @classmethod
-    def from_columns(cls, space: CovariateSpace, support: SupportInterval, points, masses,
-                     offsets, pair_mass, cell_records=None) -> "CondCdfArray":
-        """The array of canonical cell atoms given as columns (see the class
-        docstring); pair_mass is checked and renormalized as by the
-        constructor."""
-        arr = cls.__new__(cls)
-        arr._set(space, support, points, masses, offsets, pair_mass, cell_records)
-        return arr
-
-    def _set(self, space, support, points, masses, offsets, pair_mass, cell_records):
-        pair_mass = np.asarray(pair_mass, dtype=float)
-        if np.any(pair_mass < 0):
-            raise ValueError("pxz masses must be nonnegative")
-        total = sum(pair_mass.ravel().tolist())
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"pxz must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
-        pair_mass = pair_mass / total
+    def __init__(self, space: CovariateSpace, support: SupportInterval, points, masses,
+                 offsets, pair_mass, cell_records=None):
+        """The columns are taken as given (`fit_plugin` and `toy_cond_array`
+        build them); pair_mass is renormalized to sum to one exactly."""
+        pair_mass = np.divide(pair_mass, sum(np.ravel(pair_mass).tolist()))
         group_mass = np.array([sum(col) for col in pair_mass.T.tolist()])
         self.space, self.support = space, support
-        self.points, self.masses = _read_only(points), _read_only(masses)
-        self.offsets = _read_only(offsets)
+        self.points, self.masses, self.offsets = map(_read_only, (points, masses, offsets))
         self.pair_mass, self.group_mass = _read_only(pair_mass), _read_only(group_mass)
         self.cell_records = None if cell_records is None else _read_only(cell_records)
 

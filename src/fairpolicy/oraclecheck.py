@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import sys
 
-from .cli import EXIT_OK, EXIT_SELFTEST, check_count, check_flag
+from .cli import EXIT_OK, EXIT_SELFTEST, check_flag
 
 
 def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
@@ -65,5 +65,5 @@ def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
 
 
 def run(args) -> int:
-    p = check_flag("--p", args.p, 0.5 < args.p < 1.0, "lie in (1/2, 1)")
-    return oracle_check(p=p, grid_points=check_count("--grid-points", args.grid_points, least=2))
+    return oracle_check(check_flag("--p", args.p, 0.5 < args.p < 1.0, "lie in (1/2, 1)"),
+                        args.grid_points)

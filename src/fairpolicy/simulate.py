@@ -46,11 +46,9 @@ def aggregate_csv_text(result) -> str:
 
 def _size(text: str) -> int:
     try:
-        n = int(text)
+        return cli.check_count("--sample-sizes", text)
     except ValueError:
-        n = None
-    cli.check_flag("--sample-sizes", text, n is not None, "list integers")
-    return cli.check_count("--sample-sizes", n)
+        return cli.check_flag("--sample-sizes", text, False, "list integers")
 
 
 def run(args) -> int:
@@ -62,10 +60,9 @@ def run(args) -> int:
     sizes = cli.distinct("--sample-sizes", [_size(v) for v in args.sample_sizes.split(",")])
     mechanisms = [cli.check_flag("--mechanisms", m, m in MECHANISMS, "list A1 or A2")
                   for m in cli.distinct("--mechanisms", args.mechanisms.split(","))]
-    grid = LambdaGrid.uniform(cli.check_count("--grid-m", args.grid_m))
-    replications = cli.check_count("--replications", args.replications)
     p = cli.check_flag("--p", args.p, 0.5 < args.p < 1.0, "lie in (1/2, 1)")
-    result = run_simulation(SimConfig(sizes, mechanisms, grid, replications, p, args.seed))
+    result = run_simulation(SimConfig(sizes, mechanisms, LambdaGrid.uniform(args.grid_m),
+                                      args.replications, p, args.seed))
     cli._atomic_write(os.path.join(out, "replications.csv"), replications_csv_text(result))
     cli._atomic_write(os.path.join(out, "aggregate.csv"), aggregate_csv_text(result))
     return cli.EXIT_OK

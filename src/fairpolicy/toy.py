@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import StepCdf, SupportInterval
+from .distributions import SupportInterval
 from .estimation import TrainingSample
 from .objective import CondCdfArray, CovariateSpace
 
@@ -49,14 +49,14 @@ class ToyParams:
         self.p, self.lam = p, lam
 
 
-def toy_cdf_g(y: float) -> float:
-    """G(y) = sqrt(y), clamped to [0, 1]."""
-    return float(np.sqrt(np.clip(y, 0.0, 1.0)))
+def toy_cdf_g(y):
+    """G(y) = sqrt(y), y clamped to [0, 1]; elementwise on an array."""
+    return np.sqrt(np.clip(y, 0.0, 1.0))
 
 
-def toy_cdf_h(y: float) -> float:
-    """H(y) = y^2, clamped to [0, 1]."""
-    return float(np.clip(y, 0.0, 1.0) ** 2)
+def toy_cdf_h(y):
+    """H(y) = y^2, y clamped to [0, 1]; elementwise on an array."""
+    return np.clip(y, 0.0, 1.0) ** 2
 
 
 def toy_objective(delta: float, params: ToyParams) -> float:
@@ -132,32 +132,19 @@ def toy_sample(n: int, p: float, mechanism: str, seed) -> TrainingSample:
     )
 
 
-def _discretize(cdf_fn, grid_points: int, support: SupportInterval) -> StepCdf:
-    ts = np.linspace(0.0, 1.0, grid_points + 1)
-    values = np.array([cdf_fn(t) for t in ts])
-    return StepCdf(support, ts[1:], np.diff(values))
-
-
 def toy_cond_array(p: float, grid_points: int) -> CondCdfArray:
     """The toy conditional structure with G and H discretized on a uniform grid.
 
-    Atoms sit at k/grid_points with the CDF increment over each cell, so
-    objectives evaluated on this array are grid-resolution approximations of
-    the continuous example.
+    Atoms sit at k/grid_points with the CDF increment over each cell, each
+    CDF's increments divided by their sum, so objectives evaluated on this
+    array are grid-resolution approximations of the continuous example.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
-    support = toy_support()
-    g = _discretize(toy_cdf_g, grid_points, support)
-    h = _discretize(toy_cdf_h, grid_points, support)
-    cdf = {
-        (1, X_LEVEL, Z_MAJORITY): g,
-        (2, X_LEVEL, Z_MINORITY): g,
-        (2, X_LEVEL, Z_MAJORITY): h,
-        (1, X_LEVEL, Z_MINORITY): h,
-    }
-    pxz = {(X_LEVEL, Z_MAJORITY): p, (X_LEVEL, Z_MINORITY): 1.0 - p}
-    return CondCdfArray(toy_space(), cdf, pxz)
-
+    ts = np.linspace(0.0, 1.0, grid_points + 1)
+    g, h = (d / float(d.sum()) for d in (np.diff(toy_cdf_g(ts)), np.diff(toy_cdf_h(ts))))
+    # cells (1, majority) and (2, minority) follow G, the other two H
+    return CondCdfArray(toy_space(), toy_support(), np.tile(ts[1:], 4),
+                        np.concatenate([g, h, h, g]), np.arange(5) * grid_points, [[p, 1 - p]])

@@ -19,7 +19,7 @@ from fairpolicy import (
     d1,
 )
 from fairpolicy.optimizer import _random_probs
-from oracles import MonotoneStep, mixture, project_mab, target_value
+from oracles import MonotoneStep, cond_array, mixture, project_mab, step_cdf, target_value
 
 UNIT = SupportInterval(0.0, 1.0)
 KS = SimilarityMeasure("ks")
@@ -27,7 +27,7 @@ KS = SimilarityMeasure("ks")
 
 def point_mass(point: float, support: SupportInterval) -> StepCdf:
     """Degenerate CDF with all mass at one point."""
-    return StepCdf(support, [point], [1.0])
+    return step_cdf(support, [point], [1.0])
 
 
 def atoms(f: StepCdf) -> list[tuple[float, float]]:
@@ -50,7 +50,7 @@ def random_step_cdf(rng: np.random.Generator, support=UNIT, max_atoms: int = 8) 
     k = int(rng.integers(1, max_atoms + 1))
     pts = support.a + (support.b - support.a) * np.sort(rng.random(k))
     masses = rng.dirichlet(np.ones(k))
-    return StepCdf(support, pts, masses)
+    return step_cdf(support, pts, masses)
 
 
 def random_monotone_step(rng: np.random.Generator, support=UNIT, max_atoms: int = 8) -> MonotoneStep:
@@ -83,7 +83,7 @@ def random_cond_array(rng: np.random.Generator, space: CovariateSpace | None = N
     pairs = [(x, z) for x in space.x_levels for z in space.z_levels]
     raw = rng.dirichlet(np.ones(len(pairs)))
     pxz = {pair: raw[j] for j, pair in enumerate(pairs)}
-    return CondCdfArray(space, cdf, pxz)
+    return cond_array(space, cdf, pxz)
 
 
 def labelled_sample(space: CovariateSpace, ys, xs, zs, ds, support=UNIT) -> TrainingSample:

@@ -1,8 +1,12 @@
 """Reference routes the program is tested against, kept out of the package.
 
 Every command evaluates the penalized objective on one atom table
-(`fairpolicy.objective.AtomKernel`).  The routes here build the same
-quantities the direct way, on StepCdfs: the empirical CDF of a sample
+(`fairpolicy.objective.AtomKernel`), and builds every conditional-CDF array
+from columns.  The routes here build the same quantities the direct way, on
+StepCdfs: a StepCdf of any atoms, sorted, coalesced and renormalized
+(`step_cdf`, which raises `WeightMismatch`), an array from a dict of cell
+StepCdfs on one support (`cond_array`, which raises `SupportMismatch`), the
+empirical CDF of a sample
 (`step_cdf_from_samples`), group and population CDFs as explicit mixtures
 of cells (`implied_cdf_group`, `implied_cdf`), the projection of a monotone
 step function onto the CDFs on [a, b] (`MonotoneStep`, `project_mab`),
@@ -28,21 +32,67 @@ import numpy as np
 from fairpolicy.distributions import (
     MASS_TOL,
     DistributionError,
+    OutOfSupport,
     StepCdf,
     SupportInterval,
-    SupportMismatch,
-    WeightMismatch,
 )
 from fairpolicy.estimation import TrainingSample
 from fairpolicy.functionals import SimilarityMeasure, TargetFunctional
 from fairpolicy.lp import GAP_TOL, MM_MAX_STEPS, MM_TOL, PluginProgram
-from fairpolicy.objective import CondCdfArray, DecisionRule, _require_same_space
+from fairpolicy.objective import (
+    CondCdfArray,
+    CovariateSpace,
+    DecisionRule,
+    SIMPLEX_TOL,
+    _cell_keys,
+    _pair_keys,
+    _require_same_space,
+)
 from fairpolicy.selection import CountingObjective, OptimResult
 from fairpolicy.toy import Z_MAJORITY, Z_MINORITY, toy_cdf_g, toy_cdf_h
 
 
 # ---------------------------------------------------------------------------
 # distributions
+
+
+class WeightMismatch(DistributionError):
+    """Atom masses are negative or do not sum to one."""
+
+
+class SupportMismatch(DistributionError):
+    """Two distributions do not share the same support interval."""
+
+
+def step_cdf(support: SupportInterval, points, masses) -> StepCdf:
+    """The StepCdf of any atoms: sorted, duplicate points coalesced, zero
+    masses dropped, and the total (within MASS_TOL of one) renormalized."""
+    points = np.asarray(points, dtype=float).ravel()
+    masses = np.asarray(masses, dtype=float).ravel()
+    if points.size != masses.size:
+        raise DistributionError("points and masses must have equal length")
+    if points.size == 0:
+        raise DistributionError("a step CDF needs at least one atom")
+    if not np.all(np.isfinite(points)) or not np.all(np.isfinite(masses)):
+        raise DistributionError("atom points and masses must be finite")
+    if np.any(masses < -MASS_TOL):
+        raise DistributionError("atom masses must be nonnegative")
+    if not np.all((points >= support.a) & (points <= support.b)):
+        raise OutOfSupport(f"atom points must lie in [{support.a}, {support.b}]")
+    upoints, inverse = np.unique(points, return_inverse=True)
+    agg = np.bincount(inverse, weights=np.maximum(masses, 0.0), minlength=upoints.size)
+    keep = agg > 0.0
+    if not np.any(keep):
+        raise DistributionError("total atom mass must be positive")
+    upoints = upoints[keep]
+    agg = agg[keep]
+    total = float(agg.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise WeightMismatch(f"atom masses must sum to 1 within {MASS_TOL}, got {total!r}")
+    agg = agg / total
+    upoints.flags.writeable = False
+    agg.flags.writeable = False
+    return StepCdf.from_canonical(support, upoints, agg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +144,7 @@ class MonotoneStep:
 def step_cdf_from_samples(values, support: SupportInterval) -> StepCdf:
     """Empirical CDF: one atom per distinct value, mass = relative frequency."""
     upoints, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return StepCdf(support, upoints, counts / counts.sum())
+    return step_cdf(support, upoints, counts / counts.sum())
 
 
 def _require_same_support(f: StepCdf, g: StepCdf) -> None:
@@ -136,7 +186,7 @@ def mixture(components) -> StepCdf:
             continue
         pts.append(cdf.points)
         ms.append(cdf.masses * w)
-    return StepCdf(base, np.concatenate(pts), np.concatenate(ms))
+    return step_cdf(base, np.concatenate(pts), np.concatenate(ms))
 
 
 def ks_distance(f: StepCdf, g: StepCdf) -> float:
@@ -191,7 +241,7 @@ def project_mab(g: MonotoneStep) -> StepCdf:
     if residual > MASS_TOL:
         points = np.concatenate([points, [support.b]])
         masses = np.concatenate([masses, [residual]])
-    return StepCdf(support, points, masses)
+    return step_cdf(support, points, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +279,38 @@ class UnknownGroup(ValueError):
 
 class ZeroGroupMass(ValueError):
     """Requested a group CDF for a group with zero probability mass."""
+
+
+def cond_array(space: CovariateSpace, cdf, pxz) -> CondCdfArray:
+    """The array of the given cell CDFs and pair masses.
+
+    cdf maps every (i, x, z) to a StepCdf, all on one support; pxz maps
+    every (x, z) to a nonnegative mass, the masses summing to one within
+    SIMPLEX_TOL (the array renormalizes them exactly).
+    """
+    cells = list(_cell_keys(space))
+    missing = [c for c in cells if c not in cdf]
+    if missing:
+        raise ValueError(f"missing cdf cells, e.g. {missing[0]}")
+    pairs = list(_pair_keys(space))
+    missing_p = [p for p in pairs if p not in pxz]
+    if missing_p:
+        raise ValueError(f"missing pxz entries, e.g. {missing_p[0]}")
+    cdfs = [cdf[c] for c in cells]
+    support = cdfs[0].support
+    for c, f in zip(cells, cdfs):
+        if f.support != support:
+            raise SupportMismatch(f"cell {c} has support {f.support}, expected {support}")
+    offsets = np.cumsum([0] + [f.points.size for f in cdfs])
+    pair_mass = np.array([float(pxz[p]) for p in pairs]).reshape(
+        len(space.x_levels), len(space.z_levels))
+    if np.any(pair_mass < 0):
+        raise ValueError("pxz masses must be nonnegative")
+    total = sum(pair_mass.ravel().tolist())
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"pxz must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
+    return CondCdfArray(space, support, np.concatenate([f.points for f in cdfs]),
+                        np.concatenate([f.masses for f in cdfs]), offsets, pair_mass)
 
 
 def implied_cdf(rule: DecisionRule, arr: CondCdfArray) -> StepCdf:
@@ -308,8 +390,8 @@ def fit_plugin_lexsort(sample: TrainingSample) -> CondCdfArray:
     bounds = offsets.tolist()
     totals = [masses[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
     masses /= np.repeat(totals, np.diff(offsets))
-    return CondCdfArray.from_columns(sample.space, sample.support, points, masses, offsets,
-                                     counts.sum(axis=0) / sample.n, records)
+    return CondCdfArray(sample.space, sample.support, points, masses, offsets,
+                        counts.sum(axis=0) / sample.n, records)
 
 
 def toy_group_cdf_value(delta: float, z, c: float) -> float:

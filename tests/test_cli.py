@@ -46,6 +46,10 @@ from fairpolicy.lp import PluginProgram, Unbounded
 from helpers import labelled_sample, write_sample_csv
 
 UNIT = SupportInterval(0.0, 1.0)
+# a value longer than an error quotes: more digits than int() reads
+# (sys.get_int_max_str_digits() is 4300 by default), and how it is quoted
+LONG = "1" * 5000
+SHOWN = "1" * 40 + "... (5000 characters)"
 
 
 def load_schema(name):
@@ -690,6 +694,10 @@ class TestFit:
         (["--k", str(2**61)], f"--k must be <= {2**53}, got {2**61}"),  # once an exit 1
         (["--x-levels", "a,b,a"], "--x-levels lists 'a' twice"),
         (["--z-levels", "u,u"], "--z-levels lists 'u' twice"),
+        (["--k", LONG], f"--k must be <= {2**53}, got {SHOWN}"),
+        (["--x-levels", f"{LONG},{LONG}"], f"--x-levels lists '{SHOWN[:40]}'{SHOWN[40:]} twice"),
+        # fit draws nothing at random
+        (["--seed", "1"], "unrecognized arguments: --seed 1"),
     ])
     def test_bad_k_or_levels_exit_5(self, tmp_path, capsys, flags, message):
         path = tmp_path / "s.csv"
@@ -741,6 +749,21 @@ class TestSweep:
         (["--grid-m", "0"], "--grid-m must be >= 1, got 0"),
         (["--grid-m", str(2**61)], f"--grid-m must be <= {2**53}, got {2**61}"),
         (["--target", "quantile:2"], "quantile target needs tau in (0, 1), got 2.0"),
+        # argparse quoted the whole value, and called an integer that long no int
+        (["--grid-m", LONG], f"--grid-m must be <= {2**53}, got {SHOWN}"),
+        (["--grid-m", "-" + LONG], f"--grid-m must be >= 1, got -{SHOWN[:39]}... (5001 characters)"),
+        (["--grid-m", "0" * 5001], f"--grid-m must be >= 1, got {'0' * 40}... (5001 characters)"),
+        (["--target", LONG],
+         f"--target must be gini-welfare, mean or quantile:TAU, got '{SHOWN[:40]}'{SHOWN[40:]}"),
+        (["--similarity", LONG], "--similarity must be ks, one-sided-ks or "
+                                 f"abs-target-diff:TARGET, got '{SHOWN[:40]}'{SHOWN[40:]}"),
+        (["--estimator", LONG], f"argument --estimator: invalid choice: '{SHOWN[:40]}'"
+                                f"{SHOWN[40:]} (choose from 'plugin', 'ipw-estimated')"),
+        (["--seed", LONG], f"argument --seed: invalid int value: '{SHOWN[:40]}'{SHOWN[40:]}"),
+        (["--restarts", LONG], f"--restarts must be <= {2**53}, got {SHOWN}"),
+        (["--candidate-starts", LONG], f"--candidate-starts must be <= {2**53}, got {SHOWN}"),
+        (["--max-iters", LONG], f"--max-iters must be <= {2**53}, got {SHOWN}"),
+        (["--bogus", LONG], f"unrecognized arguments: --bogus {SHOWN[:32]}... (5008 characters)"),
     ])
     def test_bad_objective_config_exit_5(self, toy_csv, tmp_path, capsys, flags, message):
         rc = main(["sweep", "--input", toy_csv, "--output-dir", str(tmp_path / "o")] + flags)
@@ -1306,6 +1329,12 @@ class TestSimulate:
         (["--replications", "0"], "--replications must be >= 1, got 0"),
         (["--grid-m", "0"], "--grid-m must be >= 1, got 0"),
         (["--p", "0.5"], "--p must lie in (1/2, 1), got 0.5"),
+        # once "must list integers": int() reads no more than 4300 digits
+        (["--sample-sizes", LONG], f"--sample-sizes must be <= {2**53}, got {SHOWN}"),
+        (["--sample-sizes", f"100,-{LONG}"],
+         f"--sample-sizes must be >= 1, got -{SHOWN[:39]}... (5001 characters)"),
+        (["--replications", LONG], f"--replications must be <= {2**53}, got {SHOWN}"),
+        (["--grid-m", LONG], f"--grid-m must be <= {2**53}, got {SHOWN}"),
     ])
     def test_bad_config_exit_5(self, tmp_path, capsys, flags, error):
         rc = main(["simulate", "--output-dir", str(tmp_path / "o"), "--grid-m", "1",
@@ -1387,6 +1416,9 @@ class TestOracleCheck:
         # it draws nothing at random and writes no file
         (["--seed", "1"], "unrecognized arguments: --seed 1"),
         (["--output-dir", "d"], "unrecognized arguments: --output-dir d"),
+        (["--grid-points", LONG], f"--grid-points must be <= {2**53}, got {SHOWN}"),
+        (["--grid-points", "x" + LONG], f"argument --grid-points: invalid int value: "
+                                        f"'x{SHOWN[:39]}'... (5001 characters)"),
     ])
     def test_bad_config_exit_5(self, capsys, flags, message):
         assert main(["oracle-check"] + flags) == EXIT_CONFIG
@@ -1455,7 +1487,11 @@ class TestConfigFile:
     (["fit", "--bogus"], "unrecognized arguments: --bogus"),
     (["fit", "--support", "0"], "argument --support: expected 2 arguments"),
     ([], "the following arguments are required: command"),
-], ids=["bad-int", "bad-choice", "unknown", "too-few-values", "no-command"])
+    ([LONG], f"argument command: invalid choice: '{SHOWN[:40]}'{SHOWN[40:]} (choose from "),
+    (["fit", "--support", LONG + "x", "1"],
+     f"argument --support: invalid float value: '{SHOWN[:40]}'... (5001 characters)"),
+], ids=["bad-int", "bad-choice", "unknown", "too-few-values", "no-command", "long-command",
+        "long-float"])
 def test_flag_errors_exit_5_with_one_line(capsys, argv, error):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -5,11 +5,8 @@ from fairpolicy import (
     CovariateSpace,
     OutOfSupport,
     SimilarityMeasure,
-    StepCdf,
     SupportInterval,
-    SupportMismatch,
     TrainingSample,
-    WeightMismatch,
     fit_plugin,
 )
 from fairpolicy.distributions import DistributionError
@@ -27,10 +24,13 @@ from helpers import (
 )
 from oracles import (
     MonotoneStep,
+    SupportMismatch,
+    WeightMismatch,
     ks_distance,
     mixture,
     project_mab,
     similarity_value,
+    step_cdf,
     step_cdf_from_samples,
 )
 
@@ -46,23 +46,23 @@ def test_support_interval_requires_a_lt_b():
 
 class TestStepCdfConstruction:
     def test_coalesces_duplicate_points(self):
-        f = StepCdf(UNIT, [0.5, 0.5, 0.2], [0.25, 0.25, 0.5])
+        f = step_cdf(UNIT, [0.5, 0.5, 0.2], [0.25, 0.25, 0.5])
         assert atoms(f) == [(0.2, 0.5), (0.5, 0.5)]
 
     def test_rejects_mass_sum_off_by_more_than_tolerance(self):
         with pytest.raises(WeightMismatch):
-            StepCdf(UNIT, [0.5], [0.9])
+            step_cdf(UNIT, [0.5], [0.9])
 
     def test_renormalizes_tiny_drift(self):
-        f = StepCdf(UNIT, [0.2, 0.8], [0.5 + 2e-10, 0.5])
+        f = step_cdf(UNIT, [0.2, 0.8], [0.5 + 2e-10, 0.5])
         assert f.masses.sum() == 1.0
 
     def test_rejects_out_of_support_atoms(self):
         with pytest.raises(OutOfSupport):
-            StepCdf(UNIT, [1.2], [1.0])
+            step_cdf(UNIT, [1.2], [1.0])
 
     def test_atoms_immutable(self):
-        f = StepCdf(UNIT, [0.5], [1.0])
+        f = step_cdf(UNIT, [0.5], [1.0])
         with pytest.raises(ValueError):
             f.points[0] = 0.1
 
@@ -114,7 +114,7 @@ class TestPointMassAndEval:
 
     def test_eval_examples(self):
         assert point_mass(0.5, UNIT).eval_many(0.5) == 1.0
-        f = StepCdf(UNIT, [0.0, 1.0], [0.5, 0.5])
+        f = step_cdf(UNIT, [0.0, 1.0], [0.5, 0.5])
         assert f.eval_many(0.3) == 0.5
         assert f.eval_many(-0.001) == 0.0
 
@@ -131,7 +131,7 @@ class TestPointMassAndEval:
 
 class TestMixture:
     def test_identity(self):
-        f = StepCdf(UNIT, [0.1, 0.9], [0.3, 0.7])
+        f = step_cdf(UNIT, [0.1, 0.9], [0.3, 0.7])
         g = mixture([(f, 1.0)])
         assert atoms(g) == atoms(f)
 
@@ -140,8 +140,8 @@ class TestMixture:
         assert atoms(g) == [(0.0, 0.5), (1.0, 0.5)]
 
     def test_against_brute_force_atom_merge(self):
-        f = StepCdf(UNIT, [0.1, 0.5, 0.9], [0.2, 0.3, 0.5])
-        g = StepCdf(UNIT, [0.2, 0.5, 0.8], [0.25, 0.5, 0.25])
+        f = step_cdf(UNIT, [0.1, 0.5, 0.9], [0.2, 0.3, 0.5])
+        g = step_cdf(UNIT, [0.2, 0.5, 0.8], [0.25, 0.5, 0.25])
         mixed = mixture([(f, 0.25), (g, 0.75)])
         merged = {}
         for cdf, w in ((f, 0.25), (g, 0.75)):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairpolicy import (
-    CondCdfArray,
     CovariateSpace,
     StepCdf,
     SupportInterval,
@@ -25,7 +24,7 @@ from fairpolicy import (
 )
 from fairpolicy.objective import AtomKernel
 from helpers import UNIT, point_mass, random_cond_array
-from oracles import cell_counts, fit_plugin_lexsort, step_cdf_from_samples
+from oracles import cell_counts, cond_array, fit_plugin_lexsort, step_cdf_from_samples
 
 SUPPORTS = [UNIT, SupportInterval(-2.0, 3.0)]
 
@@ -174,7 +173,7 @@ def test_fit_over_more_than_65536_cells_matches_lexsort_reference(seed, values):
 def test_array_from_cell_cdfs_keeps_them_bitwise():
     rng = np.random.default_rng(3)
     arr = random_cond_array(rng)
-    again = CondCdfArray(arr.space, arr.cdf, arr.pxz)
+    again = cond_array(arr.space, arr.cdf, arr.pxz)
     assert len(again.cdf) == len(arr.cdf) and again.pxz == arr.pxz
     for cell, f in arr.cdf.items():
         g = again.cdf[cell]

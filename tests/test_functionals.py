@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairpolicy import InvalidTau, SimilarityMeasure, StepCdf, SupportInterval, TargetFunctional
+from fairpolicy import InvalidTau, SimilarityMeasure, SupportInterval, TargetFunctional
 from helpers import UNIT, check_lipschitz_audit, grid_value, point_mass, random_step_cdf
 from oracles import (
     ks_distance,
@@ -10,6 +10,7 @@ from oracles import (
     mad_half_naive,
     one_sided_ks,
     similarity_value,
+    step_cdf,
     step_cdf_from_samples,
     target_value,
 )
@@ -49,7 +50,7 @@ class TestMean:
         assert mean(point_mass(0.7, UNIT)) == 0.7
 
     def test_two_atoms(self):
-        assert mean(StepCdf(UNIT, [0.0, 1.0], [0.5, 0.5])) == 0.5
+        assert mean(step_cdf(UNIT, [0.0, 1.0], [0.5, 0.5])) == 0.5
 
     def test_sqrt_law_sample(self, g_sample):
         assert abs(mean(g_sample) - 1.0 / 3.0) < 0.01
@@ -61,7 +62,7 @@ class TestMadHalf:
 
     def test_two_atoms_naive_value(self):
         # naive double sum: 0.5 * 2 * (0.5 * 0.5) * |1 - 0| = 0.25
-        assert mad_half(StepCdf(UNIT, [0.0, 1.0], [0.5, 0.5])) == 0.25
+        assert mad_half(step_cdf(UNIT, [0.0, 1.0], [0.5, 0.5])) == 0.25
 
     def test_sqrt_law_sample(self, g_sample):
         assert abs(mad_half(g_sample) - 1.0 / 6.0) < 0.01
@@ -89,10 +90,10 @@ class TestQuantile:
         assert quantile(point_mass(0.4, UNIT), 0.5) == 0.4
 
     def test_generalized_inverse_at_jump(self):
-        assert quantile(StepCdf(UNIT, [0.0, 1.0], [0.5, 0.5]), 0.5) == 0.0
+        assert quantile(step_cdf(UNIT, [0.0, 1.0], [0.5, 0.5]), 0.5) == 0.0
 
     def test_cumulative_scan(self):
-        f = StepCdf(UNIT, [0.0, 0.5, 1.0], [0.25, 0.25, 0.5])
+        f = step_cdf(UNIT, [0.0, 0.5, 1.0], [0.25, 0.25, 0.5])
         assert quantile(f, 0.6) == 1.0
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 1.5])
@@ -208,7 +209,7 @@ def step_cdfs(draw):
     k = draw(st.integers(1, 6))
     points = draw(st.lists(_atom_points, min_size=k, max_size=k))
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
-    return StepCdf(UNIT, points, weights / weights.sum())
+    return step_cdf(UNIT, points, weights / weights.sum())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -218,7 +219,7 @@ def test_ks_on_step_cdfs_is_the_grid_route_bitwise(f, g, share):
     oracles' breakpoint and left-limit computation bit for bit, also on
     shared atoms and point masses."""
     if share:  # the even mixture of f and g: every atom of f is one of g's
-        g = StepCdf(UNIT, np.concatenate([f.points, g.points]),
+        g = step_cdf(UNIT, np.concatenate([f.points, g.points]),
                     np.concatenate([f.masses, g.masses]) / 2.0)
     for kind, oracle in (("ks", ks_distance), ("one-sided-ks", one_sided_ks)):
         s = SimilarityMeasure(kind)

@@ -1,5 +1,6 @@
 """Golden bytes: the SHA-256 of each plug-in program pair's sweep outputs, of
-one select, of one small simulate and of one fit, on fixed inputs.
+one select, of one small simulate and of one fit, on fixed inputs, and of
+the closed-form example's array columns.
 
 A refactor of the solvers, the sample reader or the fit must leave these
 files byte-identical.  The digests pin the outputs on x86-64 with numpy 2.4;
@@ -16,9 +17,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from fairpolicy import CovariateSpace, SupportInterval, TrainingSample
+from fairpolicy import (
+    CondCdfArray,
+    CovariateSpace,
+    StepCdf,
+    SupportInterval,
+    TrainingSample,
+    toy_cond_array,
+)
 from fairpolicy.cli import EXIT_OK, main
-from helpers import write_sample_csv
+from helpers import UNIT, write_sample_csv
 
 
 def fixed_sample() -> TrainingSample:
@@ -139,3 +147,30 @@ def test_fit_output(tmp_path):
     assert main(["fit", "--input", str(sample_csv), "--support", "-1", "1",
                  "--output-dir", str(out)]) == EXIT_OK
     assert digests(out, ("fitted_array.json",)) == [FIT]
+
+
+TOY_ARRAYS = {
+    (0.75, 2000): "31aad308222637200e7dd14985a0d9f5a26c6a357cd6ac6d16175e165267e8ff",
+    (0.6, 3): "3a6cd14124b46b25afbf3508d7e36b62d13d47668a3239740fc8686f2eb220fc",
+    (0.51, 800): "6a00b7cd001888214f4597abc1cf07c3d2507ccae1b3feb08e9599d18da33071",
+    (0.999999, 50): "7cd074220c190835392b27f1f39ab59316517b860972afe29a150295b846c6b0",
+    (0.9, 2): "c116d0e229caba75de64e2838d3d3f0823d1ea7132c42a03c2882b58ae4b4361",
+}
+
+
+@pytest.mark.parametrize("p, grid_points", sorted(TOY_ARRAYS))
+def test_toy_array_columns(p, grid_points):
+    # the columns oracle-check evaluates, each with its dtype
+    arr = toy_cond_array(p, grid_points)
+    digest = hashlib.sha256()
+    for column in (arr.points, arr.masses, arr.offsets, arr.pair_mass):
+        digest.update(column.dtype.str.encode() + column.tobytes())
+    assert digest.hexdigest() == TOY_ARRAYS[p, grid_points]
+
+
+def test_arrays_and_step_cdfs_are_built_from_columns_only():
+    arr = toy_cond_array(0.75, 10)
+    with pytest.raises(TypeError):
+        StepCdf(UNIT, [0.5], [1.0])
+    with pytest.raises(TypeError):
+        CondCdfArray(arr.space, dict(arr.cdf), dict(arr.pxz))

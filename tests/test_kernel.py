@@ -33,6 +33,7 @@ from helpers import UNIT, random_cond_array, random_rule, random_training_sample
 from oracles import (
     MonotoneStep,
     estimated_propensities,
+    cond_array,
     implied_cdf_group,
     mixture,
     project_mab,
@@ -77,7 +78,7 @@ def without_group(rng, arr: CondCdfArray) -> CondCdfArray:
     drop = space.z_levels[int(rng.integers(len(space.z_levels)))]
     pxz = {(x, z): (0.0 if z == drop else p) for (x, z), p in arr.pxz.items()}
     total = sum(pxz.values())
-    return CondCdfArray(space, arr.cdf, {k: v / total for k, v in pxz.items()})
+    return cond_array(space, arr.cdf, {k: v / total for k, v in pxz.items()})
 
 
 def sample_case(rng, support, mode) -> TrainingSample:

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from fairpolicy import (
-    CondCdfArray,
     CovariateSpace,
     DecisionRule,
     EmptySet,
     InvalidLambda,
     SimilarityMeasure,
     SpaceMismatch,
-    StepCdf,
     SupportInterval,
-    SupportMismatch,
     TargetFunctional,
     d1,
     d1_to_set,
@@ -33,12 +30,15 @@ from helpers import (
     random_step_cdf,
 )
 from oracles import (
+    SupportMismatch,
     UnknownGroup,
     ZeroGroupMass,
+    cond_array,
     implied_cdf,
     implied_cdf_group,
     ks_distance,
     mixture,
+    step_cdf,
     target_value,
 )
 
@@ -81,7 +81,7 @@ class TestCellSupports:
 
     def test_equal_supports_built_apart(self):
         space = CovariateSpace(("x0",), ("z0",), 2)
-        arr = CondCdfArray(space, self.cells(1.0), {("x0", "z0"): 1.0})
+        arr = cond_array(space, self.cells(1.0), {("x0", "z0"): 1.0})
         assert arr.support == SupportInterval(0.0, 1.0)
 
     def test_mismatch_names_both_supports(self):
@@ -89,15 +89,15 @@ class TestCellSupports:
         message = ("cell (2, 'x0', 'z0') has support SupportInterval(a=0.0, b=2.0), "
                    "expected SupportInterval(a=0.0, b=1.0)")
         with pytest.raises(SupportMismatch, match=re.escape(message)):
-            CondCdfArray(space, self.cells(2.0), {("x0", "z0"): 1.0})
+            cond_array(space, self.cells(2.0), {("x0", "z0"): 1.0})
 
 
 class TestImpliedCdf:
     def test_degenerate_rule_returns_cell_cdf(self):
         space = CovariateSpace(("x0",), ("z0",), 2)
-        f1 = StepCdf(UNIT, [0.2, 0.6], [0.5, 0.5])
+        f1 = step_cdf(UNIT, [0.2, 0.6], [0.5, 0.5])
         f2 = point_mass(0.9, UNIT)
-        arr = CondCdfArray(
+        arr = cond_array(
             space,
             {(1, "x0", "z0"): f1, (2, "x0", "z0"): f2},
             {("x0", "z0"): 1.0},
@@ -163,7 +163,7 @@ class TestImpliedCdfGroup:
     def test_zero_mass_group(self):
         space = CovariateSpace(("x0",), ("z0", "z1"), 2)
         cdf = {(i, "x0", z): point_mass(0.5, UNIT) for i in (1, 2) for z in ("z0", "z1")}
-        arr = CondCdfArray(space, cdf, {("x0", "z0"): 1.0, ("x0", "z1"): 0.0})
+        arr = cond_array(space, cdf, {("x0", "z0"): 1.0, ("x0", "z1"): 0.0})
         with pytest.raises(ZeroGroupMass):
             implied_cdf_group(DecisionRule.uniform(space), arr, "z1")
 
@@ -225,7 +225,7 @@ class TestOmega:
             (1, "x0", "z1"): point_mass(0.1, UNIT),
             (2, "x0", "z1"): point_mass(0.9, UNIT),
         }
-        arr = CondCdfArray(space, cdf, {("x0", "z0"): 1.0, ("x0", "z1"): 0.0})
+        arr = cond_array(space, cdf, {("x0", "z0"): 1.0, ("x0", "z1"): 0.0})
         rule = DecisionRule.uniform(space)
         # only z0 remains, and its group cdf equals the population cdf
         assert omega(rule, arr, 1.0, GINI, KS) == 0.0
@@ -246,7 +246,7 @@ class TestOmega:
         }
         pairs = [(x, z) for x in space.x_levels for z in space.z_levels]
         raw = rng.dirichlet(np.ones(len(pairs)))
-        arr = CondCdfArray(space, cdf, dict(zip(pairs, raw)))
+        arr = cond_array(space, cdf, dict(zip(pairs, raw)))
         for _ in range(10):
             rule = random_rule(space, rng)
             assert abs(omega(rule, arr, 1.0, GINI, KS)) < 1e-9
