@@ -53,14 +53,12 @@ _SUBMODULE_NAMES = {
         "BudgetSelection",
         "InvalidBudget",
         "LambdaGrid",
-        "LambdaNotOnGrid",
         "LambdaPath",
         "NonFiniteObjective",
         "OptimResult",
         "OptimizerConfig",
         "PathEntry",
         "budget_slack",
-        "delta_n",
         "select_lambda_budget",
         "sweep",
     ),

@@ -137,15 +137,22 @@ def _int(text: str) -> int:
 def _input_file(path: str, newline: str | None = None, config: bool = False):
     """path opened as UTF-8 text, a leading byte-order mark skipped.
 
-    A file that cannot be read is a ConfigError; one that is not UTF-8 is a
-    ParseError, or a ConfigError for a config file.
+    A file that cannot be opened or read, or a path holding a NUL byte, is a
+    ConfigError; a file that is not UTF-8 is a ParseError, or a ConfigError
+    for a config file.  A file error names the path once: its message is
+    the OSError's strerror, not str(exc), which quotes the path again.
     """
     name = f"config {path}" if config else path
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        fh = open(path, encoding="utf-8-sig", newline=newline)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {name}: {reason}") from None
+    try:
+        with fh:
             yield fh
     except OSError as exc:
-        raise ConfigError(f"cannot read {name}: {exc}") from None
+        raise ConfigError(f"cannot read {name}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         error = ConfigError if config else ParseError
         raise error(f"{name}: not UTF-8 text ({exc.reason})") from None
@@ -256,10 +263,11 @@ def _atomic_write(path: str, *pieces: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
+        with contextlib.suppress(OSError, ValueError):
             os.remove(tmp)
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot write {path}: {reason}") from None
 
 
 def _json_pieces(value, pad: str, out: list, floats: list, ndarray) -> None:
@@ -351,8 +359,9 @@ def _ensure_outdir(args) -> str:
         raise ConfigError("--output-dir is required")
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in out
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot create output directory {out}: {reason}") from None
     return out
 
 
@@ -482,7 +491,7 @@ def cmd_select(args) -> int:
     else:
         raise ConfigError("select needs either --path-csv with --rules-json, or --input")
     selection = select_lambda_budget(path, args.beta)
-    rule = path.entry(selection.chosen_lambda).rule
+    rule = path.entries[selection.chosen].rule
     rows = rule if type(rule) is list else rule.probs.tolist()  # a saved path holds rows
     _write_json(os.path.join(out, "selection.json"), selection_payload(selection, rows))
     return EXIT_OK

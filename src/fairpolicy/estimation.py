@@ -29,7 +29,7 @@ class TrainingSample:
     """A nonempty sample of training records over one covariate space and support.
 
     Stored as columns: outcomes, level indices of x and z, and 1-based
-    treatments, so that fitting and reweighting are vectorized.
+    treatments, so that fitting is vectorized.
     """
 
     def __init__(self, space: CovariateSpace, support: SupportInterval, ys, xi, zi, d):

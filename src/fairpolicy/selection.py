@@ -17,7 +17,9 @@ illustrations report estimated quantities.
 Budget selection spends at most beta of the target functional on fairness:
 it picks the largest lambda whose target drop relative to lambda = 0 stays
 within beta * (1 - c_n), with slack c_n = sqrt(log(n) / n).  The drop is used
-raw; it can be negative and is not clamped.
+raw; it can be negative and is not clamped.  It reads the path by position
+(the grid's first lambda is 0), never by matching a float, so each lambda
+selects its own entry however close its neighbours lie.
 
 Both solvers' settings, result, evaluation counter and RNG streams live
 here, in the module every solver user loads; the streams import numpy when
@@ -98,10 +100,6 @@ class CountingObjective:
         return value
 
 
-class LambdaNotOnGrid(ValueError):
-    """Requested a path entry at a lambda that was never fitted."""
-
-
 class InvalidBudget(ValueError):
     """Budget selection needs a positive real beta and a sample of n >= 2."""
 
@@ -134,12 +132,6 @@ class LambdaGrid:
             raise ValueError("m must be >= 1")
         return cls(tuple(i / m for i in range(m + 1)))
 
-    def index_of(self, lam: float, tol: float = 1e-12) -> int:
-        for i, v in enumerate(self.values):
-            if abs(v - lam) <= tol:
-                return i
-        raise LambdaNotOnGrid(f"lambda {lam!r} is not on the grid")
-
 
 class PathEntry:
     """Fitted rule and diagnostics for one preference parameter.
@@ -166,17 +158,19 @@ class LambdaPath:
             raise ValueError("one entry per grid value required")
         self.grid, self.entries, self.n = grid, tuple(entries), n
 
-    def entry(self, lam: float) -> PathEntry:
-        return self.entries[self.grid.index_of(lam)]
-
 
 class BudgetSelection:
-    """Outcome of budget-based preference-parameter selection."""
+    """Outcome of budget-based preference-parameter selection.
 
-    def __init__(self, beta: float, c_n: float, threshold: float, chosen_lambda: float,
-                 deltas: dict):
+    chosen is the position of the chosen entry on the path, chosen_lambda
+    its grid value, and deltas maps each grid lambda to its target drop, in
+    grid order.
+    """
+
+    def __init__(self, beta: float, c_n: float, threshold: float, chosen: int,
+                 chosen_lambda: float, deltas: dict):
         self.beta, self.c_n, self.threshold = beta, c_n, threshold
-        self.chosen_lambda, self.deltas = chosen_lambda, deltas
+        self.chosen, self.chosen_lambda, self.deltas = chosen, chosen_lambda, deltas
 
 
 def _empirical_objective(kernel: AtomKernel, lam, t, s):
@@ -240,11 +234,6 @@ def sweep(
     return LambdaPath(grid=grid, entries=tuple(entries), n=sample.n)
 
 
-def delta_n(path: LambdaPath, lam: float) -> float:
-    """Target drop relative to the unpenalized policy; can be negative."""
-    return path.entry(0.0).target_value - path.entry(lam).target_value
-
-
 def budget_slack(n: int) -> float:
     """c_n = sqrt(log(n) / n) (natural log)."""
     return math.sqrt(math.log(n) / n)
@@ -260,20 +249,21 @@ def check_budget(beta, n: int | None = None) -> None:
 
 
 def select_lambda_budget(path: LambdaPath, beta: float) -> BudgetSelection:
-    """Largest grid lambda whose target drop stays within beta * (1 - c_n).
+    """The last path entry whose target drop stays within beta * (1 - c_n).
 
-    Always well defined: the drop at lambda = 0 is exactly 0.  For c_n >= 1
-    the threshold would be non-positive, so lambda = 0 is returned.
+    The drop of entry i is entries[0].target_value - entries[i].target_value,
+    entry 0 being lambda = 0's, so it is exactly 0 there and the choice is
+    always defined.  For c_n >= 1 the threshold would be non-positive, so
+    entry 0 is returned.
     """
     check_budget(beta, path.n)
     c_n = budget_slack(path.n)
     threshold = beta * (1.0 - c_n)
-    deltas = {lam: delta_n(path, lam) for lam in path.grid}
-    chosen = 0.0
-    if c_n < 1.0:
-        for lam in path.grid:
-            if deltas[lam] <= threshold:
-                chosen = lam
+    base = path.entries[0].target_value
+    drops = [base - e.target_value for e in path.entries]
+    chosen = 0 if c_n >= 1.0 else max(
+        (i for i, drop in enumerate(drops) if drop <= threshold), default=0)
     return BudgetSelection(
-        beta=float(beta), c_n=c_n, threshold=threshold, chosen_lambda=chosen, deltas=deltas
+        beta=float(beta), c_n=c_n, threshold=threshold, chosen=chosen,
+        chosen_lambda=path.grid.values[chosen], deltas=dict(zip(path.grid, drops)),
     )

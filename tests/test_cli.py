@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import fairpolicy
 import fairpolicy.cli as cli
 import fairpolicy.columns as columns
+import fairpolicy.forking
 import fairpolicy.savedpath as savedpath
 from fairpolicy import (
     CovariateSpace,
@@ -689,6 +690,16 @@ class TestFit:
     def test_missing_input_exit_5(self, tmp_path):
         assert main(["fit", "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, shown", [("--input", "{path}"), ("--config", "config {path}")])
+    def test_missing_file_named_once_and_whole(self, tmp_path, capsys, flag, shown):
+        head = str(tmp_path / ("m" * 150))  # 300 characters, no name beyond NAME_MAX
+        path = os.path.join(head, "m" * (299 - len(head)))
+        assert main(["fit", flag, path, "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        name = shown.format(path=path)
+        assert err == f"config error: cannot read {name}: No such file or directory\n"
+        assert err.count(path) == 1 and len(err.encode()) < 400
+
     @pytest.mark.parametrize("flags, message", [
         (["--k", "1"], "--k must be >= 2, got 1"),
         (["--k", str(2**61)], f"--k must be <= {2**53}, got {2**61}"),  # once an exit 1
@@ -1128,6 +1139,36 @@ class TestSelect:
         rule = rules["rules"][rules["lambdas"].index(chosen["chosen_lambda"])]
         assert float_bits(chosen["chosen_rule"]) == float_bits(rule)
 
+    def test_near_equal_saved_lambdas_select_their_own_rows(self, tmp_path):
+        # lambdas 0, 0.5 and 0.5000000000001 lie within 1e-12 of each other but
+        # increase strictly: the last one selects its own row and rule
+        rng = np.random.default_rng(7)
+        sample = tmp_path / "sample.csv"
+        sample.write_text("y,x,z,d\n" + "".join(
+            f"{rng.random():.4f},x{rng.integers(0, 4)},z{rng.integers(0, 2)},"
+            f"{rng.integers(1, 4)}\n" for _ in range(400)))
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--input", str(sample), "--output-dir", str(sweep),
+                     "--target", "mean", "--similarity", "ks", "--grid-m", "2"]) == EXIT_OK
+        near = "0.5000000000001"
+        lines = (sweep / "path.csv").read_text().splitlines(keepends=True)
+        assert lines[3].startswith("1.0,")
+        lines[3] = near + lines[3][len("1.0"):]
+        (sweep / "path.csv").write_text("".join(lines))
+        rules = json.loads((sweep / "rules.json").read_text())
+        rules["lambdas"][2] = float(near)
+        (sweep / "rules.json").write_text(json.dumps(rules, indent=2))
+        assert float_bits(rules["rules"][2]) != float_bits(rules["rules"][1])
+        assert main(["select", "--beta", "1", "--path-csv", str(sweep / "path.csv"),
+                     "--rules-json", str(sweep / "rules.json"),
+                     "--output-dir", str(tmp_path / "o")]) == EXIT_OK
+        doc = json.loads((tmp_path / "o" / "selection.json").read_text())
+        targets = [float(row["target_value"])
+                   for row in csv.DictReader(io.StringIO("".join(lines)))]
+        assert doc["chosen_lambda"] == float(near)
+        assert doc["deltas"][2] == {"lambda": float(near), "delta": targets[0] - targets[2]}
+        assert float_bits(doc["chosen_rule"]) == float_bits(rules["rules"][2])
+
 
 def float_bits(rows) -> list:
     return [[v.hex() for v in row] for row in rows]
@@ -1389,6 +1430,43 @@ class TestOutputPaths:
         assert err.startswith(f"config error: cannot write {out / name}: ")
         assert err.count("\n") == 1
         assert os.listdir(out) == [name]  # the temp file is removed
+
+
+class TestNulByteInAConfigPath:
+    """A NUL byte in a path reaches a command only through a config file (an
+    argv cannot hold one): it exits 5 with one line, leaving no temp file and
+    no child."""
+
+    @pytest.mark.parametrize("command, key, cpus", [
+        ("fit", "input", 1),
+        ("fit", "input", 2),  # read in a forked child
+        ("sweep", "output-dir", 1),
+        ("simulate", "output-dir", 1),
+        ("select", "path-csv", 1),
+    ], ids=["fit-in-process", "fit-forked", "sweep", "simulate", "select"])
+    def test_exit_5_with_one_line(self, toy_csv, tmp_path, capsys, monkeypatch, command, key,
+                                  cpus):
+        monkeypatch.setattr(fairpolicy.forking, "usable_cpus", lambda: cpus)
+        rules_json = tmp_path / "rules.json"
+        rules_json.write_text(json.dumps({"n": 100, "x_levels": ["x0"], "k": 2,
+                                          "lambdas": [0.0], "rules": [[[0.4, 0.6]]]}))
+        bad = str(tmp_path / "a\0b")
+        config = tmp_path / "c.cfg"
+        config.write_text(f"{key}={bad}\n")
+        flags = {
+            "fit": ["--output-dir", str(tmp_path / "o")],
+            "sweep": ["--input", toy_csv],
+            "simulate": ["--sample-sizes", "20", "--replications", "1", "--grid-m", "1"],
+            "select": ["--beta", "0.1", "--rules-json", str(rules_json),
+                       "--output-dir", str(tmp_path / "o")],
+        }[command]
+        assert main([command, "--config", str(config)] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.endswith(f"{bad}: embedded null byte\n")
+        assert list(tmp_path.rglob("*.tmp")) == []
+        with pytest.raises(ChildProcessError):  # no child is left, running or not
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestOracleCheck:

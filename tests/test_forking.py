@@ -128,8 +128,7 @@ class TestForkedReader:
                      f"({csv.field_size_limit()})\n"),
         (b"y,x,z,d\n0.5,\xe9,u,1\n", EXIT_PARSE,
          "parse error: {path}: not UTF-8 text (invalid continuation byte)\n"),
-        (None, EXIT_CONFIG, "config error: cannot read {path}: [Errno 2] No such file or "
-                            "directory: '{path}'\n"),
+        (None, EXIT_CONFIG, "config error: cannot read {path}: No such file or directory\n"),
     ], ids=["field-count", "bad-y", "bad-d", "outside-support", "field-limit", "not-utf8",
             "missing"])
     def test_sample_errors_keep_their_line_and_code(self, tmp_path, capsys, monkeypatch,

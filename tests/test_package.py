@@ -24,9 +24,9 @@ PUBLIC = {
     ],
     "optimizer": ["maximize"],
     "selection": [
-        "BudgetSelection", "InvalidBudget", "LambdaGrid", "LambdaNotOnGrid", "LambdaPath",
-        "NonFiniteObjective", "OptimResult", "OptimizerConfig", "PathEntry", "budget_slack",
-        "delta_n", "select_lambda_budget", "sweep",
+        "BudgetSelection", "InvalidBudget", "LambdaGrid", "LambdaPath", "NonFiniteObjective",
+        "OptimResult", "OptimizerConfig", "PathEntry", "budget_slack", "select_lambda_budget",
+        "sweep",
     ],
     "simharness": ["SimConfig", "SimResult", "SimRow", "regret_toy", "run_simulation"],
     "toy": [

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairpolicy import (
     DecisionRule,
     InvalidBudget,
     LambdaGrid,
-    LambdaNotOnGrid,
     LambdaPath,
     OptimizerConfig,
     PathEntry,
@@ -16,7 +16,6 @@ from fairpolicy import (
     TargetFunctional,
     ToyParams,
     budget_slack,
-    delta_n,
     fit_plugin,
     select_lambda_budget,
     sweep,
@@ -57,26 +56,20 @@ class TestLambdaGrid:
         with pytest.raises(ValueError):
             LambdaGrid((0.0, 0.5, 0.5))
 
-    def test_index_of(self):
-        grid = LambdaGrid.uniform(49)
-        assert grid.index_of(2 / 49) == 2
-        with pytest.raises(LambdaNotOnGrid):
-            grid.index_of(0.1234)
-
 
 class TestSweep:
     def test_singleton_grid_collapses_to_target(self):
         sample = toy_sample(400, 0.75, "A1", seed=1)
         path = sweep(sample, LambdaGrid((0.0,)), GINI, KS, OptimizerConfig(seed=3))
         assert len(path.entries) == 1
-        entry = path.entry(0.0)
+        entry = path.entries[0]
         assert entry.obj_value == pytest.approx(entry.target_value, abs=1e-9)
 
     def test_desk_scale_phase_transition(self):
         # penalization reduces estimated unfairness: maximal at 0, small at 1
         sample = toy_sample(4000, 0.75, "A1", seed=5)
         path = sweep(sample, LambdaGrid.uniform(4), GINI, KS, OptimizerConfig(seed=7))
-        assert path.entry(0.0).max_unfairness > path.entry(1.0).max_unfairness
+        assert path.entries[0].max_unfairness > path.entries[-1].max_unfairness
 
     def test_objective_values_track_the_value_function(self):
         # a real sweep's objective values vs the analytic value function
@@ -89,14 +82,13 @@ class TestSweep:
     def test_deltas_zero_at_origin(self):
         sample = toy_sample(400, 0.75, "A2", seed=9)
         path = sweep(sample, LambdaGrid((0.0, 0.5)), GINI, KS, OptimizerConfig(seed=11))
-        assert delta_n(path, 0.0) == 0.0
+        assert select_lambda_budget(path, 1.0).deltas[0.0] == 0.0
 
     def test_diagnostics_rederivable_from_rule_and_array(self):
         sample = toy_sample(600, 0.75, "A1", seed=13)
         arr = fit_plugin(sample)
         path = sweep(sample, LambdaGrid((0.0, 0.4, 1.0)), GINI, KS, OptimizerConfig(seed=13))
-        for lam in path.grid:
-            e = path.entry(lam)
+        for lam, e in zip(path.grid, path.entries):
             # objective and diagnostics come from one kernel
             assert e.obj_value == (1.0 - lam) * e.target_value - lam * e.max_unfairness
             pop = implied_cdf(e.rule, arr)
@@ -169,23 +161,18 @@ class TestSweep:
 class TestDeltaN:
     def test_zero_at_zero(self):
         path = synthetic_path((0.0, 0.5), (0.3, 0.2))
-        assert delta_n(path, 0.0) == 0.0
+        assert select_lambda_budget(path, 1.0).deltas[0.0] == 0.0
 
     def test_reported_application_drop(self):
         # target 0.072 at lambda=0 vs 0.0696 at the chosen lambda: drop 0.0024
         path = synthetic_path((0.0, 0.5), (0.072, 0.0696))
-        assert delta_n(path, 0.5) == pytest.approx(0.0024, abs=1e-12)
+        assert select_lambda_budget(path, 1.0).deltas[0.5] == pytest.approx(0.0024, abs=1e-12)
 
     def test_monotone_targets_give_monotone_deltas(self):
         targets = (0.3, 0.25, 0.2, 0.12)
         path = synthetic_path((0.0, 0.2, 0.5, 1.0), targets)
-        deltas = [delta_n(path, lam) for lam in path.grid]
+        deltas = list(select_lambda_budget(path, 1.0).deltas.values())
         assert all(b >= a for a, b in zip(deltas, deltas[1:]))
-
-    def test_off_grid_raises(self):
-        path = synthetic_path((0.0, 0.5), (0.3, 0.2))
-        with pytest.raises(LambdaNotOnGrid):
-            delta_n(path, 0.25)
 
 
 class TestBudgetSelection:
@@ -247,3 +234,38 @@ class TestBudgetSelection:
                 sel = select_lambda_budget(est_path, beta)
                 oracle = max(l for l, d in zip(grid, true_deltas) if d <= beta)
                 assert sel.chosen_lambda <= oracle
+
+
+@st.composite
+def near_equal_grids(draw):
+    """Grids whose neighbours lie 1 ulp to 1e-12 apart, past 0 and, if
+    drawn, a jump to the cluster's first value."""
+    values = [0.0]
+    start = draw(st.floats(0.0, 0.9))
+    if start > 0.0:
+        values.append(start)
+    for _ in range(draw(st.integers(1, 8))):
+        ulp = float(np.nextafter(values[-1], 1.0))
+        gap = draw(st.none() | st.floats(1e-15, 1e-12))
+        values.append(ulp if gap is None else max(values[-1] + gap, ulp))
+    return values
+
+
+def positional_reference(targets, beta, n):
+    """(chosen position, drops in path order), by brute force over the
+    path's positions."""
+    threshold = beta * (1.0 - math.sqrt(math.log(n) / n))
+    drops = [targets[0] - t for t in targets]
+    return max(i for i, drop in enumerate(drops) if drop <= threshold), drops
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(near_equal_grids(), st.data(), st.floats(1e-6, 2.0), st.integers(2, 10**6))
+def test_selection_reads_the_path_by_position(grid, data, beta, n):
+    targets = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(grid), max_size=len(grid)))
+    path = synthetic_path(grid, targets, n=n)
+    sel = select_lambda_budget(path, beta)
+    chosen, drops = positional_reference(targets, beta, n)
+    assert sel.chosen == chosen
+    assert sel.chosen_lambda == grid[chosen]
+    assert list(sel.deltas.items()) == list(zip(grid, drops))
