@@ -13,8 +13,9 @@ reader, or csv.reader from the first row it cannot read), and
 at most the first 40 characters of a field or flag (`echo`).  ``fit`` reads
 its sample in a child forked (`forking.Forks`) before numpy loads, so that
 the parse runs beside numpy's import; with one usable CPU, or no
-``os.fork``, it reads in-process.  ``sweep`` and ``select --input`` read
-in-process: their samples parse in less time than a process costs.
+``os.fork``, it reads in-process.  ``sweep`` reads in-process: its samples
+parse in less time than a process costs.  ``select`` reads no sample: it
+chooses from a sweep's saved ``path.csv`` and ``rules.json``.
 
 `main` runs numpy's BLAS on one thread: before a command loads numpy it sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
@@ -37,6 +38,8 @@ columns.  stdout stays quiet; diagnostics go to stderr.  Exit codes: 0 ok,
 1 self-test failure, 2 CSV parse error, 3 schema violation, 4 optimizer
 failure, 5 configuration error (a malformed or unknown flag too, named in
 the message; a count flag is checked against `MAX_COUNT` as it is read).
+Each error is one stderr line: `main` writes a non-printable character of
+the message (a newline or NUL in a path) as its escape.
 A run takes at most one ``--config`` file, which cannot name another.
 
 Without a bytecode cache every module a command imports is compiled when it
@@ -45,8 +48,8 @@ starts, so each command imports only the code it runs: the block reader
 (`payloads`), the ``simulate`` and ``oracle-check`` commands (`simulate`,
 `oraclecheck`) and Nelder-Mead (`optimizer`, which only the sweeps it solves
 load) are modules of their own.  ``fit`` loads neither the sweep, the
-solvers nor the simulation harness, and ``select`` on a saved path loads
-no numpy: it checks the saved rules in pure Python, against
+solvers nor the simulation harness, and ``select`` loads no numpy: it
+checks the saved rules in pure Python, against
 `DecisionRule`'s bounds, and writes the chosen rule as ``rules.json`` holds
 it.  Every file is written by `_atomic_write` and every sample read by
 `read_sample_csv`, each called through this module's binding, so that a
@@ -72,7 +75,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .distributions import SupportInterval
     from .estimation import TrainingSample
-    from .selection import LambdaPath
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -447,10 +449,12 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args, beta=None) -> LambdaPath:
+def cmd_sweep(args) -> int:
     from .functionals import SimilarityMeasure, TargetFunctional
-    from .selection import LambdaGrid, OptimizerConfig, check_budget, sweep
+    from .payloads import path_csv_text, rules_payload
+    from .selection import LambdaGrid, OptimizerConfig, sweep
 
+    out = _ensure_outdir(args)
     grid = LambdaGrid.uniform(args.grid_m)
     t = _parsed("--target", args.target, TargetFunctional.parse,
                 "be gini-welfare, mean or quantile:TAU")
@@ -458,17 +462,7 @@ def _run_sweep(args, beta=None) -> LambdaPath:
                 "be ks, one-sided-ks or abs-target-diff:TARGET")
     cfg = OptimizerConfig(args.restarts, args.candidate_starts, args.max_iters,
                           check_flag("--ftol", args.ftol, args.ftol > 0, "be positive"), args.seed)
-    sample = _read_sample(args)
-    if beta is not None:
-        check_budget(beta, sample.n)
-    return sweep(sample, grid, t, s, cfg)
-
-
-def cmd_sweep(args) -> int:
-    from .payloads import path_csv_text, rules_payload
-
-    out = _ensure_outdir(args)
-    path = _run_sweep(args)
+    path = sweep(_read_sample(args), grid, t, s, cfg)
     _atomic_write(os.path.join(out, "path.csv"), path_csv_text(path))
     _write_json(os.path.join(out, "rules.json"), rules_payload(path))
     return EXIT_OK
@@ -476,24 +470,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_select(args) -> int:
     from .payloads import selection_payload
+    from .savedpath import read_path_files
     from .selection import check_budget, select_lambda_budget
 
     out = _ensure_outdir(args)
     if args.beta is None:
         raise ConfigError("--beta is required for select")
     check_budget(args.beta)  # before reading any input
-    if args.path_csv and args.rules_json:
-        from .savedpath import read_path_files
-
-        path = read_path_files(args.path_csv, args.rules_json)
-    elif args.input:
-        path = _run_sweep(args, beta=args.beta)
-    else:
-        raise ConfigError("select needs either --path-csv with --rules-json, or --input")
+    if not (args.path_csv and args.rules_json):
+        raise ConfigError("select needs --path-csv and --rules-json")
+    path = read_path_files(args.path_csv, args.rules_json)
     selection = select_lambda_budget(path, args.beta)
-    rule = path.entries[selection.chosen].rule
-    rows = rule if type(rule) is list else rule.probs.tolist()  # a saved path holds rows
-    _write_json(os.path.join(out, "selection.json"), selection_payload(selection, rows))
+    _write_json(os.path.join(out, "selection.json"),
+                selection_payload(selection, path.entries[selection.chosen].rule))
     return EXIT_OK
 
 
@@ -602,9 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select", help="budget-based preference-parameter choice")
     add_common(p_select)
-    add_sample_flags(p_select)
-    add_objective_flags(p_select)
-    add_optimizer_flags(p_select)
     p_select.add_argument("--beta", type=float, default=None,
                           help="maximal tolerated target drop")
     p_select.add_argument("--path-csv", default=None, help="path.csv from a sweep")
@@ -683,6 +669,14 @@ def _loaded(module: str, name: str) -> tuple:
     return () if error is None else (error,)
 
 
+def _report(kind: str, error, code: int) -> int:
+    """Print "{kind} error: {error}" to stderr as one line, a non-printable
+    character (a newline or NUL in a path) as its escape; return code."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(error))
+    print(f"{kind} error: {text}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     # read when numpy loads its BLAS; a caller's setting, or a numpy already
     # loaded (in-process callers), is left alone
@@ -696,24 +690,19 @@ def main(argv=None) -> int:
             raise ConfigError("--config must be given in full, not abbreviated")
         return args.func(args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _report("parse", exc, EXIT_PARSE)
     except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return _report("schema", exc, EXIT_SCHEMA)
     # an except clause's classes are evaluated only when an exception reaches it
     except (*_loaded(".selection", "NonFiniteObjective"), *_loaded(".lp", "Unbounded"),
             *_loaded("numpy.linalg", "LinAlgError")) as exc:
-        print(f"optimizer error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
+        return _report("optimizer", exc, EXIT_OPTIMIZER)
     except (ConfigError, *_loaded(".selection", "InvalidBudget"),
             *_loaded(".forking", "WorkerDied")) as exc:  # e.g. a child killed for memory
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _report("config", exc, EXIT_CONFIG)
     except MemoryError as exc:  # e.g. a --k or --sample-sizes too large for this host
         detail = f": {exc}" if str(exc) else ""
-        print(f"config error: out of memory{detail}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _report("config", "out of memory" + detail, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""A sweep's saved outputs, ``path.csv`` and ``rules.json``, read back for `select`.
+"""A sweep's saved outputs, ``path.csv`` and ``rules.json``, read back for
+`select`, which selects from nothing else.
 
 Everything here is pure Python: each saved rule is checked against
 `DecisionRule`'s bounds (`rule_rows`) and kept as the rows rules.json
-holds, so that `select` on a saved path loads no numpy and writes the
-chosen rule as the sweep wrote it.
+holds, so that `select` loads no numpy and writes the chosen rule as the
+sweep wrote it.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ def rule_rows(value, shape: tuple) -> list:
 def read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     """Rebuild a LambdaPath (diagnostics + rules) from sweep outputs.
 
-    Each entry's rule is its rows as rules.json holds them, checked
-    (`rule_rows`), not a DecisionRule.
+    path.csv's header must be the one a sweep writes: lambda, obj_value,
+    target_value, one unfair_<z> column per group, max_unfairness, and
+    every row as many fields.  Each entry's rule is its rows as rules.json
+    holds them, checked (`rule_rows`), not a DecisionRule.
     """
     from .selection import LambdaGrid, LambdaPath, PathEntry
 
@@ -77,13 +80,15 @@ def read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
             rows = list(csv.reader(fh))
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise ParseError(f"{path_csv}: {exc}") from None
-    if not rows or not rows[0] or rows[0][0] != "lambda":
-        raise ParseError(f"{path_csv}: row 1: not a path CSV")
-    header = rows[0]
-    groups = [c[len("unfair_"):] for c in header if c.startswith("unfair_")]
+    header = rows[0] if rows else []
+    unfair = header[3:-1]
+    if (header[:3] != ["lambda", "obj_value", "target_value"] or header[-1:] != ["max_unfairness"]
+            or not all(c.startswith("unfair_") for c in unfair)):
+        raise SchemaError(f"{path_csv}: row 1: not the header a sweep writes "
+                          "(lambda,obj_value,target_value,unfair_<z>...,max_unfairness)")
+    groups = [c[len("unfair_"):] for c in unfair]
     if len(set(groups)) != len(groups):
         raise SchemaError(f"{path_csv}: row 1: a group has two unfair_ columns")
-    width = len(groups) + 4  # lambda, obj_value, target_value, unfair_*, max_unfairness
 
     def is_a(value, kind):
         # JSON true and false load as Python ints, so bools never pass
@@ -117,9 +122,9 @@ def read_path_files(path_csv: str, rules_json: str) -> LambdaPath:
     lams = []
     for idx, row in enumerate(rows[1:]):
         try:
-            if not width <= len(row) <= len(header):
+            if len(row) != len(header):
                 raise ValueError
-            values = list(map(float, row[:width]))
+            values = list(map(float, row))
         except ValueError:
             raise ParseError(f"{path_csv}: row {idx + 2}: malformed row") from None
         for column, value in zip(header, values):

@@ -23,7 +23,7 @@ selects its own entry however close its neighbours lie.
 
 Both solvers' settings, result, evaluation counter and RNG streams live
 here, in the module every solver user loads; the streams import numpy when
-called, so that `select` on a saved path loads none.
+called, so that `select` loads none.
 """
 
 from __future__ import annotations
@@ -136,10 +136,11 @@ class LambdaGrid:
 class PathEntry:
     """Fitted rule and diagnostics for one preference parameter.
 
-    evaluations, converged and gap are the solver's `OptimResult` fields;
-    they are None on an entry read back from sweep outputs, whose rule is
-    its probability rows as rules.json holds them (lists of floats, checked
-    and clamped into [0, 1]), not a DecisionRule.
+    A sweep's entry holds its DecisionRule and the solver's `OptimResult`
+    fields evaluations, converged and gap.  An entry read back from sweep
+    outputs (`savedpath`), the only kind `select` sees, has None for those
+    three, and its rule is its probability rows as rules.json holds them
+    (lists of floats, checked and clamped into [0, 1]).
     """
 
     def __init__(self, rule: DecisionRule | list, obj_value: float, target_value: float,
@@ -192,9 +193,9 @@ def sweep(
     index); cfg None means `OptimizerConfig()`.  Either way the path is
     reproducible bit-for-bit and per-lambda runs are independent.
     """
-    # Imported here, not at the top, so that `select` on a saved path loads
-    # no numpy and compiles neither the estimator, the functionals nor the
-    # objective, and each sweep compiles only the solver it runs.
+    # Imported here, not at the top, so that `select` loads no numpy and
+    # compiles neither the estimator, the functionals nor the objective, and
+    # each sweep compiles only the solver it runs.
     from .estimation import fit_plugin
     from .functionals import plugin_route
 

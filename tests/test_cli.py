@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ import fairpolicy.cli as cli
 import fairpolicy.columns as columns
 import fairpolicy.forking
 import fairpolicy.savedpath as savedpath
+import fairpolicy.selection as selection
 from fairpolicy import (
     CovariateSpace,
     SupportInterval,
@@ -41,9 +43,11 @@ from fairpolicy.cli import (
     main,
     read_sample_csv,
 )
+from fairpolicy.functionals import SimilarityMeasure, TargetFunctional
 from fairpolicy.oraclecheck import oracle_check
 from fairpolicy.payloads import fitted_array_payload
 from fairpolicy.lp import PluginProgram, Unbounded
+from fairpolicy.selection import LambdaGrid, OptimizerConfig
 from helpers import labelled_sample, write_sample_csv
 
 UNIT = SupportInterval(0.0, 1.0)
@@ -888,23 +892,34 @@ class TestSelect:
         assert ((tmp_path / "bom" / "selection.json").read_bytes()
                 == (tmp_path / "plain" / "selection.json").read_bytes())
 
-    def test_missing_beta_exit_5(self, toy_csv, tmp_path):
-        rc = main(["select", "--input", toy_csv, "--output-dir", str(tmp_path / "o")])
+    def test_missing_beta_exit_5(self, tmp_path, capsys):
+        rc = main(["select", *saved_path_flags(tmp_path), "--output-dir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --beta is required for select\n"
 
-    def test_one_row_sample_exit_5_before_any_sweep(self, tmp_path, capsys, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("select swept a 1-row sample")
+    @pytest.mark.parametrize("given", [slice(0), slice(0, 2), slice(2, 4)],
+                             ids=["neither", "path-csv-alone", "rules-json-alone"])
+    def test_without_both_saved_files_exit_5(self, tmp_path, capsys, given):
+        flags = saved_path_flags(tmp_path)[given]
+        rc = main(["select", "--beta", "0.1", "--output-dir", str(tmp_path / "o")] + flags)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: select needs --path-csv and --rules-json\n"
 
-        monkeypatch.setattr("fairpolicy.selection.sweep", no_sweep)
-        sample = tmp_path / "s.csv"
-        sample.write_text("y,x,z,d\n0.5,a,u,1\n")
-        rc = main(["select", "--input", str(sample), "--beta", "0.1",
+    def test_sample_input_is_an_unknown_flag_exit_5(self, toy_csv, tmp_path, capsys):
+        # a selection from a sample is a sweep, then a select on its outputs
+        rc = main(["select", "--input", toy_csv, "--beta", "0.1",
                    "--output-dir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert "n >= 2" in err
+        assert err == f"config error: unrecognized arguments: {cli.echo(f'--input {toy_csv}')}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_help_lists_only_the_saved_path_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["select", "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--output-dir", "--beta", "--path-csv",
+                         "--rules-json"}
 
     def test_one_row_path_files_exit_5(self, tmp_path, capsys):
         path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
@@ -1027,12 +1042,11 @@ class TestSelect:
         message = message.format(path_csv=path_csv)
         assert capsys.readouterr().err == f"schema error: {rules_json}: {message}\n"
 
-    def test_negative_beta_exit_5(self, toy_csv, tmp_path, capsys):
-        rc = main(["select", "--input", toy_csv, "--beta", "-1",
+    def test_negative_beta_exit_5(self, tmp_path, capsys):
+        rc = main(["select", *saved_path_flags(tmp_path), "--beta", "-1",
                    "--output-dir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == "config error: beta must be a positive real, got -1.0\n"
 
     @pytest.mark.parametrize("row, column", [
         ("nan,0.5,0.5,0.0,0.0", "lambda"),
@@ -1080,6 +1094,35 @@ class TestSelect:
         assert capsys.readouterr().err == (
             f"schema error: {path_csv}: row 1: a group has two unfair_ columns\n")
 
+    @pytest.mark.parametrize("header, rows", [
+        # read by position, obj_value would be the target: a delta of 0.405, not 0.3
+        ("lambda,target_value,obj_value,unfair_z0,max_unfairness",
+         "0.0,0.5,0.9,0.0,0.0\n0.5,0.2,0.495,0.0,0.0\n"),
+        # ... and here max_unfairness: no drop, so lambda 0.5 for a drop of 0.7
+        ("lambda,obj_value,max_unfairness,target_value,unfair_z0",
+         "0.0,0.5,0.0,0.9,0.0\n0.5,0.2,0.0,0.2,0.0\n"),
+        ("lambda,obj_value,target_value,unfair_z0,max_unfairness,note",
+         "0.0,0.5,0.5,0.0,0.0,a\n0.5,0.2,0.2,0.0,0.0,b\n"),
+        ("lambda,obj_value,target_value,z0,max_unfairness",
+         "0.0,0.5,0.5,0.0,0.0\n0.5,0.2,0.2,0.0,0.0\n"),
+        ("obj_value,target_value,unfair_z0,max_unfairness",
+         "0.5,0.5,0.0,0.0\n0.2,0.2,0.0,0.0\n"),
+        ("", ""),
+    ], ids=["target-obj-swapped", "max-unfairness-third", "extra-column", "group-unprefixed",
+            "no-lambda", "empty"])
+    def test_header_a_sweep_does_not_write_exit_3(self, tmp_path, capsys, header, rows):
+        path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
+        path_csv.write_text(header + "\n" + rows if header else "")
+        rules_json.write_text(json.dumps({"n": 1000, "x_levels": ["x0"], "k": 2,
+                                          "lambdas": [0.0, 0.5],
+                                          "rules": [[[0.5, 0.5]], [[0.4, 0.6]]]}))
+        rc = main(["select", "--path-csv", str(path_csv), "--rules-json", str(rules_json),
+                   "--beta", "0.01", "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"schema error: {path_csv}: row 1: not the header a sweep writes "
+            "(lambda,obj_value,target_value,unfair_<z>...,max_unfairness)\n")
+
     @pytest.mark.parametrize("doc", [[1, 2], "rules", None], ids=["list", "string", "null"])
     def test_rules_json_that_is_no_object_exit_3(self, tmp_path, capsys, doc):
         path_csv, rules_json = tmp_path / "path.csv", tmp_path / "rules.json"
@@ -1116,7 +1159,9 @@ class TestSelect:
     @pytest.mark.parametrize("seed", [1, 2, 3, 7, 8])
     @pytest.mark.parametrize("target", ["gini-welfare", "mean", "quantile:0.5"])
     def test_saved_path_selects_as_the_sample(self, tmp_path, seed, target):
-        # the saved chosen rule is the rule rules.json holds, bit for bit
+        # sweep, then select on its outputs, selects as budget selection on
+        # the in-process sweep of the same sample and flags; the chosen rule
+        # is the rule rules.json holds, bit for bit
         rng = np.random.default_rng(seed)
         sample = tmp_path / "sample.csv"
         sample.write_text("y,x,z,d\n" + "".join(
@@ -1129,15 +1174,18 @@ class TestSelect:
         assert main(["select", "--beta", "0.01", "--path-csv", f"{sweep}/path.csv",
                      "--rules-json", f"{sweep}/rules.json",
                      "--output-dir", str(tmp_path / "saved")]) == EXIT_OK
-        assert main(["select", "--beta", "0.01", "--input", str(sample),
-                     "--output-dir", str(tmp_path / "fresh")] + flags) == EXIT_OK
-        saved = (tmp_path / "saved" / "selection.json").read_bytes()
-        assert saved == (tmp_path / "fresh" / "selection.json").read_bytes()
+        path = selection.sweep(read_sample_csv(str(sample), UNIT), LambdaGrid.uniform(4),
+                               TargetFunctional.parse(target), SimilarityMeasure.parse("ks"),
+                               OptimizerConfig(candidate_starts=10, max_iters=100))
+        expected = selection.select_lambda_budget(path, 0.01)
+        chosen = json.loads((tmp_path / "saved" / "selection.json").read_text())
+        assert chosen["chosen_lambda"] == expected.chosen_lambda
+        assert chosen["deltas"] == [{"lambda": lam, "delta": d}
+                                    for lam, d in expected.deltas.items()]
         with open(f"{sweep}/rules.json") as fh:
-            rules = json.load(fh)
-        chosen = json.loads(saved)
-        rule = rules["rules"][rules["lambdas"].index(chosen["chosen_lambda"])]
+            rule = json.load(fh)["rules"][expected.chosen]
         assert float_bits(chosen["chosen_rule"]) == float_bits(rule)
+        assert float_bits(rule) == float_bits(path.entries[expected.chosen].rule.probs.tolist())
 
     def test_near_equal_saved_lambdas_select_their_own_rows(self, tmp_path):
         # lambdas 0, 0.5 and 0.5000000000001 lie within 1e-12 of each other but
@@ -1168,6 +1216,16 @@ class TestSelect:
         assert doc["chosen_lambda"] == float(near)
         assert doc["deltas"][2] == {"lambda": float(near), "delta": targets[0] - targets[2]}
         assert float_bits(doc["chosen_rule"]) == float_bits(rules["rules"][2])
+
+
+def saved_path_flags(tmp_path) -> list:
+    """--path-csv and --rules-json of a valid two-lambda saved path, written under tmp_path."""
+    path_csv, rules_json = tmp_path / "saved-path.csv", tmp_path / "saved-rules.json"
+    path_csv.write_text("lambda,obj_value,target_value,unfair_g,max_unfairness\n"
+                        "0.0,0.5,0.5,0.0,0.0\n1.0,0.4,0.4,0.0,0.0\n")
+    rules_json.write_text(json.dumps({"n": 100, "x_levels": ["x0"], "k": 2, "lambdas": [0.0, 1.0],
+                                      "rules": [[[0.5, 0.5]], [[0.4, 0.6]]]}))
+    return ["--path-csv", str(path_csv), "--rules-json", str(rules_json)]
 
 
 def float_bits(rows) -> list:
@@ -1463,10 +1521,41 @@ class TestNulByteInAConfigPath:
         assert main([command, "--config", str(config)] + flags) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert err.endswith(f"{bad}: embedded null byte\n")
+        assert err.endswith(f"{bad}: embedded null byte\n".replace("\0", "\\x00"))
         assert list(tmp_path.rglob("*.tmp")) == []
         with pytest.raises(ChildProcessError):  # no child is left, running or not
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestNewlineInAPath:
+    """An error line that quotes a path holding a newline stays one line:
+    the newline is written as its escape, and the rest of the line as is."""
+
+    @pytest.mark.parametrize("case", ["missing-input", "malformed-sample", "output-dir",
+                                      "missing-path-csv"])
+    def test_one_line(self, toy_csv, tmp_path, capsys, case):
+        name = str(tmp_path / "a\nb.csv")
+        out = ["--output-dir", str(tmp_path / "o")]
+        missing = "cannot read {}: No such file or directory"
+        if case == "missing-input":
+            argv, code, line = ["fit", "--input", name] + out, EXIT_CONFIG, missing
+        elif case == "malformed-sample":
+            Path(name).write_text("y,x,z,d\n0.5,a,u\n")
+            argv, code = ["fit", "--input", name] + out, EXIT_PARSE
+            line = "{}: row 2: expected 4 fields, got 3"
+        elif case == "output-dir":
+            (tmp_path / "taken").write_text("")
+            name = str(tmp_path / "taken" / "a\nb")
+            argv, code = ["fit", "--input", toy_csv, "--output-dir", name], EXIT_CONFIG
+            line = "cannot create output directory {}: Not a directory"
+        else:
+            rules_json = saved_path_flags(tmp_path)[3]
+            argv = ["select", "--beta", "0.1", "--path-csv", name, "--rules-json", rules_json]
+            argv, code, line = argv + out, EXIT_CONFIG, missing
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        prefix = "parse error: " if code == EXIT_PARSE else "config error: "
+        assert err == prefix + line.format(name.replace("\n", "\\n")) + "\n"
 
 
 class TestOracleCheck:
@@ -1692,8 +1781,6 @@ def test_only_the_sweeps_nelder_mead_solves_load_the_optimizer(toy_csv, tmp_path
     never.update({
         "select saved": ["select", "--beta", "0.01", "--path-csv", str(saved / "path.csv"),
                          "--rules-json", str(saved / "rules.json")] + out("saved"),
-        "select input": ["select", "--beta", "0.01", "--input", toy_csv, "--grid-m", "1"]
-        + out("input"),
         "simulate": ["simulate", "--sample-sizes", "50", "--mechanisms", "A1", "--grid-m", "1",
                      "--replications", "1"] + out("simulate"),
         "oracle-check": ["oracle-check", "--grid-points", "50"],
@@ -1720,8 +1807,6 @@ def test_no_command_imports_dataclasses(toy_csv, tmp_path):
         + out("nm"),
         "select saved": ["select", "--beta", "0.01", "--path-csv", str(tmp_path / "lp/path.csv"),
                          "--rules-json", str(tmp_path / "lp/rules.json")] + out("saved"),
-        "select input": ["select", "--beta", "0.01", "--input", toy_csv, "--target", "mean",
-                         "--grid-m", "1"] + out("input"),
         "simulate": ["simulate", "--sample-sizes", "50", "--mechanisms", "A1", "--grid-m", "1",
                      "--replications", "2"] + out("simulate"),
         "oracle-check": ["oracle-check", "--grid-points", "50"],
@@ -1833,8 +1918,7 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
 @pytest.mark.parametrize("command", [
     ["fit"],
     ["sweep", "--grid-m", "1"],
-    ["select", "--beta", "0.1", "--grid-m", "1"],
-], ids=["fit", "sweep", "select"])
+], ids=["fit", "sweep"])
 def test_field_beyond_csv_limit_is_a_one_line_parse_error(tmp_path, capsys, command):
     path = tmp_path / "s.csv"
     path.write_text("y,x,z,d\n0.5,a,u,1\n0." + "5" * (csv.field_size_limit() + 1) + ",a,u,2\n")
@@ -1862,20 +1946,18 @@ def test_memory_error_is_a_one_line_config_error(toy_csv, tmp_path, capsys, monk
     assert capsys.readouterr().err == f"config error: {line}\n"
 
 
-@pytest.mark.parametrize("command", [["sweep"], ["select", "--beta", "0.01"]],
-                         ids=["sweep", "select"])
 @pytest.mark.parametrize("error, line", [
     (np.linalg.LinAlgError("Singular matrix"), "Singular matrix"),
     (Unbounded("column 3 can grow without bound"), "column 3 can grow without bound"),
 ], ids=["singular-basis", "unbounded"])
 def test_solver_error_is_a_one_line_optimizer_error(toy_csv, tmp_path, capsys, monkeypatch,
-                                                    command, error, line):
+                                                    error, line):
     def fails(*args):
         raise error
 
     monkeypatch.setattr("fairpolicy.lp.simplex", fails)
-    rc = main(command + ["--target", "mean", "--grid-m", "1", "--input", toy_csv,
-                         "--output-dir", str(tmp_path / "o")])
+    rc = main(["sweep", "--target", "mean", "--grid-m", "1", "--input", toy_csv,
+               "--output-dir", str(tmp_path / "o")])
     assert rc == EXIT_OPTIMIZER
     assert capsys.readouterr().err == f"optimizer error: {line}\n"
 

@@ -87,8 +87,7 @@ SELECT = "bbdcb949226fa7be717a55bd1e96beb0e8c8ce7353f7fa50ee2298f4e49981ee"
 
 
 def test_select_outputs(tmp_path):
-    # select on the saved path writes the chosen rule as rules.json holds it,
-    # which is the rule select --input fits: both write the same bytes
+    # select on the saved path writes the chosen rule as rules.json holds it
     sample_csv = tmp_path / "sample.csv"
     write_sample_csv(str(sample_csv), fixed_sample())
     flags = ["--target", "gini-welfare", "--similarity", "ks", "--grid-m", "4"]
@@ -98,11 +97,7 @@ def test_select_outputs(tmp_path):
     assert main(["select", "--beta", "0.01", "--path-csv", str(sweep / "path.csv"),
                  "--rules-json", str(sweep / "rules.json"),
                  "--output-dir", str(tmp_path / "saved")]) == EXIT_OK
-    assert main(["select", "--beta", "0.01", "--input", str(sample_csv),
-                 "--output-dir", str(tmp_path / "input")] + flags) == EXIT_OK
-    for name in ("saved", "input"):
-        assert digests(tmp_path / name, ("selection.json",)) == [SELECT]
-
+    assert digests(tmp_path / "saved", ("selection.json",)) == [SELECT]
 
 SIMULATE = (
     "7faf226c000aee92b20f937d2bb9c24ad4cdb48ec7877e13cb0167c4c4b35df2",

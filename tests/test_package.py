@@ -116,7 +116,6 @@ for t in ("gini-welfare", "mean", "quantile:0.5"):
 runs += [
     ["select", "--beta", "0.1", "--path-csv", os.path.join(tmp, "gini-welfareks", "path.csv"),
      "--rules-json", os.path.join(tmp, "gini-welfareks", "rules.json")] + out("select-path"),
-    ["select", "--beta", "0.1", "--input", sample, "--grid-m", "1"] + out("select-input"),
     ["simulate", "--sample-sizes", "40", "--mechanisms", "A1", "--replications", "1",
      "--grid-m", "1"] + out("simulate"),
     ["oracle-check", "--grid-points", "50"],
@@ -175,7 +174,7 @@ def test_every_function_runs_in_a_command_or_is_kept(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     result = json.loads(out)
-    assert result["codes"] == [0] * 21 + [5, 2]  # the bad flag exits 5, the bad sample 2
+    assert result["codes"] == [0] * 20 + [5, 2]  # the bad flag exits 5, the bad sample 2
     unreached = set(result["unreached"])
     assert sorted(unreached - set(KEPT)) == [], "no command calls these: delete or move them"
     assert sorted(set(KEPT) - unreached) == [], "a command calls these: take them out of KEPT"

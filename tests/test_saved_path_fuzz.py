@@ -3,14 +3,18 @@ through `select`.
 
 As in `test_sample_fuzz.py`, each mutated pair must end in a documented
 exit code: 0, or 2 to 5 with one stderr line that names its kind, no temp
-file left in the output directory and no child left unreaped.  The run is
+file left in the output directory and no child left unreaped.  A selection
+that succeeds must take each drop from the column named target_value, so a
+header whose columns are reordered fails unless it is refused.  The run is
 derandomized; the explicit examples put each inserted piece into a number,
 a label, a line end, the header or the nesting, which a random draw may
 miss.
 """
 
 import contextlib
+import csv
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -20,7 +24,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fairpolicy.cli import main
 
-PATH_CSV = (b"lambda,obj_value,target_value,unfair_z0,unfair_z1,max_unfairness\n"
+HEADER = b"lambda,obj_value,target_value,unfair_z0,unfair_z1,max_unfairness"
+PATH_CSV = (HEADER + b"\n"
             b"0.0,0.6,0.6,0.2,0.1,0.2\n"
             b"0.5,0.25,0.55,0.04,0.05,0.05\n"
             b"1.0,-0.0,0.5,0.0,0.0,0.0\n")
@@ -53,7 +58,12 @@ flips = st.tuples(st.just("flip"), files, offsets, st.integers(1, 255))
 truncations = st.tuples(st.just("truncate"), files, offsets)
 duplicates = st.tuples(st.just("duplicate"), files, offsets, st.integers(1, 40))
 inserts = st.tuples(st.just("insert"), files, offsets, st.sampled_from(INSERTS))
-mutations = st.lists(st.one_of(flips, truncations, duplicates, inserts), min_size=1, max_size=3)
+# path.csv's first line replaced by its columns in another order
+headers = st.tuples(st.just("header"), st.just("path"), st.just(0),
+                    st.sampled_from(sorted(map(b",".join, itertools.permutations(
+                        HEADER.split(b","))))))
+mutations = st.lists(st.one_of(flips, truncations, duplicates, inserts, headers),
+                     min_size=1, max_size=3)
 
 
 def mutate(ops) -> dict:
@@ -71,6 +81,8 @@ def mutate(ops) -> dict:
             text = text[:pos + arg[0]] + text[pos:pos + arg[0]] + text[pos + arg[0]:]
         elif op == "insert":
             text = text[:pos] + arg[0] + text[pos:]
+        elif op == "header":
+            text = arg[0] + text[text.index(b"\n"):] if b"\n" in text else arg[0]
         data[name] = text
     return data
 
@@ -116,6 +128,11 @@ def test_seed_files_select_a_rule(tmp_path):
 @example([("truncate", *at("rules", b"\"rules\""))])
 @example([("duplicate", *at("path", b"0.5,"), 29)])  # a lambda twice
 @example([("flip", *at("path", b"unfair_z1"), ord("1") ^ ord("0"))])  # a group twice
+# once exit 0, reading obj_value, then max_unfairness, as the target
+@example([("header", "path", 0, b"lambda,target_value,obj_value,unfair_z0,unfair_z1,"
+                                b"max_unfairness")])
+@example([("header", "path", 0, b"lambda,obj_value,max_unfairness,target_value,unfair_z0,"
+                                b"unfair_z1")])
 def test_mutated_saved_path_exits_by_contract(ops):
     data = mutate(ops)
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,6 +149,12 @@ def test_mutated_saved_path_exits_by_contract(ops):
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert err.startswith(PREFIXES), err
+        else:
+            with open(os.path.join(tmp, "path"), encoding="utf-8-sig", newline="") as fh:
+                targets = [float(row["target_value"]) for row in csv.DictReader(fh)]
+            with open(os.path.join(out, "selection.json"), encoding="utf-8") as fh:
+                deltas = [entry["delta"] for entry in json.load(fh)["deltas"]]
+            assert deltas == [targets[0] - t for t in targets]
         if os.path.isdir(out):
             assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
         with pytest.raises(ChildProcessError):  # no child is left, running or not
