@@ -13,9 +13,6 @@ Each functional is implemented once, on a (grid, cdf-values) pair, which is
 the form the objective kernel evaluates.  On a grid, Gini-welfare uses the
 identity mean - mad_half = a + integral (1 - F)^2, a single dot product with
 the grid steps (a caller evaluating many CDFs on one grid passes them in).
-A similarity measure on a grid also takes a stack of CDF rows and returns
-the largest dissimilarity of any row, which is what the objective's penalty
-needs.
 """
 
 from __future__ import annotations
@@ -87,26 +84,18 @@ class SimilarityMeasure:
                       steps: np.ndarray | None = None) -> float:
         """S(F, G) for CDFs with values vf, vg on grid that jump only on grid.
 
-        vf may also be a stack of rows, one CDF each; the result is then the
-        largest S(row, G).  steps, if given, must equal np.diff(grid).
+        steps, if given, must equal np.diff(grid).
         """
         # Both CDFs jump only at grid points, so the sup over the line is the
         # max over grid values (left limits are the previous grid values).
         if self.kind == "ks":
-            # abs in place: one more (rows, G) temporary per objective
-            # evaluation made glibc hand the heap top back to the OS after
-            # each one, and the page faults of regrowing it doubled the
-            # evaluation time at 3 x 6,000 grid values
             d = vf - vg
-            np.abs(d, out=d)
+            np.abs(d, out=d)  # in place: one G-sized temporary per call, not two
             return float(d.max())
         if self.kind == "one-sided-ks":
             return float(max((vf - vg).max(), 0.0))
-        inner_g = self.inner.value_on_grid(grid, vg, steps)
-        return max(
-            abs(self.inner.value_on_grid(grid, row, steps) - inner_g)
-            for row in np.atleast_2d(vf)
-        )
+        return abs(self.inner.value_on_grid(grid, vf, steps)
+                   - self.inner.value_on_grid(grid, vg, steps))
 
     @classmethod
     def parse(cls, text: str) -> "SimilarityMeasure":

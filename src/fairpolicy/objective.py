@@ -30,6 +30,9 @@ One evaluation scatters `probs_flat[slot] * mass` into the table with
 grid, in O(atoms + |Z|*G) time and memory.  The population CDF is the
 p_Z-weighted sum of the group rows.  The kernel keeps its last result for
 probs of equal bytes, as a solver often evaluates the rule it just tried.
+`AtomKernel.scores` is the one evaluator: T of the population row and S of
+each active group row against it, the two terms a sweep reports;
+`AtomKernel.value`, which the solvers and `omega` call, combines them.
 
 Plug-in atoms are the cell atoms with mass (cell mass) * p(x | z).  Each
 group row is projected onto the CDFs on [a, b]: capped at 1, any residual
@@ -282,17 +285,16 @@ class AtomKernel:
 
     def value(self, probs: np.ndarray, lam: float, t: TargetFunctional,
               s: SimilarityMeasure) -> float:
-        f = self.group_cdfs(probs.ravel())
-        pop = self.pz @ f
-        target = 0.0 if lam == 1.0 else t.value_on_grid(self.grid, pop, self.steps)
-        penalty = 0.0
-        if lam > 0.0:
-            penalty = s.value_on_grid(self.grid, f[self.active], pop, self.steps)
-        return (1.0 - lam) * target - lam * penalty
+        """The objective, built from `scores`; T counts as 0.0 at lam = 1,
+        where (1 - lam) * T would be -0.0 for a negative T."""
+        target, unfairness = self.scores(probs, t, s)
+        if lam == 1.0:
+            target = 0.0
+        return (1.0 - lam) * target - lam * max(unfairness.values())
 
     def scores(self, probs: np.ndarray, t: TargetFunctional,
                s: SimilarityMeasure) -> tuple[float, dict]:
-        """The two terms of `value`: T(population), {active group index: S}."""
+        """T(population) and {active group index: S(group, population)}."""
         f = self.group_cdfs(probs.ravel())
         pop = self.pz @ f
         unfairness = {int(j): s.value_on_grid(self.grid, f[j], pop, self.steps)

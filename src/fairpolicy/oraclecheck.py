@@ -9,13 +9,8 @@ import sys
 from .cli import EXIT_OK, EXIT_SELFTEST, check_flag
 
 
-def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
-                 stream=None) -> int:
-    """Closed-form vs numeric agreement suite; one report line per check.
-
-    `perturb` shifts the closed-form objective and exists as a negative
-    control for the suite itself.
-    """
+def oracle_check(p: float = 0.75, grid_points: int = 2000) -> int:
+    """Closed-form vs numeric agreement suite; one report line per check."""
     import numpy as np
 
     from .functionals import SimilarityMeasure, TargetFunctional
@@ -38,7 +33,7 @@ def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
         for delta in np.linspace(0.0, 1.0, 21):
             rule = DecisionRule(arr.space, np.array([[delta, 1.0 - delta]]))
             num = omega(rule, arr, float(lam), t, s)
-            closed = toy_objective(float(delta), ToyParams(p, float(lam))) + perturb
+            closed = toy_objective(float(delta), ToyParams(p, float(lam)))
             worst = max(worst, abs(num - closed))
     checks.append(("objective agreement on 21x5 grid", worst, 0.01))
 
@@ -60,7 +55,7 @@ def oracle_check(p: float = 0.75, grid_points: int = 2000, perturb: float = 0.0,
 
     for name, err, tol in checks:
         print(f"[{'ok' if err <= tol else 'FAIL'}] {name}: error {err:.3e} (tolerance {tol:.0e})",
-              file=stream or sys.stderr)
+              file=sys.stderr)
     return EXIT_OK if all(err <= tol for _, err, tol in checks) else EXIT_SELFTEST
 
 

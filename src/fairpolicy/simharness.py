@@ -37,7 +37,7 @@ import numpy as np
 from .forking import Forks, WorkerDied, usable_cpus
 from .functionals import SimilarityMeasure, TargetFunctional
 from .selection import LambdaGrid, derive_seed, sweep
-from .toy import MECHANISMS, ToyParams, toy_max_value, toy_objective, toy_sample
+from .toy import MECHANISMS, ToyParams, check_p, toy_max_value, toy_objective, toy_sample
 
 GINI = TargetFunctional("gini-welfare")
 KS = SimilarityMeasure("ks")
@@ -57,8 +57,7 @@ class SimConfig:
                 raise ValueError(f"{name} lists {repeated!r} twice")
         if replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0.5 < p < 1.0:
-            raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+        check_p(p)
         self.sample_sizes, self.mechanisms, self.grid = sample_sizes, mechanisms, grid
         self.replications, self.p, self.seed = replications, p, seed
 

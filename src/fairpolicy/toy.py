@@ -38,12 +38,17 @@ def toy_support() -> SupportInterval:
     return SupportInterval(0.0, 1.0)
 
 
+def check_p(p: float) -> None:
+    """The majority share must lie in (1/2, 1)."""
+    if not 0.5 < p < 1.0:
+        raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+
+
 class ToyParams:
     """Majority share p in (1/2, 1) and preference parameter lam in [0, 1]."""
 
     def __init__(self, p: float, lam: float):
-        if not 0.5 < p < 1.0:
-            raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+        check_p(p)
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
         self.p, self.lam = p, lam
@@ -75,8 +80,7 @@ def toy_objective(delta: float, params: ToyParams) -> float:
 
 def toy_threshold(p: float) -> float:
     """c(p): the lambda at which the argmax jumps from {0} to {1/2}."""
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+    check_p(p)
     return 1.0 - 630.0 * CBRT2 * p / (2.0 * p * (54.0 * p + 315.0 * CBRT2 + 100.0) - 127.0)
 
 
@@ -110,8 +114,7 @@ def toy_sample(n: int, p: float, mechanism: str, seed) -> TrainingSample:
     outcomes by inverse transform (G draws are U^2, H draws are sqrt(U))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+    check_p(p)
     if mechanism not in MECHANISMS:
         raise ValueError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
     rng = np.random.default_rng(seed)
@@ -141,8 +144,7 @@ def toy_cond_array(p: float, grid_points: int) -> CondCdfArray:
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"p must lie in (1/2, 1), got {p!r}")
+    check_p(p)
     ts = np.linspace(0.0, 1.0, grid_points + 1)
     g, h = (d / float(d.sum()) for d in (np.diff(toy_cdf_g(ts)), np.diff(toy_cdf_h(ts))))
     # cells (1, majority) and (2, minority) follow G, the other two H

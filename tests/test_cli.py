@@ -722,6 +722,23 @@ class TestFit:
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+TARGET_TEXTS = ["gini-welfare", "mean", "quantile:0.5"]
+SIMILARITY_TEXTS = ["ks", "one-sided-ks"] + [f"abs-target-diff:{t}" for t in TARGET_TEXTS]
+
+
+def objective_rows(path_csv) -> list:
+    """The rows of a path.csv, each checked to hold, as text, obj_value =
+    (1 - lambda) * T - lambda * max_unfairness, where T is target_value, or
+    0.0 at lambda = 1."""
+    with open(path_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        lam = float(row["lambda"])
+        target = 0.0 if lam == 1.0 else float(row["target_value"])
+        assert row["obj_value"] == repr((1 - lam) * target - lam * float(row["max_unfairness"]))
+    return rows
+
+
 class TestSweep:
     def test_outputs_and_determinism(self, toy_csv, tmp_path):
         outs = [str(tmp_path / f"out{i}") for i in (1, 2)]
@@ -809,6 +826,35 @@ class TestSweep:
         main(["sweep", "--input", toy_csv, "--output-dir", out, "--grid-m", "1",
               "--seed", "1", "--candidate-starts", "5", "--max-iters", "60"])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("similarity", SIMILARITY_TEXTS)
+    @pytest.mark.parametrize("target", TARGET_TEXTS)
+    def test_saved_objective_is_its_two_terms(self, tmp_path, target, similarity):
+        # both solver routes: the plug-in program and Nelder-Mead
+        rng = np.random.default_rng(5)
+        sample = tmp_path / "sample.csv"
+        sample.write_text("y,x,z,d\n" + "".join(
+            f"{rng.random():.4f},x{rng.integers(0, 4)},z{rng.integers(0, 2)},"
+            f"{rng.integers(1, 4)}\n" for _ in range(400)))
+        out = tmp_path / "out"
+        assert main(["sweep", "--input", str(sample), "--output-dir", str(out),
+                     "--target", target, "--similarity", similarity, "--grid-m", "4",
+                     "--candidate-starts", "10", "--max-iters", "100"]) == EXIT_OK
+        assert len(objective_rows(out / "path.csv")) == 5
+
+    def test_saved_objective_at_lambda_1_ignores_a_negative_target(self, tmp_path):
+        # one group, so the penalty is 0.0; (1 - 1) * T would be -0.0
+        rng = np.random.default_rng(5)
+        sample = tmp_path / "sample.csv"
+        sample.write_text("y,x,z,d\n" + "".join(
+            f"{rng.uniform(-2.0, 1.0):.4f},x{rng.integers(0, 3)},z0,{rng.integers(1, 3)}\n"
+            for _ in range(100)))
+        out = tmp_path / "out"
+        assert main(["sweep", "--input", str(sample), "--output-dir", str(out),
+                     "--support", "-2", "3", "--target", "mean", "--grid-m", "4"]) == EXIT_OK
+        rows = objective_rows(out / "path.csv")
+        assert float(rows[-1]["target_value"]) < 0.0
+        assert (rows[-1]["lambda"], rows[-1]["obj_value"]) == ("1.0", "0.0")
 
 
 class TestSelect:
@@ -1564,10 +1610,12 @@ class TestOracleCheck:
         err = capsys.readouterr().err
         assert "[ok]" in err and "[FAIL]" not in err
 
-    def test_perturbed_constant_fails(self, capsys):
-        stream = io.StringIO()
-        assert oracle_check(grid_points=800, perturb=0.2, stream=stream) == EXIT_SELFTEST
-        assert "[FAIL] objective agreement on 21x5 grid" in stream.getvalue()
+    def test_perturbed_constant_fails(self, capsys, monkeypatch):
+        closed_form = fairpolicy.toy.toy_objective
+        monkeypatch.setattr("fairpolicy.toy.toy_objective",
+                            lambda delta, params: closed_form(delta, params) + 0.2)
+        assert oracle_check(grid_points=800) == EXIT_SELFTEST
+        assert "[FAIL] objective agreement on 21x5 grid" in capsys.readouterr().err
         # the perturbation is not a command-line flag
         assert main(["oracle-check", "--self-test-perturb", "0.2"]) == EXIT_CONFIG
         err = capsys.readouterr().err
